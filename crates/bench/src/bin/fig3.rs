@@ -14,7 +14,6 @@ use simcore::Histogram;
 fn main() {
     let mut c = Campaign::new(CampaignConfig {
         mode: mummi_bench::drive_mode_from_args(),
-        serial_loop: mummi_bench::serial_loop_from_args(),
         ..CampaignConfig::default()
     });
     // A shortened but multi-restart schedule: enough 24 h runs for many

@@ -11,7 +11,6 @@ use simcore::{Histogram, Summary};
 fn main() {
     let mut c = Campaign::new(CampaignConfig {
         mode: mummi_bench::drive_mode_from_args(),
-        serial_loop: mummi_bench::serial_loop_from_args(),
         ..CampaignConfig::default()
     });
     // Mixed allocation sizes create the multi-modal continuum distribution.

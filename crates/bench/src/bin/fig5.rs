@@ -12,7 +12,6 @@ fn main() {
     let topts = TraceOpts::from_args();
     let mut c = Campaign::new(CampaignConfig {
         mode: mummi_bench::drive_mode_from_args(),
-        serial_loop: mummi_bench::serial_loop_from_args(),
         ..CampaignConfig::default()
     });
     c.set_tracer(topts.tracer());

@@ -31,29 +31,14 @@
 //! invocations instead of being clobbered. See DESIGN.md § "Scaling the
 //! coordination hot path".
 //!
-//! **Parallel mode** (`--parallel <rungs>`) climbs the same ladder but
-//! compares the two event-loop flavors instead of the two engines: each
-//! rung runs once with `serial_loop` pinned (the legacy single-threaded
-//! barrier body) and once under the partitioned parallel loop, same
-//! seed. The two flavors are byte-identical by contract, so the runs
-//! must agree on placements, iterations, and peak concurrency — the
-//! bench asserts it — and only wall clock may move. Entries record the
-//! worker-thread count (`rayon::current_num_threads`, overridable via
-//! `RAYON_NUM_THREADS`) alongside the measured speedup, because a
-//! 1-core host can only show parity: the fork degrades to inline calls
-//! there and the numbers say so honestly.
-//!
 //! **Table-1 mode** (`--table1`) runs the paper's *full* schedule —
 //! all 32 allocations, 20 × 1000-node × 24 h plus the 4,000-node run,
-//! ≈597,000 node hours — under both loop flavors and appends one entry
-//! per flavor to `BENCH_scale.json`. This is the headline target the
-//! parallel loop exists for: the whole Summit campaign replayed in
-//! wall-clock minutes.
+//! ≈600,000 node hours — and appends one entry to `BENCH_scale.json`:
+//! the whole Summit campaign replayed in well under a wall-clock minute.
 //!
 //! Usage:
 //!   selfbench [--out <path>] [--poll-millis <n>] [--reps <n>]
 //!   selfbench --scale <1/64,1/8,1/2,1/1|all> [--out <path>] [--hours <n>]
-//!   selfbench --parallel <1/64,1/8,1/2,1/1|all> [--out <path>] [--hours <n>]
 //!   selfbench --table1 [--out <path>]
 //!
 //! The smoke and `--scale` modes also accept the shared scheduler flags
@@ -148,10 +133,9 @@ struct RungResult {
     steady_gpu_occupancy: f64,
 }
 
-fn run_rung(nodes: u32, hours: u64, linear: bool, serial: bool) -> RungResult {
+fn run_rung(nodes: u32, hours: u64, linear: bool) -> RungResult {
     let mut cfg = CampaignConfig {
         linear_scan: linear,
-        serial_loop: serial,
         ..CampaignConfig::scale_rung(nodes)
     };
     mummi_bench::apply_sched_args(&mut cfg);
@@ -178,8 +162,8 @@ fn run_rung(nodes: u32, hours: u64, linear: bool, serial: bool) -> RungResult {
 }
 
 /// `extra` is a preformatted JSON fragment (`", \"key\": value"`) so the
-/// three ladder variants (engine compare, loop compare, table1-full) can
-/// tag entries without a parameter per optional field.
+/// ladder variants (engine compare, table1-full) can tag entries
+/// without a parameter per optional field.
 fn rung_entry(
     rung: &str,
     nodes: u32,
@@ -242,7 +226,7 @@ fn scale_main(rungs_arg: &str, out: &str, hours: u64) {
         // `peak_rss_kib`), then the indexed engine at the same seed.
         let linear = (*label == COMPARE_RUNG).then(|| {
             eprintln!("rung {label} ({nodes} nodes): linear-scan baseline…");
-            let r = run_rung(nodes, hours, true, false);
+            let r = run_rung(nodes, hours, true);
             eprintln!(
                 "  linear:  {:.3}s wall, {:.0} virt-s/wall-s, peak {} jobs",
                 r.wall_seconds, r.virtual_per_wall, r.peak_gpu_jobs
@@ -250,7 +234,7 @@ fn scale_main(rungs_arg: &str, out: &str, hours: u64) {
             r
         });
         eprintln!("rung {label} ({nodes} nodes): indexed engine…");
-        let indexed = run_rung(nodes, hours, false, false);
+        let indexed = run_rung(nodes, hours, false);
         eprintln!(
             "  indexed: {:.3}s wall, {:.0} virt-s/wall-s, {} placed, peak {} concurrent GPU jobs, steady occupancy {:.1}%",
             indexed.wall_seconds,
@@ -285,75 +269,9 @@ fn scale_main(rungs_arg: &str, out: &str, hours: u64) {
     write_scale_file(out, entries);
 }
 
-/// The loop-flavor ladder: serial body vs partitioned parallel loop at
-/// each requested rung, same seed. The flavors are byte-identical by
-/// contract (crates/campaign/tests/parallel_loop.rs holds the trace
-/// bytes; this bench holds the summary counters on real ladder rungs),
-/// so any divergence here is a determinism bug, not a measurement.
-fn parallel_main(rungs_arg: &str, out: &str, hours: u64) {
-    let wanted: Vec<&str> = if rungs_arg == "all" {
-        RUNGS.iter().map(|&(label, _)| label).collect()
-    } else {
-        rungs_arg.split(',').map(str::trim).collect()
-    };
-    let threads = rayon::current_num_threads();
-    eprintln!("parallel ladder: {threads} worker thread(s)");
-    let mut entries = Vec::new();
-    for label in &wanted {
-        let Some(&(_, nodes)) = RUNGS.iter().find(|&&(l, _)| l == *label) else {
-            eprintln!(
-                "unknown rung {label:?}; expected one of: {}",
-                RUNGS.iter().map(|&(l, _)| l).collect::<Vec<_>>().join(", ")
-            );
-            std::process::exit(2);
-        };
-        // Serial first: it is the reference and VmHWM is cumulative.
-        eprintln!("rung {label} ({nodes} nodes): serial loop…");
-        let serial = run_rung(nodes, hours, false, true);
-        eprintln!(
-            "  serial:   {:.3}s wall, {:.0} virt-s/wall-s",
-            serial.wall_seconds, serial.virtual_per_wall
-        );
-        eprintln!("rung {label} ({nodes} nodes): parallel loop…");
-        let parallel = run_rung(nodes, hours, false, false);
-        eprintln!(
-            "  parallel: {:.3}s wall, {:.0} virt-s/wall-s, {} placed",
-            parallel.wall_seconds, parallel.virtual_per_wall, parallel.placed
-        );
-        assert_eq!(
-            (serial.placed, serial.iterations, serial.peak_gpu_jobs),
-            (parallel.placed, parallel.iterations, parallel.peak_gpu_jobs),
-            "serial and parallel loops diverged at rung {label}"
-        );
-        let speedup = serial.wall_seconds / parallel.wall_seconds.max(1e-9);
-        eprintln!("  speedup (parallel over serial, {threads} thread(s)): {speedup:.2}x");
-        // On a 1-thread pool the driver takes the serial body outright
-        // (no fork, no staging), so "parallel" must cost no more than
-        // serial modulo noise. A miss means the thread-count gate
-        // regressed and single-core hosts are paying fork overhead.
-        if threads == 1 {
-            assert!(
-                speedup >= 0.98,
-                "1-thread parallel loop ran at {speedup:.2}x serial at rung {label}; \
-                 the current_num_threads gate should make this free"
-            );
-        }
-        entries.push(rung_entry(label, nodes, hours, "serial-loop", &serial, ""));
-        entries.push(rung_entry(
-            label,
-            nodes,
-            hours,
-            "parallel-loop",
-            &parallel,
-            &format!(", \"threads\": {threads}, \"speedup_vs_serial\": {speedup:.2}"),
-        ));
-    }
-    write_scale_file(out, entries);
-}
-
-/// The paper's full Table 1 schedule (32 runs, ≈597k node hours) under
-/// both loop flavors — the end-to-end target the ladder rungs
-/// approximate one allocation at a time.
+/// The paper's full Table 1 schedule (32 runs, ≈600k node hours) — the
+/// end-to-end target the ladder rungs approximate one allocation at a
+/// time.
 fn table1_main(out: &str) {
     let schedule: &[(u32, u64, u32)] = &[
         (100, 6, 5),
@@ -366,89 +284,39 @@ fn table1_main(out: &str) {
         .iter()
         .map(|&(n, h, c)| n as u64 * h * c as u64)
         .sum();
-    let threads = rayon::current_num_threads();
-    let run_flavor = |serial: bool| {
-        let mut c = Campaign::new(CampaignConfig {
-            serial_loop: serial,
-            ..CampaignConfig::default()
-        });
-        let start = Instant::now();
-        c.run_table(schedule);
-        let wall = start.elapsed().as_secs_f64();
-        let placed: u64 = c.reports().iter().map(|r| r.placed).sum();
-        let iterations: u64 = c.reports().iter().map(|r| r.driver_iterations).sum();
-        let peak: u64 = c
-            .reports()
-            .iter()
-            .map(|r| r.peak_gpu_jobs)
-            .max()
-            .unwrap_or(0);
-        let virtual_secs: u64 = schedule.iter().map(|&(_, h, c)| h * c as u64 * 3600).sum();
-        RungResult {
-            wall_seconds: wall,
-            virtual_per_wall: virtual_secs as f64 / wall.max(1e-9),
-            peak_rss_kib: peak_rss_kib(),
-            placed,
-            iterations,
-            peak_gpu_jobs: peak,
-            steady_gpu_occupancy: c
-                .reports()
-                .iter()
-                .map(|r| r.gpu_mean_occupancy)
-                .sum::<f64>()
-                / schedule.iter().map(|&(_, _, c)| c as u64).sum::<u64>() as f64,
-        }
-    };
     eprintln!(
-        "table1-full: 32 runs, {} node hours, {threads} worker thread(s)",
+        "table1-full: 32 runs, {} node hours",
         mummi_bench::group_digits(node_hours)
     );
-    eprintln!("  serial loop…");
-    let serial = run_flavor(true);
+    let mut c = Campaign::new(CampaignConfig::default());
+    let start = Instant::now();
+    c.run_table(schedule);
+    let wall = start.elapsed().as_secs_f64();
+    let virtual_secs: u64 = schedule.iter().map(|&(_, h, c)| h * c as u64 * 3600).sum();
+    let runs: u64 = schedule.iter().map(|&(_, _, c)| c as u64).sum();
+    let reports = c.reports();
+    let r = RungResult {
+        wall_seconds: wall,
+        virtual_per_wall: virtual_secs as f64 / wall.max(1e-9),
+        peak_rss_kib: peak_rss_kib(),
+        placed: reports.iter().map(|r| r.placed).sum(),
+        iterations: reports.iter().map(|r| r.driver_iterations).sum(),
+        peak_gpu_jobs: reports.iter().map(|r| r.peak_gpu_jobs).max().unwrap_or(0),
+        steady_gpu_occupancy: reports.iter().map(|r| r.gpu_mean_occupancy).sum::<f64>()
+            / runs as f64,
+    };
     eprintln!(
-        "  serial:   {:.1}s wall ({:.1} min), {:.0} virt-s/wall-s",
-        serial.wall_seconds,
-        serial.wall_seconds / 60.0,
-        serial.virtual_per_wall
+        "  {:.1}s wall ({:.1} min), {:.0} virt-s/wall-s, {} placed",
+        r.wall_seconds,
+        r.wall_seconds / 60.0,
+        r.virtual_per_wall,
+        r.placed
     );
-    eprintln!("  parallel loop…");
-    let parallel = run_flavor(false);
-    eprintln!(
-        "  parallel: {:.1}s wall ({:.1} min), {:.0} virt-s/wall-s, {} placed",
-        parallel.wall_seconds,
-        parallel.wall_seconds / 60.0,
-        parallel.virtual_per_wall,
-        parallel.placed
-    );
-    assert_eq!(
-        (serial.placed, serial.iterations, serial.peak_gpu_jobs),
-        (parallel.placed, parallel.iterations, parallel.peak_gpu_jobs),
-        "serial and parallel loops diverged on the full Table 1 schedule"
-    );
-    let speedup = serial.wall_seconds / parallel.wall_seconds.max(1e-9);
-    eprintln!("  speedup (parallel over serial, {threads} thread(s)): {speedup:.2}x");
-    // Same gate pin as the ladder rungs: 1 thread must mean zero fork
-    // overhead on the headline schedule.
-    if threads == 1 {
-        assert!(
-            speedup >= 0.98,
-            "1-thread parallel loop ran at {speedup:.2}x serial on table1-full; \
-             the current_num_threads gate should make this free"
-        );
-    }
     let extra = format!(", \"node_hours\": {node_hours}");
-    let entries = vec![
-        rung_entry("table1-full", 4000, 24, "serial-loop", &serial, &extra),
-        rung_entry(
-            "table1-full",
-            4000,
-            24,
-            "parallel-loop",
-            &parallel,
-            &format!("{extra}, \"threads\": {threads}, \"speedup_vs_serial\": {speedup:.2}"),
-        ),
-    ];
-    write_scale_file(out, entries);
+    write_scale_file(
+        out,
+        vec![rung_entry("table1-full", 4000, 24, "indexed", &r, &extra)],
+    );
 }
 
 fn main() {
@@ -460,10 +328,9 @@ fn main() {
             .cloned()
     };
     let scale = arg_after("--scale");
-    let parallel = arg_after("--parallel");
     let table1 = args.iter().any(|a| a == "--table1");
     let out = arg_after("--out").unwrap_or_else(|| {
-        if scale.is_some() || parallel.is_some() || table1 {
+        if scale.is_some() || table1 {
             "BENCH_scale.json".to_string()
         } else {
             "BENCH_campaign.json".to_string()
@@ -472,13 +339,6 @@ fn main() {
 
     if table1 {
         table1_main(&out);
-        return;
-    }
-    if let Some(rungs) = parallel {
-        let hours: u64 = arg_after("--hours")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(16);
-        parallel_main(&rungs, &out, hours);
         return;
     }
     if let Some(rungs) = scale {

@@ -4,11 +4,9 @@
 //! This work utilized over 600,000 node hours on Summit using several runs
 //! at varying scales."
 //!
-//! Usage: `table1 [--full | --smoke] [--chaos <seed>] [--ticked] [--serial]
+//! Usage: `table1 [--full | --smoke] [--chaos <seed>] [--ticked]
 //! [--policy <name>] [--workload <spec>] [--legacy-sched]`.
-//! `--serial` pins the legacy serial event-loop body (the differential
-//! oracle for the partitioned parallel loop — same bytes, only wall
-//! clock may differ). `--policy` picks the queue-ordering/backfill
+//! `--policy` picks the queue-ordering/backfill
 //! policy, `--workload` adds a background job stream (synthetic mix or
 //! `trace:<path>`), and `--legacy-sched` pins the retained pre-split
 //! FCFS monolith (the CI byte-identity oracle). The default
@@ -51,7 +49,6 @@ fn main() {
 
     let mut cfg = CampaignConfig {
         mode: mummi_bench::drive_mode_from_args(),
-        serial_loop: mummi_bench::serial_loop_from_args(),
         ..CampaignConfig::default()
     };
     mummi_bench::apply_sched_args(&mut cfg);

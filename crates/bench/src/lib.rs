@@ -100,16 +100,6 @@ pub fn drive_mode_from_args() -> campaign::DriveMode {
     }
 }
 
-/// Parses the `--serial` differential-oracle toggle shared by the
-/// campaign binaries: present → the event loop runs the legacy serial
-/// body at every barrier, absent → the partitioned parallel loop (the
-/// default). The two are byte-identical by contract (see DESIGN.md
-/// § "Parallel event loop"), so this flag only ever changes wall clock —
-/// CI diffs the traces of both flavors to hold that line.
-pub fn serial_loop_from_args() -> bool {
-    std::env::args().skip(1).any(|a| a == "--serial")
-}
-
 /// Applies the scheduler-policy flags shared by the campaign binaries:
 /// `--policy <name>` selects the queue-ordering/backfill policy (see
 /// [`sched::SchedPolicy::parse`] for names), `--workload <spec>` adds a

@@ -1,7 +1,7 @@
 //! Cooperative run control: the embeddable-run handle the campaign farm
 //! holds while a worker drives [`crate::Campaign::execute_run_controlled_on`].
 //!
-//! The contract is deliberately narrow so the parallel event loop stays
+//! The contract is deliberately narrow so the event loop stays
 //! deterministic:
 //!
 //! - **Pause points are whole virtual hours.** A pause request (or a

@@ -1,20 +1,19 @@
-//! Conservative-PDES clock primitives for the campaign event loop.
+//! Clock primitives for the campaign event loop.
 //!
 //! The event-driven driver advances virtual time to a **safe horizon**:
 //! the minimum over every wakeup source of the earliest instant that
-//! source can act. Between barriers the domain partitions (data
-//! generation, scheduler/WM polling, fault injection) are causally
-//! independent, which is what lets the parallel loop in
-//! [`crate::Campaign`] fork them onto threads without changing a byte of
-//! the trace. Two things about the horizon are load-bearing enough to
-//! live in their own module with their own tests:
+//! source can act — nothing can happen strictly between two horizons, so
+//! jumping the clock skips no work. Two things about the horizon are
+//! load-bearing enough to live in their own module with their own
+//! tests:
 //!
 //! 1. **Tie-breaking.** When several sources coincide at the same
-//!    `SimTime`, the barrier drains them in a *documented* priority
-//!    order — the order the serial loop's body always processed them in,
-//!    now a contract instead of an accident of a `min` chain:
+//!    `SimTime`, one driver pass drains them in a *documented* priority
+//!    order — the statement order of the loop body
+//!    (`RunSim::run` in `run.rs`), a contract instead of an accident of
+//!    a `min` chain:
 //!
-//!    | priority | source   | serial-loop step                     |
+//!    | priority | source   | loop-body phase                      |
 //!    |---------:|----------|--------------------------------------|
 //!    | 0        | Snapshot | continuum snapshot → patch candidates|
 //!    | 1        | Workload | background workload-source arrivals  |
@@ -22,8 +21,8 @@
 //!    | 3        | Chaos    | fault-plan events                    |
 //!    | 4        | Wm       | scheduler poll + WM maintenance      |
 //!
-//!    The ordered merge of cross-partition messages at a barrier is
-//!    byte-stable because every partition is absorbed in this order.
+//!    Same-seed traces are byte-stable because every pass drains in
+//!    this order.
 //!
 //! 2. **Forced advance.** The legacy advance expression
 //!    `next.min(end).max(t + 1µs)` silently bumped the clock one
@@ -32,18 +31,16 @@
 //!    between* `t` and `t + 1µs` is unrepresentable, so the only way the
 //!    clamp can engage is a source returning an already-past (stale)
 //!    wakeup — a contract violation that the old expression masked as
-//!    1 µs of silent drift and that livelocks a conservative parallel
-//!    barrier (the horizon stops advancing). [`advance_clock`] makes the
+//!    1 µs of silent drift. [`advance_clock`] makes the
 //!    case explicit: a normal advance jumps exactly to the horizon, and
 //!    a stale source is *flagged* so the driver can count it
 //!    ([`crate::RunReport::forced_advances`]) and debug-assert on it.
 
 use simcore::SimTime;
 
-/// A wakeup source of the campaign event loop, in barrier-drain priority
-/// order (`Snapshot` drains first at a tied time, `Wm` last). The
-/// numeric order matches the serial loop's statement order, so the
-/// parallel loop's ordered merge reproduces serial traces byte-for-byte.
+/// A wakeup source of the campaign event loop, in drain priority order
+/// (`Snapshot` drains first at a tied time, `Wm` last). The numeric
+/// order matches the loop body's statement order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum WakeSource {
     /// Continuum snapshot → patch-candidate generation.
@@ -61,11 +58,11 @@ pub enum WakeSource {
     Wm,
 }
 
-/// The next synchronization barrier: the earliest wakeup over all
+/// The next driver pass: the earliest wakeup over all
 /// sources, plus which source claims it under the documented tie-break.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Horizon {
-    /// Barrier time (safe horizon).
+    /// Wakeup time (safe horizon).
     pub at: SimTime,
     /// Highest-priority source due at `at`.
     pub source: WakeSource,
@@ -74,7 +71,7 @@ pub struct Horizon {
 /// Computes the safe horizon from the five wakeup sources.
 ///
 /// Ties resolve to the lowest-priority-number source ([`WakeSource`]
-/// order), matching the serial loop's drain order. `workload` is `None`
+/// order), matching the loop body's drain order. `workload` is `None`
 /// when no background workload source is configured (or it is
 /// exhausted); `chaos` is `None` when the fault-plan queue is empty.
 pub fn next_horizon(

@@ -1,6 +1,6 @@
 //! The multi-run campaign driver.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use parking_lot::Mutex; // lint: allow(L6: campaign shared-state import; each field carries its own reason)
@@ -157,12 +157,13 @@ pub struct CampaignConfig {
     /// same traces — only the wall-clock cost differs. The scale ladder
     /// uses it as the "pre-change engine" baseline.
     pub linear_scan: bool,
-    /// Forces the legacy single-threaded event loop (`--serial` on the
-    /// bench binaries). The default event-driven driver forks the data-
-    /// generation and scheduler-poll partitions onto threads at heavy
-    /// barriers; both loops produce byte-identical same-seed traces
-    /// (asserted by tests and CI), so this toggle is the differential
-    /// oracle and a wall-clock baseline, never a semantic switch.
+    /// Inert: nothing reads it. It used to pin the serial body of a
+    /// forked (GEN ‖ POLL) event loop; that fork is gone and the one
+    /// remaining body is the serial one (DESIGN.md § 11). The field
+    /// stays declared only because the frozen `benchmark/` crate still
+    /// sets it to `true`; the follow-up `[benchmark]` PR that drops
+    /// those writes together with `campaign.serial_over_default_x`
+    /// deletes it (ROADMAP item 3).
     pub serial_loop: bool,
     /// Feedback-store backend (see [`StoreBackend`]).
     pub store_backend: StoreBackend,
@@ -299,78 +300,6 @@ impl CampaignConfig {
     }
 }
 
-/// The run loop's feedback store: one of the two [`StoreBackend`]s
-/// behind a single concrete type, so the generic
-/// [`ScheduledFaultStore`] wrapper (and its `inner_mut().set_tracer`
-/// re-staging at parallel barriers) works unchanged for both.
-#[derive(Debug)]
-enum RunStore {
-    Kv(KvDataStore),
-    Remote(RemoteDataStore),
-}
-
-impl RunStore {
-    /// 20 shards either way — the paper's 20 Redis nodes.
-    fn new(backend: StoreBackend) -> RunStore {
-        match backend {
-            StoreBackend::InProcess => RunStore::Kv(KvDataStore::new(20)),
-            StoreBackend::Loopback => RunStore::Remote(RemoteDataStore::loopback(20)),
-        }
-    }
-
-    fn set_tracer(&mut self, tracer: Tracer) {
-        match self {
-            RunStore::Kv(s) => s.set_tracer(tracer),
-            RunStore::Remote(s) => s.set_tracer(tracer),
-        }
-    }
-}
-
-macro_rules! run_store_delegate {
-    ($self:ident, $s:ident => $body:expr) => {
-        match $self {
-            RunStore::Kv($s) => $body,
-            RunStore::Remote($s) => $body,
-        }
-    };
-}
-
-impl DataStore for RunStore {
-    fn kind(&self) -> datastore::BackendKind {
-        run_store_delegate!(self, s => s.kind())
-    }
-    fn write(&mut self, ns: &str, key: &str, data: &[u8]) -> datastore::Result<()> {
-        run_store_delegate!(self, s => s.write(ns, key, data))
-    }
-    fn read(&mut self, ns: &str, key: &str) -> datastore::Result<Vec<u8>> {
-        run_store_delegate!(self, s => s.read(ns, key))
-    }
-    fn exists(&mut self, ns: &str, key: &str) -> bool {
-        run_store_delegate!(self, s => s.exists(ns, key))
-    }
-    fn list(&mut self, ns: &str) -> datastore::Result<Vec<String>> {
-        run_store_delegate!(self, s => s.list(ns))
-    }
-    fn move_ns(&mut self, key: &str, from: &str, to: &str) -> datastore::Result<()> {
-        run_store_delegate!(self, s => s.move_ns(key, from, to))
-    }
-    fn delete(&mut self, ns: &str, key: &str) -> datastore::Result<bool> {
-        run_store_delegate!(self, s => s.delete(ns, key))
-    }
-    fn flush(&mut self) -> datastore::Result<()> {
-        run_store_delegate!(self, s => s.flush())
-    }
-    fn count(&mut self, ns: &str) -> datastore::Result<usize> {
-        run_store_delegate!(self, s => s.count(ns))
-    }
-    fn read_many(&mut self, ns: &str, keys: &[String]) -> datastore::Result<Vec<Vec<u8>>> {
-        run_store_delegate!(self, s => s.read_many(ns, keys))
-    }
-    fn move_ns_many(&mut self, keys: &[String], from: &str, to: &str) -> datastore::Result<()> {
-        run_store_delegate!(self, s => s.move_ns_many(keys, from, to))
-    }
-}
-
 /// What one simulation accumulated over the campaign.
 #[derive(Debug, Clone, Copy)]
 struct SimRecord {
@@ -486,112 +415,51 @@ pub struct Campaign {
 /// The concrete WM the campaign drives (the three-scale MuMMI app over
 /// the Flux-model scheduler).
 type CampaignWm = WorkflowManager<SchedEngine>;
+/// One run's `(size, rate)` perf samples — CG first, AA second — filled
+/// by the runtime-model closures and drained once at close.
+type PerfSamples = Arc<Mutex<(Vec<(f64, f64)>, Vec<(f64, f64)>)>>; // lint: allow(L6: perf-sample scratch shared with model closures; drained once after the run)
 
-/// Minimum estimated frame batch for which a barrier without a snapshot
-/// due still forks the generation partition onto a thread. Forking pays
-/// a scoped-thread spawn plus two tracer stages; a barrier that would
-/// only generate a handful of frames is cheaper inline. Purely a
-/// wall-clock knob: light and heavy barriers produce identical bytes.
-const PARALLEL_FRAME_THRESHOLD: f64 = 64.0;
+/// Builds the per-sim [`RuntimeModel`] over a fresh RNG stream: every WM
+/// incarnation of a run (the first, and each crash-point restore) needs
+/// its own copy.
+type ModelFactory = Box<dyn Fn(StdRng) -> RuntimeModel>;
 
-/// Run context and mutable accounting slots threaded through the
-/// fault-drain helpers ([`apply_due_attrition`], [`apply_plan_fault`]),
-/// which the serial body and the parallel barrier's fault phase share.
-struct FaultCtx<'a> {
-    /// The driver-owned continuum job: its failures are booked here, not
-    /// by a tracker.
-    cont_id: JobId,
-    /// Allocation size, for wrapping planned node ids onto real nodes.
-    nodes: u32,
-    nodes_failed: &'a mut u64,
-    jobs_crashed: &'a mut u64,
-    jobs_hung: &'a mut u64,
-    ledger: &'a mut RunLedger,
+/// Compiles the plan's store-fault events into the windows the store
+/// wrapper applies; every other event kind is drained by the run loop
+/// as virtual time passes it.
+fn fault_windows(plan: &FaultPlan) -> Vec<FaultWindow> {
+    plan.events
+        .iter()
+        .filter_map(|ev| match ev.kind {
+            FaultKind::StoreFaults {
+                op,
+                period,
+                duration,
+                extra_latency,
+            } => Some(FaultWindow {
+                from: ev.at,
+                until: ev.at + duration,
+                op,
+                period,
+                extra_latency,
+            }),
+            _ => None,
+        })
+        .collect()
 }
 
-/// Drains every hardware-attrition arrival due at or before `t`: Flux
-/// drains the node, resident jobs crash (their trackers resubmit them on
-/// the next poll), and a continuum casualty is booked on the ledger.
-fn apply_due_attrition(
-    t: SimTime,
-    failures: &mut FailureProcess,
-    wm: &mut CampaignWm,
-    ctx: &mut FaultCtx<'_>,
-) {
-    while let Some((_, node)) = failures.pop_due(t) {
-        if !wm.launcher().graph().is_drained(node) {
-            let victims = wm.launcher_mut().fail_node(node, t);
-            *ctx.nodes_failed += 1;
-            *ctx.jobs_crashed += victims.len() as u64;
-            if victims.contains(&ctx.cont_id) {
-                ctx.ledger.continuum_failed += 1;
-            }
-        }
-    }
-}
-
-/// Applies one due chaos-plan event. `WmCrash` is the caller's job — it
-/// rebuilds the WM incarnation and therefore needs the whole run scope —
-/// and the parallel barrier never runs while one is due.
-fn apply_plan_fault(
-    kind: FaultKind,
-    ev_t: SimTime,
-    t: SimTime,
-    wm: &mut CampaignWm,
-    tracer: &Tracer,
-    ctx: &mut FaultCtx<'_>,
-) {
-    match kind {
-        FaultKind::NodeFail { node } => {
-            let node = node % ctx.nodes.max(1);
-            if !wm.launcher().graph().is_drained(node) {
-                let victims = wm.launcher_mut().fail_node(node, t);
-                *ctx.nodes_failed += 1;
-                *ctx.jobs_crashed += victims.len() as u64;
-                if victims.contains(&ctx.cont_id) {
-                    ctx.ledger.continuum_failed += 1;
-                }
-                tracer.instant_at(
-                    t,
-                    "chaos",
-                    "chaos.node_fail",
-                    &[("node", node.into()), ("count", victims.len().into())],
-                );
-            }
-        }
-        FaultKind::StoreFaults {
-            op,
-            period,
-            duration,
-            ..
-        } => {
-            // The window itself was pre-installed on the store;
-            // this marks its opening in the trace.
-            tracer.instant_at(
-                t,
-                "chaos",
-                "chaos.store_window",
-                &[
-                    ("op", op.label().into()),
-                    ("period", period.into()),
-                    ("from", ev_t.as_micros().into()),
-                    ("until", (ev_t + duration).as_micros().into()),
-                ],
-            );
-        }
-        FaultKind::JobHang { class } => {
-            if let Some(id) = wm.launcher_mut().hang_running(class, t) {
-                *ctx.jobs_hung += 1;
-                tracer.instant_at(
-                    t,
-                    "chaos",
-                    "chaos.hang",
-                    &[("class", class.label().into()), ("job", id.0.into())],
-                );
-            }
-        }
-        FaultKind::WmCrash => unreachable!("WmCrash is drained inline by the run loop"),
-    }
+/// Submits the continuum job — one multi-node CPU job covering
+/// `at..until` — and returns its id. The job belongs to the driver, not
+/// to a tracker, so the caller books its failures.
+fn submit_continuum(wm: &mut CampaignWm, cont_nodes: u32, at: SimTime, until: SimTime) -> JobId {
+    wm.launcher_mut().submit(
+        JobSpec::new(
+            JobClass::Continuum,
+            JobShape::continuum(cont_nodes),
+            until.since(at),
+        ),
+        at,
+    )
 }
 
 impl Campaign {
@@ -738,14 +606,118 @@ impl Campaign {
         hours: u64,
         control: &RunControl,
     ) -> RunReport {
-        self.run_idx += 1;
-        let run_seeds = self.seeds.fork_indexed("run", self.run_idx);
-        let mut rng = StdRng::seed_from_u64(run_seeds.seed_for("driver"));
+        // 20 shards either way — the paper's 20 Redis nodes. The tracer
+        // is installed before the fault-window wrapper takes the store.
+        match self.cfg.store_backend {
+            StoreBackend::InProcess => {
+                let mut store = KvDataStore::new(20);
+                store.set_tracer(self.tracer.clone());
+                RunSim::start(self, store, machine, hours, control).run()
+            }
+            StoreBackend::Loopback => {
+                let mut store = RemoteDataStore::loopback(20);
+                store.set_tracer(self.tracer.clone());
+                RunSim::start(self, store, machine, hours, control).run()
+            }
+        }
+    }
 
-        let nodes = machine.nodes;
-        let total_gpus = machine.total_gpus();
-        // The spec outlives the first engine: a WM crash point discards the
-        // whole incarnation and rebuilds scheduler + WM from scratch.
+    /// GPUs the CG partition aims to fill on a machine of `total_gpus`.
+    fn cg_gpu_target(&self, total_gpus: u64) -> u64 {
+        (total_gpus as f64 * self.cfg.cg_fraction) as u64
+    }
+
+    /// The WM configuration every incarnation of one run shares (each
+    /// crash-point restore replaces only the seed).
+    fn wm_config(&self, total_gpus: u64, seed: u64) -> WmConfig {
+        let cg_target = self.cg_gpu_target(total_gpus);
+        // Validated at construction/submission: divisor >= 1, cap >= 8.
+        let divisor = self.cfg.ready_buffer_divisor;
+        let cap = self.cfg.ready_buffer_cap;
+        // `cg_target` can exceed `total_gpus` when `cg_fraction > 1`
+        // (e.g. an operator writing 70 for 70%): the AA partition then
+        // gets nothing, it must not underflow into a multi-exabyte
+        // ready-buffer request.
+        let aa_gpus = total_gpus.saturating_sub(cg_target);
+        WmConfig {
+            cg_gpu_fraction: self.cfg.cg_fraction,
+            cg_ready_buffer: ((cg_target / divisor) as usize).clamp(8, cap),
+            aa_ready_buffer: ((aa_gpus / divisor) as usize).clamp(4, cap / 2),
+            poll_interval: self.cfg.poll_interval,
+            feedback_interval: SimDuration::from_mins(10),
+            profile_interval: SimDuration::from_mins(10),
+            submit_rate_per_min: self.cfg.submit_rate_per_min,
+            job_failure_prob: self.cfg.job_failure_prob,
+            // The campaign owns restart state (its sims map + ready
+            // queues); per-candidate history would dominate DES memory.
+            record_history: false,
+            job_timeout_grace: self.cfg.job_timeout_grace,
+            linear_scan: self.cfg.linear_scan,
+            seed,
+            ..WmConfig::default()
+        }
+    }
+
+    /// The per-sim runtime model (remaining length / throughput) as a
+    /// factory over the model's RNG stream. First sight of a sim draws
+    /// its size, rate and target and records the perf sample.
+    fn model_factory(&self, samples: &PerfSamples) -> ModelFactory {
+        let cg_perf = CgPerf::default();
+        let aa_perf = AaPerf::default();
+        let progress = (self.hours_done / self.cfg.planned_hours).min(1.0);
+        let (aa_lo, aa_hi) = self.cfg.aa_target_ns;
+        let cg_target_us = self.cfg.cg_target_us;
+        let sims = Arc::clone(&self.sims);
+        let samples = Arc::clone(samples);
+        Box::new(move |mut model_rng: StdRng| -> RuntimeModel {
+            let sims = Arc::clone(&sims);
+            let samples_in = Arc::clone(&samples);
+            Box::new(move |class, payload: &str| {
+                let mut sims = sims.lock();
+                let rec = sims
+                    .entry(payload.to_string())
+                    .or_insert_with(|| match class {
+                        JobClass::CgSim => {
+                            let size = cg_perf.sample_size(&mut model_rng);
+                            let rate = cg_perf.sample(size, progress, &mut model_rng);
+                            samples_in.lock().0.push((size, rate));
+                            SimRecord {
+                                target: cg_target_us,
+                                achieved: 0.0,
+                                rate_per_day: rate,
+                                started_at: None,
+                            }
+                        }
+                        _ => {
+                            let size = aa_perf.sample_size(&mut model_rng);
+                            let rate = aa_perf.sample(size, &mut model_rng);
+                            samples_in.lock().1.push((size, rate));
+                            SimRecord {
+                                target: model_rng.gen_range(aa_lo..aa_hi),
+                                achieved: 0.0,
+                                rate_per_day: rate,
+                                started_at: None,
+                            }
+                        }
+                    });
+                let remaining = (rec.target - rec.achieved).max(0.0);
+                let days = remaining / rec.rate_per_day.max(1e-9);
+                Some(SimDuration::from_secs_f64(days * 86_400.0).max(SimDuration::from_mins(5)))
+            })
+        })
+    }
+
+    /// Builds one WM incarnation — a fresh resource graph, scheduler
+    /// engine and workflow manager over `machine`, traced, restored from
+    /// `ckpt` — for the start of a run and for every crash-point restore
+    /// (a WM crash discards the whole incarnation).
+    fn build_incarnation(
+        &self,
+        machine: &MachineSpec,
+        wm_cfg: WmConfig,
+        model: RuntimeModel,
+        ckpt: Option<&WmCheckpoint>,
+    ) -> CampaignWm {
         let mut graph = ResourceGraph::new(machine.clone());
         graph.set_linear_scan(self.cfg.linear_scan);
         let mut engine = SchedEngine::new(
@@ -760,856 +732,13 @@ impl Campaign {
         if self.cfg.record_jobs {
             engine.set_recording(true);
         }
-
-        let cg_target = (total_gpus as f64 * self.cfg.cg_fraction) as u64;
-        // Validated at construction/submission: divisor >= 1, cap >= 8.
-        let divisor = self.cfg.ready_buffer_divisor;
-        let cap = self.cfg.ready_buffer_cap;
-        // `cg_target` can exceed `total_gpus` when `cg_fraction > 1`
-        // (e.g. an operator writing 70 for 70%): the AA partition then
-        // gets nothing, it must not underflow into a multi-exabyte
-        // ready-buffer request.
-        let aa_gpus = total_gpus.saturating_sub(cg_target);
-        let wm_cfg = WmConfig {
-            cg_gpu_fraction: self.cfg.cg_fraction,
-            cg_ready_buffer: ((cg_target / divisor) as usize).clamp(8, cap),
-            aa_ready_buffer: ((aa_gpus / divisor) as usize).clamp(4, cap / 2),
-            poll_interval: self.cfg.poll_interval,
-            feedback_interval: SimDuration::from_mins(10),
-            profile_interval: SimDuration::from_mins(10),
-            submit_rate_per_min: self.cfg.submit_rate_per_min,
-            job_failure_prob: self.cfg.job_failure_prob,
-            // The campaign owns restart state (its sims map + ready
-            // queues); per-candidate history would dominate DES memory.
-            record_history: false,
-            job_timeout_grace: self.cfg.job_timeout_grace,
-            linear_scan: self.cfg.linear_scan,
-            seed: run_seeds.seed_for("wm"),
-            ..WmConfig::default()
-        };
-        let wm_cfg_base = wm_cfg.clone();
         let mut wm = app3::build_three_scale_wm(wm_cfg, engine, 14);
         wm.set_tracer(self.tracer.clone());
-        if let Some(ckpt) = &self.ckpt {
+        if let Some(ckpt) = ckpt {
             wm.restore(ckpt);
         }
-        self.tracer.set_now(SimTime::ZERO);
-        self.tracer.instant_at(
-            SimTime::ZERO,
-            "campaign",
-            "run.start",
-            &[
-                ("run", self.run_idx.into()),
-                ("nodes", nodes.into()),
-                ("hours", hours.into()),
-            ],
-        );
-
-        // The per-sim runtime model: remaining length / throughput. Built
-        // by a factory because every WM incarnation (the first, and each
-        // crash-point restore) needs its own copy with a fresh RNG stream.
-        let cg_perf = CgPerf::default();
-        let aa_perf = AaPerf::default();
-        let progress = (self.hours_done / self.cfg.planned_hours).min(1.0);
-        let (aa_lo, aa_hi) = self.cfg.aa_target_ns;
-        let cg_target_us = self.cfg.cg_target_us;
-        let samples = Arc::new(Mutex::new((Vec::new(), Vec::new()))); // lint: allow(L6: perf-sample scratch shared with model closures; drained once after the run)
-        let make_model = {
-            let sims = Arc::clone(&self.sims);
-            let samples = Arc::clone(&samples);
-            move |mut model_rng: StdRng| -> RuntimeModel {
-                let sims = Arc::clone(&sims);
-                let samples_in = Arc::clone(&samples);
-                Box::new(move |class, payload: &str| {
-                    let mut sims = sims.lock();
-                    let rec = sims
-                        .entry(payload.to_string())
-                        .or_insert_with(|| match class {
-                            JobClass::CgSim => {
-                                let size = cg_perf.sample_size(&mut model_rng);
-                                let rate = cg_perf.sample(size, progress, &mut model_rng);
-                                samples_in.lock().0.push((size, rate));
-                                SimRecord {
-                                    target: cg_target_us,
-                                    achieved: 0.0,
-                                    rate_per_day: rate,
-                                    started_at: None,
-                                }
-                            }
-                            _ => {
-                                let size = aa_perf.sample_size(&mut model_rng);
-                                let rate = aa_perf.sample(size, &mut model_rng);
-                                samples_in.lock().1.push((size, rate));
-                                SimRecord {
-                                    target: model_rng.gen_range(aa_lo..aa_hi),
-                                    achieved: 0.0,
-                                    rate_per_day: rate,
-                                    started_at: None,
-                                }
-                            }
-                        });
-                    let remaining = (rec.target - rec.achieved).max(0.0);
-                    let days = remaining / rec.rate_per_day.max(1e-9);
-                    Some(SimDuration::from_secs_f64(days * 86_400.0).max(SimDuration::from_mins(5)))
-                })
-            }
-        };
-        wm.set_runtime_model(make_model(StdRng::seed_from_u64(
-            run_seeds.seed_for("perf"),
-        )));
-
-        // The continuum job: one multi-node CPU job for the whole run.
-        let cont_nodes = (nodes / 8).clamp(2, 150);
-        let cont_perf = ContinuumPerf::default();
-        // Its id is remembered: the continuum job belongs to the driver,
-        // not to a tracker, so its failures must be booked here.
-        let mut cont_id = wm.launcher_mut().submit(
-            JobSpec::new(
-                JobClass::Continuum,
-                JobShape::continuum(cont_nodes),
-                SimDuration::from_hours(hours),
-            ),
-            SimTime::ZERO,
-        );
-
-        // The chaos plan (empty unless configured): store-fault windows are
-        // compiled up-front into the store wrapper; the remaining events
-        // are applied by the tick loop as virtual time passes them.
-        let mut plan = self.cfg.fault_plan.clone().unwrap_or_default();
-        plan.normalize();
-        let windows: Vec<FaultWindow> = plan
-            .events
-            .iter()
-            .filter_map(|ev| match ev.kind {
-                FaultKind::StoreFaults {
-                    op,
-                    period,
-                    duration,
-                    extra_latency,
-                } => Some(FaultWindow {
-                    from: ev.at,
-                    until: ev.at + duration,
-                    op,
-                    period,
-                    extra_latency,
-                }),
-                _ => None,
-            })
-            .collect();
-        let mut inner_store = RunStore::new(self.cfg.store_backend);
-        inner_store.set_tracer(self.tracer.clone());
-        let mut store = ScheduledFaultStore::new(inner_store, windows);
-        // Plan events live in a real event queue: ticked mode drains what
-        // is due each sweep, event mode additionally uses the head
-        // timestamp to bound how far the clock may jump.
-        let mut plan_q: EventQueue<FaultKind> = EventQueue::new();
-        for ev in &plan.events {
-            plan_q.schedule(ev.at, ev.kind);
-        }
-        // WM crash points, in time order. The parallel barrier consults
-        // the front: a crash discards the incarnation mid-iteration (any
-        // candidates ingested earlier in the same pass die with it), so a
-        // barrier with a crash due must run the legacy serial body.
-        let mut crash_times: VecDeque<SimTime> = plan
-            .events
-            .iter()
-            .filter(|ev| matches!(ev.kind, FaultKind::WmCrash))
-            .map(|ev| ev.at)
-            .collect();
-        let mut wm_crashes = 0u64;
-        let mut jobs_hung = 0u64;
-        let mut ledger = RunLedger {
-            continuum_submitted: 1,
-            ..RunLedger::default()
-        };
-        let mut watch = MonotonicWatch::new();
-        // Run-local figure collectors: a WM crash discards the incarnation,
-        // so its profile and timelines must be folded in before the drop.
-        let mut run_profiler = OccupancyProfiler::new();
-        let mut run_cg_tl = Timeline::new();
-        let mut run_aa_tl = Timeline::new();
-        let end = SimTime::from_hours(hours);
-        // The effective end of this run: `end` unless a cooperative pause
-        // pulls it in to an earlier whole-hour boundary. Monotone
-        // non-increasing — once a pause point is adopted it never moves.
-        let mut run_end = end;
-        let mut t = SimTime::ZERO;
-        let mut prev_t = SimTime::ZERO;
-        let mut next_snapshot = SimTime::ZERO;
-        let mut frame_accum = 0.0f64;
-        let mut placed = 0u64;
-        let mut completed = 0u64;
-        let mut load_time = None;
-        let mut nodes_failed = 0u64;
-        let mut jobs_crashed = 0u64;
-        // Hardware attrition as a pre-seeded Poisson process on its own
-        // seed stream: the (time, node) failure history is a function of
-        // the run seed and daily rate alone, invariant to the poll cadence
-        // and to the drive mode.
-        let mut failures = FailureProcess::new(
-            run_seeds.seed_for("node-failures"),
-            self.cfg.node_failures_per_day,
-            nodes,
-        );
-
-        // Optional background workload: an extra job stream submitted
-        // straight to the scheduler on its own seed stream. The WM never
-        // tracks these ids — its polls ignore unknown jobs — so the
-        // ledger books them separately. Synthetic mixes are sized to the
-        // run length (~one arrival a minute at their default cadences).
-        let mut bg_src: Option<Box<dyn WorkloadSource>> = self.cfg.workload.as_ref().map(|w| {
-            w.build(run_seeds.seed_for("workload"), nodes, hours * 60)
-                .unwrap_or_else(|e| panic!("workload {w} failed to build: {e}"))
-        });
-        let mut bg_ids: BTreeSet<JobId> = BTreeSet::new();
-
-        // Forking a barrier only pays when the rayon pool actually has a
-        // second worker. On a 1-thread pool `rayon::join` degrades to
-        // inline calls, so the fork would spend its staging/absorb
-        // plumbing for nothing — measured at 0.92× serial on the full
-        // Table 1 schedule. Hoisted: the pool size is fixed for the
-        // process lifetime.
-        let pool_parallel = rayon::current_num_threads() > 1;
-
-        let mut driver_iterations = 0u64;
-        let mut forced_advances = 0u64;
-        // Per-tick scratch buffers, hoisted out of the loop: candidate
-        // staging and the WM event list are drained every pass, so one
-        // allocation serves the whole run.
-        let mut point_buf: Vec<dynim::HdPoint> = Vec::new();
-        let mut wm_events: Vec<WmEvent> = Vec::new();
-        while t <= run_end {
-            driver_iterations += 1;
-            self.tracer.set_now(t);
-            store.set_now(t);
-
-            // Cooperative pause point: adopt a requested/scheduled pause
-            // target (always a whole-hour boundary at or after `t`) as the
-            // run's new end. The current pass still executes in full, so
-            // the run closes with a final pass exactly at the boundary,
-            // mirroring the normal end-of-allocation close.
-            if let Some(target) = control.pause_target(t) {
-                if target < run_end {
-                    run_end = target;
-                }
-            }
-
-            // Barrier flavor. Between wakeups the domain partitions are
-            // causally independent, so a heavy barrier (snapshot due, or
-            // a large accumulated frame batch) forks data generation
-            // against the scheduler poll; light barriers and any barrier
-            // with a WM crash due run the legacy serial body. Both paths
-            // produce byte-identical same-seed traces — `--serial` and
-            // the fork threshold are wall-clock knobs, never semantic.
-            let crash_due = crash_times.front().is_some_and(|&at| at <= t);
-            let (cg_running, _) = wm.launcher().class_counts(JobClass::CgSim);
-            let est_frames = frame_accum
-                + cg_running as f64
-                    * self.cfg.frames_per_sim_per_min
-                    * t.since(prev_t).as_mins_f64();
-            let fork_barrier = pool_parallel
-                && !self.cfg.serial_loop
-                && self.cfg.mode == DriveMode::EventDriven
-                && !crash_due
-                && (next_snapshot <= t || est_frames >= PARALLEL_FRAME_THRESHOLD);
-
-            if fork_barrier {
-                // Conservative-PDES fork (DESIGN.md "Parallel event
-                // loop"). Fault injection runs first, serially: data
-                // generation never reads engine state (the CG count was
-                // captured above, exactly the value the serial body
-                // reads before its own fault drain), and fault
-                // application touches neither the store nor the driver
-                // RNG. Each phase traces into its own staged sink; the
-                // stages are absorbed below in the serial loop's
-                // statement order — generation, faults, poll — so the
-                // merged trace is byte-identical to the serial body's.
-                let staged_gen = self.tracer.stage();
-                let staged_fault = self.tracer.stage();
-                let staged_poll = self.tracer.stage();
-
-                wm.launcher_mut().set_tracer(staged_fault.clone());
-                // Background arrivals drain before the fault phase — the
-                // same statement position as the serial body, so the
-                // staged-fault sink absorbs their submit traces in the
-                // identical order.
-                if let Some(src) = bg_src.as_deref_mut() {
-                    while let Some(job) = src.pop_due(t) {
-                        bg_ids.insert(wm.launcher_mut().submit(job.spec, job.at));
-                        ledger.background_submitted += 1;
-                    }
-                }
-                apply_due_attrition(
-                    t,
-                    &mut failures,
-                    &mut wm,
-                    &mut FaultCtx {
-                        cont_id,
-                        nodes,
-                        nodes_failed: &mut nodes_failed,
-                        jobs_crashed: &mut jobs_crashed,
-                        jobs_hung: &mut jobs_hung,
-                        ledger: &mut ledger,
-                    },
-                );
-                while plan_q.peek_time().is_some_and(|at| at <= t) {
-                    let Some((ev_t, kind)) = plan_q.pop() else {
-                        break;
-                    };
-                    apply_plan_fault(
-                        kind,
-                        ev_t,
-                        t,
-                        &mut wm,
-                        &staged_fault,
-                        &mut FaultCtx {
-                            cont_id,
-                            nodes,
-                            nodes_failed: &mut nodes_failed,
-                            jobs_crashed: &mut jobs_crashed,
-                            jobs_hung: &mut jobs_hung,
-                            ledger: &mut ledger,
-                        },
-                    );
-                }
-                wm.set_tracer(staged_poll.clone());
-                wm.launcher_mut().set_tracer(staged_poll.clone());
-                store.inner_mut().set_tracer(staged_gen.clone());
-
-                let mut patch_batches: Vec<Vec<dynim::HdPoint>> = Vec::new();
-                let mut frame_points: Vec<dynim::HdPoint> = Vec::new();
-                let (n_frames, ()) =
-                    rayon::join(
-                        || {
-                            // GEN partition: continuum snapshots → patch
-                            // candidates, CG frame analysis → AA candidates
-                            // plus the feedback-round store writes. Owns the
-                            // driver RNG. Candidate ingestion is deferred to
-                            // the ordered merge below — it emits no trace
-                            // events and never touches launcher state, so
-                            // deferral cannot change a byte.
-                            while next_snapshot <= t {
-                                self.snapshots += 1;
-                                self.cont_samples.push(cont_perf.sample(
-                                    JobShape::continuum(cont_nodes).total_cores(),
-                                    &mut rng,
-                                ));
-                                let mut batch = Vec::with_capacity(self.cfg.patches_per_snapshot);
-                                for _ in 0..self.cfg.patches_per_snapshot {
-                                    self.next_id += 1;
-                                    self.patches += 1;
-                                    let id = format!("cg-{:010}", self.next_id);
-                                    let state = rng.gen_range(0..app3::PATCH_QUEUES);
-                                    let encoded: Vec<f64> = (0..app3::PATCH_LATENT_DIM)
-                                        .map(|_| rng.gen_range(-1.0..1.0))
-                                        .collect();
-                                    batch.push(app3::state_tagged_point(&id, state, encoded));
-                                }
-                                patch_batches.push(batch);
-                                next_snapshot += self.cfg.snapshot_interval;
-                            }
-                            frame_accum += cg_running as f64
-                                * self.cfg.frames_per_sim_per_min
-                                * t.since(prev_t).as_mins_f64();
-                            let n_frames = frame_accum as usize;
-                            frame_accum -= n_frames as f64;
-                            for _ in 0..n_frames {
-                                self.next_id += 1;
-                                self.frames += 1;
-                                let id = format!("aa-{:010}", self.next_id);
-                                let coords = vec![
-                                    rng.gen_range(0.0..1.0),
-                                    rng.gen_range(0.0..1.0),
-                                    rng.gen_range(0.0..1.0),
-                                ];
-                                let frame = CgFrame {
-                                    id: id.clone(),
-                                    time: t.as_secs_f64(),
-                                    encoding: [coords[0], coords[1], coords[2]],
-                                    rdfs: vec![vec![1.0 + coords[0] - coords[1]; 8]],
-                                };
-                                let _ = store.write(mummi_core::ns::RDF_NEW, &id, &frame.encode());
-                                frame_points.push(dynim::HdPoint::new(id, coords));
-                            }
-                            n_frames
-                        },
-                        || {
-                            // POLL partition: job completions, resubmission
-                            // draws, hang expiry. Reads neither the store
-                            // nor the candidate selector.
-                            wm.tick_poll_phase(t, &mut wm_events);
-                        },
-                    );
-
-                // Ordered merge: absorb the staged events and metric ops
-                // in the serial statement order, then restore the shared
-                // tracer handles.
-                self.tracer.absorb(&staged_gen);
-                self.tracer.absorb(&staged_fault);
-                self.tracer.absorb(&staged_poll);
-                wm.set_tracer(self.tracer.clone());
-                wm.launcher_mut().set_tracer(self.tracer.clone());
-                store.inner_mut().set_tracer(self.tracer.clone());
-
-                // Deferred candidate ingestion, in the serial call
-                // order: one batch per snapshot, then the frame batch.
-                for mut batch in patch_batches {
-                    wm.add_patch_candidates_from(&mut batch);
-                }
-                if n_frames > 0 {
-                    wm.add_frame_candidates_from(&mut frame_points);
-                }
-
-                // Maintenance half of the WM cycle, serial on the main
-                // tracer: ready-buffer fill, feedback (store reads),
-                // occupancy profiling.
-                wm.tick_maintain_phase(t, &mut store, &mut wm_events);
-            } else {
-                // Continuum output: new snapshot → patch candidates.
-                while next_snapshot <= t {
-                    self.snapshots += 1;
-                    self.cont_samples.push(
-                        cont_perf.sample(JobShape::continuum(cont_nodes).total_cores(), &mut rng),
-                    );
-                    for _ in 0..self.cfg.patches_per_snapshot {
-                        self.next_id += 1;
-                        self.patches += 1;
-                        let id = format!("cg-{:010}", self.next_id);
-                        let state = rng.gen_range(0..app3::PATCH_QUEUES);
-                        let encoded: Vec<f64> = (0..app3::PATCH_LATENT_DIM)
-                            .map(|_| rng.gen_range(-1.0..1.0))
-                            .collect();
-                        point_buf.push(app3::state_tagged_point(&id, state, encoded));
-                    }
-                    wm.add_patch_candidates_from(&mut point_buf);
-                    next_snapshot += self.cfg.snapshot_interval;
-                }
-
-                // CG analyses flag frames as AA candidates, proportional to the
-                // number of running CG simulations and to the virtual time that
-                // actually elapsed since the last driver pass (so the rate is
-                // honoured whether the clock sweeps or jumps).
-                let (cg_running, _) = wm.launcher().class_counts(JobClass::CgSim);
-                frame_accum += cg_running as f64
-                    * self.cfg.frames_per_sim_per_min
-                    * t.since(prev_t).as_mins_f64();
-                let n_frames = frame_accum as usize;
-                frame_accum -= n_frames as f64;
-                if n_frames > 0 {
-                    for _ in 0..n_frames {
-                        self.next_id += 1;
-                        self.frames += 1;
-                        let id = format!("aa-{:010}", self.next_id);
-                        let coords = vec![
-                            rng.gen_range(0.0..1.0),
-                            rng.gen_range(0.0..1.0),
-                            rng.gen_range(0.0..1.0),
-                        ];
-                        // The analyzed frame also lands in the data store for
-                        // the CG→continuum feedback round (paper Task 4). A
-                        // store-fault window may reject the write: the frame is
-                        // simply lost to feedback, never to job accounting.
-                        let frame = CgFrame {
-                            id: id.clone(),
-                            time: t.as_secs_f64(),
-                            encoding: [coords[0], coords[1], coords[2]],
-                            rdfs: vec![vec![1.0 + coords[0] - coords[1]; 8]],
-                        };
-                        let _ = store.write(mummi_core::ns::RDF_NEW, &id, &frame.encode());
-                        point_buf.push(dynim::HdPoint::new(id, coords));
-                    }
-                    wm.add_frame_candidates_from(&mut point_buf);
-                }
-
-                // Background workload arrivals due by now, submitted at
-                // their own timestamps (== `t` under event-driven advance;
-                // possibly earlier under a ticked sweep, which the engine
-                // inbox handles like any late ingestion).
-                if let Some(src) = bg_src.as_deref_mut() {
-                    while let Some(job) = src.pop_due(t) {
-                        bg_ids.insert(wm.launcher_mut().submit(job.spec, job.at));
-                        ledger.background_submitted += 1;
-                    }
-                }
-
-                // Hardware attrition: the failure process decides which nodes
-                // die and when; the driver applies each arrival at the wakeup
-                // that covers it. Flux drains the node and the trackers
-                // resubmit the crashed simulations.
-                apply_due_attrition(
-                    t,
-                    &mut failures,
-                    &mut wm,
-                    &mut FaultCtx {
-                        cont_id,
-                        nodes,
-                        nodes_failed: &mut nodes_failed,
-                        jobs_crashed: &mut jobs_crashed,
-                        jobs_hung: &mut jobs_hung,
-                        ledger: &mut ledger,
-                    },
-                );
-
-                // Scheduled faults from the chaos plan whose time has come.
-                while plan_q.peek_time().is_some_and(|at| at <= t) {
-                    let Some((ev_t, kind)) = plan_q.pop() else {
-                        break;
-                    };
-                    if !matches!(kind, FaultKind::WmCrash) {
-                        apply_plan_fault(
-                            kind,
-                            ev_t,
-                            t,
-                            &mut wm,
-                            &self.tracer,
-                            &mut FaultCtx {
-                                cont_id,
-                                nodes,
-                                nodes_failed: &mut nodes_failed,
-                                jobs_crashed: &mut jobs_crashed,
-                                jobs_hung: &mut jobs_hung,
-                                ledger: &mut ledger,
-                            },
-                        );
-                        continue;
-                    }
-                    {
-                        crash_times.pop_front();
-                        wm_crashes += 1;
-                        // The checkpoint is the only state that survives the
-                        // crash; live jobs die with the incarnation.
-                        let mut ckpt = wm.checkpoint();
-                        let (next_fb, next_prof) = wm.cadence();
-                        // Credit partial trajectories up to the crash and
-                        // requeue interrupted sims — the end-of-allocation
-                        // restart path, applied mid-run.
-                        {
-                            let mut sims = self.sims.lock();
-                            for (id, rec) in sims.iter_mut() {
-                                if let Some(started) = rec.started_at.take() {
-                                    let days = t.since(started).as_hours_f64() / 24.0;
-                                    rec.achieved =
-                                        (rec.achieved + rec.rate_per_day * days).min(rec.target);
-                                    if rec.achieved < rec.target {
-                                        if id.starts_with("cg-") {
-                                            ckpt.cg_ready.insert(0, id.clone());
-                                        } else {
-                                            ckpt.aa_ready.insert(0, id.clone());
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        // Book the dying incarnation before dropping it.
-                        let st = wm.launcher().stats();
-                        ledger.submitted += st.submitted;
-                        ledger.placed += st.placed;
-                        ledger.completed += st.completed;
-                        ledger.failed += st.failed;
-                        ledger.canceled += st.canceled;
-                        let (live_run, live_pend) = wm.launcher().totals();
-                        ledger.lost_in_crash += live_run + live_pend;
-                        ledger.undelivered_failed += wm.launcher().undelivered_events() as u64;
-                        let tt = wm.tracker_totals();
-                        ledger.t_submitted += tt.submitted;
-                        ledger.t_completed += tt.completed;
-                        ledger.t_failed += tt.failed;
-                        ledger.t_timed_out += tt.timed_out;
-                        ledger.t_lost_in_crash += tt.live;
-                        // Background jobs die with the incarnation's
-                        // engine: book terminal states here (live ones are
-                        // already inside the `totals()` above).
-                        for &id in &bg_ids {
-                            match wm.launcher().state(id) {
-                                Some(JobState::Completed) => ledger.background_completed += 1,
-                                Some(JobState::Failed) => ledger.background_failed += 1,
-                                _ => {}
-                            }
-                        }
-                        bg_ids.clear();
-                        run_profiler.merge(wm.profiler());
-                        run_cg_tl.merge(wm.cg_timeline());
-                        run_aa_tl.merge(wm.aa_timeline());
-                        self.tracer.instant_at(
-                            t,
-                            "chaos",
-                            "chaos.crash",
-                            &[
-                                ("run", self.run_idx.into()),
-                                ("lost", (live_run + live_pend).into()),
-                            ],
-                        );
-                        // Rebuild scheduler + WM and restore. The new
-                        // incarnation gets its own seed streams: recovery
-                        // must not replay the dead WM's random decisions.
-                        let mut graph = ResourceGraph::new(machine.clone());
-                        graph.set_linear_scan(self.cfg.linear_scan);
-                        let mut engine = SchedEngine::new(
-                            graph,
-                            self.cfg.policy,
-                            self.cfg.coupling,
-                            Costs::summit_campaign(),
-                        );
-                        engine.set_tracer(self.tracer.clone());
-                        engine.set_sched_policy(self.cfg.sched_policy);
-                        engine.set_legacy_fcfs(self.cfg.legacy_sched);
-                        if self.cfg.record_jobs {
-                            engine.set_recording(true);
-                        }
-                        let cfg2 = WmConfig {
-                            seed: run_seeds.seed_for(&format!("wm-crash-{wm_crashes}")),
-                            ..wm_cfg_base.clone()
-                        };
-                        wm = app3::build_three_scale_wm(cfg2, engine, 14);
-                        wm.set_tracer(self.tracer.clone());
-                        wm.restore(&ckpt);
-                        wm.set_cadence(next_fb, next_prof);
-                        wm.set_runtime_model(make_model(StdRng::seed_from_u64(
-                            run_seeds.seed_for(&format!("perf-crash-{wm_crashes}")),
-                        )));
-                        // The continuum job died with the allocation's job
-                        // table; resubmit it for the remainder of the run.
-                        cont_id = wm.launcher_mut().submit(
-                            JobSpec::new(
-                                JobClass::Continuum,
-                                JobShape::continuum(cont_nodes),
-                                run_end.since(t),
-                            ),
-                            t,
-                        );
-                        ledger.continuum_submitted += 1;
-                        // Scheduler counters legitimately restart from zero.
-                        watch.reset();
-                    }
-                }
-
-                // The WM cycle.
-                wm.tick_into(t, &mut store, &mut wm_events);
-            }
-
-            for ev in wm_events.drain(..) {
-                match ev {
-                    WmEvent::CgSimStarted { sim_id, .. } | WmEvent::AaSimStarted { sim_id, .. } => {
-                        placed += 1;
-                        if let Some(rec) = self.sims.lock().get_mut(&*sim_id) {
-                            rec.started_at = Some(t);
-                        }
-                    }
-                    WmEvent::CgSimFinished { sim_id } | WmEvent::AaSimFinished { sim_id } => {
-                        completed += 1;
-                        if let Some(rec) = self.sims.lock().get_mut(&*sim_id) {
-                            rec.achieved = rec.target;
-                            rec.started_at = None;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            // Lifetime counters must never run backwards, fault plan or not.
-            {
-                let st = wm.launcher().stats();
-                let ws = wm.stats();
-                watch.observe(&[
-                    st.submitted,
-                    st.placed,
-                    st.completed,
-                    st.failed,
-                    st.canceled,
-                    ws.patches_ingested,
-                    ws.frames_ingested,
-                    ws.cg_selected,
-                    ws.aa_selected,
-                    ws.cg_sims_started,
-                    ws.aa_sims_started,
-                    ws.cg_sims_completed,
-                    ws.aa_sims_completed,
-                    ws.feedback_iterations,
-                    ws.feedback_frames,
-                    ws.jobs_timed_out,
-                    ws.jobs_abandoned,
-                ]);
-            }
-            if load_time.is_none() {
-                let (r, _) = wm.launcher().class_counts(JobClass::CgSim);
-                if r * 10 >= cg_target * 9 {
-                    load_time = Some(t);
-                }
-            }
-            control.publish(t, placed, completed);
-            prev_t = t;
-            match self.cfg.mode {
-                DriveMode::Ticked => t += self.cfg.poll_interval,
-                DriveMode::EventDriven => {
-                    if t >= run_end {
-                        break;
-                    }
-                    // Next-event time advance: jump straight to the safe
-                    // horizon — the earliest instant anything can happen,
-                    // under the documented tie-break (snapshot, workload,
-                    // failure, chaos, WM) — clamped so the run closes with a
-                    // final pass exactly at `end`. Every source returns a
-                    // wakeup strictly after `t` once its due work is
-                    // drained; a stale (already-past) horizon is a source
-                    // contract violation, counted instead of silently
-                    // masked as 1 µs of drift (the legacy `.max(t + 1µs)`
-                    // clamp), and fatal under debug.
-                    let horizon = driver::next_horizon(
-                        next_snapshot,
-                        bg_src.as_deref().and_then(|s| s.next_at()),
-                        failures.next_at(),
-                        plan_q.peek_time(),
-                        wm.next_wakeup(t),
-                    );
-                    let (next_t, forced) = driver::advance_clock(t, horizon.at, run_end);
-                    if forced {
-                        forced_advances += 1;
-                        debug_assert!(
-                            false,
-                            "stale wakeup from {:?} at t={}us",
-                            horizon.source,
-                            t.as_micros()
-                        );
-                    }
-                    t = next_t;
-                }
-            }
-        }
-
-        // Run over (or paused — the close-out is identical): credit
-        // partial trajectories to interrupted sims and queue them for the
-        // next allocation (restart from checkpoints).
-        let paused_at = if run_end < end { Some(run_end) } else { None };
-        let executed_hours = run_end.as_micros() / 3_600_000_000;
-        debug_assert_eq!(
-            executed_hours * 3_600_000_000,
-            run_end.as_micros(),
-            "run ends and pause points are whole-hour aligned"
-        );
-        let mut ckpt = wm.checkpoint();
-        {
-            let mut sims = self.sims.lock();
-            for (id, rec) in sims.iter_mut() {
-                if let Some(started) = rec.started_at.take() {
-                    let days = run_end.since(started).as_hours_f64() / 24.0;
-                    rec.achieved = (rec.achieved + rec.rate_per_day * days).min(rec.target);
-                    if rec.achieved < rec.target {
-                        if id.starts_with("cg-") {
-                            ckpt.cg_ready.insert(0, id.clone());
-                        } else {
-                            ckpt.aa_ready.insert(0, id.clone());
-                        }
-                    }
-                }
-            }
-        }
-
-        // Fold the run's perf samples and profile into campaign state.
-        {
-            let mut s = samples.lock();
-            self.cg_samples.append(&mut s.0);
-            self.aa_samples.append(&mut s.1);
-        }
-        run_profiler.merge(wm.profiler());
-        run_cg_tl.merge(wm.cg_timeline());
-        run_aa_tl.merge(wm.aa_timeline());
-        self.profiler.merge(&run_profiler);
-        self.hours_done += executed_hours as f64;
-
-        // Close the books on the final incarnation and reconcile.
-        {
-            let st = wm.launcher().stats();
-            ledger.submitted += st.submitted;
-            ledger.placed += st.placed;
-            ledger.completed += st.completed;
-            ledger.failed += st.failed;
-            ledger.canceled += st.canceled;
-            let (live_run, live_pend) = wm.launcher().totals();
-            ledger.live_end += live_run + live_pend;
-            ledger.undelivered_failed += wm.launcher().undelivered_events() as u64;
-            let tt = wm.tracker_totals();
-            ledger.t_submitted += tt.submitted;
-            ledger.t_completed += tt.completed;
-            ledger.t_failed += tt.failed;
-            ledger.t_timed_out += tt.timed_out;
-            ledger.t_live_end += tt.live;
-            for &id in &bg_ids {
-                match wm.launcher().state(id) {
-                    Some(JobState::Completed) => ledger.background_completed += 1,
-                    Some(JobState::Failed) => ledger.background_failed += 1,
-                    _ => {}
-                }
-            }
-            ledger.monotonic_violations = watch.violations();
-        }
-        debug_assert!(
-            ledger.check().is_empty(),
-            "run {} accounting does not reconcile: {:?}",
-            self.run_idx,
-            ledger.check()
-        );
-
-        let gpu_mean = {
-            let series = run_profiler.gpu_series();
-            if series.is_empty() {
-                0.0
-            } else {
-                series.iter().sum::<f64>() / series.len() as f64
-            }
-        };
-        let peak = run_cg_tl.peak_running() + run_aa_tl.peak_running();
-        let wm_stats = wm.stats();
-        let class_waits = wm.launcher().class_waits();
-        let job_log = wm
-            .launcher_mut()
-            .take_log()
-            .map(|log| workload::TraceFile::from_sched_log(&log).to_csv());
-        let report = RunReport {
-            nodes,
-            hours: executed_hours,
-            node_hours: nodes as u64 * executed_hours,
-            placed,
-            sims_completed: completed,
-            gpu_mean_occupancy: gpu_mean,
-            load_time,
-            cg_timeline: run_cg_tl,
-            aa_timeline: run_aa_tl,
-            peak_gpu_jobs: peak,
-            nodes_failed,
-            jobs_crashed,
-            wm_crashes,
-            jobs_hung,
-            store_faults_injected: store.injected(),
-            store_ops_delayed: store.delayed().0,
-            jobs_timed_out: wm_stats.jobs_timed_out,
-            jobs_abandoned: wm_stats.jobs_abandoned,
-            ledger,
-            driver_iterations,
-            forced_advances,
-            paused_at,
-            class_waits,
-            job_log,
-        };
-        if let Some(p) = paused_at {
-            self.tracer.instant_at(
-                p,
-                "campaign",
-                "run.paused",
-                &[("run", self.run_idx.into()), ("requested", hours.into())],
-            );
-        }
-        self.tracer.instant_at(
-            run_end,
-            "campaign",
-            "run.end",
-            &[
-                ("run", self.run_idx.into()),
-                ("placed", placed.into()),
-                ("completed", completed.into()),
-            ],
-        );
-        self.ckpt = Some(ckpt);
-        self.reports.push(report.clone());
-        report
+        wm.set_runtime_model(model);
+        wm
     }
 
     /// Runs the paper's Table 1 schedule (or a scaled version of it).
@@ -1623,6 +752,671 @@ impl Campaign {
             out.push((nodes, hours, count, nodes as u64 * hours * count as u64));
         }
         out
+    }
+}
+
+/// One allocation in flight: the state [`Campaign::execute_run_controlled_on`]
+/// threads through its loop, generic over the feedback-store backend.
+/// [`RunSim::run`] names the phases of a driver pass; their order is the
+/// tie-break contract documented in [`crate::driver`].
+struct RunSim<'c, S: DataStore> {
+    camp: &'c mut Campaign,
+    control: &'c RunControl,
+    /// Outlives the first engine: every crash-point restore rebuilds
+    /// scheduler + WM over it.
+    machine: MachineSpec,
+    /// Requested allocation length.
+    hours: u64,
+    run_seeds: SeedStream,
+    /// The driver stream: snapshot and frame generation.
+    rng: StdRng,
+    wm_cfg: WmConfig,
+    make_model: ModelFactory,
+    samples: PerfSamples,
+    wm: CampaignWm,
+    store: ScheduledFaultStore<S>,
+    cont_nodes: u32,
+    cont_perf: ContinuumPerf,
+    /// The live continuum job (resubmitted by each crash restore).
+    cont_id: JobId,
+    cg_target: u64,
+    /// Chaos-plan events in a real event queue: every pass drains what
+    /// is due, and event mode additionally uses the head timestamp to
+    /// bound how far the clock may jump.
+    plan_q: EventQueue<FaultKind>,
+    /// Hardware attrition as a pre-seeded Poisson process on its own
+    /// seed stream: the (time, node) failure history is a function of
+    /// the run seed and daily rate alone, invariant to the poll cadence
+    /// and to the drive mode.
+    failures: FailureProcess,
+    /// Optional background workload: an extra job stream submitted
+    /// straight to the scheduler on its own seed stream. The WM never
+    /// tracks these ids — its polls ignore unknown jobs — so the ledger
+    /// books them separately.
+    bg_src: Option<Box<dyn WorkloadSource>>,
+    bg_ids: BTreeSet<JobId>,
+    ledger: RunLedger,
+    watch: MonotonicWatch,
+    /// Run-local figure collectors: a WM crash discards the incarnation,
+    /// so its profile and timelines are folded in before the drop.
+    run_profiler: OccupancyProfiler,
+    run_cg_tl: Timeline,
+    run_aa_tl: Timeline,
+    /// The requested end of the allocation.
+    end: SimTime,
+    /// The effective end of this run: `end` unless a cooperative pause
+    /// pulls it in to an earlier whole-hour boundary. Monotone
+    /// non-increasing — once a pause point is adopted it never moves.
+    run_end: SimTime,
+    t: SimTime,
+    prev_t: SimTime,
+    next_snapshot: SimTime,
+    frame_accum: f64,
+    placed: u64,
+    completed: u64,
+    load_time: Option<SimTime>,
+    nodes_failed: u64,
+    jobs_crashed: u64,
+    wm_crashes: u64,
+    jobs_hung: u64,
+    driver_iterations: u64,
+    forced_advances: u64,
+    /// Per-pass scratch buffers: candidate staging and the WM event list
+    /// are drained every pass, so one allocation serves the whole run.
+    point_buf: Vec<dynim::HdPoint>,
+    wm_events: Vec<WmEvent>,
+}
+
+impl<'c, S: DataStore> RunSim<'c, S> {
+    /// Sets up one allocation of `hours` virtual hours on `machine`,
+    /// restoring from the campaign's checkpoint, over `inner_store`
+    /// (tracer already installed).
+    fn start(
+        camp: &'c mut Campaign,
+        inner_store: S,
+        machine: MachineSpec,
+        hours: u64,
+        control: &'c RunControl,
+    ) -> Self {
+        camp.run_idx += 1;
+        let run_seeds = camp.seeds.fork_indexed("run", camp.run_idx);
+        let nodes = machine.nodes;
+        let total_gpus = machine.total_gpus();
+        let wm_cfg = camp.wm_config(total_gpus, run_seeds.seed_for("wm"));
+        let samples: PerfSamples = Arc::new(Mutex::new((Vec::new(), Vec::new()))); // lint: allow(L6: see the PerfSamples alias's reason)
+        let make_model = camp.model_factory(&samples);
+        let model = make_model(StdRng::seed_from_u64(run_seeds.seed_for("perf")));
+        let mut wm = camp.build_incarnation(&machine, wm_cfg.clone(), model, camp.ckpt.as_ref());
+        camp.tracer.set_now(SimTime::ZERO);
+        camp.tracer.instant_at(
+            SimTime::ZERO,
+            "campaign",
+            "run.start",
+            &[
+                ("run", camp.run_idx.into()),
+                ("nodes", nodes.into()),
+                ("hours", hours.into()),
+            ],
+        );
+        let end = SimTime::from_hours(hours);
+        let cont_nodes = (nodes / 8).clamp(2, 150);
+        let cont_id = submit_continuum(&mut wm, cont_nodes, SimTime::ZERO, end);
+
+        // The chaos plan (empty unless configured): store-fault windows
+        // are compiled up-front into the store wrapper.
+        let mut plan = camp.cfg.fault_plan.clone().unwrap_or_default();
+        plan.normalize();
+        let store = ScheduledFaultStore::new(inner_store, fault_windows(&plan));
+        let mut plan_q = EventQueue::new();
+        for ev in &plan.events {
+            plan_q.schedule(ev.at, ev.kind);
+        }
+        // Synthetic mixes are sized to the run length (~one arrival a
+        // minute at their default cadences).
+        let bg_src = camp.cfg.workload.as_ref().map(|w| {
+            w.build(run_seeds.seed_for("workload"), nodes, hours * 60)
+                .unwrap_or_else(|e| panic!("workload {w} failed to build: {e}"))
+        });
+        RunSim {
+            rng: StdRng::seed_from_u64(run_seeds.seed_for("driver")),
+            failures: FailureProcess::new(
+                run_seeds.seed_for("node-failures"),
+                camp.cfg.node_failures_per_day,
+                nodes,
+            ),
+            cg_target: camp.cg_gpu_target(total_gpus),
+            camp,
+            control,
+            machine,
+            hours,
+            run_seeds,
+            wm_cfg,
+            make_model,
+            samples,
+            wm,
+            store,
+            cont_nodes,
+            cont_perf: ContinuumPerf::default(),
+            cont_id,
+            plan_q,
+            bg_src,
+            bg_ids: BTreeSet::new(),
+            ledger: RunLedger {
+                continuum_submitted: 1,
+                ..RunLedger::default()
+            },
+            watch: MonotonicWatch::new(),
+            run_profiler: OccupancyProfiler::new(),
+            run_cg_tl: Timeline::new(),
+            run_aa_tl: Timeline::new(),
+            end,
+            run_end: end,
+            t: SimTime::ZERO,
+            prev_t: SimTime::ZERO,
+            next_snapshot: SimTime::ZERO,
+            frame_accum: 0.0,
+            placed: 0,
+            completed: 0,
+            load_time: None,
+            nodes_failed: 0,
+            jobs_crashed: 0,
+            wm_crashes: 0,
+            jobs_hung: 0,
+            driver_iterations: 0,
+            forced_advances: 0,
+            point_buf: Vec::new(),
+            wm_events: Vec::new(),
+        }
+    }
+
+    /// Drives the allocation to its (possibly paused) end and closes it.
+    /// One pass per wakeup: everything due at `t` drains in this phase
+    /// order, then the clock moves.
+    fn run(mut self) -> RunReport {
+        while self.t <= self.run_end {
+            self.begin_pass();
+            self.ingest_snapshots();
+            self.ingest_frames();
+            self.submit_background();
+            self.apply_faults();
+            self.wm
+                .tick_into(self.t, &mut self.store, &mut self.wm_events);
+            self.account();
+            if !self.advance() {
+                break;
+            }
+        }
+        self.close()
+    }
+
+    /// Stamps the pass on the tracer and store clocks and adopts a
+    /// cooperative pause point: a requested/scheduled pause target
+    /// (always a whole-hour boundary at or after `t`) becomes the run's
+    /// new end. The current pass still executes in full, so the run
+    /// closes with a final pass exactly at the boundary, mirroring the
+    /// normal end-of-allocation close.
+    fn begin_pass(&mut self) {
+        self.driver_iterations += 1;
+        self.camp.tracer.set_now(self.t);
+        self.store.set_now(self.t);
+        if let Some(target) = self.control.pause_target(self.t) {
+            if target < self.run_end {
+                self.run_end = target;
+            }
+        }
+    }
+
+    /// Continuum output: each due snapshot becomes a batch of patch
+    /// candidates.
+    fn ingest_snapshots(&mut self) {
+        let cfg = &self.camp.cfg;
+        while self.next_snapshot <= self.t {
+            self.camp.snapshots += 1;
+            self.camp.cont_samples.push(self.cont_perf.sample(
+                JobShape::continuum(self.cont_nodes).total_cores(),
+                &mut self.rng,
+            ));
+            for _ in 0..cfg.patches_per_snapshot {
+                self.camp.next_id += 1;
+                self.camp.patches += 1;
+                let id = format!("cg-{:010}", self.camp.next_id);
+                let state = self.rng.gen_range(0..app3::PATCH_QUEUES);
+                let encoded: Vec<f64> = (0..app3::PATCH_LATENT_DIM)
+                    .map(|_| self.rng.gen_range(-1.0..1.0))
+                    .collect();
+                self.point_buf
+                    .push(app3::state_tagged_point(&id, state, encoded));
+            }
+            self.wm.add_patch_candidates_from(&mut self.point_buf);
+            self.next_snapshot += cfg.snapshot_interval;
+        }
+    }
+
+    /// CG analyses flag frames as AA candidates, proportional to the
+    /// number of running CG simulations and to the virtual time that
+    /// actually elapsed since the last driver pass (so the rate is
+    /// honoured whether the clock sweeps or jumps).
+    fn ingest_frames(&mut self) {
+        let t = self.t;
+        let (cg_running, _) = self.wm.launcher().class_counts(JobClass::CgSim);
+        self.frame_accum += cg_running as f64
+            * self.camp.cfg.frames_per_sim_per_min
+            * t.since(self.prev_t).as_mins_f64();
+        let n_frames = self.frame_accum as usize;
+        self.frame_accum -= n_frames as f64;
+        if n_frames == 0 {
+            return;
+        }
+        for _ in 0..n_frames {
+            self.camp.next_id += 1;
+            self.camp.frames += 1;
+            let id = format!("aa-{:010}", self.camp.next_id);
+            let coords = vec![
+                self.rng.gen_range(0.0..1.0),
+                self.rng.gen_range(0.0..1.0),
+                self.rng.gen_range(0.0..1.0),
+            ];
+            // The analyzed frame also lands in the data store for the
+            // CG→continuum feedback round (paper Task 4). A store-fault
+            // window may reject the write: the frame is simply lost to
+            // feedback, never to job accounting.
+            let frame = CgFrame {
+                id: id.clone(),
+                time: t.as_secs_f64(),
+                encoding: [coords[0], coords[1], coords[2]],
+                rdfs: vec![vec![1.0 + coords[0] - coords[1]; 8]],
+            };
+            let _ = self
+                .store
+                .write(mummi_core::ns::RDF_NEW, &id, &frame.encode());
+            self.point_buf.push(dynim::HdPoint::new(id, coords));
+        }
+        self.wm.add_frame_candidates_from(&mut self.point_buf);
+    }
+
+    /// Background workload arrivals due by now, submitted at their own
+    /// timestamps (== `t` under event-driven advance; possibly earlier
+    /// under a ticked sweep, which the engine inbox handles like any
+    /// late ingestion).
+    fn submit_background(&mut self) {
+        if let Some(src) = self.bg_src.as_deref_mut() {
+            while let Some(job) = src.pop_due(self.t) {
+                self.bg_ids
+                    .insert(self.wm.launcher_mut().submit(job.spec, job.at));
+                self.ledger.background_submitted += 1;
+            }
+        }
+    }
+
+    /// Drains the hardware-attrition arrivals, then the chaos-plan
+    /// events, due at or before `t`.
+    fn apply_faults(&mut self) {
+        let t = self.t;
+        while let Some((_, node)) = self.failures.pop_due(t) {
+            self.fail_node(node);
+        }
+        while self.plan_q.peek_time().is_some_and(|at| at <= t) {
+            let Some((ev_t, kind)) = self.plan_q.pop() else {
+                break;
+            };
+            match kind {
+                FaultKind::NodeFail { node } => {
+                    let node = node % self.machine.nodes.max(1);
+                    if let Some(victims) = self.fail_node(node) {
+                        self.camp.tracer.instant_at(
+                            t,
+                            "chaos",
+                            "chaos.node_fail",
+                            &[("node", node.into()), ("count", victims.into())],
+                        );
+                    }
+                }
+                // The window itself was pre-installed on the store; this
+                // marks its opening in the trace.
+                FaultKind::StoreFaults {
+                    op,
+                    period,
+                    duration,
+                    ..
+                } => self.camp.tracer.instant_at(
+                    t,
+                    "chaos",
+                    "chaos.store_window",
+                    &[
+                        ("op", op.label().into()),
+                        ("period", period.into()),
+                        ("from", ev_t.as_micros().into()),
+                        ("until", (ev_t + duration).as_micros().into()),
+                    ],
+                ),
+                FaultKind::JobHang { class } => {
+                    if let Some(id) = self.wm.launcher_mut().hang_running(class, t) {
+                        self.jobs_hung += 1;
+                        self.camp.tracer.instant_at(
+                            t,
+                            "chaos",
+                            "chaos.hang",
+                            &[("class", class.label().into()), ("job", id.0.into())],
+                        );
+                    }
+                }
+                FaultKind::WmCrash => self.crash_restore(),
+            }
+        }
+    }
+
+    /// Fails `node` at `t` unless it is already drained: Flux drains it,
+    /// resident jobs crash (their trackers resubmit them on the next
+    /// poll), and a continuum casualty is booked on the ledger. Returns
+    /// the number of crashed jobs.
+    fn fail_node(&mut self, node: u32) -> Option<usize> {
+        if self.wm.launcher().graph().is_drained(node) {
+            return None;
+        }
+        let victims = self.wm.launcher_mut().fail_node(node, self.t);
+        self.nodes_failed += 1;
+        self.jobs_crashed += victims.len() as u64;
+        if victims.contains(&self.cont_id) {
+            self.ledger.continuum_failed += 1;
+        }
+        Some(victims.len())
+    }
+
+    /// A WM crash point: the checkpoint is the only state that survives,
+    /// live jobs die with the incarnation (as do candidates ingested
+    /// earlier in this pass), and a rebuilt scheduler + WM restores from
+    /// it — the end-of-allocation restart path, applied mid-run.
+    fn crash_restore(&mut self) {
+        let t = self.t;
+        self.wm_crashes += 1;
+        let mut ckpt = self.wm.checkpoint();
+        let (next_fb, next_prof) = self.wm.cadence();
+        self.credit_interrupted(t, &mut ckpt);
+        let lost = self.book_incarnation(true);
+        self.camp.tracer.instant_at(
+            t,
+            "chaos",
+            "chaos.crash",
+            &[("run", self.camp.run_idx.into()), ("lost", lost.into())],
+        );
+        // The new incarnation gets its own seed streams: recovery must
+        // not replay the dead WM's random decisions.
+        let n = self.wm_crashes;
+        let wm_cfg = WmConfig {
+            seed: self.run_seeds.seed_for(&format!("wm-crash-{n}")),
+            ..self.wm_cfg.clone()
+        };
+        let model = (self.make_model)(StdRng::seed_from_u64(
+            self.run_seeds.seed_for(&format!("perf-crash-{n}")),
+        ));
+        self.wm = self
+            .camp
+            .build_incarnation(&self.machine, wm_cfg, model, Some(&ckpt));
+        self.wm.set_cadence(next_fb, next_prof);
+        // The continuum job died with the allocation's job table;
+        // resubmit it for the remainder of the run.
+        self.cont_id = submit_continuum(&mut self.wm, self.cont_nodes, t, self.run_end);
+        self.ledger.continuum_submitted += 1;
+        // Scheduler counters legitimately restart from zero.
+        self.watch.reset();
+    }
+
+    /// Credits partial trajectories up to `at` to the sims the current
+    /// incarnation leaves running and requeues the unfinished ones at
+    /// the head of `ckpt`'s ready buffers (restart from checkpoints).
+    fn credit_interrupted(&self, at: SimTime, ckpt: &mut WmCheckpoint) {
+        let mut sims = self.camp.sims.lock();
+        for (id, rec) in sims.iter_mut() {
+            if let Some(started) = rec.started_at.take() {
+                let days = at.since(started).as_hours_f64() / 24.0;
+                rec.achieved = (rec.achieved + rec.rate_per_day * days).min(rec.target);
+                if rec.achieved < rec.target {
+                    if id.starts_with("cg-") {
+                        ckpt.cg_ready.insert(0, id.clone());
+                    } else {
+                        ckpt.aa_ready.insert(0, id.clone());
+                    }
+                }
+            }
+        }
+    }
+
+    /// Closes the books on the current WM incarnation — at a crash point
+    /// (`crashed`: its live jobs are lost) or at the end of the run
+    /// (they are live at end) — and folds its profile and timelines into
+    /// the run's. Returns the live job count.
+    fn book_incarnation(&mut self, crashed: bool) -> u64 {
+        let launcher = self.wm.launcher();
+        let ledger = &mut self.ledger;
+        let st = launcher.stats();
+        ledger.submitted += st.submitted;
+        ledger.placed += st.placed;
+        ledger.completed += st.completed;
+        ledger.failed += st.failed;
+        ledger.canceled += st.canceled;
+        let (live_run, live_pend) = launcher.totals();
+        let live = live_run + live_pend;
+        ledger.undelivered_failed += launcher.undelivered_events() as u64;
+        let tt = self.wm.tracker_totals();
+        ledger.t_submitted += tt.submitted;
+        ledger.t_completed += tt.completed;
+        ledger.t_failed += tt.failed;
+        ledger.t_timed_out += tt.timed_out;
+        if crashed {
+            ledger.lost_in_crash += live;
+            ledger.t_lost_in_crash += tt.live;
+        } else {
+            ledger.live_end += live;
+            ledger.t_live_end += tt.live;
+        }
+        // Background jobs die with the incarnation's engine: book their
+        // terminal states here (live ones are inside `totals()` above).
+        for id in std::mem::take(&mut self.bg_ids) {
+            match launcher.state(id) {
+                Some(JobState::Completed) => ledger.background_completed += 1,
+                Some(JobState::Failed) => ledger.background_failed += 1,
+                _ => {}
+            }
+        }
+        self.run_profiler.merge(self.wm.profiler());
+        self.run_cg_tl.merge(self.wm.cg_timeline());
+        self.run_aa_tl.merge(self.wm.aa_timeline());
+        live
+    }
+
+    /// Folds the pass's WM events into the run counters and the sims
+    /// map, checks the lifetime counters, and publishes progress.
+    fn account(&mut self) {
+        let t = self.t;
+        for ev in self.wm_events.drain(..) {
+            match ev {
+                WmEvent::CgSimStarted { sim_id, .. } | WmEvent::AaSimStarted { sim_id, .. } => {
+                    self.placed += 1;
+                    if let Some(rec) = self.camp.sims.lock().get_mut(&*sim_id) {
+                        rec.started_at = Some(t);
+                    }
+                }
+                WmEvent::CgSimFinished { sim_id } | WmEvent::AaSimFinished { sim_id } => {
+                    self.completed += 1;
+                    if let Some(rec) = self.camp.sims.lock().get_mut(&*sim_id) {
+                        rec.achieved = rec.target;
+                        rec.started_at = None;
+                    }
+                }
+                _ => {}
+            }
+        }
+        // Lifetime counters must never run backwards, fault plan or not.
+        let st = self.wm.launcher().stats();
+        let ws = self.wm.stats();
+        self.watch.observe(&[
+            st.submitted,
+            st.placed,
+            st.completed,
+            st.failed,
+            st.canceled,
+            ws.patches_ingested,
+            ws.frames_ingested,
+            ws.cg_selected,
+            ws.aa_selected,
+            ws.cg_sims_started,
+            ws.aa_sims_started,
+            ws.cg_sims_completed,
+            ws.aa_sims_completed,
+            ws.feedback_iterations,
+            ws.feedback_frames,
+            ws.jobs_timed_out,
+            ws.jobs_abandoned,
+        ]);
+        if self.load_time.is_none() {
+            let (r, _) = self.wm.launcher().class_counts(JobClass::CgSim);
+            if r * 10 >= self.cg_target * 9 {
+                self.load_time = Some(t);
+            }
+        }
+        self.control.publish(t, self.placed, self.completed);
+        self.prev_t = t;
+    }
+
+    /// Moves the clock to the next pass; `false` once the closing pass
+    /// at `run_end` has executed.
+    fn advance(&mut self) -> bool {
+        match self.camp.cfg.mode {
+            DriveMode::Ticked => self.t += self.camp.cfg.poll_interval,
+            DriveMode::EventDriven => {
+                if self.t >= self.run_end {
+                    return false;
+                }
+                // Next-event time advance: jump straight to the safe
+                // horizon — the earliest instant anything can happen,
+                // under the documented tie-break (snapshot, workload,
+                // failure, chaos, WM) — clamped so the run closes with a
+                // final pass exactly at `run_end`. Every source returns a
+                // wakeup strictly after `t` once its due work is
+                // drained; a stale (already-past) horizon is a source
+                // contract violation, counted instead of silently
+                // masked as 1 µs of drift (the legacy `.max(t + 1µs)`
+                // clamp), and fatal under debug.
+                let horizon = driver::next_horizon(
+                    self.next_snapshot,
+                    self.bg_src.as_deref().and_then(|s| s.next_at()),
+                    self.failures.next_at(),
+                    self.plan_q.peek_time(),
+                    self.wm.next_wakeup(self.t),
+                );
+                let (next_t, forced) = driver::advance_clock(self.t, horizon.at, self.run_end);
+                if forced {
+                    self.forced_advances += 1;
+                    debug_assert!(
+                        false,
+                        "stale wakeup from {:?} at t={}us",
+                        horizon.source,
+                        self.t.as_micros()
+                    );
+                }
+                self.t = next_t;
+            }
+        }
+        true
+    }
+
+    /// Run over (or paused — the close-out is identical): credits
+    /// partial trajectories, queues interrupted sims for the next
+    /// allocation, reconciles the ledger, and folds the run into the
+    /// campaign.
+    fn close(mut self) -> RunReport {
+        let run_end = self.run_end;
+        let paused_at = (run_end < self.end).then_some(run_end);
+        let executed_hours = run_end.as_micros() / 3_600_000_000;
+        debug_assert_eq!(
+            executed_hours * 3_600_000_000,
+            run_end.as_micros(),
+            "run ends and pause points are whole-hour aligned"
+        );
+        let mut ckpt = self.wm.checkpoint();
+        self.credit_interrupted(run_end, &mut ckpt);
+        self.book_incarnation(false);
+        self.ledger.monotonic_violations = self.watch.violations();
+        debug_assert!(
+            self.ledger.check().is_empty(),
+            "run {} accounting does not reconcile: {:?}",
+            self.camp.run_idx,
+            self.ledger.check()
+        );
+
+        // Fold the run's perf samples and profile into campaign state.
+        {
+            let mut s = self.samples.lock();
+            self.camp.cg_samples.append(&mut s.0);
+            self.camp.aa_samples.append(&mut s.1);
+        }
+        self.camp.profiler.merge(&self.run_profiler);
+        self.camp.hours_done += executed_hours as f64;
+
+        let gpu_mean = {
+            let series = self.run_profiler.gpu_series();
+            if series.is_empty() {
+                0.0
+            } else {
+                series.iter().sum::<f64>() / series.len() as f64
+            }
+        };
+        let wm_stats = self.wm.stats();
+        let report = RunReport {
+            nodes: self.machine.nodes,
+            hours: executed_hours,
+            node_hours: self.machine.nodes as u64 * executed_hours,
+            placed: self.placed,
+            sims_completed: self.completed,
+            gpu_mean_occupancy: gpu_mean,
+            load_time: self.load_time,
+            peak_gpu_jobs: self.run_cg_tl.peak_running() + self.run_aa_tl.peak_running(),
+            cg_timeline: self.run_cg_tl,
+            aa_timeline: self.run_aa_tl,
+            nodes_failed: self.nodes_failed,
+            jobs_crashed: self.jobs_crashed,
+            wm_crashes: self.wm_crashes,
+            jobs_hung: self.jobs_hung,
+            store_faults_injected: self.store.injected(),
+            store_ops_delayed: self.store.delayed().0,
+            jobs_timed_out: wm_stats.jobs_timed_out,
+            jobs_abandoned: wm_stats.jobs_abandoned,
+            ledger: self.ledger,
+            driver_iterations: self.driver_iterations,
+            forced_advances: self.forced_advances,
+            paused_at,
+            class_waits: self.wm.launcher().class_waits(),
+            job_log: self
+                .wm
+                .launcher_mut()
+                .take_log()
+                .map(|log| workload::TraceFile::from_sched_log(&log).to_csv()),
+        };
+        let tracer = &self.camp.tracer;
+        if let Some(p) = paused_at {
+            tracer.instant_at(
+                p,
+                "campaign",
+                "run.paused",
+                &[
+                    ("run", self.camp.run_idx.into()),
+                    ("requested", self.hours.into()),
+                ],
+            );
+        }
+        tracer.instant_at(
+            run_end,
+            "campaign",
+            "run.end",
+            &[
+                ("run", self.camp.run_idx.into()),
+                ("placed", self.placed.into()),
+                ("completed", self.completed.into()),
+            ],
+        );
+        self.camp.ckpt = Some(ckpt);
+        self.camp.reports.push(report.clone());
+        report
     }
 }
 

@@ -8,10 +8,9 @@
 use campaign::{Campaign, CampaignConfig, DriveMode, StoreBackend};
 use trace::Tracer;
 
-fn jsonl(backend: StoreBackend, serial: bool, seed: u64) -> String {
+fn jsonl(backend: StoreBackend, seed: u64) -> String {
     let cfg = CampaignConfig {
         seed,
-        serial_loop: serial,
         store_backend: backend,
         ..CampaignConfig::default()
     };
@@ -24,22 +23,13 @@ fn jsonl(backend: StoreBackend, serial: bool, seed: u64) -> String {
 
 #[test]
 fn loopback_backend_traces_byte_identical_to_in_process() {
-    let in_process = jsonl(StoreBackend::InProcess, false, 424242);
+    let in_process = jsonl(StoreBackend::InProcess, 424242);
     assert!(!in_process.is_empty(), "campaign produced no trace");
-    let loopback = jsonl(StoreBackend::Loopback, false, 424242);
+    let loopback = jsonl(StoreBackend::Loopback, 424242);
     assert_eq!(
         in_process, loopback,
         "the store backend switch changed the trace"
     );
-}
-
-#[test]
-fn loopback_backend_is_deterministic_across_loop_flavors() {
-    // The full matrix cell the parallel-loop tests leave open: networked
-    // backend × forked event loop still equals the serial body.
-    let parallel = jsonl(StoreBackend::Loopback, false, 99);
-    let serial = jsonl(StoreBackend::Loopback, true, 99);
-    assert_eq!(parallel, serial, "loop flavor leaked through the wire");
 }
 
 #[test]

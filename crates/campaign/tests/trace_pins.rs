@@ -1,0 +1,160 @@
+//! Cross-commit trace pins for the campaign event loop.
+//!
+//! Four scenarios — a busy allocation, hardware attrition, the chaos
+//! smoke plan with its WM crash point, and a two-leg checkpoint chain —
+//! each pinned by trace event count, a 64-bit digest of the full JSONL
+//! trace, the exact report counters and the ledger. The committed file
+//! under `tests/goldens/` was generated at the commit *before* the loop
+//! body was restructured, so a pass means the loop still emits the bytes
+//! it emitted then; any change that moves one trace byte shows up here.
+//!
+//! To regenerate after an *intentional* behavior change:
+//!
+//! ```text
+//! UPDATE_GOLDENS=1 cargo test -p campaign --test trace_pins
+//! git diff crates/campaign/tests/goldens/   # review, then commit
+//! ```
+
+use std::fmt::Write as _;
+use std::path::PathBuf;
+
+use campaign::{Campaign, CampaignConfig, RunReport};
+use chaos::FaultPlan;
+use resources::MatchPolicy;
+use sched::Coupling;
+use simcore::SimDuration;
+use trace::Tracer;
+
+fn busy_cfg() -> CampaignConfig {
+    CampaignConfig {
+        patches_per_snapshot: 6,
+        frames_per_sim_per_min: 0.05,
+        cg_target_us: 0.5,
+        aa_target_ns: (5.0, 8.0),
+        queue_cap: 500,
+        policy: MatchPolicy::FirstMatch,
+        coupling: Coupling::Asynchronous,
+        submit_rate_per_min: 600,
+        ..CampaignConfig::default()
+    }
+}
+
+/// FNV-1a, 64-bit: a fixed, dependency-free digest (std's `DefaultHasher`
+/// promises no stability across toolchains).
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The report fields pinned exactly (everything except the figure
+/// timelines, which the trace digest covers).
+fn report_key(r: &RunReport) -> String {
+    format!(
+        "placed={} completed={} peak={} nodes_failed={} jobs_crashed={} wm_crashes={} \
+         jobs_hung={} store_faults={} store_delayed={} timed_out={} abandoned={} \
+         iterations={} forced={} load_time_us={:?} ledger={:?}",
+        r.placed,
+        r.sims_completed,
+        r.peak_gpu_jobs,
+        r.nodes_failed,
+        r.jobs_crashed,
+        r.wm_crashes,
+        r.jobs_hung,
+        r.store_faults_injected,
+        r.store_ops_delayed,
+        r.jobs_timed_out,
+        r.jobs_abandoned,
+        r.driver_iterations,
+        r.forced_advances,
+        r.load_time.map(|t| t.as_micros()),
+        r.ledger,
+    )
+}
+
+/// Runs `legs` (nodes, hours) allocations as one traced campaign and
+/// renders the scenario's pin block.
+fn pin(name: &str, cfg: CampaignConfig, legs: &[(u32, u64)]) -> (String, Vec<RunReport>) {
+    let mut c = Campaign::new(cfg);
+    c.set_tracer(Tracer::enabled());
+    let reports: Vec<RunReport> = legs.iter().map(|&(n, h)| c.execute_run(n, h)).collect();
+    let jsonl = c.tracer().to_jsonl();
+    let mut out = String::new();
+    let _ = writeln!(out, "[{name}]");
+    let _ = writeln!(out, "events={}", c.tracer().event_count());
+    let _ = writeln!(out, "jsonl_fnv1a64={:016x}", fnv1a64(jsonl.as_bytes()));
+    let _ = writeln!(out, "data_counts={:?}", c.data_counts());
+    for (i, r) in reports.iter().enumerate() {
+        let _ = writeln!(out, "leg{}: {}", i + 1, report_key(r));
+    }
+    (out, reports)
+}
+
+fn render_pins() -> String {
+    let mut out = String::from("# campaign trace pins (see crates/campaign/tests/trace_pins.rs)\n");
+
+    let (busy, r) = pin("busy", busy_cfg(), &[(20, 12)]);
+    assert_eq!(r[0].forced_advances, 0, "healthy run forced the clock");
+    out.push_str(&busy);
+
+    let (attrition, r) = pin(
+        "attrition",
+        CampaignConfig {
+            node_failures_per_day: 8.0,
+            ..busy_cfg()
+        },
+        &[(20, 12)],
+    );
+    assert!(r[0].nodes_failed > 0, "attrition must fire to pin it");
+    out.push_str(&attrition);
+
+    // The full chaos smoke plan: a node kill, a store-fault window, a
+    // job hang, and a WM crash point (candidates ingested earlier in the
+    // crash pass die with the incarnation).
+    let (chaos, r) = pin(
+        "chaos",
+        CampaignConfig {
+            job_timeout_grace: 1.5,
+            fault_plan: Some(FaultPlan::smoke(9, SimDuration::from_hours(12), 20)),
+            ..busy_cfg()
+        },
+        &[(20, 12)],
+    );
+    assert_eq!(r[0].wm_crashes, 1, "the crash point must fire");
+    let violations = r[0].ledger.check();
+    assert!(
+        violations.is_empty(),
+        "books do not balance: {violations:?}"
+    );
+    out.push_str(&chaos);
+
+    // The checkpoint a run hands to the next leg is part of the pinned
+    // byte stream: a 10-node leg restarts onto 20 nodes.
+    let (chain, _) = pin("chain", busy_cfg(), &[(10, 8), (20, 8)]);
+    out.push_str(&chain);
+    out
+}
+
+#[test]
+fn campaign_traces_match_the_committed_pins() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("goldens")
+        .join("trace_pins.txt");
+    let got = render_pins();
+    if std::env::var_os("UPDATE_GOLDENS").is_some() {
+        std::fs::create_dir_all(path.parent().expect("goldens dir")).expect("create goldens dir");
+        std::fs::write(&path, &got).expect("write trace pins");
+        return;
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing {} ({e}); run with UPDATE_GOLDENS=1",
+            path.display()
+        )
+    });
+    assert_eq!(
+        got, want,
+        "campaign trace pins moved; if intentional, regenerate with UPDATE_GOLDENS=1"
+    );
+}

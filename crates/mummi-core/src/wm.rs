@@ -388,12 +388,12 @@ impl<L: Launcher> WorkflowManager<L> {
     }
 
     /// The first half of a WM cycle: poll the launcher and expire hung
-    /// jobs. This phase never touches the data store, so a parallel
-    /// driver can run it concurrently with data generation that owns the
-    /// store, then finish the cycle with
-    /// [`WorkflowManager::tick_maintain_phase`]. Running both phases
+    /// jobs. This phase never touches the data store. The split exists
+    /// so a profiler can time the two halves separately (the benchmark's
+    /// `mummi-core.poll_phase_s` / `maintain_phase_s`); finish the cycle
+    /// with [`WorkflowManager::tick_maintain_phase`]. Running both phases
     /// back-to-back is exactly [`WorkflowManager::tick_into`]: the split
-    /// point is between statements of the serial cycle, and each phase
+    /// point is between statements of the cycle, and each phase
     /// consumes the WM's RNG and emits trace events in the same order as
     /// the unsplit tick.
     pub fn tick_poll_phase(&mut self, now: SimTime, events: &mut Vec<WmEvent>) {

@@ -23,20 +23,6 @@ use simcore::{SimDuration, SimTime};
 use crate::event::{Arg, TraceEvent};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 
-/// One recorded metric mutation. Staged sinks log these instead of
-/// touching a registry, so [`Tracer::absorb`] can replay them into the
-/// main registry in emission order (gauges are last-write-wins, so order
-/// is part of the byte-determinism contract).
-#[derive(Debug, Clone)]
-enum MetricOp {
-    /// `counter_add(name, delta)`.
-    CounterAdd(String, u64),
-    /// `gauge_set(name, value)`.
-    GaugeSet(String, f64),
-    /// `observe(name, value)`.
-    Observe(String, u64),
-}
-
 /// Recorded state behind an enabled tracer.
 #[derive(Debug, Default)]
 struct TraceSink {
@@ -48,11 +34,6 @@ struct TraceSink {
     /// (datastore ops); advanced by the driving loop via
     /// [`Tracer::set_now`].
     now: SimTime,
-    /// Staged sinks ([`Tracer::stage`]) defer metric mutations into
-    /// `ops` instead of `metrics`, preserving their order for replay.
-    staging: bool,
-    /// Deferred metric mutations of a staged sink, in emission order.
-    ops: Vec<MetricOp>,
 }
 
 /// A virtual-time tracer handle. `Clone` is cheap; all clones share one
@@ -155,88 +136,22 @@ impl Tracer {
     /// Adds `delta` to counter `name`.
     pub fn counter_add(&self, name: &str, delta: u64) {
         if let Some(sink) = &self.sink {
-            let mut s = sink.lock();
-            if s.staging {
-                s.ops.push(MetricOp::CounterAdd(name.to_string(), delta));
-            } else {
-                s.metrics.counter_add(name, delta);
-            }
+            sink.lock().metrics.counter_add(name, delta);
         }
     }
 
     /// Sets gauge `name`.
     pub fn gauge_set(&self, name: &str, value: f64) {
         if let Some(sink) = &self.sink {
-            let mut s = sink.lock();
-            if s.staging {
-                s.ops.push(MetricOp::GaugeSet(name.to_string(), value));
-            } else {
-                s.metrics.gauge_set(name, value);
-            }
+            sink.lock().metrics.gauge_set(name, value);
         }
     }
 
     /// Records one histogram observation.
     pub fn observe(&self, name: &str, value: u64) {
         if let Some(sink) = &self.sink {
-            let mut s = sink.lock();
-            if s.staging {
-                s.ops.push(MetricOp::Observe(name.to_string(), value));
-            } else {
-                s.metrics.observe(name, value);
-            }
+            sink.lock().metrics.observe(name, value);
         }
-    }
-
-    /// Derives a **staged** tracer from this one: an independent sink
-    /// that buffers events and metric mutations instead of writing them
-    /// to this tracer. A parallel partition of a deterministic loop
-    /// records into its own staged tracer; after the partitions join,
-    /// the driver [`Tracer::absorb`]s each stage in the serial loop's
-    /// emission order, making the merged trace byte-identical to serial
-    /// execution. Staging a disabled tracer yields a disabled tracer, so
-    /// untraced runs keep the zero-cost record path.
-    pub fn stage(&self) -> Tracer {
-        match &self.sink {
-            Some(sink) => {
-                let now = sink.lock().now;
-                let stage = TraceSink {
-                    now,
-                    staging: true,
-                    ..TraceSink::default()
-                };
-                Tracer {
-                    sink: Some(Arc::new(Mutex::new(stage))), // lint: allow(L6: staged sink is written by exactly one partition, then drained serially by absorb)
-                }
-            }
-            None => Tracer::disabled(),
-        }
-    }
-
-    /// Appends a staged tracer's buffered events to this sink and
-    /// replays its metric mutations, both in their original emission
-    /// order, then drains the stage so it can be reused for the next
-    /// barrier interval. Only the driving loop calls this, serially, so
-    /// lock order is fixed. No-op if either side is disabled or they
-    /// share a sink.
-    pub fn absorb(&self, staged: &Tracer) {
-        let (Some(main), Some(other)) = (&self.sink, &staged.sink) else {
-            return;
-        };
-        if Arc::ptr_eq(main, other) {
-            return;
-        }
-        let mut m = main.lock();
-        let mut o = other.lock();
-        m.events.append(&mut o.events);
-        for op in o.ops.drain(..) {
-            match op {
-                MetricOp::CounterAdd(name, delta) => m.metrics.counter_add(&name, delta),
-                MetricOp::GaugeSet(name, value) => m.metrics.gauge_set(&name, value),
-                MetricOp::Observe(name, value) => m.metrics.observe(&name, value),
-            }
-        }
-        m.now = m.now.max(o.now);
     }
 
     /// Number of recorded events (zero for a disabled tracer).
@@ -476,80 +391,6 @@ mod tests {
             (t.to_jsonl(), t.to_chrome())
         };
         assert_eq!(record(), record());
-    }
-
-    #[test]
-    fn stage_of_disabled_is_disabled() {
-        let t = Tracer::disabled();
-        let s = t.stage();
-        assert!(!s.is_enabled());
-        s.instant("wm", "tick", &[]);
-        t.absorb(&s);
-        assert_eq!(t.event_count(), 0);
-    }
-
-    #[test]
-    fn absorb_appends_events_and_replays_metric_ops_in_order() {
-        let main = Tracer::enabled();
-        main.instant_at(SimTime::from_micros(1), "campaign", "run.start", &[]);
-        main.counter_add("jobs", 1);
-        main.gauge_set("occupancy", 10.0);
-
-        let s = main.stage();
-        s.set_now(SimTime::from_micros(7));
-        s.instant("datastore", "op.write", &[]);
-        s.counter_add("jobs", 2);
-        s.gauge_set("occupancy", 55.0);
-        s.observe("lat", 9);
-        // Staged metrics must not leak into the main registry pre-absorb.
-        assert_eq!(
-            main.metrics_snapshot().counters,
-            vec![("jobs".to_string(), 1)]
-        );
-
-        main.absorb(&s);
-        let events = main.events();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[1].at, SimTime::from_micros(7));
-        let snap = main.metrics_snapshot();
-        assert_eq!(snap.counters, vec![("jobs".to_string(), 3)]);
-        assert_eq!(snap.gauges, vec![("occupancy".to_string(), 55.0)]);
-        assert_eq!(main.now(), SimTime::from_micros(7));
-        // The stage is drained and reusable for the next interval.
-        assert_eq!(s.event_count(), 0);
-    }
-
-    #[test]
-    fn staged_then_absorbed_equals_direct_recording() {
-        // The merge contract the parallel event loop relies on: recording
-        // through a stage and absorbing serializes byte-identically to
-        // recording directly in the same order.
-        let direct = Tracer::enabled();
-        direct.instant_at(SimTime::from_micros(2), "datastore", "op.write", &[]);
-        direct.observe("lat", 4);
-        direct.instant_at(SimTime::from_micros(2), "wm", "tick", &[]);
-        direct.counter_add("wm.timeouts", 1);
-
-        let main = Tracer::enabled();
-        let g = main.stage();
-        let s = main.stage();
-        // Partitions record concurrently (order between stages unknown)…
-        s.instant_at(SimTime::from_micros(2), "wm", "tick", &[]);
-        s.counter_add("wm.timeouts", 1);
-        g.instant_at(SimTime::from_micros(2), "datastore", "op.write", &[]);
-        g.observe("lat", 4);
-        // …and the driver absorbs in the serial loop's order.
-        main.absorb(&g);
-        main.absorb(&s);
-        assert_eq!(main.to_jsonl(), direct.to_jsonl());
-    }
-
-    #[test]
-    fn absorbing_self_or_same_sink_is_a_no_op() {
-        let t = Tracer::enabled();
-        t.instant_at(SimTime::from_micros(1), "wm", "tick", &[]);
-        t.absorb(&t.clone());
-        assert_eq!(t.event_count(), 1);
     }
 
     #[test]
