@@ -18,7 +18,10 @@
 //! - **Progress is observation only.** The driver publishes (virtual
 //!   time, placed, completed) each iteration; readers never feed anything
 //!   back into the loop, so concurrent observation cannot perturb the
-//!   replay path.
+//!   replay path. The one push-style hook, the first-placement observer,
+//!   obeys the same rule and runs *outside* the control lock, so a
+//!   callback may take its owner's lock even though that owner calls
+//!   back into this handle while holding it.
 
 use std::sync::Arc;
 
@@ -47,11 +50,16 @@ pub struct RunProgress {
     pub completed: u64,
 }
 
-#[derive(Debug, Default)]
+/// One-shot callback for the first driver pass that has placed a job:
+/// `(run-local virtual time, jobs placed so far this run)`.
+type FirstPlacementObserver = Box<dyn FnOnce(SimTime, u64) + Send>;
+
+#[derive(Default)]
 struct ControlState {
     pause_requested: bool,
     pause_at: Option<SimTime>,
     progress: RunProgress,
+    on_first_placement: Option<FirstPlacementObserver>,
 }
 
 /// Shared handle for pausing and observing one campaign's runs.
@@ -133,14 +141,36 @@ impl RunControl {
         }
     }
 
-    /// Driver hook: publish the per-iteration progress snapshot.
+    /// Arms a one-shot observer for the first driver pass that publishes
+    /// `placed > 0`, replacing any observer still armed. It is called on
+    /// the driver's thread after the control lock is released. No-op on a
+    /// disabled handle.
+    pub fn on_first_placement(&self, observer: impl FnOnce(SimTime, u64) + Send + 'static) {
+        if let Some(inner) = &self.inner {
+            inner.lock().on_first_placement = Some(Box::new(observer));
+        }
+    }
+
+    /// Driver hook: publish the per-iteration progress snapshot, then
+    /// fire the first-placement observer if this pass is the one.
     pub(crate) fn publish(&self, at: SimTime, placed: u64, completed: u64) {
         if let Some(inner) = &self.inner {
-            inner.lock().progress = RunProgress {
-                at,
-                placed,
-                completed,
+            let observer = {
+                let mut st = inner.lock();
+                st.progress = RunProgress {
+                    at,
+                    placed,
+                    completed,
+                };
+                if placed > 0 {
+                    st.on_first_placement.take()
+                } else {
+                    None
+                }
             };
+            if let Some(observer) = observer {
+                observer(at, placed);
+            }
         }
     }
 
@@ -177,8 +207,32 @@ mod tests {
         c.schedule_pause_at(SimTime::from_hours(1));
         assert!(!c.pause_pending());
         assert_eq!(c.pause_target(SimTime::ZERO), None);
+        c.on_first_placement(|_, _| panic!("a disabled handle never observes"));
         c.publish(SimTime::from_hours(2), 10, 5);
         assert_eq!(c.progress(), None);
+    }
+
+    #[test]
+    fn first_placement_observer_fires_once_outside_the_control_lock() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        let c = RunControl::new();
+        let fired = Arc::new(AtomicU64::new(0));
+        let (seen, handle) = (Arc::clone(&fired), c.clone());
+        c.request_pause();
+        c.on_first_placement(move |at, placed| {
+            // Re-entering the handle would self-deadlock if the observer
+            // ran under the control lock (the farm does exactly this, one
+            // lock removed: it calls `clear_pause` holding its own).
+            handle.clear_pause();
+            assert_eq!((at, placed), (SimTime::from_mins(7), 3));
+            seen.fetch_add(1, Ordering::SeqCst);
+        });
+        c.publish(SimTime::from_mins(5), 0, 0);
+        assert_eq!(fired.load(Ordering::SeqCst), 0, "nothing placed yet");
+        c.publish(SimTime::from_mins(7), 3, 0);
+        c.publish(SimTime::from_mins(9), 8, 1);
+        assert_eq!(fired.load(Ordering::SeqCst), 1, "one-shot");
+        assert!(!c.pause_pending(), "the callback's clear_pause landed");
     }
 
     #[test]

@@ -4,12 +4,16 @@
 //! One [`FarmClient`] holds one request/response connection. Event
 //! streaming ([`FarmClient::stream_until`]) opens a dedicated connection
 //! per stream, because a streaming server thread writes until the
-//! campaign is terminal and cannot serve other ops meanwhile.
+//! campaign is terminal and cannot serve other ops meanwhile. Every
+//! connection sets `TCP_NODELAY` and sends each request as one write
+//! ([`write_lines`]), the same framing rule the server follows.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpStream};
 
 use trace::Json;
+
+use crate::proto::write_lines;
 
 /// Blocking wire client.
 pub struct FarmClient {
@@ -20,6 +24,7 @@ pub struct FarmClient {
 
 fn open(addr: SocketAddr) -> std::io::Result<(BufReader<TcpStream>, TcpStream)> {
     let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
     let writer = stream.try_clone()?;
     Ok((BufReader::new(stream), writer))
 }
@@ -57,10 +62,7 @@ impl FarmClient {
 
     /// Sends one raw request line and returns the decoded response.
     pub fn call(&mut self, line: &str) -> Result<Json, String> {
-        writeln!(self.writer, "{line}").map_err(|e| format!("write failed: {e}"))?;
-        self.writer
-            .flush()
-            .map_err(|e| format!("flush failed: {e}"))?;
+        write_lines(&mut self.writer, &[line]).map_err(|e| format!("write failed: {e}"))?;
         read_response(&mut self.reader)
     }
 
@@ -153,9 +155,8 @@ impl FarmClient {
     ) -> Result<(Vec<Json>, bool), String> {
         let (mut reader, mut writer) =
             open(self.addr).map_err(|e| format!("stream connect failed: {e}"))?;
-        writeln!(writer, r#"{{"op": "stream", "id": {id}, "from": {from}}}"#)
-            .and_then(|_| writer.flush())
-            .map_err(|e| format!("stream write failed: {e}"))?;
+        let request = format!(r#"{{"op": "stream", "id": {id}, "from": {from}}}"#);
+        write_lines(&mut writer, &[request]).map_err(|e| format!("stream write failed: {e}"))?;
         let mut events = Vec::new();
         let mut line = String::new();
         loop {

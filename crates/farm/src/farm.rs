@@ -90,18 +90,26 @@ pub struct FarmEvent {
     pub seq: u64,
     /// Event kind (`queued`, `leg.start`, `leg.done`, `first_placement`,
     /// `paused`, `resumed`, `rescaled`, `worker.killed`, `completed`).
+    /// `first_placement` is logged once per campaign, mid-leg, by the
+    /// driver pass that places the first job (`at_virt_s` is that pass's
+    /// run-local virtual time); a discarded leg does not repeat it.
     pub kind: String,
     /// Kind-specific payload, stable key order.
     pub fields: BTreeMap<String, Json>,
 }
 
 impl FarmEvent {
-    /// Wire form of the event.
-    pub fn to_json(&self) -> String {
+    /// The event as a JSON object: its fields plus `seq` and `kind`.
+    pub fn to_value(&self) -> Json {
         let mut map = self.fields.clone();
         map.insert("seq".to_string(), Json::Num(self.seq as f64));
         map.insert("kind".to_string(), Json::Str(self.kind.clone()));
-        Json::Obj(map).to_json()
+        Json::Obj(map)
+    }
+
+    /// Wire form of the event.
+    pub fn to_json(&self) -> String {
+        self.to_value().to_json()
     }
 }
 
@@ -634,7 +642,7 @@ fn worker_main(state: Arc<FarmState>, me: usize) {
                     state.event_cv.notify_all();
                     return;
                 }
-                if let Some(a) = claim_next(&mut inner, me) {
+                if let Some(a) = claim_next(&state, &mut inner, me) {
                     // The Queued -> Running transition and its leg.start
                     // event must wake status waiters and stream readers.
                     state.event_cv.notify_all();
@@ -661,7 +669,7 @@ fn worker_main(state: Arc<FarmState>, me: usize) {
 
 /// Picks the next runnable leg for worker `me` and marks it running.
 /// Returns `None` when nothing is runnable.
-fn claim_next(inner: &mut Inner, me: usize) -> Option<Assignment> {
+fn claim_next(state: &Arc<FarmState>, inner: &mut Inner, me: usize) -> Option<Assignment> {
     let candidates: Vec<Candidate> = inner
         .entries
         .values()
@@ -709,6 +717,29 @@ fn claim_next(inner: &mut Inner, me: usize) -> Option<Assignment> {
             ("worker", Json::Num(me as f64)),
         ],
     );
+    if !entry.first_placement_seen {
+        // The campaign's one liveness signal, logged from the driver's
+        // pass that places its first job rather than when the leg
+        // settles. Weak: an observer that never fires (nothing placed)
+        // must not keep the farm alive through its own entry.
+        let state = Arc::downgrade(state);
+        entry.control.on_first_placement(move |at, placed| {
+            let Some(state) = state.upgrade() else { return };
+            let mut inner = state.inner.lock().unwrap();
+            let Some(entry) = inner.entries.get_mut(&id) else {
+                return;
+            };
+            entry.first_placement_seen = true;
+            entry.push_event(
+                "first_placement",
+                &[
+                    ("placed", Json::Num(placed as f64)),
+                    ("at_virt_s", Json::Num(at.as_secs_f64())),
+                ],
+            );
+            state.event_cv.notify_all();
+        });
+    }
     let control = entry.control.clone();
     inner
         .tenants
@@ -790,13 +821,6 @@ fn settle(
         entry.ledger_ok = false;
     }
     entry.ckpt_text = campaign.checkpoint_text();
-    if !entry.first_placement_seen && entry.placed > 0 {
-        entry.first_placement_seen = true;
-        entry.push_event(
-            "first_placement",
-            &[("placed", Json::Num(entry.placed as f64))],
-        );
-    }
 
     match report.paused_at {
         None => {

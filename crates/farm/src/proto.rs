@@ -8,8 +8,14 @@
 //! for. Config overrides go through [`CampaignConfig::validate`] before
 //! admission, so the farm rejects invalid configs at the wire instead of
 //! panicking a worker.
+//!
+//! Framing: every line either side sends goes through [`write_lines`] —
+//! one buffer, one `write`, on a socket with `TCP_NODELAY` set. A line
+//! split over two writes on a Nagle socket parks its tail behind the
+//! peer's delayed ACK (~44 ms each way on Linux loopback).
 
 use std::collections::BTreeMap;
+use std::io::Write;
 
 use campaign::{CampaignConfig, StoreBackend};
 use resources::MatchPolicy;
@@ -249,6 +255,19 @@ impl Request {
     }
 }
 
+/// Longest request line the server reads before refusing the connection.
+pub const MAX_REQUEST_LINE: u64 = 1 << 20;
+
+/// Sends `lines`, each terminated by `\n`, in a single write.
+pub fn write_lines(w: &mut impl Write, lines: &[impl AsRef<str>]) -> std::io::Result<()> {
+    let mut buf = String::with_capacity(lines.iter().map(|l| l.as_ref().len() + 1).sum());
+    for line in lines {
+        buf.push_str(line.as_ref());
+        buf.push('\n');
+    }
+    w.write_all(buf.as_bytes())
+}
+
 /// Builds an `{"ok": true, ...}` response line from field pairs.
 pub fn ok_response(fields: &[(&str, Json)]) -> String {
     let mut map = BTreeMap::new();
@@ -376,6 +395,26 @@ mod tests {
         ] {
             assert!(Request::decode(bad).is_err(), "accepted: {bad}");
         }
+    }
+
+    #[test]
+    fn write_lines_frames_a_batch_into_one_write() {
+        /// Counts `write` calls; accepts everything offered.
+        struct Counting(Vec<u8>, usize);
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.extend_from_slice(buf);
+                self.1 += 1;
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Counting(Vec::new(), 0);
+        write_lines(&mut w, &["{\"a\": 1}", "{\"b\": 2}"]).unwrap();
+        assert_eq!(w.0, b"{\"a\": 1}\n{\"b\": 2}\n");
+        assert_eq!(w.1, 1, "a batch of lines is one write");
     }
 
     #[test]

@@ -5,20 +5,23 @@
 //! as they happen and finishes with `{"done": true, "ok": true}` once
 //! the campaign is terminal. Connections are handled thread-per-client
 //! (the workspace is std-only by design; the farm's concurrency budget
-//! is the worker pool, not the listener).
+//! is the worker pool, not the listener). Every line leaves through
+//! [`write_lines`] on a `TCP_NODELAY` socket, the events of one wakeup
+//! batched into one write; a request line longer than
+//! [`MAX_REQUEST_LINE`] is refused and the connection closed.
 //!
 //! Shutdown: the wire `shutdown` op (or [`FarmServer::stop`]) drains the
 //! farm, then pokes the listener with a throwaway connection so the
 //! accept loop observes the flag and exits.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread;
 
 use trace::Json;
 
-use crate::farm::{CampaignStatus, Farm, FarmStats};
-use crate::proto::{err_response, ok_response, Request};
+use crate::farm::{CampaignStatus, Farm, FarmEvent, FarmStats};
+use crate::proto::{err_response, ok_response, write_lines, Request, MAX_REQUEST_LINE};
 
 /// A listening farm front end.
 pub struct FarmServer {
@@ -137,18 +140,25 @@ fn poke(addr: SocketAddr) {
 }
 
 fn handle_connection(farm: Farm, stream: TcpStream, local: SocketAddr) -> std::io::Result<()> {
+    stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     loop {
         line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        let n = (&mut reader).take(MAX_REQUEST_LINE).read_line(&mut line)?;
+        if n == 0 {
             return Ok(()); // client hung up
+        }
+        if n as u64 == MAX_REQUEST_LINE && !line.ends_with('\n') {
+            return write_lines(&mut writer, &[err_response("request line too long")]);
         }
         if line.trim().is_empty() {
             continue;
         }
-        let response = match Request::decode(line.trim()) {
+        let req = Request::decode(line.trim());
+        let shutdown = matches!(req, Ok(Request::Shutdown));
+        let response = match req {
             Err(e) => err_response(&e),
             Ok(Request::Stream(id, from)) => {
                 stream_events(&farm, &mut writer, id, from)?;
@@ -156,9 +166,8 @@ fn handle_connection(farm: Farm, stream: TcpStream, local: SocketAddr) -> std::i
             }
             Ok(req) => respond(&farm, req),
         };
-        writeln!(writer, "{response}")?;
-        writer.flush()?;
-        if line.contains("\"shutdown\"") && farm.is_shutdown() {
+        write_lines(&mut writer, &[response])?;
+        if shutdown {
             poke(local);
             return Ok(());
         }
@@ -172,29 +181,29 @@ fn stream_events(
     mut from: u64,
 ) -> std::io::Result<()> {
     loop {
-        match farm.wait_events(id, from) {
-            Err(e) => {
-                writeln!(writer, "{}", err_response(&e))?;
-                writer.flush()?;
-                return Ok(());
-            }
-            Ok((events, terminal)) => {
-                for ev in &events {
-                    writeln!(writer, "{{\"event\": {}}}", ev.to_json())?;
-                }
-                from += events.len() as u64;
-                if terminal {
-                    writeln!(writer, "{}", ok_response(&[("done", Json::Bool(true))]))?;
-                    writer.flush()?;
-                    return Ok(());
-                }
-                if farm.is_shutdown() {
-                    writeln!(writer, "{}", err_response("farm is shut down"))?;
-                    writer.flush()?;
-                    return Ok(());
-                }
-                writer.flush()?;
-            }
+        let (events, terminal) = match farm.wait_events(id, from) {
+            Ok(batch) => batch,
+            Err(e) => return write_lines(writer, &[err_response(&e)]),
+        };
+        from += events.len() as u64;
+        let mut lines: Vec<String> = events
+            .iter()
+            .map(|ev| format!("{{\"event\": {}}}", ev.to_json()))
+            .collect();
+        // The closing line, if this wakeup ends the stream, rides in the
+        // same write as the events that preceded it.
+        let closing = if terminal {
+            Some(ok_response(&[("done", Json::Bool(true))]))
+        } else if farm.is_shutdown() {
+            Some(err_response("farm is shut down"))
+        } else {
+            None
+        };
+        let finished = closing.is_some();
+        lines.extend(closing);
+        write_lines(writer, &lines)?;
+        if finished {
+            return Ok(());
         }
     }
 }
@@ -219,11 +228,11 @@ fn respond(farm: &Farm, req: Request) -> String {
         Request::Rescale(id, nodes) => simple(farm.rescale(id, nodes)),
         Request::Events(id, from) => match farm.events_since(id, from) {
             Some((events, terminal)) => {
-                let lines = events
-                    .iter()
-                    .map(|e| Json::parse(&e.to_json()).unwrap_or(Json::Null))
-                    .collect();
-                ok_response(&[("events", Json::Arr(lines)), ("done", Json::Bool(terminal))])
+                let events = events.iter().map(FarmEvent::to_value).collect();
+                ok_response(&[
+                    ("events", Json::Arr(events)),
+                    ("done", Json::Bool(terminal)),
+                ])
             }
             None => err_response("no such campaign"),
         },

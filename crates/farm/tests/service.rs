@@ -5,11 +5,17 @@
 //! determinism boundary at the service edge. The rest covers the
 //! operational surface: pause/resume over the wire within the declared
 //! crash–restore tolerances, mid-flight rescale, chaos worker kills with
-//! conserved ledgers, and strict rejection of invalid submissions.
+//! conserved ledgers, strict rejection of invalid submissions, the line
+//! framing (one write per line, no delayed-ACK stalls, bounded request
+//! lines) and the event log's shape around `first_placement`.
+
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 use campaign::{Campaign, CampaignConfig};
 use chaos::WorkerKillPlan;
-use farm::{EntryState, Farm, FarmClient, FarmServer, SubmitSpec};
+use farm::{CampaignStatus, EntryState, Farm, FarmClient, FarmEvent, FarmServer, SubmitSpec};
 use resources::MatchPolicy;
 use sched::Coupling;
 use trace::{Json, Tracer};
@@ -53,6 +59,46 @@ fn start_server(workers: usize, plan: WorkerKillPlan) -> (Farm, FarmServer, Farm
     let server = FarmServer::start(farm.clone(), "127.0.0.1:0").expect("bind");
     let client = FarmClient::connect(server.addr()).expect("connect");
     (farm, server, client)
+}
+
+fn kind(e: &Json) -> &str {
+    e.get("kind").and_then(Json::as_str).unwrap_or("")
+}
+
+/// The `first_placement` contract over one completed campaign's log:
+/// exactly one, logged between a `leg.start` and that leg's `leg.done`
+/// (or the `worker.killed` that discarded it), stamped with a run-local
+/// virtual time strictly inside the leg.
+fn assert_first_placement_shape(events: &[Json]) {
+    let logged: Vec<usize> = (0..events.len())
+        .filter(|&i| kind(&events[i]) == "first_placement")
+        .collect();
+    let &[at] = &logged[..] else {
+        panic!("first_placement is once per campaign, logged at {logged:?}");
+    };
+    let start = events[..at]
+        .iter()
+        .rfind(|e| matches!(kind(e), "leg.start" | "leg.done" | "worker.killed"))
+        .expect("first_placement follows a leg.start");
+    assert_eq!(kind(start), "leg.start", "emitted inside an open leg");
+    let close = events[at..]
+        .iter()
+        .find(|e| matches!(kind(e), "leg.start" | "leg.done" | "worker.killed"))
+        .expect("the leg closes after its first_placement");
+    assert_ne!(kind(close), "leg.start", "emitted before its leg closes");
+    let hours = start.get("hours").and_then(Json::as_f64).unwrap();
+    let at_virt_s = events[at].get("at_virt_s").and_then(Json::as_f64).unwrap();
+    assert!(
+        (0.0..hours * 3600.0).contains(&at_virt_s),
+        "at_virt_s {at_virt_s} outside a {hours} h leg"
+    );
+    assert!(events[at].get("placed").and_then(Json::as_f64).unwrap() > 0.0);
+}
+
+fn events_of(farm: &Farm, id: u64) -> Vec<Json> {
+    let (events, terminal) = farm.events_since(id, 0).expect("campaign exists");
+    assert!(terminal);
+    events.iter().map(FarmEvent::to_value).collect()
 }
 
 #[test]
@@ -154,6 +200,28 @@ fn wire_resume_at_a_different_rung_rescales_the_remainder() {
     server.stop();
 }
 
+/// Submits a single-leg campaign and kills its worker once the leg has
+/// logged `first_placement`. Returns the completed campaign, or `None`
+/// if the leg finished before the kill landed.
+fn kill_after_first_placement(farm: &Farm, hours: u64) -> Option<(u64, CampaignStatus)> {
+    let id = farm
+        .submit(SubmitSpec {
+            tenant: "d".to_string(),
+            cfg: cfg(9),
+            schedule: vec![(10, hours)],
+            trace: false,
+            pause_at_hours: None,
+        })
+        .expect("submit");
+    // queued, leg.start, first_placement.
+    let seen = farm.wait_until(id, |s| s.events >= 3).expect("runs");
+    if let EntryState::Running { worker } = seen.state {
+        farm.kill_worker(worker).expect("kill the running worker");
+    }
+    let s = farm.wait_until(id, |s| s.terminal()).expect("completion");
+    (s.recoveries > 0).then_some((id, s))
+}
+
 #[test]
 fn worker_kills_recover_from_checkpoints_with_conserved_ledgers() {
     // Phase 1: a seeded kill plan against three two-leg campaigns on
@@ -181,6 +249,7 @@ fn worker_kills_recover_from_checkpoints_with_conserved_ledgers() {
         assert_eq!(s.legs_done, 2, "campaign {id} completed its full schedule");
         assert!(s.remaining.is_empty());
         assert!(s.ledger_ok, "campaign {id} kept a non-reconciling leg");
+        assert_first_placement_shape(&events_of(&farm, *id));
     }
     let stats = farm.stats();
     assert_eq!(stats.kills_fired, 2, "the plan fired");
@@ -190,33 +259,33 @@ fn worker_kills_recover_from_checkpoints_with_conserved_ledgers() {
         "every kill spawned a replacement"
     );
 
-    // Phase 2: a guaranteed mid-leg kill via the admin op — wait until
-    // the campaign is running, kill that exact worker, and require a
-    // checkpoint recovery with conserved books.
-    let id = farm
-        .submit(SubmitSpec {
-            tenant: "d".to_string(),
-            cfg: cfg(9),
-            // A long single leg: the claim wakeup arrives at leg start,
-            // leaving the whole leg to observe the Running state.
-            schedule: vec![(10, 12)],
-            trace: false,
-            pause_at_hours: None,
-        })
-        .expect("submit");
-    let running = farm
-        .wait_until(id, |s| {
-            matches!(s.state, EntryState::Running { .. }) || s.terminal()
-        })
-        .expect("runs");
-    let EntryState::Running { worker } = running.state else {
-        panic!("completed before the Running state could be observed");
-    };
-    farm.kill_worker(worker).expect("kill the running worker");
-    let s = farm.wait_until(id, |s| s.terminal()).expect("completion");
+    // Phase 2: a kill aimed at a leg that has already logged its
+    // first_placement, via the admin op. The test thread races the leg
+    // it is aiming at, so a leg that finishes first is retried at four
+    // times the length; the assertions run on the attempt that landed.
+    let (id, s) = [12, 48, 192, 768]
+        .into_iter()
+        .find_map(|hours| kill_after_first_placement(&farm, hours))
+        .expect("a 768-hour leg outran the test thread");
     assert_eq!(s.recoveries, 1, "the kill forced a checkpoint recovery");
     assert_eq!(s.legs_done, 1);
     assert!(s.ledger_ok, "post-recovery books must reconcile");
+    let events = events_of(&farm, id);
+    let kinds: Vec<&str> = events.iter().map(kind).collect();
+    assert_eq!(
+        kinds,
+        [
+            "queued",
+            "leg.start",
+            "first_placement",
+            "worker.killed",
+            "leg.start",
+            "leg.done",
+            "completed"
+        ],
+        "the recovered leg does not announce a second first placement"
+    );
+    assert_first_placement_shape(&events);
     farm.shutdown();
 }
 
@@ -306,11 +375,19 @@ fn service_smoke_and_strict_wire_rejection() {
         ))
         .expect("submit");
     let events = client.wait_done(id).expect("completion");
-    assert!(
-        events
-            .iter()
-            .any(|e| e.get("kind").and_then(Json::as_str) == Some("completed")),
+    assert_eq!(
+        events.last().map(kind),
+        Some("completed"),
         "stream carries the completion event"
+    );
+    assert_first_placement_shape(&events);
+    // The snapshot op and the stream encode events identically.
+    let snapshot = client
+        .call(&format!(r#"{{"op": "events", "id": {id}}}"#))
+        .expect("events");
+    assert_eq!(
+        snapshot.get("events").and_then(Json::as_arr),
+        Some(&events[..])
     );
     assert_eq!(client.list().expect("list").len(), 1);
     let stats = client.stats().expect("stats");
@@ -329,5 +406,81 @@ fn service_smoke_and_strict_wire_rejection() {
             pause_at_hours: None,
         })
         .is_err());
+    server.stop();
+}
+
+#[test]
+fn a_line_is_one_write_and_no_request_waits_out_a_delayed_ack() {
+    let (_farm, server, mut client) = start_server(1, WorkerKillPlan::empty());
+
+    // 200 request/response round trips on one connection. With a line
+    // split over two writes on a Nagle socket each one waits ~88 ms
+    // (17.6 s in all); framed as one write with nodelay they take ~10 ms.
+    let t0 = Instant::now(); // lint: allow(L1) a delayed-ACK stall is only visible as host time, read here at the client edge
+    for _ in 0..200 {
+        client.ping().expect("ping");
+    }
+    let elapsed = t0.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "200 pings took {elapsed:?}: the wire path is stalling on delayed ACKs"
+    );
+
+    // A foreign client — one `write` per request, Nagle left on — gets
+    // the documented bytes back, each response a complete line.
+    let mut raw = TcpStream::connect(server.addr()).expect("connect");
+    let mut replies = BufReader::new(raw.try_clone().expect("clone"));
+    let mut line = String::new();
+    raw.write_all(b"{\"op\": \"ping\"}\n").expect("write");
+    replies.read_line(&mut line).expect("read");
+    assert_eq!(line, "{\"ok\": true, \"pong\": true}\n");
+    line.clear();
+    raw.write_all(b"{\"op\": \"tickle\"}\n").expect("write");
+    replies.read_line(&mut line).expect("read");
+    assert_eq!(
+        line,
+        "{\"error\": \"unknown op \\\"tickle\\\"\", \"ok\": false}\n"
+    );
+    server.stop();
+}
+
+#[test]
+fn an_unterminated_request_line_is_refused_at_the_cap() {
+    let (_farm, server, mut client) = start_server(1, WorkerKillPlan::empty());
+    let mut raw = TcpStream::connect(server.addr()).expect("connect");
+    // Exactly the cap, no newline: the server has read every byte sent,
+    // so its close is orderly and the refusal is readable.
+    let flood = vec![b'x'; farm::proto::MAX_REQUEST_LINE as usize];
+    raw.write_all(&flood).expect("write");
+    let mut reply = String::new();
+    raw.read_to_string(&mut reply)
+        .expect("one line, then the server closes");
+    assert_eq!(
+        reply,
+        "{\"error\": \"request line too long\", \"ok\": false}\n"
+    );
+    // The refusal is per connection; the service is unharmed.
+    client.ping().expect("ping");
+    server.stop();
+}
+
+#[test]
+fn only_a_shutdown_request_ends_the_connection_of_a_draining_farm() {
+    let (farm, server, mut client) = start_server(1, WorkerKillPlan::empty());
+    client
+        .ping()
+        .expect("the connection is accepted before the drain");
+    farm.shutdown();
+    // A tenant may be called anything; the op decides, not the text.
+    let e = client
+        .submit_line(r#"{"op": "submit", "tenant": "shutdown", "schedule": [[5, 2]]}"#)
+        .unwrap_err();
+    assert!(e.contains("shut down"), "{e}");
+    client.ping().expect("the connection is still served");
+    client.shutdown().expect("shutdown");
+    assert!(
+        client.ping().is_err(),
+        "the shutdown op closes its connection"
+    );
     server.stop();
 }
