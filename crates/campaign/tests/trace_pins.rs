@@ -1,8 +1,8 @@
 //! Cross-commit trace pins for the campaign event loop.
 //!
-//! Four scenarios — a busy allocation, hardware attrition, the chaos
-//! smoke plan with its WM crash point, and a two-leg checkpoint chain —
-//! each pinned by trace event count, a 64-bit digest of the full JSONL
+//! Five scenarios — a busy allocation, hardware attrition, the chaos
+//! smoke plan with its WM crash point, a two-leg checkpoint chain, and a
+//! hung job the tracker's watchdog has to cancel — each pinned by trace event count, a 64-bit digest of the full JSONL
 //! trace, the exact report counters and the ledger. The committed file
 //! under `tests/goldens/` was generated at the commit *before* the loop
 //! body was restructured, so a pass means the loop still emits the bytes
@@ -19,10 +19,10 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use campaign::{Campaign, CampaignConfig, RunReport};
-use chaos::FaultPlan;
+use chaos::{FaultEvent, FaultKind, FaultPlan};
 use resources::MatchPolicy;
-use sched::Coupling;
-use simcore::SimDuration;
+use sched::{Coupling, JobClass};
+use simcore::{SimDuration, SimTime};
 use trace::Tracer;
 
 fn busy_cfg() -> CampaignConfig {
@@ -132,6 +132,32 @@ fn render_pins() -> String {
     // byte stream: a 10-node leg restarts onto 20 nodes.
     let (chain, _) = pin("chain", busy_cfg(), &[(10, 8), (20, 8)]);
     out.push_str(&chain);
+
+    // One CG hang and nothing else: the only pin whose bytes depend on
+    // `JobTracker::expire_overdue` firing (every block above reads
+    // `timed_out=0`). The shorter CG target puts the hung job's
+    // deadline inside the allocation.
+    let (watchdog, r) = pin(
+        "watchdog",
+        CampaignConfig {
+            cg_target_us: 0.2,
+            job_timeout_grace: 1.5,
+            node_failures_per_day: 0.0,
+            fault_plan: Some(FaultPlan {
+                seed: 0,
+                events: vec![FaultEvent {
+                    at: SimTime::from_hours(2),
+                    kind: FaultKind::JobHang {
+                        class: JobClass::CgSim,
+                    },
+                }],
+            }),
+            ..busy_cfg()
+        },
+        &[(10, 12)],
+    );
+    assert!(r[0].jobs_timed_out >= 1, "the watchdog must fire to pin it");
+    out.push_str(&watchdog);
     out
 }
 
