@@ -12,10 +12,8 @@ use mummi_bench::print_histogram;
 use simcore::Histogram;
 
 fn main() {
-    let mut c = Campaign::new(CampaignConfig {
-        mode: mummi_bench::drive_mode_from_args(),
-        ..CampaignConfig::default()
-    });
+    mummi_bench::Flags::from_env(&[], &[]);
+    let mut c = Campaign::new(CampaignConfig::default());
     // A shortened but multi-restart schedule: enough 24 h runs for many
     // sims to reach the 5 µs CG target (~5 days at 1.04 µs/day).
     for _ in 0..8 {

@@ -9,10 +9,8 @@ use mummi_bench::{print_histogram, print_series};
 use simcore::{Histogram, Summary};
 
 fn main() {
-    let mut c = Campaign::new(CampaignConfig {
-        mode: mummi_bench::drive_mode_from_args(),
-        ..CampaignConfig::default()
-    });
+    mummi_bench::Flags::from_env(&[], &[]);
+    let mut c = Campaign::new(CampaignConfig::default());
     // Mixed allocation sizes create the multi-modal continuum distribution.
     for &(nodes, hours) in &[(100u32, 6u64), (100, 12), (500, 12), (1000, 24), (1000, 24)] {
         c.execute_run(nodes, hours);

@@ -6,14 +6,11 @@
 //! 93.73%, median 99.93%; CPU mean 54.12%, median 50.48%).
 
 use campaign::{Campaign, CampaignConfig};
-use mummi_bench::{print_histogram, TraceOpts};
+use mummi_bench::{print_histogram, Flags, TraceOpts};
 
 fn main() {
-    let topts = TraceOpts::from_args();
-    let mut c = Campaign::new(CampaignConfig {
-        mode: mummi_bench::drive_mode_from_args(),
-        ..CampaignConfig::default()
-    });
+    let topts = TraceOpts::from_flags(&Flags::from_env(&[], &TraceOpts::FLAGS));
+    let mut c = Campaign::new(CampaignConfig::default());
     c.set_tracer(topts.tracer());
     // A representative restartable schedule: one cold run, then warm
     // restarts — the occupancy distribution aggregates all profile events.

@@ -10,7 +10,7 @@
 //! the synchronous-Q↔R, exhaustive-matcher cost over a 4× larger graph.
 
 use campaign::{Campaign, CampaignConfig};
-use mummi_bench::TraceOpts;
+use mummi_bench::{Flags, TraceOpts};
 use simcore::Timeline;
 
 fn print_timeline(title: &str, cg: &Timeline, aa: &Timeline) {
@@ -30,11 +30,8 @@ fn print_timeline(title: &str, cg: &Timeline, aa: &Timeline) {
 }
 
 fn main() {
-    let topts = TraceOpts::from_args();
-    let mut c = Campaign::new(CampaignConfig {
-        mode: mummi_bench::drive_mode_from_args(),
-        ..CampaignConfig::default()
-    });
+    let topts = TraceOpts::from_flags(&Flags::from_env(&[], &TraceOpts::FLAGS));
+    let mut c = Campaign::new(CampaignConfig::default());
     c.set_tracer(topts.tracer());
     // Warm the campaign so ready buffers exist (the paper's runs restart).
     c.execute_run(1000, 24);

@@ -356,8 +356,7 @@ fn matrix_main(rungs_arg: &str, hours: u64, seed: u64, out: &str) {
     }
 
     let mut json = format!(
-        "{{\n  \"bench\": \"policy-matrix\",\n  \"schema\": {},\n  \"virtual_hours\": {hours},\n  \"seed\": {seed},\n  \"entries\": [\n",
-        mummi_bench::files::SCHEMA
+        "{{\n  \"bench\": \"policy-matrix\",\n  \"schema\": 1,\n  \"virtual_hours\": {hours},\n  \"seed\": {seed},\n  \"entries\": [\n"
     );
     for (i, e) in entries.iter().enumerate() {
         json.push_str("    ");

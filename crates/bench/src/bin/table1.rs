@@ -4,13 +4,13 @@
 //! This work utilized over 600,000 node hours on Summit using several runs
 //! at varying scales."
 //!
-//! Usage: `table1 [--full | --smoke] [--chaos <seed>] [--ticked]
-//! [--policy <name>] [--workload <spec>] [--legacy-sched]`.
-//! `--policy` picks the queue-ordering/backfill
-//! policy, `--workload` adds a background job stream (synthetic mix or
-//! `trace:<path>`), and `--legacy-sched` pins the retained pre-split
-//! FCFS monolith (the CI byte-identity oracle). The default
-//! executes the paper's exact schedule but with the twenty 1000-node runs
+//! Usage: `table1 [--full | --smoke] [--chaos <seed>] [--policy <name>]
+//! [--workload <spec>] [--trace <path>] [--trace-chrome <path>]`; any
+//! other argument, or a flag whose value is missing or does not parse,
+//! prints the accepted set and exits 2. `--policy` picks the
+//! queue-ordering/backfill policy and `--workload` adds a background job
+//! stream (synthetic mix or `trace:<path>`). The default executes the
+//! paper's exact schedule but with the twenty 1000-node runs
 //! represented by five (the DES is deterministic, so additional identical
 //! runs only add wall time); `--full` executes all 32 runs; `--smoke` runs
 //! a two-allocation restart chain at 100 nodes (seconds — the CI
@@ -21,19 +21,21 @@
 
 use campaign::{Campaign, CampaignConfig};
 use chaos::FaultPlan;
-use mummi_bench::TraceOpts;
+use mummi_bench::{or_exit, Flags, TraceOpts};
 use simcore::SimDuration;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let full = args.iter().any(|a| a == "--full");
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let chaos_seed: Option<u64> = args
-        .iter()
-        .position(|a| a == "--chaos")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok());
-    let topts = TraceOpts::from_args();
+    let valued = [
+        &["--chaos", "--policy", "--workload"][..],
+        &TraceOpts::FLAGS,
+    ]
+    .concat();
+    let flags = Flags::from_env(&["--full", "--smoke"], &valued);
+    let full = flags.has("--full");
+    let smoke = flags.has("--smoke");
+    let chaos_seed: Option<u64> =
+        or_exit(flags.parsed("--chaos", "a u64 seed", |s| s.parse().ok()));
+    let topts = TraceOpts::from_flags(&flags);
     // (nodes, wall-time hours, #runs), exactly Table 1.
     let schedule: Vec<(u32, u64, u32)> = if smoke {
         vec![(100, 4, 1), (100, 2, 1)]
@@ -47,11 +49,8 @@ fn main() {
         ]
     };
 
-    let mut cfg = CampaignConfig {
-        mode: mummi_bench::drive_mode_from_args(),
-        ..CampaignConfig::default()
-    };
-    mummi_bench::apply_sched_args(&mut cfg);
+    let mut cfg = CampaignConfig::default();
+    or_exit(mummi_bench::apply_sched_args(&mut cfg, &flags));
     let plan = chaos_seed.map(|seed| {
         // Fault times are relative to each run's start; spanning the
         // shortest scheduled allocation puts every fault inside every run.

@@ -36,5 +36,5 @@ pub use failures::FailureProcess;
 pub use feedback_model::{FeedbackTimingModel, Iteration};
 pub use perf::{AaPerf, CgPerf, ContinuumPerf};
 pub use persistent::{AllocationOffer, ClusterUsage, PersistentCampaign};
-pub use run::{Campaign, CampaignConfig, ConfigError, DriveMode, RunReport, StoreBackend};
+pub use run::{Campaign, CampaignConfig, ConfigError, RunReport, StoreBackend};
 pub use sweep::{run_table_runs, run_table_runs_serial, SweepResult, SweepRun};

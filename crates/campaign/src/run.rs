@@ -26,21 +26,6 @@ use crate::driver;
 use crate::failures::FailureProcess;
 use crate::perf::{AaPerf, CgPerf, ContinuumPerf};
 
-/// How the driver advances virtual time through a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DriveMode {
-    /// Next-event time advance: jump the clock to the minimum of the next
-    /// scheduler/WM wakeup, snapshot, fault-plan event, and node-failure
-    /// arrival. Work done is proportional to events, not to elapsed
-    /// virtual time — `poll_interval` stops mattering for cost.
-    EventDriven,
-    /// The legacy fixed-interval sweep: one driver iteration every
-    /// `poll_interval` whether or not anything happened. Kept as an
-    /// escape hatch (`--ticked` on the bench binaries) and as the
-    /// reference for the equivalence tests.
-    Ticked,
-}
-
 /// Which backend the run loop drives its feedback-store traffic
 /// through. A configuration switch, never a semantic one: both backends
 /// speak the same `ns:{key}` mapping and trace vocabulary, and a
@@ -111,13 +96,6 @@ pub struct CampaignConfig {
     /// own seed stream. `None` (the default) leaves the campaign
     /// byte-identical to before the workload layer existed.
     pub workload: Option<WorkloadSpec>,
-    /// Differential escape hatch (`--legacy-sched` on the bench
-    /// binaries): route service selection through the retained
-    /// pre-policy-zoo FCFS monolith. Same decisions, same traces — the
-    /// CI determinism smoke asserts same-seed byte-identity against the
-    /// split [`SchedPolicy::Fcfs`] path. Rejected unless `sched_policy`
-    /// is FCFS.
-    pub legacy_sched: bool,
     /// Record every scheduler submission/cancel/node-failure into a
     /// replayable job log, surfaced as [`RunReport::job_log`] (CSV).
     pub record_jobs: bool,
@@ -149,14 +127,6 @@ pub struct CampaignConfig {
     /// Optional fault plan injected into every run (the chaos harness;
     /// event times are relative to each run's start).
     pub fault_plan: Option<FaultPlan>,
-    /// Time-advance strategy (event-driven unless overridden).
-    pub mode: DriveMode,
-    /// Benchmarking escape hatch: run the scheduler's resource matcher
-    /// and the trackers' hang watchdog on the retired linear scans
-    /// instead of the free-resource / deadline indexes. Same decisions,
-    /// same traces — only the wall-clock cost differs. The scale ladder
-    /// uses it as the "pre-change engine" baseline.
-    pub linear_scan: bool,
     /// Inert: nothing reads it. It used to pin the serial body of a
     /// forked (GEN ‖ POLL) event loop; that fork is gone and the one
     /// remaining body is the serial one (DESIGN.md § 11). The field
@@ -186,7 +156,6 @@ impl Default for CampaignConfig {
             policy: MatchPolicy::LowIdExhaustive,
             sched_policy: SchedPolicy::Fcfs,
             workload: None,
-            legacy_sched: false,
             record_jobs: false,
             queue_cap: 2000,
             job_failure_prob: 0.005,
@@ -196,8 +165,6 @@ impl Default for CampaignConfig {
             ready_buffer_divisor: 10,
             ready_buffer_cap: 400,
             fault_plan: None,
-            mode: DriveMode::EventDriven,
-            linear_scan: false,
             serial_loop: false,
             store_backend: StoreBackend::InProcess,
             seed: 20201214,
@@ -222,13 +189,6 @@ pub enum ConfigError {
         /// The rejected cap.
         cap: usize,
     },
-    /// `legacy_sched` is set with a non-FCFS `sched_policy` — the
-    /// retained monolith models FCFS only, so any other pairing would
-    /// silently change queue ordering.
-    LegacySchedRequiresFcfs {
-        /// The rejected queue policy.
-        policy: SchedPolicy,
-    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -239,9 +199,6 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::ReadyBufferCapTooSmall { cap } => {
                 write!(f, "ready_buffer_cap must be >= 8 (got {cap})")
-            }
-            ConfigError::LegacySchedRequiresFcfs { policy } => {
-                write!(f, "legacy_sched models fcfs only (got {})", policy.name())
             }
         }
     }
@@ -261,11 +218,6 @@ impl CampaignConfig {
         if self.ready_buffer_cap < 8 {
             return Err(ConfigError::ReadyBufferCapTooSmall {
                 cap: self.ready_buffer_cap,
-            });
-        }
-        if self.legacy_sched && self.sched_policy != SchedPolicy::Fcfs {
-            return Err(ConfigError::LegacySchedRequiresFcfs {
-                policy: self.sched_policy,
             });
         }
         Ok(())
@@ -357,8 +309,8 @@ pub struct RunReport {
     /// Job accounting summed over every WM incarnation of the run;
     /// [`RunLedger::check`] must come back empty.
     pub ledger: RunLedger,
-    /// Driver loop passes this run took (ticks when ticked, wakeups when
-    /// event-driven) — the quantity next-event time advance minimises.
+    /// Driver loop passes this run took, one per wakeup — the quantity
+    /// next-event time advance minimises.
     pub driver_iterations: u64,
     /// Clock advances forced past a stale wakeup source (see
     /// [`crate::driver::advance_clock`]). Always zero while every source
@@ -652,7 +604,6 @@ impl Campaign {
             // queues); per-candidate history would dominate DES memory.
             record_history: false,
             job_timeout_grace: self.cfg.job_timeout_grace,
-            linear_scan: self.cfg.linear_scan,
             seed,
             ..WmConfig::default()
         }
@@ -718,17 +669,14 @@ impl Campaign {
         model: RuntimeModel,
         ckpt: Option<&WmCheckpoint>,
     ) -> CampaignWm {
-        let mut graph = ResourceGraph::new(machine.clone());
-        graph.set_linear_scan(self.cfg.linear_scan);
         let mut engine = SchedEngine::new(
-            graph,
+            ResourceGraph::new(machine.clone()),
             self.cfg.policy,
             self.cfg.coupling,
             Costs::summit_campaign(),
         );
         engine.set_tracer(self.tracer.clone());
         engine.set_sched_policy(self.cfg.sched_policy);
-        engine.set_legacy_fcfs(self.cfg.legacy_sched);
         if self.cfg.record_jobs {
             engine.set_recording(true);
         }
@@ -933,7 +881,7 @@ impl<'c, S: DataStore> RunSim<'c, S> {
     /// One pass per wakeup: everything due at `t` drains in this phase
     /// order, then the clock moves.
     fn run(mut self) -> RunReport {
-        while self.t <= self.run_end {
+        loop {
             self.begin_pass();
             self.ingest_snapshots();
             self.ingest_frames();
@@ -1035,9 +983,8 @@ impl<'c, S: DataStore> RunSim<'c, S> {
     }
 
     /// Background workload arrivals due by now, submitted at their own
-    /// timestamps (== `t` under event-driven advance; possibly earlier
-    /// under a ticked sweep, which the engine inbox handles like any
-    /// late ingestion).
+    /// timestamps (== `t`: the source's next arrival is a wakeup of the
+    /// clock).
     fn submit_background(&mut self) {
         if let Some(src) = self.bg_src.as_deref_mut() {
             while let Some(job) = src.pop_due(self.t) {
@@ -1281,42 +1228,36 @@ impl<'c, S: DataStore> RunSim<'c, S> {
     /// Moves the clock to the next pass; `false` once the closing pass
     /// at `run_end` has executed.
     fn advance(&mut self) -> bool {
-        match self.camp.cfg.mode {
-            DriveMode::Ticked => self.t += self.camp.cfg.poll_interval,
-            DriveMode::EventDriven => {
-                if self.t >= self.run_end {
-                    return false;
-                }
-                // Next-event time advance: jump straight to the safe
-                // horizon — the earliest instant anything can happen,
-                // under the documented tie-break (snapshot, workload,
-                // failure, chaos, WM) — clamped so the run closes with a
-                // final pass exactly at `run_end`. Every source returns a
-                // wakeup strictly after `t` once its due work is
-                // drained; a stale (already-past) horizon is a source
-                // contract violation, counted instead of silently
-                // masked as 1 µs of drift (the legacy `.max(t + 1µs)`
-                // clamp), and fatal under debug.
-                let horizon = driver::next_horizon(
-                    self.next_snapshot,
-                    self.bg_src.as_deref().and_then(|s| s.next_at()),
-                    self.failures.next_at(),
-                    self.plan_q.peek_time(),
-                    self.wm.next_wakeup(self.t),
-                );
-                let (next_t, forced) = driver::advance_clock(self.t, horizon.at, self.run_end);
-                if forced {
-                    self.forced_advances += 1;
-                    debug_assert!(
-                        false,
-                        "stale wakeup from {:?} at t={}us",
-                        horizon.source,
-                        self.t.as_micros()
-                    );
-                }
-                self.t = next_t;
-            }
+        if self.t >= self.run_end {
+            return false;
         }
+        // Next-event time advance: jump straight to the safe horizon —
+        // the earliest instant anything can happen, under the
+        // documented tie-break (snapshot, workload, failure, chaos, WM)
+        // — clamped so the run closes with a final pass exactly at
+        // `run_end`. Every source returns a wakeup strictly after `t`
+        // once its due work is drained; a stale (already-past) horizon
+        // is a source contract violation, counted instead of silently
+        // masked as 1 µs of drift (the legacy `.max(t + 1µs)` clamp),
+        // and fatal under debug.
+        let horizon = driver::next_horizon(
+            self.next_snapshot,
+            self.bg_src.as_deref().and_then(|s| s.next_at()),
+            self.failures.next_at(),
+            self.plan_q.peek_time(),
+            self.wm.next_wakeup(self.t),
+        );
+        let (next_t, forced) = driver::advance_clock(self.t, horizon.at, self.run_end);
+        if forced {
+            self.forced_advances += 1;
+            debug_assert!(
+                false,
+                "stale wakeup from {:?} at t={}us",
+                horizon.source,
+                self.t.as_micros()
+            );
+        }
+        self.t = next_t;
         true
     }
 

@@ -6,6 +6,10 @@
 //! statically; this test is the dynamic witness).
 
 use campaign::{Campaign, CampaignConfig, RunReport};
+use resources::MatchPolicy;
+use sched::Coupling;
+use simcore::SimDuration;
+use trace::Tracer;
 
 /// A compact, fully ordered fingerprint of everything a run observed.
 fn trace(c: &mut Campaign, nodes: u32, hours: u64) -> (Vec<String>, RunReport) {
@@ -210,4 +214,54 @@ fn restart_chains_are_deterministic_too() {
     let (b1, b2) = run(7);
     assert_eq!(a1, b1, "first allocation diverged");
     assert_eq!(a2, b2, "second allocation diverged");
+}
+
+/// The fixed engine of §5.2 (first-match, asynchronous Q↔R) on a small,
+/// busy allocation — the other corner from `CampaignConfig::default()`.
+fn busy_cfg() -> CampaignConfig {
+    CampaignConfig {
+        patches_per_snapshot: 6,
+        frames_per_sim_per_min: 0.05,
+        cg_target_us: 0.5,
+        aa_target_ns: (5.0, 8.0),
+        queue_cap: 500,
+        policy: MatchPolicy::FirstMatch,
+        coupling: Coupling::Asynchronous,
+        submit_rate_per_min: 600,
+        ..CampaignConfig::default()
+    }
+}
+
+#[test]
+fn failure_history_invariant_to_poll_interval() {
+    // The regression test for the per-tick Bernoulli coupling: failure
+    // draws used to be made once per WM poll, so halving the poll
+    // interval reshuffled every one of them. The (time, node) history
+    // lives on its own seed stream, so the realised failure count is
+    // identical across poll cadences.
+    let run = |poll_mins: u64| {
+        let mut c = Campaign::new(CampaignConfig {
+            node_failures_per_day: 8.0,
+            poll_interval: SimDuration::from_mins(poll_mins),
+            ..busy_cfg()
+        });
+        c.execute_run(20, 24).nodes_failed
+    };
+    let reference = run(2);
+    assert!(reference > 0, "attrition at 8/day over 24h must fire");
+    assert_eq!(reference, run(1), "finer polls");
+    assert_eq!(reference, run(10), "coarser polls");
+}
+
+#[test]
+fn busy_same_seed_trace_is_byte_identical() {
+    let trace_of = || {
+        let mut c = Campaign::new(busy_cfg());
+        c.set_tracer(Tracer::enabled());
+        c.execute_run(10, 8);
+        c.tracer().to_jsonl()
+    };
+    let a = trace_of();
+    assert!(!a.is_empty());
+    assert_eq!(a, trace_of(), "same-seed traces must be byte-identical");
 }

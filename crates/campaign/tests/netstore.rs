@@ -5,7 +5,7 @@
 //! backend is the paper's "single configuration switch" — flipping it
 //! must never change a scientific result, only where the bytes live.
 
-use campaign::{Campaign, CampaignConfig, DriveMode, StoreBackend};
+use campaign::{Campaign, CampaignConfig, StoreBackend};
 use trace::Tracer;
 
 fn jsonl(backend: StoreBackend, seed: u64) -> String {
@@ -30,21 +30,4 @@ fn loopback_backend_traces_byte_identical_to_in_process() {
         in_process, loopback,
         "the store backend switch changed the trace"
     );
-}
-
-#[test]
-fn ticked_mode_also_agrees_across_backends() {
-    let run = |backend| {
-        let cfg = CampaignConfig {
-            seed: 7,
-            mode: DriveMode::Ticked,
-            store_backend: backend,
-            ..CampaignConfig::default()
-        };
-        let mut c = Campaign::new(cfg);
-        c.set_tracer(Tracer::enabled());
-        c.execute_run(60, 3);
-        c.tracer().to_jsonl()
-    };
-    assert_eq!(run(StoreBackend::InProcess), run(StoreBackend::Loopback));
 }

@@ -368,10 +368,12 @@ pub fn lint_workspace_with(root: &Path, config: &Config) -> Result<Vec<Violation
 
 /// Cross-file scanner state threaded through [`lint_file`] calls and
 /// resolved by [`finish_scan`]. Per-file passes can only see one file;
-/// the L4 ratchet, L8 allowlist ratchet, and L9 label uniqueness are
-/// workspace properties, so they accumulate here.
+/// the L1 exemption ratchet, L4 ratchet, L8 allowlist ratchet, and L9
+/// label uniqueness are workspace properties, so they accumulate here.
 #[derive(Debug, Clone, Default)]
 pub struct ScanState {
+    /// `[l1_exempt]` entries whose file really reads the host clock.
+    pub l1_used: BTreeSet<String>,
     /// `.unwrap()`/`.expect(` hits per coordination-path file.
     pub l4_counts: BTreeMap<String, u64>,
     /// `[l8_parallel]` entries that matched a real parallelism entry point.
@@ -381,9 +383,25 @@ pub struct ScanState {
 }
 
 /// The cross-file checks, run once after every file went through
-/// [`lint_file`]: the L4 budget ratchet, stale `[l8_parallel]` entries,
-/// and L9 global label uniqueness.
+/// [`lint_file`]: stale `[l1_exempt]` entries, the L4 budget ratchet,
+/// stale `[l8_parallel]` entries, and L9 global label uniqueness.
 pub fn finish_scan(config: &Config, state: &ScanState, violations: &mut Vec<Violation>) {
+    // L1 ratchet: an exemption whose file is gone, or no longer reads
+    // the host clock, is stale — the table may only shrink.
+    for file in config.l1_exempt.keys() {
+        if !state.l1_used.contains(file) {
+            violations.push(Violation {
+                rule: "L1",
+                file: "lint.toml".to_string(),
+                line: 1,
+                message: format!(
+                    "[l1_exempt] entry {file} is missing or no longer reads the host clock; \
+                     the exemption list may only shrink — remove the entry"
+                ),
+            });
+        }
+    }
+
     // L4 ratchet: a budget above the real count is stale — shrink it.
     for (file, &budget) in &config.l4_allow {
         let actual = state.l4_counts.get(file).copied().unwrap_or(0);
@@ -439,7 +457,7 @@ pub fn finish_scan(config: &Config, state: &ScanState, violations: &mut Vec<Viol
 }
 
 /// Lints one file's source text. Exposed for the scratch-violation tests.
-/// Cross-file rules (L4 ratchet, L8 ratchet, L9 uniqueness) accumulate in
+/// Cross-file rules (L1/L4/L8 ratchets, L9 uniqueness) accumulate in
 /// `state` and are resolved by [`finish_scan`].
 pub fn lint_file(
     rel: &str,
@@ -463,9 +481,13 @@ pub fn lint_file(
         // L1: wall-clock sources, everywhere (tests included — virtual-time
         // assertions must not compare against the host clock) except
         // explicitly exempt files.
-        if !config.l1_exempt.contains_key(rel) && !has_allow(raw, "L1") {
+        if !has_allow(raw, "L1") {
             for tok in L1_TOKENS {
                 if contains_token(line, tok) {
+                    if config.l1_exempt.contains_key(rel) {
+                        state.l1_used.insert(rel.to_string());
+                        continue;
+                    }
                     violations.push(Violation {
                         rule: "L1",
                         file: rel.to_string(),

@@ -78,8 +78,8 @@ fn corpus_fixtures_match_expectations() {
         .collect();
     cases.sort();
     assert!(
-        cases.len() >= 6,
-        "corpus has {} cases; the L2/L6/L7/L8/L9/vendor fixtures are required",
+        cases.len() >= 7,
+        "corpus has {} cases; the L1/L2/L6/L7/L8/L9/vendor fixtures are required",
         cases.len()
     );
     for case in cases {

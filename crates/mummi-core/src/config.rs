@@ -51,11 +51,6 @@ pub struct WmConfig {
     /// campaign simulations that manage restart state themselves turn
     /// this off.
     pub record_history: bool,
-    /// Benchmarking escape hatch: answer tracker watchdog queries with
-    /// the retired O(live) table scans instead of the deadline index.
-    /// Identical results, pre-index wall-clock cost — the scale ladder's
-    /// "pre-change engine" baseline.
-    pub linear_scan: bool,
     /// Root seed for the WM's stochastic components.
     pub seed: u64,
 }
@@ -78,7 +73,6 @@ impl Default for WmConfig {
             max_resubmits: 3,
             job_timeout_grace: 0.0,
             record_history: true,
-            linear_scan: false,
             seed: 1,
         }
     }
@@ -104,7 +98,6 @@ impl WmConfig {
             max_resubmits: 3,
             job_timeout_grace: 0.0,
             record_history: true,
-            linear_scan: false,
             seed: 7,
         }
     }

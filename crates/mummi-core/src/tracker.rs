@@ -101,18 +101,13 @@ pub struct JobTracker {
     attempts: BTreeMap<PayloadId, u32>,
     /// Watchdog deadlines of placed jobs, ordered `(deadline, id)` — the
     /// index behind [`JobTracker::earliest_timeout`] and
-    /// [`JobTracker::expire_overdue`], replacing full-table min scans.
+    /// [`JobTracker::expire_overdue`].
     /// Deadlines are `placed_at + runtime × grace`; empty while the
     /// watchdog is disabled (`timeout_grace == 0`).
     deadlines: BTreeSet<(SimTime, JobId)>,
     /// Grace factor the deadlines were computed with (see
     /// [`JobTracker::set_timeout_grace`]).
     timeout_grace: f64,
-    /// Benchmarking escape hatch: answer watchdog queries with the
-    /// retired full-table scans instead of the deadline index (see
-    /// [`JobTracker::set_linear_scan`]). Results are identical either
-    /// way; only the wall-clock cost differs.
-    linear_scan: bool,
     submitted: u64,
     completed: u64,
     failed: u64,
@@ -128,7 +123,6 @@ impl JobTracker {
             attempts: BTreeMap::new(),
             deadlines: BTreeSet::new(),
             timeout_grace: 0.0,
-            linear_scan: false,
             submitted: 0,
             completed: 0,
             failed: 0,
@@ -155,20 +149,6 @@ impl JobTracker {
     /// The configured watchdog grace factor.
     pub fn timeout_grace(&self) -> f64 {
         self.timeout_grace
-    }
-
-    /// Switches watchdog queries back to the retired O(live) table scans
-    /// — the pre-index engine, retained so the scale benchmarks can
-    /// measure the index against an honest baseline. The deadline index
-    /// is still maintained, so the toggle can flip at any time; answers
-    /// are identical in both modes.
-    pub fn set_linear_scan(&mut self, on: bool) {
-        self.linear_scan = on;
-    }
-
-    /// Whether watchdog queries use the retired linear scans.
-    pub fn linear_scan(&self) -> bool {
-        self.linear_scan
     }
 
     /// The tracker's job class.
@@ -276,11 +256,9 @@ impl JobTracker {
     /// until [`JobTracker::set_timeout_grace`] enables the watchdog.
     ///
     /// Overdue jobs come straight off the front of the deadline index; no
-    /// live-table scan happens (unless [`JobTracker::set_linear_scan`]
-    /// re-enables the retired scan for benchmarking). They are processed
-    /// in job-id (submission) order, exactly as the retired scanning
-    /// implementation did, so resubmission order — and therefore the
-    /// trace — is unchanged.
+    /// live-table scan happens. They are processed in job-id
+    /// (submission) order, so resubmission order — and therefore the
+    /// trace — does not depend on how deadlines happen to sort.
     pub fn expire_overdue(
         &mut self,
         launcher: &mut dyn Launcher,
@@ -291,31 +269,16 @@ impl JobTracker {
             return Vec::new();
         }
         let mut overdue: Vec<JobId> = Vec::new();
-        if self.linear_scan {
-            // The retired full-table scan, kept as the benchmark
-            // baseline. `now - placed > runtime × grace` is the same
-            // predicate as `deadline < now` in integer microseconds.
-            for (&id, job) in &self.live {
-                if let Some(p) = job.placed_at {
-                    if now.since(p) > job.runtime.mul_f64(self.timeout_grace) {
-                        overdue.push(id);
-                        self.deadlines
-                            .remove(&(p + job.runtime.mul_f64(self.timeout_grace), id));
-                    }
-                }
+        while let Some(&(deadline, id)) = self.deadlines.first() {
+            // A job expires strictly after its deadline
+            // (`now - placed > runtime × grace`).
+            if deadline >= now {
+                break;
             }
-        } else {
-            while let Some(&(deadline, id)) = self.deadlines.first() {
-                // `>` in the retired scan (`now - placed > runtime × grace`)
-                // means a job expires strictly after its deadline.
-                if deadline >= now {
-                    break;
-                }
-                self.deadlines.pop_first();
-                overdue.push(id);
-            }
-            overdue.sort_unstable();
+            self.deadlines.pop_first();
+            overdue.push(id);
         }
+        overdue.sort_unstable();
         let mut out = Vec::new();
         for id in overdue {
             launcher.cancel(id);
@@ -342,24 +305,10 @@ impl JobTracker {
     /// The earliest instant at which a currently-placed job becomes
     /// overdue (see [`JobTracker::expire_overdue`], whose `>` comparison
     /// means expiry happens strictly *after* this instant). `None` when
-    /// nothing is placed or the watchdog is disabled. Event-driven
-    /// drivers use this as the watchdog's next deadline instead of
-    /// scanning every tick; it is one ordered-set peek.
+    /// nothing is placed or the watchdog is disabled. The campaign clock
+    /// uses this as the watchdog's next wakeup; it is one ordered-set
+    /// peek.
     pub fn earliest_timeout(&self) -> Option<SimTime> {
-        if self.linear_scan {
-            // Retired full-table min scan (benchmark baseline).
-            if self.timeout_grace <= 0.0 {
-                return None;
-            }
-            return self
-                .live
-                .values()
-                .filter_map(|job| {
-                    job.placed_at
-                        .map(|p| p + job.runtime.mul_f64(self.timeout_grace))
-                })
-                .min();
-        }
         self.deadlines.first().map(|&(deadline, _)| deadline)
     }
 

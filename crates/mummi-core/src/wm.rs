@@ -182,7 +182,6 @@ impl<L: Launcher> WorkflowManager<L> {
                 ..TrackerConfig::new(class, shape, runtime)
             });
             t.set_timeout_grace(cfg.job_timeout_grace);
-            t.set_linear_scan(cfg.linear_scan);
             t
         };
         WorkflowManager {

@@ -162,10 +162,11 @@ pub struct ResourceGraph {
     /// commit/release/drain/undrain.
     index: FreeIndex,
     /// When set, `try_alloc` uses the retained O(n) linear matcher instead
-    /// of the segment-tree descent. The linear matcher is the differential
-    /// oracle for the index (`tests/alloc_props.rs` in `sched`) and the
-    /// pre-index engine for benchmark comparisons; both paths pick the same
-    /// nodes and report the same virtual visit counts.
+    /// of the segment-tree descent. Property-test reference only: the
+    /// linear matcher is the differential oracle for the index
+    /// (`tests/alloc_props.rs` in `sched`) and nothing else sets this;
+    /// both paths pick the same nodes and report the same virtual visit
+    /// counts.
     linear_scan: bool,
 }
 
@@ -208,15 +209,12 @@ impl ResourceGraph {
 
     /// Selects the retained O(n) linear matcher (`true`) or the indexed
     /// matcher (`false`, the default). Both produce identical allocations,
-    /// visit counts, and scan-hint state; the toggle exists so benchmarks
-    /// and property tests can compare the engines at the same seed.
+    /// visit counts, and scan-hint state. Not configuration: the toggle
+    /// exists only so `alloc_props.rs` can compare the two at the same
+    /// seed, and no campaign, service or binary reaches it.
+    #[doc(hidden)]
     pub fn set_linear_scan(&mut self, on: bool) {
         self.linear_scan = on;
-    }
-
-    /// Whether the retained linear matcher is active.
-    pub fn linear_scan(&self) -> bool {
-        self.linear_scan
     }
 
     /// Per-node `(free core mask, free GPU mask)` snapshot, in node-ID
@@ -328,14 +326,14 @@ impl ResourceGraph {
     /// Attempts to allocate `shape` under `policy`. Returns `None` when the
     /// request cannot currently be satisfied (nothing is held in that case).
     ///
-    /// Two interchangeable engines sit behind this call: the default
-    /// segment-tree descent and the retained linear scan
-    /// ([`ResourceGraph::set_linear_scan`]). Both select the lowest-ID
+    /// The matcher is the segment-tree descent; a property test can swap
+    /// in the retained linear scan as its reference
+    /// (`ResourceGraph::set_linear_scan`). Both select the lowest-ID
     /// feasible nodes and charge the *policy's* visit cost — for
     /// [`MatchPolicy::LowIdExhaustive`] that is always the full node count
     /// (the modeled Flux traversal), for [`MatchPolicy::FirstMatch`] the
-    /// span actually scanned — so virtual-time traces are byte-identical
-    /// whichever engine runs.
+    /// span actually scanned — so virtual-time traces do not depend on
+    /// which one ran.
     pub fn try_alloc(&mut self, shape: &JobShape, policy: MatchPolicy) -> Option<Alloc> {
         if self.linear_scan {
             self.try_alloc_linear(shape, policy)
@@ -345,8 +343,8 @@ impl ResourceGraph {
     }
 
     /// The retained pre-index matcher: a straight O(nodes) scan. Kept as
-    /// the differential oracle for the segment-tree path and as the
-    /// "before" engine in scale benchmarks.
+    /// the differential oracle for the segment-tree path
+    /// (`alloc_props.rs::indexed_matches_linear_oracle`), nothing else.
     fn try_alloc_linear(&mut self, shape: &JobShape, policy: MatchPolicy) -> Option<Alloc> {
         let want = shape.nodes as usize;
         if want == 0 {

@@ -5,9 +5,10 @@
 //! (ingest/match costs, coupling, completions) and executes whichever
 //! candidate the policy nominates. The FCFS path is byte-identical to
 //! the pre-policy-zoo engine, and that engine's monolithic service loop
-//! is retained verbatim behind [`SchedEngine::set_legacy_fcfs`] as the
-//! differential oracle (mirroring the linear-scan oracle kept for the
-//! indexed matcher).
+//! is retained verbatim behind `SchedEngine::set_legacy_fcfs` as a
+//! property-test reference only (`policy_props.rs`; no campaign,
+//! service or binary reaches it), mirroring the linear-scan reference
+//! kept for the indexed matcher.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
@@ -219,7 +220,8 @@ pub struct SchedEngine {
     coupling: Coupling,
     costs: Costs,
     /// Route `advance`/`next_wakeup` through the retained pre-refactor
-    /// monolith (FCFS only) — the differential oracle.
+    /// monolith (FCFS only). Property-test reference only: nothing but
+    /// `policy_props.rs` sets it.
     legacy_fcfs: bool,
     next_id: u64,
     /// Ordered by id so any iteration visits jobs in submission order —
@@ -360,18 +362,16 @@ impl SchedEngine {
     /// Routes service selection through the retained pre-refactor FCFS
     /// monolith — the differential oracle for the policy split. Only
     /// meaningful under [`SchedPolicy::Fcfs`]; same-seed runs must trace
-    /// byte-identically with this on or off.
+    /// byte-identically with this on or off. Not configuration: it exists
+    /// only so `policy_props.rs::fcfs_matches_the_legacy_monolith` can
+    /// compare the two.
+    #[doc(hidden)]
     pub fn set_legacy_fcfs(&mut self, on: bool) {
         debug_assert!(
             !on || self.sched_policy == SchedPolicy::Fcfs,
             "the legacy path models FCFS only"
         );
         self.legacy_fcfs = on;
-    }
-
-    /// Whether the retained legacy FCFS path is active.
-    pub fn legacy_fcfs(&self) -> bool {
-        self.legacy_fcfs
     }
 
     /// Starts (or stops) recording submissions, cancels, and node

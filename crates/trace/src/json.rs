@@ -1,17 +1,17 @@
 //! A minimal JSON value: strict parser plus stable-order serializer.
 //!
 //! Producers across the workspace hand-write their JSON (stable field
-//! order, no dependency risk), but two consumers need to read it back:
-//! the bench crate's append-don't-clobber `BENCH_scale.json` merge, and
-//! the farm's JSON-over-TCP wire protocol. This is a small strict
-//! recursive-descent parser over the JSON grammar: objects, arrays,
-//! strings (with escape sequences), f64 numbers, booleans, and null. It
-//! lives here — the lowest shared layer — so neither consumer grows a
-//! serde dependency or a copy of its own.
+//! order, no dependency risk), but the farm's JSON-over-TCP wire
+//! protocol (server, client and the bench/benchmark drivers that speak
+//! it) needs to read it back. This is a small strict recursive-descent
+//! parser over the JSON grammar: objects, arrays, strings (with escape
+//! sequences), f64 numbers, booleans, and null. It lives here — the
+//! lowest shared layer — so no consumer grows a serde dependency or a
+//! copy of its own.
 
 use std::collections::BTreeMap;
 
-/// A parsed JSON value. Numbers are kept as `f64` — the bench files only
+/// A parsed JSON value. Numbers are kept as `f64` — the wire forms only
 /// carry counters and timings, all exactly representable.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
