@@ -49,6 +49,7 @@ fn time_to_place(nodes: u32, policy: MatchPolicy, coupling: Coupling) -> (u64, f
 }
 
 fn main() {
+    mummi_bench::Flags::from_env(&[], &[]);
     println!("# Scheduler design sweep: hours to place a full GPU partition");
     println!("# (submission throttled at 100 jobs/min; submission alone takes jobs/100/60 h)\n");
     println!("nodes\tjobs\tsync+lowid\tsync+first\tasync+lowid\tasync+first");

@@ -28,6 +28,7 @@ fn frame(i: usize) -> CgFrame {
 }
 
 fn main() {
+    mummi_bench::Flags::from_env(&[], &[]);
     let n_frames = 4000; // one iteration at 3600 running CG sims
     println!("# CG→continuum feedback: one iteration over {n_frames} frames\n");
 

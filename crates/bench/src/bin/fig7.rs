@@ -18,6 +18,7 @@ use mummi_bench::print_series;
 const VALUE_BYTES: usize = 17 * 1024;
 
 fn main() {
+    mummi_bench::Flags::from_env(&[], &[]);
     let sizes = [
         5_000u64, 10_000, 20_000, 30_000, 40_000, 50_000, 60_000, 70_000,
     ];

@@ -10,6 +10,7 @@ use mummi_bench::print_series;
 use simcore::{Histogram, SimDuration};
 
 fn main() {
+    mummi_bench::Flags::from_env(&[], &[]);
     let mut model = FeedbackTimingModel::campaign(42);
     // A campaign's worth of iterations: 10-minute cadence over ~3 months of
     // active 1000-node operation, at the 2400-AA-sims typical load.

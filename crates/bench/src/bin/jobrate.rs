@@ -19,6 +19,7 @@ use simcore::{SimDuration, SimTime};
 const PRIOR_JOBS_PER_MIN: f64 = 2040.0 / 60.0;
 
 fn main() {
+    mummi_bench::Flags::from_env(&[], &[]);
     println!("# Job placement rates (1000-node allocation, campaign scheduler costs)\n");
 
     // Submit at the campaign's throttled 100 jobs/min and verify the

@@ -16,6 +16,7 @@ use dynim::{
 };
 
 fn main() {
+    mummi_bench::Flags::from_env(&[], &[]);
     println!("# selector capacity at a fixed update budget\n");
 
     // FPS at the paper's per-queue cap.

@@ -16,6 +16,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn main() {
+    mummi_bench::Flags::from_env(&[], &[]);
     println!("# Binned sampler ablation: importance vs randomness\n");
     println!("importance\trare_selected_of_200\trare_fraction\tcommon_fraction");
 

@@ -14,6 +14,7 @@ use rand::SeedableRng;
 use taridx::IndexedTar;
 
 fn main() {
+    mummi_bench::Flags::from_env(&[], &[]);
     // Inode reduction at campaign scale (arithmetic on the real numbers).
     let files: u64 = 1_034_232_900;
     let archives: u64 = 114_552;

@@ -1,5 +1,5 @@
 //! A small blocking client for the farm wire protocol, used by the
-//! integration tests and `farm_bench`.
+//! integration tests and `benchmark/`.
 //!
 //! One [`FarmClient`] holds one request/response connection. Event
 //! streaming ([`FarmClient::stream_until`]) opens a dedicated connection

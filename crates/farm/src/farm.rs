@@ -168,7 +168,8 @@ pub struct FarmStats {
     pub kills_fired: u64,
     /// Kills that landed on a worker with a leg in flight. Each owes
     /// exactly one checkpoint recovery, so once the farm drains,
-    /// `recoveries == kills_mid_leg` (asserted by `farm_bench`).
+    /// `recoveries == kills_mid_leg` (asserted by the service suite's
+    /// worker-kill test).
     pub kills_mid_leg: u64,
     /// Kills that landed on an idle worker (replacement spawned, no
     /// recovery owed).

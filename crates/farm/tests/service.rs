@@ -258,6 +258,16 @@ fn worker_kills_recover_from_checkpoints_with_conserved_ledgers() {
         3 + stats.kills_fired,
         "every kill spawned a replacement"
     );
+    assert_eq!(stats.completed, 3);
+    assert_eq!(
+        stats.kills_mid_leg + stats.kills_idle,
+        stats.kills_fired,
+        "every kill landed mid-leg or on an idle worker"
+    );
+    assert_eq!(
+        stats.recoveries, stats.kills_mid_leg,
+        "every mid-leg kill owed exactly one checkpoint recovery"
+    );
 
     // Phase 2: a kill aimed at a leg that has already logged its
     // first_placement, via the admin op. The test thread races the leg

@@ -11,9 +11,10 @@
 //!
 //! Pipelining: [`StoreClient::call_pipelined`] writes every request
 //! frame before reading any response, then matches responses back by
-//! sequence id. One round trip amortized over the whole batch is where
-//! the ≥5× over ping-pong in `BENCH_store.json` comes from — the same
-//! effect the paper got from Redis pipelining on Summit's spine.
+//! sequence id: one flush, so one round trip of latency, for the whole
+//! batch — the same effect the paper got from Redis pipelining on
+//! Summit's spine. `tests/wire.rs::pipelining_and_batching_cost_one_round_trip`
+//! pins the counts exactly.
 
 use bytes::Bytes;
 use std::collections::VecDeque;

@@ -7,8 +7,9 @@
 //! whole burst of writes (group commit), and a response on the wire
 //! always means the write survives a crash. A ping-pong client gets a
 //! sync per op; a depth-64 pipeliner gets a sync per 64. That, not
-//! protocol overhead, is where the pipelined speedup in
-//! `BENCH_store.json` comes from on the durable path.
+//! protocol overhead, is where pipelining pays on the durable path: the
+//! client side sends a depth-64 batch in one flush
+//! (`tests/wire.rs::pipelining_and_batching_cost_one_round_trip`).
 //!
 //! Chaos hooks: a [`DropSchedule`] built from seeded global op indices
 //! severs the connection *after* the victim op is applied and synced but

@@ -1,11 +1,13 @@
 //! Wire-level integration: TCP round trips, pipelining, typed errors,
-//! and TCP/loopback parity.
+//! TCP/loopback parity, and the exact round-trip counts behind the
+//! pipelining and batching claims.
 
 use bytes::Bytes;
-use std::sync::Arc;
+use std::io;
+use std::sync::{Arc, Mutex};
 
 use storeserver::proto::{Request, Response};
-use storeserver::{StoreClient, StoreEngine, StoreError, StoreServer};
+use storeserver::{StoreClient, StoreEngine, StoreError, StoreServer, TcpTransport, Transport};
 
 fn serve(shards: usize) -> (StoreServer, StoreClient) {
     let engine = Arc::new(StoreEngine::in_memory(shards));
@@ -187,4 +189,112 @@ fn loopback_and_tcp_agree_on_every_op() {
         assert_eq!(a, b, "transports diverged on {req:?}");
     }
     server.stop();
+}
+
+/// Frames sent and flushes issued through one client.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct Trips {
+    frames: u64,
+    flushes: u64,
+}
+
+/// A [`TcpTransport`] that counts what the client pushes through it. A
+/// flush is one trip to the peer, so the counts are the latency story
+/// with no host clock in it.
+struct CountingTransport {
+    inner: TcpTransport,
+    trips: Arc<Mutex<Trips>>,
+}
+
+impl Transport for CountingTransport {
+    fn send(&mut self, frame: &[u8]) -> io::Result<()> {
+        self.trips.lock().unwrap().frames += 1;
+        self.inner.send(frame)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.trips.lock().unwrap().flushes += 1;
+        self.inner.flush()
+    }
+
+    fn recv(&mut self) -> io::Result<(u64, u8, Vec<u8>)> {
+        self.inner.recv()
+    }
+}
+
+/// Runs `ops` against a fresh server through a counting client and
+/// returns the frames and flushes it took.
+fn trips(ops: impl FnOnce(&mut StoreClient)) -> Trips {
+    let engine = Arc::new(StoreEngine::in_memory(4));
+    let server = StoreServer::start(engine, "127.0.0.1:0").expect("bind loopback");
+    let counts = Arc::new(Mutex::new(Trips::default()));
+    let mut c = StoreClient::over(Box::new(CountingTransport {
+        inner: TcpTransport::connect(server.addr()).expect("connect"),
+        trips: Arc::clone(&counts),
+    }));
+    ops(&mut c);
+    drop(c);
+    server.stop();
+    let got = *counts.lock().unwrap();
+    got
+}
+
+#[test]
+fn pipelining_and_batching_cost_one_round_trip() {
+    let keys: Vec<String> = (0..64).map(|i| format!("k:{{t{i}}}")).collect();
+    let gets: Vec<Request> = keys
+        .iter()
+        .map(|k| Request::Get { key: k.clone() })
+        .collect();
+
+    // Depth-64 pipelined GETs: every frame written, one flush.
+    let pipelined = trips(|c| {
+        let out = c.call_pipelined(&gets).unwrap();
+        assert_eq!(out.len(), 64);
+    });
+    assert_eq!(
+        pipelined,
+        Trips {
+            frames: 64,
+            flushes: 1
+        }
+    );
+    // The same GETs ping-pong: one flush each.
+    let ping_pong = trips(|c| {
+        for k in &keys {
+            assert!(c.get(k).unwrap().is_none());
+        }
+    });
+    assert_eq!(
+        ping_pong,
+        Trips {
+            frames: 64,
+            flushes: 64
+        }
+    );
+
+    let pairs: Vec<(String, Bytes)> = (0..256)
+        .map(|i| (format!("p:{{t{i}}}"), Bytes::from(vec![i as u8; 32])))
+        .collect();
+    // put_many: the whole batch is one frame and one flush.
+    let batched = trips(|c| assert_eq!(c.put_many(pairs.clone()).unwrap(), 256));
+    assert_eq!(
+        batched,
+        Trips {
+            frames: 1,
+            flushes: 1
+        }
+    );
+    let single = trips(|c| {
+        for (k, v) in &pairs {
+            assert!(c.put(k, v.clone()).unwrap());
+        }
+    });
+    assert_eq!(
+        single,
+        Trips {
+            frames: 256,
+            flushes: 256
+        }
+    );
 }
