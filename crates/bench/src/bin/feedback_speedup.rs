@@ -59,12 +59,13 @@ fn main() {
         kv.write(mummi_core::ns::RDF_NEW, &f.id, &f.encode())
             .expect("write");
     }
-    kv.client().reset_virtual();
+    let in_process = "over_with_latency builds the in-process engine";
+    kv.client().expect(in_process).reset_virtual();
     let mut fb = CgToContinuumFeedback::new(4);
     let t0 = std::time::Instant::now();
     let out = fb.iterate(&mut kv).expect("iterate");
     let kv_measured = t0.elapsed().as_secs_f64();
-    let kv_total = kv_measured + kv.client().virtual_ns() as f64 * 1e-9;
+    let kv_total = kv_measured + kv.client().expect(in_process).virtual_ns() as f64 * 1e-9;
     assert_eq!(out.processed, n_frames);
 
     println!("backend     measured     +modeled access     total");

@@ -10,7 +10,7 @@ use rand::{Rng, SeedableRng};
 
 use cg::CgFrame;
 use chaos::{FaultKind, FaultPlan, MonotonicWatch, RunLedger};
-use datastore::{DataStore, FaultWindow, KvDataStore, RemoteDataStore, ScheduledFaultStore};
+use datastore::{DataStore, FaultWindow, KvDataStore, ScheduledFaultStore};
 use mummi_core::app3;
 use mummi_core::{RuntimeModel, WmCheckpoint, WmConfig, WmEvent, WorkflowManager};
 use resources::{JobShape, MachineSpec, MatchPolicy, ResourceGraph};
@@ -560,18 +560,12 @@ impl Campaign {
     ) -> RunReport {
         // 20 shards either way — the paper's 20 Redis nodes. The tracer
         // is installed before the fault-window wrapper takes the store.
-        match self.cfg.store_backend {
-            StoreBackend::InProcess => {
-                let mut store = KvDataStore::new(20);
-                store.set_tracer(self.tracer.clone());
-                RunSim::start(self, store, machine, hours, control).run()
-            }
-            StoreBackend::Loopback => {
-                let mut store = RemoteDataStore::loopback(20);
-                store.set_tracer(self.tracer.clone());
-                RunSim::start(self, store, machine, hours, control).run()
-            }
-        }
+        let mut store = match self.cfg.store_backend {
+            StoreBackend::InProcess => KvDataStore::new(20),
+            StoreBackend::Loopback => KvDataStore::loopback(20),
+        };
+        store.set_tracer(self.tracer.clone());
+        RunSim::start(self, store, machine, hours, control).run()
     }
 
     /// GPUs the CG partition aims to fill on a machine of `total_gpus`.
@@ -704,10 +698,10 @@ impl Campaign {
 }
 
 /// One allocation in flight: the state [`Campaign::execute_run_controlled_on`]
-/// threads through its loop, generic over the feedback-store backend.
+/// threads through its loop.
 /// [`RunSim::run`] names the phases of a driver pass; their order is the
 /// tie-break contract documented in [`crate::driver`].
-struct RunSim<'c, S: DataStore> {
+struct RunSim<'c> {
     camp: &'c mut Campaign,
     control: &'c RunControl,
     /// Outlives the first engine: every crash-point restore rebuilds
@@ -722,7 +716,7 @@ struct RunSim<'c, S: DataStore> {
     make_model: ModelFactory,
     samples: PerfSamples,
     wm: CampaignWm,
-    store: ScheduledFaultStore<S>,
+    store: ScheduledFaultStore<KvDataStore>,
     cont_nodes: u32,
     cont_perf: ContinuumPerf,
     /// The live continuum job (resubmitted by each crash restore).
@@ -734,8 +728,7 @@ struct RunSim<'c, S: DataStore> {
     plan_q: EventQueue<FaultKind>,
     /// Hardware attrition as a pre-seeded Poisson process on its own
     /// seed stream: the (time, node) failure history is a function of
-    /// the run seed and daily rate alone, invariant to the poll cadence
-    /// and to the drive mode.
+    /// the run seed and daily rate alone, invariant to the poll cadence.
     failures: FailureProcess,
     /// Optional background workload: an extra job stream submitted
     /// straight to the scheduler on its own seed stream. The WM never
@@ -775,13 +768,13 @@ struct RunSim<'c, S: DataStore> {
     wm_events: Vec<WmEvent>,
 }
 
-impl<'c, S: DataStore> RunSim<'c, S> {
+impl<'c> RunSim<'c> {
     /// Sets up one allocation of `hours` virtual hours on `machine`,
     /// restoring from the campaign's checkpoint, over `inner_store`
     /// (tracer already installed).
     fn start(
         camp: &'c mut Campaign,
-        inner_store: S,
+        inner_store: KvDataStore,
         machine: MachineSpec,
         hours: u64,
         control: &'c RunControl,

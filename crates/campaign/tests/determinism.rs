@@ -140,7 +140,7 @@ mod traced {
 
         // The series must survive the JSONL round trip too: what a
         // `--trace` file holds is enough to regenerate Figure 5.
-        let reparsed = derive::parse_jsonl(&c.tracer().to_jsonl());
+        let reparsed = derive::events_from_jsonl(&c.tracer().to_jsonl());
         let from_file = derive::occupancy_profiler(&reparsed);
         assert_eq!(from_file.samples(), c.profiler().samples());
     }
@@ -149,7 +149,7 @@ mod traced {
     fn figure6_timelines_rebuild_exactly_from_trace() {
         let mut c = traced_campaign(23);
         let report = c.execute_run(100, 4);
-        let events = derive::parse_jsonl(&c.tracer().to_jsonl());
+        let events = derive::events_from_jsonl(&c.tracer().to_jsonl());
         let cg = derive::timeline(&events, "cg");
         let aa = derive::timeline(&events, "aa");
         assert!(!cg.points().is_empty());

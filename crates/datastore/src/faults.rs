@@ -1,16 +1,18 @@
 //! Deterministic fault injection for resilience testing.
 //!
 //! The paper stresses that MuMMI "can be restored completely after any such
-//! crash without much loss of data". [`FailingStore`] wraps any backend and
-//! fails operations on a deterministic schedule so tests can exercise the
-//! retry/armoring and producer/consumer wait paths. [`ScheduledFaultStore`]
-//! generalizes it from a fixed period to virtual-time fault windows (the
-//! form serialized in `chaos` fault plans): inside a window, the targeted
-//! operation fails periodically and is slowed by a configured latency.
+//! crash without much loss of data". [`ScheduledFaultStore`] wraps any
+//! backend and fails operations on a deterministic schedule so tests can
+//! exercise the retry/armoring and producer/consumer wait paths. The
+//! schedule is a list of virtual-time fault windows (the form serialized in
+//! `chaos` fault plans): inside a window, the targeted operation fails
+//! periodically and is slowed by a configured latency. A window that is
+//! always open ([`FaultWindow::always`]) is the plain "every `period`-th
+//! call fails" injector.
 
 use simcore::{SimDuration, SimTime};
 
-use crate::store::{BackendKind, DataStore};
+use crate::store::DataStore;
 use crate::{DataError, Result};
 
 /// Which operations the injector can fail.
@@ -56,134 +58,6 @@ impl Op {
     }
 }
 
-/// A wrapper that fails every `period`-th call of the targeted operation.
-///
-/// With `period == 3`, targeted calls 3, 6, 9, … fail. A `period` of 0
-/// disables injection.
-///
-/// Per-op counting semantics: **every** fallible call — `write`, `read`,
-/// `move_ns`, `delete`, `flush` — increments its own slot in
-/// [`FailingStore::op_counts`] exactly once per call, whether or not the
-/// op is the injection target. The failure schedule is driven solely by
-/// the targeted op's own counter, so untargeted traffic never shifts it,
-/// and `injected()` always equals `op_counts()[target] / period`
-/// (integer division).
-#[derive(Debug)]
-pub struct FailingStore<S> {
-    inner: S,
-    target: Op,
-    period: u64,
-    counts: [u64; OP_COUNT],
-    injected: u64,
-}
-
-impl<S: DataStore> FailingStore<S> {
-    /// Wraps `inner`, failing every `period`-th `target` operation.
-    pub fn new(inner: S, target: Op, period: u64) -> FailingStore<S> {
-        FailingStore {
-            inner,
-            target,
-            period,
-            counts: [0; OP_COUNT],
-            injected: 0,
-        }
-    }
-
-    /// Number of faults injected so far.
-    pub fn injected(&self) -> u64 {
-        self.injected
-    }
-
-    /// Calls observed per op, indexed by `Op as usize`. Every fallible
-    /// call is counted, targeted or not.
-    pub fn op_counts(&self) -> [u64; OP_COUNT] {
-        self.counts
-    }
-
-    /// Calls observed for one op. (Named `op_count` so it cannot shadow
-    /// the [`DataStore::count`] trait method on the wrapper.)
-    pub fn op_count(&self, op: Op) -> u64 {
-        self.counts[op as usize]
-    }
-
-    /// Consumes the wrapper, returning the inner store.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-
-    /// Direct access to the wrapped store.
-    pub fn inner_mut(&mut self) -> &mut S {
-        &mut self.inner
-    }
-
-    fn should_fail(&mut self, op: Op) -> bool {
-        let slot = op as usize;
-        self.counts[slot] += 1;
-        if op != self.target || self.period == 0 {
-            return false;
-        }
-        if self.counts[slot].is_multiple_of(self.period) {
-            self.injected += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn fault(op: Op) -> DataError {
-        DataError::Injected(format!("scheduled fault on {op:?}"))
-    }
-}
-
-impl<S: DataStore> DataStore for FailingStore<S> {
-    fn kind(&self) -> BackendKind {
-        self.inner.kind()
-    }
-
-    fn write(&mut self, ns: &str, key: &str, data: &[u8]) -> Result<()> {
-        if self.should_fail(Op::Write) {
-            return Err(Self::fault(Op::Write));
-        }
-        self.inner.write(ns, key, data)
-    }
-
-    fn read(&mut self, ns: &str, key: &str) -> Result<Vec<u8>> {
-        if self.should_fail(Op::Read) {
-            return Err(Self::fault(Op::Read));
-        }
-        self.inner.read(ns, key)
-    }
-
-    fn exists(&mut self, ns: &str, key: &str) -> bool {
-        self.inner.exists(ns, key)
-    }
-
-    fn list(&mut self, ns: &str) -> Result<Vec<String>> {
-        self.inner.list(ns)
-    }
-
-    fn move_ns(&mut self, key: &str, from: &str, to: &str) -> Result<()> {
-        if self.should_fail(Op::MoveNs) {
-            return Err(Self::fault(Op::MoveNs));
-        }
-        self.inner.move_ns(key, from, to)
-    }
-
-    fn delete(&mut self, ns: &str, key: &str) -> Result<bool> {
-        if self.should_fail(Op::Delete) {
-            return Err(Self::fault(Op::Delete));
-        }
-        self.inner.delete(ns, key)
-    }
-
-    fn flush(&mut self) -> Result<()> {
-        if self.should_fail(Op::Flush) {
-            return Err(Self::fault(Op::Flush));
-        }
-        self.inner.flush()
-    }
-}
-
 /// One scheduled fault window: between `from` (inclusive) and `until`
 /// (exclusive) in virtual time, every `period`-th call of `op` fails, and
 /// every call of `op` is charged `extra_latency` of virtual I/O delay.
@@ -203,6 +77,19 @@ pub struct FaultWindow {
 }
 
 impl FaultWindow {
+    /// A window open for all of virtual time that fails every
+    /// `period`-th `op` call and adds no latency. Its hit counter is the
+    /// op's call count, so calls `period`, `2 * period`, … fail.
+    pub fn always(op: Op, period: u64) -> FaultWindow {
+        FaultWindow {
+            from: SimTime::ZERO,
+            until: SimTime::MAX,
+            op,
+            period,
+            extra_latency: SimDuration::ZERO,
+        }
+    }
+
     fn active(&self, now: SimTime, op: Op) -> bool {
         self.op == op && self.from <= now && now < self.until
     }
@@ -213,10 +100,13 @@ impl FaultWindow {
 /// [`FaultWindow`]s are open. With no windows it is an exact passthrough,
 /// so a campaign can always run behind it.
 ///
-/// Counting follows [`FailingStore`] semantics: every fallible call
-/// increments its per-op counter exactly once; each window additionally
-/// counts the targeted calls it saw, drives its failure schedule from
-/// that private counter, and the totals satisfy
+/// Counting: **every** fallible call — `write`, `read`, `move_ns`,
+/// `delete`, `flush` — increments its own slot in
+/// [`ScheduledFaultStore::op_counts`] exactly once, whether or not any
+/// window targets it. Each window additionally counts the targeted calls
+/// it saw and drives its failure schedule from that private counter, so
+/// traffic outside the window (or on other ops) never shifts it. When no
+/// two windows fail the same call, the totals satisfy
 /// `injected() == Σ_w (window_hits(w) / period(w))`.
 #[derive(Debug)]
 pub struct ScheduledFaultStore<S> {
@@ -305,10 +195,6 @@ impl<S: DataStore> ScheduledFaultStore<S> {
 }
 
 impl<S: DataStore> DataStore for ScheduledFaultStore<S> {
-    fn kind(&self) -> BackendKind {
-        self.inner.kind()
-    }
-
     fn write(&mut self, ns: &str, key: &str, data: &[u8]) -> Result<()> {
         if self.should_fail(Op::Write) {
             return Err(Self::fault(Op::Write));
@@ -358,9 +244,14 @@ mod tests {
     use super::*;
     use crate::kv::KvDataStore;
 
+    /// The plain periodic injector: one always-open window.
+    pub(super) fn periodic(op: Op, period: u64) -> ScheduledFaultStore<KvDataStore> {
+        ScheduledFaultStore::new(KvDataStore::new(2), vec![FaultWindow::always(op, period)])
+    }
+
     #[test]
     fn fails_on_schedule() {
-        let mut s = FailingStore::new(KvDataStore::new(2), Op::Write, 3);
+        let mut s = periodic(Op::Write, 3);
         let mut results = Vec::new();
         for i in 0..9 {
             results.push(s.write("ns", &format!("k{i}"), b"v").is_ok());
@@ -374,17 +265,21 @@ mod tests {
 
     #[test]
     fn zero_period_never_fails() {
-        let mut s = FailingStore::new(KvDataStore::new(2), Op::Write, 0);
+        let mut s = periodic(Op::Write, 0);
         for i in 0..10 {
             assert!(s.write("ns", &format!("k{i}"), b"v").is_ok());
         }
         assert_eq!(s.injected(), 0);
-        assert_eq!(s.op_count(Op::Write), 10, "untargeted counting still exact");
+        assert_eq!(
+            s.op_counts()[Op::Write as usize],
+            10,
+            "untargeted counting still exact"
+        );
     }
 
     #[test]
     fn only_targeted_op_fails() {
-        let mut s = FailingStore::new(KvDataStore::new(2), Op::Read, 1);
+        let mut s = periodic(Op::Read, 1);
         assert!(s.write("ns", "k", b"v").is_ok());
         assert!(matches!(s.read("ns", "k"), Err(DataError::Injected(_))));
         // Untargeted ops pass through.
@@ -393,7 +288,7 @@ mod tests {
 
     #[test]
     fn every_op_is_counted_exactly_once_per_call() {
-        let mut s = FailingStore::new(KvDataStore::new(2), Op::Read, 0);
+        let mut s = periodic(Op::Read, 0);
         s.write("a", "k", b"v").unwrap();
         s.write("a", "k2", b"v").unwrap();
         s.read("a", "k").unwrap();
@@ -402,15 +297,13 @@ mod tests {
         s.flush().unwrap();
         s.flush().unwrap();
         assert_eq!(s.op_counts(), [2, 1, 1, 1, 2]);
-        assert_eq!(s.op_count(Op::Flush), 2);
-        assert_eq!(s.op_count(Op::MoveNs), 1);
     }
 
     #[test]
     fn untargeted_traffic_does_not_shift_the_schedule() {
         // flush/move_ns between writes must not advance the Write schedule.
-        let mut with_noise = FailingStore::new(KvDataStore::new(2), Op::Write, 2);
-        let mut quiet = FailingStore::new(KvDataStore::new(2), Op::Write, 2);
+        let mut with_noise = periodic(Op::Write, 2);
+        let mut quiet = periodic(Op::Write, 2);
         let mut noisy_results = Vec::new();
         let mut quiet_results = Vec::new();
         for i in 0..6 {
@@ -426,7 +319,7 @@ mod tests {
     #[test]
     fn retry_after_fault_succeeds() {
         // Period 2: every second read fails; a retry loop makes progress.
-        let mut s = FailingStore::new(KvDataStore::new(2), Op::Read, 2);
+        let mut s = periodic(Op::Read, 2);
         s.write("ns", "k", b"v").unwrap();
         // Advance the schedule so the loop's first attempt is the failing one.
         assert!(s.read("ns", "k").is_ok());
@@ -523,11 +416,12 @@ mod tests {
 
 #[cfg(test)]
 mod prop_tests {
+    use super::tests::periodic;
     use super::*;
     use crate::kv::KvDataStore;
     use proptest::prelude::*;
 
-    fn is_injected(s: &mut FailingStore<KvDataStore>, op: Op, i: usize) -> bool {
+    fn is_injected(s: &mut ScheduledFaultStore<KvDataStore>, op: Op, i: usize) -> bool {
         let key = format!("k{i}");
         let r = match op {
             Op::Write => s.write("ns", &key, b"v").err(),
@@ -551,7 +445,7 @@ mod prop_tests {
         ) {
             let all = [Op::Write, Op::Read, Op::MoveNs, Op::Delete, Op::Flush];
             let target = all[target];
-            let mut s = FailingStore::new(KvDataStore::new(2), target, period);
+            let mut s = periodic(target, period);
             let mut expected = [0u64; OP_COUNT];
             let mut injected = 0u64;
             for (i, &oi) in ops.iter().enumerate() {

@@ -11,7 +11,7 @@ use std::path::{Path, PathBuf};
 
 use trace::Tracer;
 
-use crate::store::{BackendKind, DataStore};
+use crate::store::DataStore;
 use crate::{DataError, Result};
 
 /// Direct-filesystem store: `root/<ns>/<key>` files.
@@ -125,10 +125,6 @@ impl FsStore {
 }
 
 impl DataStore for FsStore {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Filesystem
-    }
-
     fn write(&mut self, ns: &str, key: &str, data: &[u8]) -> Result<()> {
         let dir = self.ns_dir(ns);
         let mut attempts = 0;

@@ -1,4 +1,5 @@
-//! Generic data management: one abstract interface, three backends.
+//! Generic data management: one abstract interface, three backends and a
+//! tier combinator.
 //!
 //! §4.2 of the paper: "Rather than speculating on all possible scenarios and
 //! creating tailored implementations, we have developed an abstract notion of
@@ -11,11 +12,12 @@
 //!   (bounded retries) and optional checkpoint backups;
 //! - [`TarStore`] — one [`taridx::IndexedTar`] archive per namespace,
 //!   append-only, for the billion-file problem;
-//! - [`KvDataStore`] — a [`kvstore`] cluster, for high-throughput in-situ
-//!   feedback data;
-//! - [`TieredStore`] — the §6 RAM-disk/GPFS pair: a fast tier absorbing
-//!   all traffic with selected namespaces written through to a durable
-//!   tier.
+//! - [`KvDataStore`] — key-value storage for high-throughput in-situ
+//!   feedback data, over either the in-process [`kvstore`] cluster or the
+//!   networked [`storeserver`] tier (loopback or TCP);
+//! - [`TieredStore`] — not a backend but a pair of them, the §6
+//!   RAM-disk/GPFS arrangement: a fast tier absorbing all traffic with
+//!   selected namespaces written through to a durable tier.
 //!
 //! The namespace-move operation ([`DataStore::move_ns`]) is the paper's
 //! frame-tagging primitive: processed items are moved out of the live
@@ -43,16 +45,14 @@ pub mod codec;
 pub mod faults;
 mod fs;
 mod kv;
-mod remote;
 mod store;
 mod tar;
 mod tiered;
 
-pub use faults::{FailingStore, FaultWindow, Op, ScheduledFaultStore, OP_COUNT};
+pub use faults::{FaultWindow, Op, ScheduledFaultStore, OP_COUNT};
 pub use fs::FsStore;
-pub use kv::KvDataStore;
-pub use remote::RemoteDataStore;
-pub use store::{BackendKind, DataStore};
+pub use kv::{KvDataStore, RemoteDataStore};
+pub use store::DataStore;
 pub use tar::TarStore;
 pub use tiered::TieredStore;
 

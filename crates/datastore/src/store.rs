@@ -2,31 +2,6 @@
 
 use crate::Result;
 
-/// Which backend a store is (the paper's "single configuration switch").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BackendKind {
-    /// Direct filesystem files.
-    Filesystem,
-    /// Indexed tar archives.
-    Taridx,
-    /// In-memory key-value cluster.
-    Redis,
-    /// Networked sharded store tier (wire protocol + WAL durability).
-    RemoteKv,
-}
-
-impl BackendKind {
-    /// Short stable name for configs and logs.
-    pub fn name(self) -> &'static str {
-        match self {
-            BackendKind::Filesystem => "filesystem",
-            BackendKind::Taridx => "taridx",
-            BackendKind::Redis => "redis",
-            BackendKind::RemoteKv => "remote-kv",
-        }
-    }
-}
-
 /// Abstract, namespaced binary storage.
 ///
 /// A *namespace* groups related items (e.g. `rdf-new`, `rdf-done`,
@@ -38,9 +13,6 @@ impl BackendKind {
 /// external lock, mirroring MuMMI's "thread-safe objects … with a mix of
 /// blocking and nonblocking locks".
 pub trait DataStore: Send {
-    /// Backend identity.
-    fn kind(&self) -> BackendKind;
-
     /// Writes `data` under `ns/key`, overwriting any existing item.
     fn write(&mut self, ns: &str, key: &str, data: &[u8]) -> Result<()>;
 
@@ -85,18 +57,5 @@ pub trait DataStore: Send {
             self.move_ns(k, from, to)?;
         }
         Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn backend_names_are_stable() {
-        assert_eq!(BackendKind::Filesystem.name(), "filesystem");
-        assert_eq!(BackendKind::Taridx.name(), "taridx");
-        assert_eq!(BackendKind::Redis.name(), "redis");
-        assert_eq!(BackendKind::RemoteKv.name(), "remote-kv");
     }
 }

@@ -10,7 +10,7 @@ use std::path::{Path, PathBuf};
 
 use taridx::IndexedTar;
 
-use crate::store::{BackendKind, DataStore};
+use crate::store::DataStore;
 use crate::{DataError, Result};
 
 /// A store backed by one [`IndexedTar`] archive per namespace, living under
@@ -73,10 +73,6 @@ impl TarStore {
 }
 
 impl DataStore for TarStore {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Taridx
-    }
-
     fn write(&mut self, ns: &str, key: &str, data: &[u8]) -> Result<()> {
         self.archive(ns)?.append(key, data)?;
         Ok(())

@@ -13,7 +13,7 @@
 //! frames). Reads prefer the fast tier and fall back to the durable one —
 //! the recovery path after a node loss wipes the RAM disk.
 
-use crate::store::{BackendKind, DataStore};
+use crate::store::DataStore;
 use crate::{DataError, Result};
 
 /// A two-tier store: fast front, durable back.
@@ -73,10 +73,6 @@ impl<F: DataStore, D: DataStore> TieredStore<F, D> {
 }
 
 impl<F: DataStore, D: DataStore> DataStore for TieredStore<F, D> {
-    fn kind(&self) -> BackendKind {
-        self.fast.kind()
-    }
-
     fn write(&mut self, ns: &str, key: &str, data: &[u8]) -> Result<()> {
         self.fast.write(ns, key, data)?;
         self.writes_fast += 1;

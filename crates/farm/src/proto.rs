@@ -71,38 +71,63 @@ pub enum Request {
     Shutdown,
 }
 
-fn u64_field(obj: &Json, key: &str) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(Json::as_f64)
-        .map(|f| f as u64)
-        .ok_or_else(|| format!("missing or non-numeric field {key:?}"))
+/// 2^53: past it, adjacent f64 values are more than 1 apart, so a JSON
+/// number no longer names a single integer.
+const MAX_EXACT_INT: u64 = 1 << 53;
+
+/// The most whole hours a [`simcore::SimTime`] holds (it counts
+/// microseconds in a `u64`).
+const MAX_HOURS: u64 = u64::MAX / 3_600_000_000;
+
+/// Reads a JSON number (an f64) as an integer in `0..=max`: it must be
+/// finite, non-negative, integral and at most 2^53. Anything else is an
+/// error naming `what`, never a truncating or saturating cast.
+fn whole(v: f64, what: &str, max: u64) -> Result<u64, String> {
+    let max = max.min(MAX_EXACT_INT);
+    if v.is_finite() && v >= 0.0 && v.fract() == 0.0 && v <= max as f64 {
+        Ok(v as u64)
+    } else {
+        Err(format!(
+            "{what} must be a whole number from 0 to {max}, got {v}"
+        ))
+    }
 }
 
-fn opt_u64_field(obj: &Json, key: &str) -> Result<Option<u64>, String> {
+fn u64_field(obj: &Json, key: &str, max: u64) -> Result<u64, String> {
+    let v = obj
+        .get(key)
+        .and_then(Json::as_f64)
+        .ok_or_else(|| format!("missing or non-numeric field {key:?}"))?;
+    whole(v, &format!("field {key:?}"), max)
+}
+
+fn opt_u64_field(obj: &Json, key: &str, max: u64) -> Result<Option<u64>, String> {
     match obj.get(key) {
         None => Ok(None),
-        Some(v) => v
-            .as_f64()
-            .map(|f| Some(f as u64))
-            .ok_or_else(|| format!("field {key:?} must be a number")),
+        Some(Json::Num(_)) => u64_field(obj, key, max).map(Some),
+        Some(_) => Err(format!("field {key:?} must be a number")),
     }
 }
 
 /// Applies one config override. Numbers arrive as f64 (the JSON number
-/// type); integral fields truncate. Unknown keys are errors.
+/// type); integral fields accept only whole numbers that fit. Unknown
+/// keys are errors.
 fn apply_override(cfg: &mut CampaignConfig, key: &str, v: &Json) -> Result<(), String> {
     let num = || {
         v.as_f64()
             .ok_or_else(|| format!("config.{key} must be a number"))
     };
+    let int = |max: u64| whole(num()?, &format!("config.{key}"), max);
+    // Bounded by usize::MAX, so the cast back is exact.
+    let size = || int(usize::MAX as u64).map(|n| n as usize);
     let string = || {
         v.as_str()
             .ok_or_else(|| format!("config.{key} must be a string"))
     };
     match key {
-        "seed" => cfg.seed = num()? as u64,
+        "seed" => cfg.seed = int(u64::MAX)?,
         "cg_fraction" => cfg.cg_fraction = num()?,
-        "patches_per_snapshot" => cfg.patches_per_snapshot = num()? as usize,
+        "patches_per_snapshot" => cfg.patches_per_snapshot = size()?,
         "frames_per_sim_per_min" => cfg.frames_per_sim_per_min = num()?,
         "cg_target_us" => cfg.cg_target_us = num()?,
         "aa_target_ns" => {
@@ -114,14 +139,14 @@ fn apply_override(cfg: &mut CampaignConfig, key: &str, v: &Json) -> Result<(), S
             let hi = arr[1].as_f64().ok_or("aa_target_ns.1 must be a number")?;
             cfg.aa_target_ns = (lo, hi);
         }
-        "submit_rate_per_min" => cfg.submit_rate_per_min = num()? as u64,
-        "queue_cap" => cfg.queue_cap = num()? as usize,
+        "submit_rate_per_min" => cfg.submit_rate_per_min = int(u64::MAX)?,
+        "queue_cap" => cfg.queue_cap = size()?,
         "job_failure_prob" => cfg.job_failure_prob = num()?,
         "node_failures_per_day" => cfg.node_failures_per_day = num()?,
         "planned_hours" => cfg.planned_hours = num()?,
         "job_timeout_grace" => cfg.job_timeout_grace = num()?,
-        "ready_buffer_divisor" => cfg.ready_buffer_divisor = num()? as u64,
-        "ready_buffer_cap" => cfg.ready_buffer_cap = num()? as usize,
+        "ready_buffer_divisor" => cfg.ready_buffer_divisor = int(u64::MAX)?,
+        "ready_buffer_cap" => cfg.ready_buffer_cap = size()?,
         "policy" => {
             cfg.policy = match string()? {
                 "first_match" => MatchPolicy::FirstMatch,
@@ -182,8 +207,11 @@ fn parse_submit(obj: &Json) -> Result<SubmitSpec, String> {
             .as_arr()
             .filter(|r| r.len() == 2)
             .ok_or("each schedule row must be a [nodes, hours] pair")?;
-        let nodes = pair[0].as_f64().ok_or("schedule nodes must be a number")? as u32;
-        let hours = pair[1].as_f64().ok_or("schedule hours must be a number")? as u64;
+        let nodes = pair[0].as_f64().ok_or("schedule nodes must be a number")?;
+        let hours = pair[1].as_f64().ok_or("schedule hours must be a number")?;
+        // Bounded by u32::MAX, so the cast is exact.
+        let nodes = whole(nodes, "schedule nodes", u32::MAX.into())? as u32;
+        let hours = whole(hours, "schedule hours", MAX_HOURS)?;
         if nodes == 0 || hours == 0 {
             return Err("schedule rows need nodes >= 1 and hours >= 1".into());
         }
@@ -197,7 +225,7 @@ fn parse_submit(obj: &Json) -> Result<SubmitSpec, String> {
         Some(Json::Bool(b)) => *b,
         Some(_) => return Err("field \"trace\" must be a boolean".into()),
     };
-    let pause_at_hours = opt_u64_field(obj, "pause_at_hours")?;
+    let pause_at_hours = opt_u64_field(obj, "pause_at_hours", MAX_HOURS)?;
     let mut cfg = CampaignConfig::default();
     if let Some(overrides) = obj.get("config") {
         let Json::Obj(map) = overrides else {
@@ -220,6 +248,8 @@ fn parse_submit(obj: &Json) -> Result<SubmitSpec, String> {
 impl Request {
     /// Decodes one wire line.
     pub fn decode(line: &str) -> Result<Request, String> {
+        let id = |v: &Json| u64_field(v, "id", u64::MAX);
+        let from = |v: &Json| opt_u64_field(v, "from", u64::MAX).map(Option::unwrap_or_default);
         let v = Json::parse(line).map_err(|e| format!("bad JSON: {e}"))?;
         let op = v
             .get("op")
@@ -228,26 +258,21 @@ impl Request {
         match op {
             "ping" => Ok(Request::Ping),
             "submit" => parse_submit(&v).map(|s| Request::Submit(Box::new(s))),
-            "status" => Ok(Request::Status(u64_field(&v, "id")?)),
+            "status" => Ok(Request::Status(id(&v)?)),
             "list" => Ok(Request::List),
-            "pause" => Ok(Request::Pause(u64_field(&v, "id")?)),
+            "pause" => Ok(Request::Pause(id(&v)?)),
+            // Node counts are bounded by u32::MAX, so these casts are exact.
             "resume" => Ok(Request::Resume(
-                u64_field(&v, "id")?,
-                opt_u64_field(&v, "nodes")?.map(|n| n as u32),
+                id(&v)?,
+                opt_u64_field(&v, "nodes", u32::MAX.into())?.map(|n| n as u32),
             )),
             "rescale" => Ok(Request::Rescale(
-                u64_field(&v, "id")?,
-                u64_field(&v, "nodes")? as u32,
+                id(&v)?,
+                u64_field(&v, "nodes", u32::MAX.into())? as u32,
             )),
-            "events" => Ok(Request::Events(
-                u64_field(&v, "id")?,
-                opt_u64_field(&v, "from")?.unwrap_or(0),
-            )),
-            "stream" => Ok(Request::Stream(
-                u64_field(&v, "id")?,
-                opt_u64_field(&v, "from")?.unwrap_or(0),
-            )),
-            "trace" => Ok(Request::Trace(u64_field(&v, "id")?)),
+            "events" => Ok(Request::Events(id(&v)?, from(&v)?)),
+            "stream" => Ok(Request::Stream(id(&v)?, from(&v)?)),
+            "trace" => Ok(Request::Trace(id(&v)?)),
             "stats" => Ok(Request::Stats),
             "shutdown" => Ok(Request::Shutdown),
             other => Err(format!("unknown op {other:?}")),
@@ -395,6 +420,100 @@ mod tests {
         ] {
             assert!(Request::decode(bad).is_err(), "accepted: {bad}");
         }
+    }
+
+    #[test]
+    fn numbers_a_cast_would_coerce_bounce_with_pinned_messages() {
+        let submit = |rest: &str| format!(r#"{{"op": "submit", "tenant": "a", {rest}}}"#);
+        let with_config =
+            |config: &str| submit(&format!(r#""schedule": [[5, 2]], "config": {config}"#));
+        let exact = "from 0 to 9007199254740992";
+        let cases = [
+            (
+                submit(r#""schedule": [[1e12, 2.9]]"#),
+                "schedule nodes must be a whole number from 0 to 4294967295, got 1000000000000"
+                    .to_string(),
+            ),
+            (
+                submit(r#""schedule": [[5, 2.9]]"#),
+                "schedule hours must be a whole number from 0 to 5124095576, got 2.9".to_string(),
+            ),
+            (
+                submit(r#""schedule": [[5, 6000000000]]"#),
+                "schedule hours must be a whole number from 0 to 5124095576, got 6000000000"
+                    .to_string(),
+            ),
+            (
+                submit(r#""schedule": [[5, 2]], "pause_at_hours": 6000000000"#),
+                "field \"pause_at_hours\" must be a whole number from 0 to 5124095576, \
+                 got 6000000000"
+                    .to_string(),
+            ),
+            (
+                with_config(r#"{"queue_cap": -1}"#),
+                format!("config.queue_cap must be a whole number {exact}, got -1"),
+            ),
+            (
+                with_config(r#"{"submit_rate_per_min": 0.5}"#),
+                format!("config.submit_rate_per_min must be a whole number {exact}, got 0.5"),
+            ),
+            (
+                with_config(r#"{"seed": 1.7}"#),
+                format!("config.seed must be a whole number {exact}, got 1.7"),
+            ),
+            (
+                with_config(r#"{"patches_per_snapshot": -4}"#),
+                format!("config.patches_per_snapshot must be a whole number {exact}, got -4"),
+            ),
+            (
+                with_config(r#"{"seed": 9007199254740994}"#),
+                format!("config.seed must be a whole number {exact}, got 9007199254740994"),
+            ),
+            (
+                r#"{"op": "status", "id": -3}"#.to_string(),
+                format!("field \"id\" must be a whole number {exact}, got -3"),
+            ),
+            (
+                r#"{"op": "resume", "id": 1, "nodes": 1e12}"#.to_string(),
+                "field \"nodes\" must be a whole number from 0 to 4294967295, got 1000000000000"
+                    .to_string(),
+            ),
+        ];
+        for (line, msg) in cases {
+            assert_eq!(Request::decode(&line).unwrap_err(), msg, "for {line}");
+        }
+        // The largest value of each bound still decodes.
+        assert!(matches!(
+            Request::decode(r#"{"op": "status", "id": 9007199254740992}"#),
+            Ok(Request::Status(9_007_199_254_740_992))
+        ));
+        let line = submit(r#""schedule": [[4294967295, 5124095576]]"#);
+        let Request::Submit(spec) = Request::decode(&line).unwrap() else {
+            panic!("not a submit");
+        };
+        assert_eq!(spec.schedule, vec![(u32::MAX, 5_124_095_576)]);
+    }
+
+    #[test]
+    fn benchmark_shaped_submission_still_decodes() {
+        let line = concat!(
+            r#"{"op": "submit", "tenant": "tenant-0", "schedule": [[72, 12], [72, 12]], "config": {"#,
+            r#""patches_per_snapshot": 6, "frames_per_sim_per_min": 0.05, "#,
+            r#""cg_target_us": 0.2, "aa_target_ns": [5, 8], "queue_cap": 500, "#,
+            r#""policy": "first_match", "coupling": "async", "#,
+            r#""submit_rate_per_min": 600, "job_timeout_grace": 1.5, "#,
+            r#""node_failures_per_day": 0, "job_failure_prob": 0, "#,
+            r#""store": "loopback", "seed": 1100004}}"#
+        );
+        let Request::Submit(spec) = Request::decode(line).unwrap() else {
+            panic!("not a submit");
+        };
+        assert_eq!(spec.schedule, vec![(72, 12), (72, 12)]);
+        assert_eq!(spec.cfg.seed, 1_100_004);
+        assert_eq!(spec.cfg.patches_per_snapshot, 6);
+        assert_eq!(spec.cfg.queue_cap, 500);
+        assert_eq!(spec.cfg.submit_rate_per_min, 600);
+        assert_eq!(spec.cfg.store_backend, StoreBackend::Loopback);
     }
 
     #[test]

@@ -61,7 +61,7 @@ fn start_server(workers: usize, plan: WorkerKillPlan) -> (Farm, FarmServer, Farm
     (farm, server, client)
 }
 
-fn kind(e: &Json) -> &str {
+fn event_kind(e: &Json) -> &str {
     e.get("kind").and_then(Json::as_str).unwrap_or("")
 }
 
@@ -71,21 +71,25 @@ fn kind(e: &Json) -> &str {
 /// virtual time strictly inside the leg.
 fn assert_first_placement_shape(events: &[Json]) {
     let logged: Vec<usize> = (0..events.len())
-        .filter(|&i| kind(&events[i]) == "first_placement")
+        .filter(|&i| event_kind(&events[i]) == "first_placement")
         .collect();
     let &[at] = &logged[..] else {
         panic!("first_placement is once per campaign, logged at {logged:?}");
     };
     let start = events[..at]
         .iter()
-        .rfind(|e| matches!(kind(e), "leg.start" | "leg.done" | "worker.killed"))
+        .rfind(|e| matches!(event_kind(e), "leg.start" | "leg.done" | "worker.killed"))
         .expect("first_placement follows a leg.start");
-    assert_eq!(kind(start), "leg.start", "emitted inside an open leg");
+    assert_eq!(event_kind(start), "leg.start", "emitted inside an open leg");
     let close = events[at..]
         .iter()
-        .find(|e| matches!(kind(e), "leg.start" | "leg.done" | "worker.killed"))
+        .find(|e| matches!(event_kind(e), "leg.start" | "leg.done" | "worker.killed"))
         .expect("the leg closes after its first_placement");
-    assert_ne!(kind(close), "leg.start", "emitted before its leg closes");
+    assert_ne!(
+        event_kind(close),
+        "leg.start",
+        "emitted before its leg closes"
+    );
     let hours = start.get("hours").and_then(Json::as_f64).unwrap();
     let at_virt_s = events[at].get("at_virt_s").and_then(Json::as_f64).unwrap();
     assert!(
@@ -281,7 +285,7 @@ fn worker_kills_recover_from_checkpoints_with_conserved_ledgers() {
     assert_eq!(s.legs_done, 1);
     assert!(s.ledger_ok, "post-recovery books must reconcile");
     let events = events_of(&farm, id);
-    let kinds: Vec<&str> = events.iter().map(kind).collect();
+    let kinds: Vec<&str> = events.iter().map(event_kind).collect();
     assert_eq!(
         kinds,
         [
@@ -386,7 +390,7 @@ fn service_smoke_and_strict_wire_rejection() {
         .expect("submit");
     let events = client.wait_done(id).expect("completion");
     assert_eq!(
-        events.last().map(kind),
+        events.last().map(event_kind),
         Some("completed"),
         "stream carries the completion event"
     );

@@ -82,7 +82,7 @@ pub fn jobs_per_minute(events: &[TraceEvent]) -> Vec<(u64, u64)> {
 
 /// Parses the event records out of a JSONL trace file's contents
 /// (metric summary lines are skipped).
-pub fn parse_jsonl(text: &str) -> Vec<TraceEvent> {
+pub fn events_from_jsonl(text: &str) -> Vec<TraceEvent> {
     text.lines().filter_map(TraceEvent::from_jsonl).collect()
 }
 
@@ -181,11 +181,11 @@ mod tests {
     }
 
     #[test]
-    fn parse_jsonl_skips_metric_lines() {
+    fn events_from_jsonl_skip_metric_lines() {
         let t = Tracer::enabled();
         t.instant_at(SimTime::from_micros(1), "wm", "tick", &[]);
         t.counter_add("c", 1);
-        let events = parse_jsonl(&t.to_jsonl());
+        let events = events_from_jsonl(&t.to_jsonl());
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].name, "tick");
     }
@@ -201,7 +201,7 @@ mod tests {
                 &profile_event(590 + i),
             );
         }
-        let reparsed = parse_jsonl(&t.to_jsonl());
+        let reparsed = events_from_jsonl(&t.to_jsonl());
         assert_eq!(occupancy_samples(&reparsed), occupancy_samples(&t.events()));
         assert_eq!(
             time_bounds(&reparsed),

@@ -15,8 +15,8 @@
 //! different cadences (or jumping event-driven) observe the identical
 //! job stream. Implementations here:
 //!
-//! - [`TraceReplayer`] — replays a [`TraceFile`] (CSV or JSONL records,
-//!   parseable from a recorded [`sched::SchedLog`]);
+//! - [`TraceReplayer`] — replays a [`TraceFile`] (CSV records, buildable
+//!   from a recorded [`sched::SchedLog`]);
 //! - [`PaperMix`] — the paper's continuum + throttled-sims mix, scaled
 //!   to the target allocation;
 //! - [`WideStarvesNarrow`], [`BurstyPoisson`], [`HeteroShapes`] — the

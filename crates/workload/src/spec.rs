@@ -19,7 +19,7 @@ pub enum WorkloadSpec {
     Bursty,
     /// Heterogeneous shape palette.
     Hetero,
-    /// Replay an external CSV/JSONL trace from this path.
+    /// Replay an external CSV trace from this path.
     Trace(String),
 }
 

@@ -1,4 +1,4 @@
-//! External trace replay: CSV / JSONL arrival–shape–duration records.
+//! External trace replay: CSV arrival–shape–duration records.
 //!
 //! The record format is one job per line, alibaba-trace style:
 //!
@@ -6,12 +6,6 @@
 //! at_us,class,nodes,cores,gpus,affinity,runtime_us,outcome
 //! 0,continuum,2,24,0,cores,86400000000,ok
 //! 600000,cg-sim,1,3,1,gpu,3600000000,ok
-//! ```
-//!
-//! or the same fields as flat JSONL objects:
-//!
-//! ```text
-//! {"at_us":0,"class":"cg-sim","nodes":1,"cores":3,"gpus":1,"affinity":"gpu","runtime_us":3600000000,"outcome":"ok"}
 //! ```
 //!
 //! `class` ∈ the [`JobClass`] labels, `affinity` ∈ `none|gpu|cores`,
@@ -48,13 +42,6 @@ pub enum TraceError {
         /// The offending text.
         value: String,
     },
-    /// A JSONL line is not a flat object of the expected shape.
-    Json {
-        /// 1-based line number.
-        line: usize,
-        /// What went wrong.
-        detail: String,
-    },
     /// Arrival times went backwards.
     Order {
         /// 1-based line number.
@@ -70,9 +57,6 @@ impl std::fmt::Display for TraceError {
             }
             TraceError::Field { line, field, value } => {
                 write!(f, "trace line {line}: bad {field} '{value}'")
-            }
-            TraceError::Json { line, detail } => {
-                write!(f, "trace line {line}: malformed json: {detail}")
             }
             TraceError::Order { line } => {
                 write!(f, "trace line {line}: arrivals must be non-decreasing")
@@ -125,21 +109,9 @@ impl TraceFile {
         TraceFile { jobs }
     }
 
-    /// Parses either format, sniffing JSONL by a leading `{`.
-    pub fn parse(text: &str) -> Result<TraceFile, TraceError> {
-        let first = text
-            .lines()
-            .map(str::trim)
-            .find(|l| !l.is_empty() && !l.starts_with('#'));
-        match first {
-            Some(l) if l.starts_with('{') => TraceFile::parse_jsonl(text),
-            _ => TraceFile::parse_csv(text),
-        }
-    }
-
     /// Parses the CSV form. Empty lines, `#` comments, and the header
     /// line are skipped.
-    pub fn parse_csv(text: &str) -> Result<TraceFile, TraceError> {
+    pub fn parse(text: &str) -> Result<TraceFile, TraceError> {
         let mut jobs: Vec<WorkloadJob> = Vec::new();
         for (idx, raw) in text.lines().enumerate() {
             let line = idx + 1;
@@ -147,55 +119,11 @@ impl TraceFile {
             if l.is_empty() || l.starts_with('#') || l == CSV_HEADER {
                 continue;
             }
-            let parts: Vec<&str> = l.split(',').collect();
-            if parts.len() != 8 {
-                return Err(TraceError::Arity {
-                    line,
-                    got: parts.len(),
-                });
+            let job = parse_line(line, l)?;
+            if jobs.last().is_some_and(|prev| prev.at > job.at) {
+                return Err(TraceError::Order { line });
             }
-            let job = build_job(
-                line, parts[0], parts[1], parts[2], parts[3], parts[4], parts[5], parts[6],
-                parts[7],
-            )?;
-            push_ordered(&mut jobs, job, line)?;
-        }
-        Ok(TraceFile { jobs })
-    }
-
-    /// Parses the JSONL form: one flat object per line with exactly the
-    /// CSV fields as keys. Empty lines and `#` comments are skipped.
-    pub fn parse_jsonl(text: &str) -> Result<TraceFile, TraceError> {
-        let mut jobs: Vec<WorkloadJob> = Vec::new();
-        for (idx, raw) in text.lines().enumerate() {
-            let line = idx + 1;
-            let l = raw.trim();
-            if l.is_empty() || l.starts_with('#') {
-                continue;
-            }
-            let pairs = parse_flat_object(l).map_err(|detail| TraceError::Json { line, detail })?;
-            let field = |name: &'static str| -> Result<&str, TraceError> {
-                pairs
-                    .iter()
-                    .find(|(k, _)| k == name)
-                    .map(|(_, v)| v.as_str())
-                    .ok_or(TraceError::Json {
-                        line,
-                        detail: format!("missing key '{name}'"),
-                    })
-            };
-            let job = build_job(
-                line,
-                field("at_us")?,
-                field("class")?,
-                field("nodes")?,
-                field("cores")?,
-                field("gpus")?,
-                field("affinity")?,
-                field("runtime_us")?,
-                field("outcome")?,
-            )?;
-            push_ordered(&mut jobs, job, line)?;
+            jobs.push(job);
         }
         Ok(TraceFile { jobs })
     }
@@ -236,30 +164,15 @@ impl TraceFile {
     }
 }
 
-fn push_ordered(
-    jobs: &mut Vec<WorkloadJob>,
-    job: WorkloadJob,
-    line: usize,
-) -> Result<(), TraceError> {
-    if jobs.last().is_some_and(|prev| prev.at > job.at) {
-        return Err(TraceError::Order { line });
-    }
-    jobs.push(job);
-    Ok(())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn build_job(
-    line: usize,
-    at: &str,
-    class: &str,
-    nodes: &str,
-    cores: &str,
-    gpus: &str,
-    affinity: &str,
-    runtime: &str,
-    outcome: &str,
-) -> Result<WorkloadJob, TraceError> {
+/// Parses one CSV record (line number `line`, for error messages).
+fn parse_line(line: usize, l: &str) -> Result<WorkloadJob, TraceError> {
+    let fields: Vec<&str> = l.split(',').collect();
+    let &[at, class, nodes, cores, gpus, affinity, runtime, outcome] = fields.as_slice() else {
+        return Err(TraceError::Arity {
+            line,
+            got: fields.len(),
+        });
+    };
     let bad = |field: &'static str, value: &str| TraceError::Field {
         line,
         field,
@@ -289,56 +202,6 @@ fn build_job(
         at: SimTime::from_micros(at_us),
         spec,
     })
-}
-
-/// Parses one flat JSON object into (key, value-as-text) pairs. Values
-/// may be unsigned integers or plain strings; nothing nests.
-fn parse_flat_object(l: &str) -> Result<Vec<(String, String)>, String> {
-    let inner = l
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| "not an object".to_string())?;
-    let mut pairs = Vec::new();
-    // Split on top-level commas (strings in this format never contain
-    // commas or escapes, but track quotes anyway so a bad input fails
-    // loudly instead of mis-splitting).
-    let mut depth_in_string = false;
-    let mut start = 0usize;
-    let bytes = inner.as_bytes();
-    let mut fields: Vec<&str> = Vec::new();
-    for (i, &b) in bytes.iter().enumerate() {
-        match b {
-            b'"' => depth_in_string = !depth_in_string,
-            b',' if !depth_in_string => {
-                fields.push(&inner[start..i]);
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    if depth_in_string {
-        return Err("unterminated string".to_string());
-    }
-    if !inner.trim().is_empty() {
-        fields.push(&inner[start..]);
-    }
-    for field in fields {
-        let (k, v) = field
-            .split_once(':')
-            .ok_or_else(|| format!("missing ':' in '{}'", field.trim()))?;
-        let k = k.trim();
-        let k = k
-            .strip_prefix('"')
-            .and_then(|s| s.strip_suffix('"'))
-            .ok_or_else(|| format!("unquoted key '{k}'"))?;
-        let v = v.trim();
-        let v = v
-            .strip_prefix('"')
-            .and_then(|s| s.strip_suffix('"'))
-            .unwrap_or(v);
-        pairs.push((k.to_string(), v.to_string()));
-    }
-    Ok(pairs)
 }
 
 /// Replays a [`TraceFile`] as a [`WorkloadSource`].
@@ -390,29 +253,14 @@ at_us,class,nodes,cores,gpus,affinity,runtime_us,outcome
 
     #[test]
     fn csv_parses_and_roundtrips() {
-        let t = TraceFile::parse_csv(SAMPLE_CSV).expect("parses");
+        let t = TraceFile::parse(SAMPLE_CSV).expect("parses");
         assert_eq!(t.len(), 3);
         assert_eq!(t.jobs()[0].spec.class, JobClass::Continuum);
         assert_eq!(t.jobs()[1].at, SimTime::from_micros(600_000));
         assert_eq!(t.jobs()[2].spec.outcome, JobOutcome::Failure);
         let csv = t.to_csv();
-        let again = TraceFile::parse_csv(&csv).expect("reparses");
+        let again = TraceFile::parse(&csv).expect("reparses");
         assert_eq!(again, t);
-    }
-
-    #[test]
-    fn jsonl_parses_same_jobs_as_csv() {
-        let jsonl = r#"
-{"at_us":0,"class":"continuum","nodes":2,"cores":24,"gpus":0,"affinity":"cores","runtime_us":86400000000,"outcome":"ok"}
-{"at_us":600000,"class":"cg-sim","nodes":1,"cores":3,"gpus":1,"affinity":"gpu","runtime_us":3600000000,"outcome":"ok"}
-{"at_us":1200000,"class":"cg-setup","nodes":1,"cores":24,"gpus":0,"affinity":"cores","runtime_us":300000000,"outcome":"fail"}
-"#;
-        let a = TraceFile::parse_jsonl(jsonl).expect("parses");
-        let b = TraceFile::parse_csv(SAMPLE_CSV).expect("parses");
-        assert_eq!(a, b);
-        // Auto-detection picks the right parser for both.
-        assert_eq!(TraceFile::parse(jsonl).expect("auto"), a);
-        assert_eq!(TraceFile::parse(SAMPLE_CSV).expect("auto"), b);
     }
 
     #[test]
@@ -444,24 +292,14 @@ at_us,class,nodes,cores,gpus,affinity,runtime_us,outcome
             ),
         ];
         for (text, msg) in cases {
-            let err = TraceFile::parse_csv(text).expect_err("must fail");
+            let err = TraceFile::parse(text).expect_err("must fail");
             assert_eq!(err.to_string(), *msg, "for input {text:?}");
         }
-        let jerr = TraceFile::parse_jsonl("{\"at_us\":0}").expect_err("must fail");
-        assert_eq!(
-            jerr.to_string(),
-            "trace line 1: malformed json: missing key 'class'"
-        );
-        let jerr = TraceFile::parse_jsonl("[1,2]").expect_err("must fail");
-        assert_eq!(
-            jerr.to_string(),
-            "trace line 1: malformed json: not an object"
-        );
     }
 
     #[test]
     fn replayer_is_cadence_invariant() {
-        let t = TraceFile::parse_csv(SAMPLE_CSV).expect("parses");
+        let t = TraceFile::parse(SAMPLE_CSV).expect("parses");
         let bulk = t.clone().into_replayer().drain_all();
         assert_eq!(bulk.len(), 3);
         let mut stepped = t.into_replayer();

@@ -1,19 +1,27 @@
 //! Backend interchangeability: the paper's "single configuration switch".
 //!
-//! The same operation sequence against all three data-store backends must
+//! The same operation sequence against every data-store backend must
 //! produce the same visible state, and payloads written by one subsystem
 //! must decode identically regardless of the backend that carried them.
 
 use mummi::cg::analysis::CgFrame;
-use mummi::datastore::{BackendKind, DataStore, FsStore, KvDataStore, TarStore};
+use mummi::datastore::{DataStore, FsStore, KvDataStore, TarStore};
 
-fn backends(tag: &str) -> Vec<Box<dyn DataStore>> {
+/// Every backend, each labelled for assertion messages.
+fn backends(tag: &str) -> Vec<(&'static str, Box<dyn DataStore>)> {
     let base = std::env::temp_dir().join(format!("ds-int-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     vec![
-        Box::new(KvDataStore::new(4)),
-        Box::new(FsStore::open(base.join("fs")).expect("fs store")),
-        Box::new(TarStore::open(base.join("tar")).expect("tar store")),
+        ("kv", Box::new(KvDataStore::new(4))),
+        ("kv-loopback", Box::new(KvDataStore::loopback(4))),
+        (
+            "filesystem",
+            Box::new(FsStore::open(base.join("fs")).expect("fs store")),
+        ),
+        (
+            "taridx",
+            Box::new(TarStore::open(base.join("tar")).expect("tar store")),
+        ),
     ]
 }
 
@@ -48,13 +56,12 @@ fn run_script(store: &mut dyn DataStore) -> (usize, usize, Vec<u8>, bool) {
 #[test]
 fn all_backends_agree_on_the_same_script() {
     let mut results = Vec::new();
-    for mut store in backends("script") {
-        let kind = store.kind();
-        results.push((kind, run_script(store.as_mut())));
+    for (name, mut store) in backends("script") {
+        results.push((name, run_script(store.as_mut())));
     }
     let reference = &results[0].1;
-    for (kind, state) in &results {
-        assert_eq!(state, reference, "backend {} diverged", kind.name());
+    for (name, state) in &results {
+        assert_eq!(state, reference, "backend {name} diverged");
     }
     assert_eq!(reference.0, 9); // 20 - 10 moved - 1 deleted
     assert_eq!(reference.1, 10);
@@ -70,20 +77,20 @@ fn frames_decode_identically_from_every_backend() {
         encoding: [0.1, 0.2, 0.3],
         rdfs: vec![vec![1.0, 2.0, 3.0], vec![0.5; 8]],
     };
-    for mut store in backends("frames") {
+    for (name, mut store) in backends("frames") {
         store
             .write("frames", &frame.id, &frame.encode())
             .expect("write");
         store.flush().expect("flush");
         let bytes = store.read("frames", &frame.id).expect("read");
         let back = CgFrame::decode(&frame.id, &bytes).expect("decode");
-        assert_eq!(back, frame, "backend {}", store.kind().name());
+        assert_eq!(back, frame, "backend {name}");
     }
 }
 
 #[test]
 fn read_many_matches_sequential_reads_on_all_backends() {
-    for mut store in backends("readmany") {
+    for (_, mut store) in backends("readmany") {
         let keys: Vec<String> = (0..15).map(|i| format!("k{i}")).collect();
         for (i, k) in keys.iter().enumerate() {
             store.write("ns", k, &[i as u8; 32]).expect("write");
@@ -107,15 +114,14 @@ fn list_order_is_lexicographic_on_every_backend() {
     ];
     let mut expected: Vec<String> = written.iter().map(|s| s.to_string()).collect();
     expected.sort_unstable();
-    for mut store in backends("order") {
+    for (name, mut store) in backends("order") {
         for k in &written {
             store.write("ns", k, k.as_bytes()).expect("write");
         }
         assert_eq!(
             store.list("ns").expect("list"),
             expected,
-            "backend {} violated the list ordering contract",
-            store.kind().name()
+            "backend {name} violated the list ordering contract"
         );
         // Deleting and re-inserting must not disturb the order.
         store.delete("ns", "beta").expect("delete");
@@ -125,16 +131,32 @@ fn list_order_is_lexicographic_on_every_backend() {
 }
 
 #[test]
-fn backend_kinds_are_reported() {
-    let kinds: Vec<BackendKind> = backends("kinds").iter().map(|s| s.kind()).collect();
-    assert_eq!(
-        kinds,
-        vec![
-            BackendKind::Redis,
-            BackendKind::Filesystem,
-            BackendKind::Taridx
-        ]
-    );
+fn missing_items_behave_alike_on_every_backend() {
+    // The trait's edge contract: an absent namespace is empty, reading or
+    // moving an absent key fails, and `delete` reports whether the key was
+    // there instead of failing.
+    for (name, mut store) in backends("missing") {
+        assert_eq!(store.count("void").expect("count"), 0, "backend {name}");
+        assert!(
+            store.list("void").expect("list").is_empty(),
+            "backend {name}"
+        );
+        assert!(!store.exists("void", "k"), "backend {name}");
+        assert!(store.read("void", "k").is_err(), "backend {name}");
+        assert!(
+            store.move_ns("k", "void", "elsewhere").is_err(),
+            "backend {name}"
+        );
+        assert!(
+            !store.delete("void", "k").expect("delete"),
+            "backend {name}"
+        );
+
+        store.write("ns", "k", b"v").expect("write");
+        assert!(store.delete("ns", "k").expect("delete"), "backend {name}");
+        assert!(!store.exists("ns", "k"), "backend {name}");
+        assert!(store.read("ns", "k").is_err(), "backend {name}");
+    }
 }
 
 #[test]

@@ -3,7 +3,7 @@
 
 use mummi::core::{ns, CgToContinuumFeedback, FeedbackManager, WmCheckpoint, WmConfig, WmEvent};
 use mummi::datastore::faults::Op;
-use mummi::datastore::{DataStore, FailingStore, KvDataStore};
+use mummi::datastore::{DataStore, FaultWindow, KvDataStore, ScheduledFaultStore};
 use mummi::dynim::{
     BinnedConfig, BinnedSampler, ExactNn, FarthestPointSampler, FpsConfig, HdPoint,
 };
@@ -75,7 +75,7 @@ fn feedback_retries_through_injected_store_faults() {
     // a fault-injected store fails every 4th read, and the feedback loop
     // simply retries the iteration until the namespace drains.
     let inner = KvDataStore::new(4);
-    let mut store = FailingStore::new(inner, Op::Read, 4);
+    let mut store = ScheduledFaultStore::new(inner, vec![FaultWindow::always(Op::Read, 4)]);
     for i in 0..12 {
         let frame = mummi::cg::analysis::CgFrame {
             id: format!("s:f{i}"),
