@@ -1,204 +1,150 @@
-//! Nearest-neighbor backends for novelty computation.
+//! The nearest-neighbor index behind novelty ranking.
 //!
 //! The paper updates candidate ranks "using approximate nearest neighbor
-//! queries (with L2 distances) powered by the FAISS framework". [`KdTreeNn`]
-//! is our FAISS stand-in: an incrementally-built k-d tree with pruned
-//! nearest-neighbor search. [`ExactNn`] is the linear-scan reference used to
-//! validate it and for tiny selected sets.
+//! queries (with L2 distances) powered by the FAISS framework". [`ExactNn`]
+//! stands in for FAISS's exact baseline, the flat index: a brute-force L2
+//! scan, blocked so that one pass over a block computes eight distances
+//! side by side. A patch queue's selected set holds a few thousand ~10-D
+//! points; at that size a tree prunes almost nothing and the scan is
+//! faster.
 
-/// Distance-to-nearest queries over a growing point set.
-pub trait NnIndex: Send + Sync {
-    /// Inserts a point.
-    fn add(&mut self, coords: &[f64]);
+/// Points per block: one accumulator each in [`ExactNn::nearest_dist_sq`].
+const LANES: usize = 8;
 
-    /// Number of stored points.
-    fn len(&self) -> usize;
-
-    /// True when no points are stored.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Squared L2 distance from `query` to the nearest stored point, or
-    /// `f64::INFINITY` when the index is empty.
-    fn nearest_dist_sq(&self, query: &[f64]) -> f64;
-}
-
-/// Exact linear-scan index.
+/// Exact nearest-neighbor index: a blocked linear scan.
+///
+/// Every distance is summed over dimensions in order, as
+/// [`HdPoint::dist_sq`](crate::HdPoint::dist_sq) sums it, so the index and
+/// the sampler's incremental folds agree bit for bit.
 #[derive(Debug, Clone, Default)]
 pub struct ExactNn {
-    points: Vec<Vec<f64>>,
+    dim: usize,
+    len: usize,
+    /// Dimension-major: block `b` holds points `b * LANES ..`, and entry
+    /// `b * dim + d` holds their coordinate `d`. Lanes at or past `len`
+    /// hold `f64::INFINITY`, whose distance to any query is infinite or
+    /// NaN and so never below the running minimum.
+    blocks: Vec<[f64; LANES]>,
 }
+
+/// Former name of the index. Its last user is the benchmark harness
+/// (`benchmark/src/layers/batch.rs:8/119`), which names the type.
+pub type KdTreeNn = ExactNn;
 
 impl ExactNn {
     /// An empty index.
     pub fn new() -> ExactNn {
         ExactNn::default()
     }
-}
 
-impl NnIndex for ExactNn {
-    fn add(&mut self, coords: &[f64]) {
-        self.points.push(coords.to_vec());
-    }
-
-    fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    fn nearest_dist_sq(&self, query: &[f64]) -> f64 {
-        self.points
-            .iter()
-            .map(|p| dist_sq(p, query))
-            .fold(f64::INFINITY, f64::min)
-    }
-}
-
-#[derive(Debug, Clone)]
-struct KdNode {
-    coords: Vec<f64>,
-    axis: usize,
-    left: Option<Box<KdNode>>,
-    right: Option<Box<KdNode>>,
-}
-
-/// Incrementally-built k-d tree (no rebalancing; insertion order acts as
-/// shuffling for the near-random encodings this is used on).
-#[derive(Debug, Clone, Default)]
-pub struct KdTreeNn {
-    root: Option<Box<KdNode>>,
-    len: usize,
-}
-
-impl KdTreeNn {
-    /// An empty tree.
-    pub fn new() -> KdTreeNn {
-        KdTreeNn::default()
-    }
-}
-
-impl NnIndex for KdTreeNn {
-    fn add(&mut self, coords: &[f64]) {
-        let dim = coords.len().max(1);
-        let mut slot = &mut self.root;
-        let mut depth = 0;
-        while let Some(node) = slot {
-            let axis = node.axis;
-            slot = if coords[axis] < node.coords[axis] {
-                &mut node.left
-            } else {
-                &mut node.right
-            };
-            depth += 1;
+    /// Inserts a point.
+    ///
+    /// # Panics
+    /// Panics on a point without coordinates, or with a dimensionality
+    /// other than the first point's.
+    pub fn add(&mut self, coords: &[f64]) {
+        if self.len == 0 {
+            assert!(!coords.is_empty(), "points need at least one coordinate");
+            self.dim = coords.len();
         }
-        *slot = Some(Box::new(KdNode {
-            coords: coords.to_vec(),
-            axis: depth % dim,
-            left: None,
-            right: None,
-        }));
+        assert_eq!(coords.len(), self.dim, "dimensionality mismatch");
+        let lane = self.len % LANES;
+        if lane == 0 {
+            let rows = self.blocks.len() + self.dim;
+            self.blocks.resize(rows, [f64::INFINITY; LANES]);
+        }
+        let block = self.blocks.len() - self.dim;
+        for (row, &x) in self.blocks[block..].iter_mut().zip(coords) {
+            row[lane] = x;
+        }
         self.len += 1;
     }
 
-    fn len(&self) -> usize {
+    /// Number of stored points.
+    pub fn len(&self) -> usize {
         self.len
     }
 
-    fn nearest_dist_sq(&self, query: &[f64]) -> f64 {
+    /// True when no points are stored.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Squared L2 distance from `query` to the nearest stored point, or
+    /// `f64::INFINITY` when the index is empty. NaN distances never win.
+    pub fn nearest_dist_sq(&self, query: &[f64]) -> f64 {
+        if self.is_empty() {
+            return f64::INFINITY;
+        }
+        debug_assert_eq!(query.len(), self.dim);
         let mut best = f64::INFINITY;
-        if let Some(root) = &self.root {
-            search(root, query, &mut best);
+        for block in self.blocks.chunks_exact(self.dim) {
+            let mut acc = [0.0; LANES];
+            for (row, &q) in block.iter().zip(query) {
+                for (a, &x) in acc.iter_mut().zip(row) {
+                    *a += (x - q) * (x - q);
+                }
+            }
+            for d in acc {
+                if d < best {
+                    best = d;
+                }
+            }
         }
         best
     }
 }
 
-fn search(node: &KdNode, query: &[f64], best: &mut f64) {
-    let d = dist_sq(&node.coords, query);
-    if d < *best {
-        *best = d;
-    }
-    let axis = node.axis;
-    let delta = query[axis] - node.coords[axis];
-    let (near, far) = if delta < 0.0 {
-        (&node.left, &node.right)
-    } else {
-        (&node.right, &node.left)
-    };
-    if let Some(n) = near {
-        search(n, query, best);
-    }
-    // Prune the far side unless the splitting plane is closer than best.
-    if delta * delta < *best {
-        if let Some(f) = far {
-            search(f, query, best);
-        }
-    }
-}
-
-fn dist_sq(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(&x, &y)| (x - y) * (x - y)).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::HdPoint;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     #[test]
     fn empty_index_returns_infinity() {
         assert_eq!(ExactNn::new().nearest_dist_sq(&[0.0]), f64::INFINITY);
-        assert_eq!(KdTreeNn::new().nearest_dist_sq(&[0.0]), f64::INFINITY);
     }
 
+    /// Every answer is the sampler's reference, `HdPoint::dist_sq` folded
+    /// with `f64::min`, to the bit: across block boundaries, with
+    /// duplicates, and for queries that are stored points.
     #[test]
-    fn kdtree_matches_exact_on_random_points() {
+    fn matches_the_naive_fold_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(99);
-        let mut exact = ExactNn::new();
-        let mut tree = KdTreeNn::new();
-        for _ in 0..500 {
-            let p: Vec<f64> = (0..9).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            exact.add(&p);
-            tree.add(&p);
+        for dim in [1, 3, 10, 14] {
+            for n in [0, 1, 7, 8, 9, 17, 1000] {
+                let mut index = ExactNn::new();
+                let mut points: Vec<HdPoint> = Vec::new();
+                for i in 0..n {
+                    // Every third point repeats the one before it.
+                    let coords = match points.last() {
+                        Some(prev) if i % 3 == 2 => prev.coords.clone(),
+                        _ => (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect(),
+                    };
+                    index.add(&coords);
+                    points.push(HdPoint::new(format!("p{i}"), coords));
+                }
+                assert_eq!(index.len(), n);
+                let naive = |q: &[f64]| {
+                    points
+                        .iter()
+                        .map(|p| p.dist_sq(q))
+                        .fold(f64::INFINITY, f64::min)
+                };
+                for p in &points {
+                    assert_eq!(index.nearest_dist_sq(&p.coords).to_bits(), 0.0f64.to_bits());
+                }
+                for _ in 0..100 {
+                    let q: Vec<f64> = (0..dim).map(|_| rng.gen_range(-1.5..1.5)).collect();
+                    assert_eq!(
+                        index.nearest_dist_sq(&q).to_bits(),
+                        naive(&q).to_bits(),
+                        "{n} points of dim {dim}, query {q:?}"
+                    );
+                }
+            }
         }
-        assert_eq!(exact.len(), tree.len());
-        for _ in 0..200 {
-            let q: Vec<f64> = (0..9).map(|_| rng.gen_range(-1.5..1.5)).collect();
-            let de = exact.nearest_dist_sq(&q);
-            let dt = tree.nearest_dist_sq(&q);
-            assert!(
-                (de - dt).abs() < 1e-12,
-                "exact {de} vs kdtree {dt} for query {q:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn nearest_of_member_is_zero() {
-        let mut tree = KdTreeNn::new();
-        tree.add(&[1.0, 2.0, 3.0]);
-        tree.add(&[4.0, 5.0, 6.0]);
-        assert_eq!(tree.nearest_dist_sq(&[4.0, 5.0, 6.0]), 0.0);
-    }
-
-    #[test]
-    fn duplicate_points_are_fine() {
-        let mut tree = KdTreeNn::new();
-        for _ in 0..10 {
-            tree.add(&[1.0, 1.0]);
-        }
-        assert_eq!(tree.len(), 10);
-        assert_eq!(tree.nearest_dist_sq(&[1.0, 1.0]), 0.0);
-        assert!((tree.nearest_dist_sq(&[2.0, 1.0]) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn one_dimensional_points() {
-        let mut tree = KdTreeNn::new();
-        for i in 0..100 {
-            tree.add(&[i as f64]);
-        }
-        assert!((tree.nearest_dist_sq(&[42.4]) - 0.16).abs() < 1e-9);
     }
 }

@@ -1,9 +1,8 @@
 //! Farthest-point sampling with lazy rank caching.
 
-use rayon::prelude::*;
 use std::collections::HashMap;
 
-use crate::ann::NnIndex;
+use crate::ann::ExactNn;
 use crate::point::HdPoint;
 use crate::Sampler;
 
@@ -28,16 +27,16 @@ type Rank = Option<f64>;
 /// Selects candidates farthest (L2) from everything already selected.
 ///
 /// Adding candidates is O(1) — ranks are computed lazily at selection time
-/// against the nearest-neighbor index of selected points, in parallel, then
-/// maintained incrementally as each pick lands. This mirrors the paper's
-/// "caching scheme to postpone expensive computations until the time of a
+/// against the nearest-neighbor index of selected points, then maintained
+/// incrementally as each pick lands. This mirrors the paper's "caching
+/// scheme to postpone expensive computations until the time of a
 /// selection, which makes the cost of adding new candidates negligible".
 #[derive(Debug)]
-pub struct FarthestPointSampler<I: NnIndex> {
+pub struct FarthestPointSampler {
     cfg: FpsConfig,
     queue: Vec<(HdPoint, Rank)>,
     pos: HashMap<String, usize>,
-    selected: I,
+    selected: ExactNn,
     evicted: u64,
     selected_ids: Vec<String>,
     /// Entries whose rank is `None`. Lets a warm [`Self::update_ranks`]
@@ -46,9 +45,10 @@ pub struct FarthestPointSampler<I: NnIndex> {
     stale: usize,
 }
 
-impl<I: NnIndex> FarthestPointSampler<I> {
-    /// Creates a sampler over the given NN backend.
-    pub fn new(cfg: FpsConfig, index: I) -> FarthestPointSampler<I> {
+impl FarthestPointSampler {
+    /// Creates a sampler whose selected set starts as `index`, normally
+    /// [`ExactNn::new`].
+    pub fn new(cfg: FpsConfig, index: ExactNn) -> FarthestPointSampler {
         FarthestPointSampler {
             cfg,
             queue: Vec::new(),
@@ -91,9 +91,9 @@ impl<I: NnIndex> FarthestPointSampler<I> {
             .collect()
     }
 
-    /// Refreshes every stale rank against the full selected set, in
-    /// parallel — the expensive step the cache defers ("it takes 3–4
-    /// minutes to update the ranks of all candidates within all queues").
+    /// Refreshes every stale rank against the full selected set — the
+    /// expensive step the cache defers ("it takes 3–4 minutes to update
+    /// the ranks of all candidates within all queues").
     pub fn update_ranks(&mut self) {
         // Warm cache: nothing stale, nothing to scan. This is what makes
         // the per-pick cost of `select` O(N) in the queue rather than
@@ -101,14 +101,11 @@ impl<I: NnIndex> FarthestPointSampler<I> {
         if self.selected.is_empty() || self.stale == 0 {
             return;
         }
-        let index = &self.selected;
-        self.queue
-            .par_iter_mut() // lint: allow(L8: disjoint per-element writes; result independent of schedule)
-            .for_each(|(p, rank)| {
-                if rank.is_none() {
-                    *rank = Some(index.nearest_dist_sq(&p.coords));
-                }
-            });
+        for (p, rank) in &mut self.queue {
+            if rank.is_none() {
+                *rank = Some(self.selected.nearest_dist_sq(&p.coords));
+            }
+        }
         self.stale = 0;
     }
 
@@ -117,17 +114,14 @@ impl<I: NnIndex> FarthestPointSampler<I> {
         self.selected_ids.push(point.id.clone());
         // Incremental rank maintenance: a new selected point can only
         // lower ranks; fold it into every *computed* cache entry.
-        let coords = &point.coords;
-        self.queue
-            .par_iter_mut() // lint: allow(L8: per-element min update, disjoint writes)
-            .for_each(|(p, rank)| {
-                if let Some(r) = rank {
-                    let d = p.dist_sq(coords);
-                    if d < *r {
-                        *rank = Some(d);
-                    }
+        for (p, rank) in &mut self.queue {
+            if let Some(r) = rank {
+                let d = p.dist_sq(&point.coords);
+                if d < *r {
+                    *r = d;
                 }
-            });
+            }
+        }
     }
 
     /// swap_remove with position-map repair.
@@ -145,7 +139,7 @@ impl<I: NnIndex> FarthestPointSampler<I> {
     }
 }
 
-impl<I: NnIndex> Sampler for FarthestPointSampler<I> {
+impl Sampler for FarthestPointSampler {
     fn add(&mut self, point: HdPoint) {
         if let Some(&idx) = self.pos.get(&point.id) {
             // Same id re-added: replace coordinates, invalidate rank.
@@ -222,13 +216,12 @@ impl<I: NnIndex> Sampler for FarthestPointSampler<I> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ann::{ExactNn, KdTreeNn};
 
     fn p(id: &str, coords: &[f64]) -> HdPoint {
         HdPoint::new(id, coords.to_vec())
     }
 
-    fn sampler() -> FarthestPointSampler<ExactNn> {
+    fn sampler() -> FarthestPointSampler {
         FarthestPointSampler::new(FpsConfig { cap: 0 }, ExactNn::new())
     }
 
@@ -317,28 +310,6 @@ mod tests {
         s.add(p("near-a", &[0.1]));
         let sel = s.select(1);
         assert_eq!(sel[0].id, "b");
-    }
-
-    #[test]
-    fn kdtree_backend_selects_same_ids_as_exact() {
-        let mk_points = || -> Vec<HdPoint> {
-            (0..200)
-                .map(|i| {
-                    let x = (i as f64 * 0.61803) % 7.0;
-                    let y = (i as f64 * 0.31415) % 3.0;
-                    p(&format!("p{i}"), &[x, y])
-                })
-                .collect()
-        };
-        let mut a = FarthestPointSampler::new(FpsConfig { cap: 0 }, ExactNn::new());
-        let mut b = FarthestPointSampler::new(FpsConfig { cap: 0 }, KdTreeNn::new());
-        for q in mk_points() {
-            a.add(q.clone());
-            b.add(q);
-        }
-        let ia: Vec<String> = a.select(20).into_iter().map(|q| q.id).collect();
-        let ib: Vec<String> = b.select(20).into_iter().map(|q| q.id).collect();
-        assert_eq!(ia, ib);
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! - [`FarthestPointSampler`] — novelty = distance to the nearest already-
 //!   selected point, with lazy rank updates ("a caching scheme to postpone
 //!   expensive computations until the time of a selection"), a configurable
-//!   candidate cap (the paper's 35,000-patch queues), and a pluggable
-//!   nearest-neighbor backend ([`ExactNn`] or [`KdTreeNn`], the FAISS
-//!   stand-in);
+//!   candidate cap (the paper's 35,000-patch queues), and one exact
+//!   nearest-neighbor index, [`ExactNn`] — the FAISS stand-in, a blocked
+//!   L2 scan in the style of FAISS's flat index;
 //! - [`BinnedSampler`] — the new histogram sampler for the 3-D CG-frame
 //!   encoding "where the L2 distance is not meaningful", with the
 //!   importance-vs-randomness balance knob; it sustains millions of
@@ -42,7 +42,7 @@ mod history;
 mod multiqueue;
 mod point;
 
-pub use ann::{ExactNn, KdTreeNn, NnIndex};
+pub use ann::{ExactNn, KdTreeNn};
 pub use binned::{BinnedConfig, BinnedSampler};
 pub use fps::{FarthestPointSampler, FpsConfig};
 pub use history::{History, HistoryEvent};

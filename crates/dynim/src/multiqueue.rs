@@ -7,7 +7,7 @@
 //! configuration class), and selection round-robins across non-empty
 //! queues so every configuration class keeps being explored.
 
-use crate::ann::KdTreeNn;
+use crate::ann::ExactNn;
 use crate::fps::{FarthestPointSampler, FpsConfig};
 use crate::point::HdPoint;
 use crate::Sampler;
@@ -18,7 +18,7 @@ pub type Router = Box<dyn Fn(&HdPoint) -> usize + Send>;
 /// Multiple farthest-point queues with routed ingestion and round-robin
 /// selection.
 pub struct MultiQueueSampler {
-    queues: Vec<FarthestPointSampler<KdTreeNn>>,
+    queues: Vec<FarthestPointSampler>,
     router: Router,
     next_queue: usize,
 }
@@ -42,7 +42,7 @@ impl MultiQueueSampler {
         assert!(n > 0, "need at least one queue");
         MultiQueueSampler {
             queues: (0..n)
-                .map(|_| FarthestPointSampler::new(FpsConfig { cap }, KdTreeNn::new()))
+                .map(|_| FarthestPointSampler::new(FpsConfig { cap }, ExactNn::new()))
                 .collect(),
             router,
             next_queue: 0,

@@ -8,7 +8,8 @@
 //! reference that recomputes every rank against every selected point on
 //! every pick, the sampler must produce the same selections in the same
 //! order with the same cached ranks — across adds, duplicate-id replaces,
-//! `discard`, `take`, cap eviction, and interleavings thereof.
+//! `discard`, `take`, cap eviction, and interleavings thereof, in 2-D and
+//! in the 10-D patch shape.
 
 use proptest::prelude::*;
 
@@ -102,8 +103,7 @@ enum Op {
     /// Add (or re-add, replacing coords) the id `slot` from a small pool.
     Add {
         slot: u8,
-        x: i16,
-        y: i16,
+        xs: Vec<i16>,
     },
     Select {
         k: u8,
@@ -118,15 +118,26 @@ enum Op {
 
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0u8..40, -50i16..50, -50i16..50).prop_map(|(slot, x, y)| Op::Add { slot, x, y }),
+        (0u8..40, prop::collection::vec(-50i16..50, 9)).prop_map(|(slot, xs)| Op::Add { slot, xs }),
         (0u8..6).prop_map(|k| Op::Select { k }),
         (0u8..40).prop_map(|slot| Op::Discard { slot }),
         (0u8..40).prop_map(|slot| Op::Take { slot }),
     ]
 }
 
-fn point(slot: u8, x: i16, y: i16) -> HdPoint {
-    HdPoint::new(format!("p{slot}"), vec![x as f64, y as f64])
+/// A candidate of one of two shapes: 2-D from the first two values, or the
+/// campaign's patch shape, 10-D with a constant first coordinate (the
+/// queue's state tag). The 10-D values are sevenths, so distances round
+/// and a summation order other than the reference's would show.
+fn point(slot: u8, xs: &[i16], wide: bool) -> HdPoint {
+    let coords = if wide {
+        std::iter::once(3.0)
+            .chain(xs.iter().map(|&x| x as f64 / 7.0))
+            .collect()
+    } else {
+        xs[..2].iter().map(|&x| x as f64).collect()
+    };
+    HdPoint::new(format!("p{slot}"), coords)
 }
 
 proptest! {
@@ -139,15 +150,16 @@ proptest! {
     fn incremental_cache_equals_naive_recomputation(
         ops in prop::collection::vec(arb_op(), 1..100),
         cap in prop_oneof![Just(0usize), Just(8usize)],
+        wide in prop_oneof![Just(false), Just(true)],
     ) {
         let mut fast = FarthestPointSampler::new(FpsConfig { cap }, ExactNn::new());
         let mut naive = NaiveFps::new(cap);
 
         for op in &ops {
             match *op {
-                Op::Add { slot, x, y } => {
-                    fast.add(point(slot, x, y));
-                    naive.add(point(slot, x, y));
+                Op::Add { slot, ref xs } => {
+                    fast.add(point(slot, xs, wide));
+                    naive.add(point(slot, xs, wide));
                 }
                 Op::Select { k } => {
                     let a = fast.select(k as usize);

@@ -15,7 +15,7 @@
 
 use mummi::core::{WmConfig, WorkflowManager};
 use mummi::datastore::FsStore;
-use mummi::dynim::{FarthestPointSampler, FpsConfig, HdPoint, KdTreeNn, Sampler};
+use mummi::dynim::{ExactNn, FarthestPointSampler, FpsConfig, HdPoint, Sampler};
 use mummi::ml::{Matrix, Pca};
 use mummi::resources::{MachineSpec, MatchPolicy, NodeSpec, ResourceGraph};
 use mummi::sched::{Costs, Coupling, SchedEngine};
@@ -60,13 +60,13 @@ fn main() {
     // Application part 3: a single farthest-point queue as the selector.
     let selector: Box<dyn Sampler + Send> = Box::new(FarthestPointSampler::new(
         FpsConfig { cap: 0 },
-        KdTreeNn::new(),
+        ExactNn::new(),
     ));
     // The "fine scale" selector is unused by this two-scale study; a
     // second empty queue satisfies the interface.
     let fine_selector: Box<dyn Sampler + Send> = Box::new(FarthestPointSampler::new(
         FpsConfig { cap: 0 },
-        KdTreeNn::new(),
+        ExactNn::new(),
     ));
 
     // The *same* coordination layer, configured for the new study.
