@@ -15,13 +15,12 @@
 //!   allocation and every hook is a `None` check, so the batch path
 //!   (`execute_run`) is value-identical to the pre-control code and
 //!   same-seed traces stay byte-identical.
-//! - **Progress is observation only.** The driver publishes (virtual
-//!   time, placed, completed) each iteration; readers never feed anything
-//!   back into the loop, so concurrent observation cannot perturb the
-//!   replay path. The one push-style hook, the first-placement observer,
-//!   obeys the same rule and runs *outside* the control lock, so a
-//!   callback may take its owner's lock even though that owner calls
-//!   back into this handle while holding it.
+//! - **Observation never feeds back.** The one thing the driver reports
+//!   is the run's first placement, to a one-shot observer; nothing it
+//!   does reaches back into the loop, so it cannot perturb the replay
+//!   path. The observer runs *outside* the control lock, so a callback
+//!   may take its owner's lock even though that owner calls back into
+//!   this handle while holding it.
 
 use std::sync::Arc;
 
@@ -38,18 +37,6 @@ pub fn ceil_hour(t: SimTime) -> SimTime {
     SimTime::from_micros(t.as_micros().div_ceil(MICROS_PER_HOUR) * MICROS_PER_HOUR)
 }
 
-/// A live snapshot of a controlled run, published once per driver
-/// iteration (wakeup). `at` is the run-local virtual clock.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RunProgress {
-    /// Run-local virtual time of the last driver pass.
-    pub at: SimTime,
-    /// Jobs placed so far this run.
-    pub placed: u64,
-    /// Simulations completed so far this run.
-    pub completed: u64,
-}
-
 /// One-shot callback for the first driver pass that has placed a job:
 /// `(run-local virtual time, jobs placed so far this run)`.
 type FirstPlacementObserver = Box<dyn FnOnce(SimTime, u64) + Send>;
@@ -58,7 +45,6 @@ type FirstPlacementObserver = Box<dyn FnOnce(SimTime, u64) + Send>;
 struct ControlState {
     pause_requested: bool,
     pause_at: Option<SimTime>,
-    progress: RunProgress,
     on_first_placement: Option<FirstPlacementObserver>,
 }
 
@@ -83,11 +69,6 @@ impl RunControl {
     /// The no-op handle the batch path uses; every hook short-circuits.
     pub fn disabled() -> RunControl {
         RunControl { inner: None }
-    }
-
-    /// Whether this handle can actually pause/observe anything.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
     }
 
     /// Asks the running campaign to pause at the next whole virtual hour.
@@ -116,17 +97,6 @@ impl RunControl {
         }
     }
 
-    /// Whether a pause is currently requested or scheduled.
-    pub fn pause_pending(&self) -> bool {
-        match &self.inner {
-            Some(inner) => {
-                let st = inner.lock();
-                st.pause_requested || st.pause_at.is_some()
-            }
-            None => false,
-        }
-    }
-
     /// The virtual time the run should stop at, given the clock is at
     /// `t`: the next whole hour for an interactive request, the scheduled
     /// point (or the next whole hour if the clock already passed it) for
@@ -151,32 +121,17 @@ impl RunControl {
         }
     }
 
-    /// Driver hook: publish the per-iteration progress snapshot, then
-    /// fire the first-placement observer if this pass is the one.
-    pub(crate) fn publish(&self, at: SimTime, placed: u64, completed: u64) {
-        if let Some(inner) = &self.inner {
-            let observer = {
-                let mut st = inner.lock();
-                st.progress = RunProgress {
-                    at,
-                    placed,
-                    completed,
-                };
-                if placed > 0 {
-                    st.on_first_placement.take()
-                } else {
-                    None
-                }
-            };
-            if let Some(observer) = observer {
-                observer(at, placed);
-            }
+    /// Driver hook, once per pass with the jobs placed so far this run:
+    /// fires the armed first-placement observer on a pass with
+    /// `placed > 0`, after the control lock is released.
+    pub(crate) fn publish(&self, at: SimTime, placed: u64) {
+        let Some(inner) = self.inner.as_ref().filter(|_| placed > 0) else {
+            return;
+        };
+        let observer = inner.lock().on_first_placement.take();
+        if let Some(observer) = observer {
+            observer(at, placed);
         }
-    }
-
-    /// The latest published progress (`None` on a disabled handle).
-    pub fn progress(&self) -> Option<RunProgress> {
-        self.inner.as_ref().map(|inner| inner.lock().progress)
     }
 }
 
@@ -202,14 +157,11 @@ mod tests {
     #[test]
     fn disabled_handle_short_circuits_every_hook() {
         let c = RunControl::disabled();
-        assert!(!c.is_enabled());
         c.request_pause();
         c.schedule_pause_at(SimTime::from_hours(1));
-        assert!(!c.pause_pending());
         assert_eq!(c.pause_target(SimTime::ZERO), None);
         c.on_first_placement(|_, _| panic!("a disabled handle never observes"));
-        c.publish(SimTime::from_hours(2), 10, 5);
-        assert_eq!(c.progress(), None);
+        c.publish(SimTime::from_hours(2), 10);
     }
 
     #[test]
@@ -227,12 +179,16 @@ mod tests {
             assert_eq!((at, placed), (SimTime::from_mins(7), 3));
             seen.fetch_add(1, Ordering::SeqCst);
         });
-        c.publish(SimTime::from_mins(5), 0, 0);
+        c.publish(SimTime::from_mins(5), 0);
         assert_eq!(fired.load(Ordering::SeqCst), 0, "nothing placed yet");
-        c.publish(SimTime::from_mins(7), 3, 0);
-        c.publish(SimTime::from_mins(9), 8, 1);
+        c.publish(SimTime::from_mins(7), 3);
+        c.publish(SimTime::from_mins(9), 8);
         assert_eq!(fired.load(Ordering::SeqCst), 1, "one-shot");
-        assert!(!c.pause_pending(), "the callback's clear_pause landed");
+        assert_eq!(
+            c.pause_target(SimTime::from_mins(9)),
+            None,
+            "the callback's clear_pause landed"
+        );
     }
 
     #[test]
@@ -240,7 +196,6 @@ mod tests {
         let c = RunControl::new();
         assert_eq!(c.pause_target(SimTime::from_mins(90)), None);
         c.request_pause();
-        assert!(c.pause_pending());
         assert_eq!(
             c.pause_target(SimTime::from_mins(90)),
             Some(SimTime::from_hours(2))
@@ -266,19 +221,15 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_state_and_progress_round_trips() {
+    fn clones_share_state() {
         let a = RunControl::new();
         let b = a.clone();
         b.request_pause();
-        assert!(a.pause_pending());
-        a.publish(SimTime::from_hours(3), 42, 17);
         assert_eq!(
-            b.progress(),
-            Some(RunProgress {
-                at: SimTime::from_hours(3),
-                placed: 42,
-                completed: 17
-            })
+            a.pause_target(SimTime::from_hours(3)),
+            Some(SimTime::from_hours(3))
         );
+        a.clear_pause();
+        assert_eq!(b.pause_target(SimTime::from_hours(3)), None);
     }
 }

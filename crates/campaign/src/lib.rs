@@ -30,7 +30,7 @@ mod persistent;
 mod run;
 pub mod sweep;
 
-pub use control::{ceil_hour, RunControl, RunProgress};
+pub use control::{ceil_hour, RunControl};
 pub use driver::{advance_clock, next_horizon, Horizon, WakeSource};
 pub use failures::FailureProcess;
 pub use feedback_model::{FeedbackTimingModel, Iteration};

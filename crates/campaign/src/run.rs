@@ -545,8 +545,8 @@ impl Campaign {
 
     /// [`Campaign::execute_run_on`] with a cooperative [`RunControl`]:
     /// the handle can pause the run at the next whole virtual hour (the
-    /// pause-point rule — see `control`'s module docs) and observe
-    /// progress while the run executes on another thread. A paused run
+    /// pause-point rule — see `control`'s module docs) and report the
+    /// run's first placement to an armed observer. A paused run
     /// closes exactly like an end-of-allocation boundary: partial
     /// trajectories credited, interrupted sims requeued into the
     /// checkpoint, ledger reconciled — so resuming is the existing
@@ -1165,7 +1165,8 @@ impl<'c> RunSim<'c> {
     }
 
     /// Folds the pass's WM events into the run counters and the sims
-    /// map, checks the lifetime counters, and publishes progress.
+    /// map, checks the lifetime counters, and reports the run's first
+    /// placement to the run control.
     fn account(&mut self) {
         let t = self.t;
         for ev in self.wm_events.drain(..) {
@@ -1214,7 +1215,7 @@ impl<'c> RunSim<'c> {
                 self.load_time = Some(t);
             }
         }
-        self.control.publish(t, self.placed, self.completed);
+        self.control.publish(t, self.placed);
         self.prev_t = t;
     }
 

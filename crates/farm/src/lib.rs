@@ -12,8 +12,12 @@
 //!
 //! - [`admission`] — the pure fair-share pick (fewest running legs, then
 //!   fewest consumed node-hours, then FIFO);
-//! - [`Farm`] — the worker pool, campaign registry, event logs, and the
-//!   chaos [`chaos::WorkerKillPlan`] hook;
+//! - [`FarmCore`] — every farm decision as a plain state machine: the
+//!   campaign registry, event logs, worker slots, pause/resume/rescale
+//!   and the chaos [`chaos::WorkerKillPlan`] hook, with no lock, thread,
+//!   socket or clock;
+//! - [`Farm`] — the thread shell: the core behind one lock, the worker
+//!   pool, and the condition variables that wake workers and waiters;
 //! - [`proto`] — the strict JSON wire protocol;
 //! - [`FarmServer`] / [`FarmClient`] — JSON-lines-over-TCP transport
 //!   (std networking; the workspace carries no async runtime, and the
@@ -27,11 +31,13 @@
 
 pub mod admission;
 pub mod client;
+pub mod core;
 pub mod farm;
 pub mod proto;
 pub mod server;
 
+pub use crate::core::{CampaignStatus, Claim, EntryState, FarmCore, FarmEvent, FarmStats, Leg};
 pub use client::FarmClient;
-pub use farm::{CampaignStatus, EntryState, Farm, FarmEvent, FarmStats};
+pub use farm::Farm;
 pub use proto::{Request, SubmitSpec};
 pub use server::FarmServer;

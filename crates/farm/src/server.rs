@@ -14,13 +14,16 @@
 //! farm, then pokes the listener with a throwaway connection so the
 //! accept loop observes the flag and exits.
 
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread;
 
+use sched::{ClassWait, JobClass};
 use trace::Json;
 
-use crate::farm::{CampaignStatus, Farm, FarmEvent, FarmStats};
+use crate::core::{CampaignStatus, FarmEvent, FarmStats};
+use crate::farm::Farm;
 use crate::proto::{err_response, ok_response, write_lines, Request, MAX_REQUEST_LINE};
 
 /// A listening farm front end.
@@ -32,7 +35,7 @@ pub struct FarmServer {
 
 /// Wire form of a campaign status.
 pub fn status_json(s: &CampaignStatus) -> Json {
-    let mut map = std::collections::BTreeMap::new();
+    let mut map = BTreeMap::new();
     map.insert("id".into(), Json::Num(s.id as f64));
     map.insert("tenant".into(), Json::Str(s.tenant.clone()));
     map.insert("state".into(), Json::Str(s.state.name().into()));
@@ -54,20 +57,25 @@ pub fn status_json(s: &CampaignStatus) -> Json {
     map.insert("ledger_ok".into(), Json::Bool(s.ledger_ok));
     map.insert("traced".into(), Json::Bool(s.traced));
     map.insert("events".into(), Json::Num(s.events as f64));
-    let mut waits = std::collections::BTreeMap::new();
-    for (class, w) in &s.class_waits {
-        let mut row = std::collections::BTreeMap::new();
-        row.insert("count".into(), Json::Num(w.count as f64));
-        row.insert("mean_wait_us".into(), Json::Num(w.mean_us() as f64));
-        row.insert("max_wait_us".into(), Json::Num(w.max_us as f64));
-        waits.insert(class.label().to_string(), Json::Obj(row));
-    }
-    map.insert("class_waits".into(), Json::Obj(waits));
+    map.insert("class_waits".into(), class_waits(&s.class_waits));
     Json::Obj(map)
 }
 
+/// Wire form of per-class queue-wait aggregates, keyed by class label.
+fn class_waits(waits: &[(JobClass, ClassWait)]) -> Json {
+    let mut out = BTreeMap::new();
+    for (class, w) in waits {
+        let mut row = BTreeMap::new();
+        row.insert("count".into(), Json::Num(w.count as f64));
+        row.insert("mean_wait_us".into(), Json::Num(w.mean_us() as f64));
+        row.insert("max_wait_us".into(), Json::Num(w.max_us as f64));
+        out.insert(class.label().to_string(), Json::Obj(row));
+    }
+    Json::Obj(out)
+}
+
 fn stats_json(s: &FarmStats) -> Json {
-    let mut map = std::collections::BTreeMap::new();
+    let mut map = BTreeMap::new();
     map.insert("submitted".into(), Json::Num(s.submitted as f64));
     map.insert("completed".into(), Json::Num(s.completed as f64));
     map.insert("legs_completed".into(), Json::Num(s.legs_completed as f64));
@@ -80,15 +88,7 @@ fn stats_json(s: &FarmStats) -> Json {
         Json::Num(s.workers_spawned as f64),
     );
     map.insert("workers_alive".into(), Json::Num(s.workers_alive as f64));
-    let mut waits = std::collections::BTreeMap::new();
-    for (class, w) in &s.class_waits {
-        let mut row = std::collections::BTreeMap::new();
-        row.insert("count".into(), Json::Num(w.count as f64));
-        row.insert("mean_wait_us".into(), Json::Num(w.mean_us() as f64));
-        row.insert("max_wait_us".into(), Json::Num(w.max_us as f64));
-        waits.insert(class.label().to_string(), Json::Obj(row));
-    }
-    map.insert("class_waits".into(), Json::Obj(waits));
+    map.insert("class_waits".into(), class_waits(&s.class_waits));
     Json::Obj(map)
 }
 

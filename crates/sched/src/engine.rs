@@ -104,6 +104,14 @@ impl ClassWait {
     pub fn mean_us(&self) -> u64 {
         self.sum_us.checked_div(self.count).unwrap_or(0)
     }
+
+    /// Folds `other` into this aggregate: counts and sums add, the max
+    /// is the larger of the two.
+    pub fn merge(&mut self, other: &ClassWait) {
+        self.count += other.count;
+        self.sum_us += other.sum_us;
+        self.max_us = self.max_us.max(other.max_us);
+    }
 }
 
 #[derive(Debug)]
