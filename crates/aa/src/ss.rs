@@ -34,7 +34,7 @@ impl SsClass {
     }
 
     /// Decodes a serialized class.
-    pub fn from_code(c: usize) -> SsClass {
+    fn from_code(c: usize) -> SsClass {
         match c {
             0 => SsClass::Helix,
             1 => SsClass::Sheet,
@@ -43,7 +43,7 @@ impl SsClass {
     }
 
     /// One-letter DSSP-style label.
-    pub fn letter(self) -> char {
+    fn letter(self) -> char {
         match self {
             SsClass::Helix => 'H',
             SsClass::Sheet => 'E',
@@ -181,37 +181,37 @@ impl AaFrame {
     }
 }
 
-/// Generates an ideal α-helix backbone (for tests and synthetic AA data):
-/// rise 1.5 Å → 0.15 nm per residue, 100° per turn, radius 0.23 nm.
-pub fn ideal_helix(n: usize, origin: [f64; 3]) -> Vec<[f64; 3]> {
-    (0..n)
-        .map(|i| {
-            let theta = (i as f64) * 100.0f64.to_radians();
-            [
-                origin[0] + 0.23 * theta.cos(),
-                origin[1] + 0.23 * theta.sin(),
-                origin[2] + 0.15 * i as f64,
-            ]
-        })
-        .collect()
-}
-
-/// Generates an extended (β-strand-like) backbone.
-pub fn ideal_strand(n: usize, origin: [f64; 3]) -> Vec<[f64; 3]> {
-    (0..n)
-        .map(|i| {
-            [
-                origin[0] + 0.35 * i as f64,
-                origin[1] + if i % 2 == 0 { 0.05 } else { -0.05 },
-                origin[2],
-            ]
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Generates an ideal α-helix backbone:
+    /// rise 1.5 Å → 0.15 nm per residue, 100° per turn, radius 0.23 nm.
+    fn ideal_helix(n: usize, origin: [f64; 3]) -> Vec<[f64; 3]> {
+        (0..n)
+            .map(|i| {
+                let theta = (i as f64) * 100.0f64.to_radians();
+                [
+                    origin[0] + 0.23 * theta.cos(),
+                    origin[1] + 0.23 * theta.sin(),
+                    origin[2] + 0.15 * i as f64,
+                ]
+            })
+            .collect()
+    }
+
+    /// Generates an extended (β-strand-like) backbone.
+    fn ideal_strand(n: usize, origin: [f64; 3]) -> Vec<[f64; 3]> {
+        (0..n)
+            .map(|i| {
+                [
+                    origin[0] + 0.35 * i as f64,
+                    origin[1] + if i % 2 == 0 { 0.05 } else { -0.05 },
+                    origin[2],
+                ]
+            })
+            .collect()
+    }
 
     #[test]
     fn helix_is_classified_as_helix() {

@@ -33,7 +33,7 @@ const MICROS_PER_HOUR: u64 = 3_600_000_000;
 /// Rounds a virtual time up to the next whole hour (identity on whole
 /// hours). Pause points land on hour boundaries so executed-hours
 /// accounting stays exact in `u64` hours.
-pub fn ceil_hour(t: SimTime) -> SimTime {
+fn ceil_hour(t: SimTime) -> SimTime {
     SimTime::from_micros(t.as_micros().div_ceil(MICROS_PER_HOUR) * MICROS_PER_HOUR)
 }
 

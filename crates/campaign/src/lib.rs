@@ -28,13 +28,11 @@ pub mod feedback_model;
 pub mod perf;
 mod persistent;
 mod run;
-pub mod sweep;
 
-pub use control::{ceil_hour, RunControl};
+pub use control::RunControl;
 pub use driver::{advance_clock, next_horizon, Horizon, WakeSource};
 pub use failures::FailureProcess;
 pub use feedback_model::{FeedbackTimingModel, Iteration};
 pub use perf::{AaPerf, CgPerf, ContinuumPerf};
 pub use persistent::{AllocationOffer, ClusterUsage, PersistentCampaign};
 pub use run::{Campaign, CampaignConfig, ConfigError, RunReport, StoreBackend};
-pub use sweep::{run_table_runs, run_table_runs_serial, SweepResult, SweepRun};

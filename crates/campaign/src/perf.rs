@@ -60,7 +60,7 @@ impl Default for ContinuumPerf {
 impl ContinuumPerf {
     /// Mean throughput at `cores` cores: sub-linear strong scaling
     /// (exponent 0.85) off the reference point.
-    pub fn mean_ms_per_day(&self, cores: u64) -> f64 {
+    fn mean_ms_per_day(&self, cores: u64) -> f64 {
         let ratio = cores as f64 / self.ref_cores as f64;
         self.ref_ms_per_day * ratio.powf(0.85)
     }

@@ -106,11 +106,6 @@ impl PersistentCampaign {
         report
     }
 
-    /// Consumes a whole offer stream in order.
-    pub fn consume_all(&mut self, offers: &[AllocationOffer]) -> Vec<RunReport> {
-        offers.iter().map(|o| self.consume(o)).collect()
-    }
-
     /// Per-cluster accounting.
     pub fn usage(&self) -> &[ClusterUsage] {
         &self.usage
@@ -145,13 +140,13 @@ mod tests {
     #[test]
     fn campaign_continues_across_clusters() {
         let mut p = PersistentCampaign::new(cfg());
-        let offers = vec![
+        let offers = [
             AllocationOffer::summit(10, 12),
             AllocationOffer::lassen(16, 12), // different architecture
             AllocationOffer::summit(6, 6),
             AllocationOffer::lassen(8, 12),
         ];
-        let reports = p.consume_all(&offers);
+        let reports: Vec<RunReport> = offers.iter().map(|o| p.consume(o)).collect();
         assert_eq!(reports.len(), 4);
 
         // Trajectory accumulates monotonically across hops.

@@ -80,7 +80,7 @@ impl CgFrame {
 ///
 /// Normalized against the ideal-gas expectation, so g(r) → 1 for an
 /// uncorrelated fluid and g(r) ≈ 0 inside the excluded core.
-pub fn compute_rdf(cg: &CgSystem, species: usize, bins: usize, rmax: f64) -> Vec<f64> {
+fn compute_rdf(cg: &CgSystem, species: usize, bins: usize, rmax: f64) -> Vec<f64> {
     let heads = cg.heads_of(species);
     let prot = &cg.protein;
     let mut counts = vec![0u64; bins];
@@ -119,7 +119,7 @@ pub fn compute_rdf(cg: &CgSystem, species: usize, bins: usize, rmax: f64) -> Vec
 /// Encodes the protein conformation as three disparate quantities in
 /// [0, 1]: normalized radius of gyration, end-to-end extension ratio, and
 /// membrane-plane tilt of the chain axis.
-pub fn encode_conformation(cg: &CgSystem) -> [f64; 3] {
+fn encode_conformation(cg: &CgSystem) -> [f64; 3] {
     let prot = &cg.protein;
     if prot.len() < 2 {
         return [0.0; 3];

@@ -315,19 +315,6 @@ impl MdSystem {
             }
         })
     }
-
-    /// Instantaneous kinetic temperature (unit masses): 2 KE / (3 N).
-    pub fn temperature(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        let ke: f64 = self
-            .vel
-            .iter()
-            .map(|v| 0.5 * (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]))
-            .sum();
-        2.0 * ke / (3.0 * self.len() as f64)
-    }
 }
 
 /// A cell list for O(n) neighbor iteration at a fixed cutoff.
@@ -404,6 +391,16 @@ impl CellList {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    /// Instantaneous kinetic temperature (unit masses): 2 KE / (3 N).
+    fn temperature(sys: &MdSystem) -> f64 {
+        let ke: f64 = sys
+            .vel
+            .iter()
+            .map(|v| 0.5 * (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]))
+            .sum();
+        2.0 * ke / (3.0 * sys.len() as f64)
+    }
 
     fn two_body(r: f64) -> (MdSystem, ForceField) {
         let sys = MdSystem::new(
@@ -523,7 +520,7 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(4);
         sys.run(&ff, &ig, &mut rng, 2000);
-        let t = sys.temperature();
+        let t = temperature(&sys);
         assert!(
             (0.5..2.0).contains(&t),
             "temperature should settle near kT=1: {t}"

@@ -20,6 +20,6 @@ pub mod analysis;
 pub mod engine;
 pub mod system;
 
-pub use analysis::{compute_rdf, encode_conformation, CgFrame};
+pub use analysis::CgFrame;
 pub use engine::{ForceField, Integrator, MdSystem, PairTable};
 pub use system::{build_membrane, CgSystem, MembraneConfig};

@@ -84,16 +84,6 @@ impl CgSystem {
         }
     }
 
-    /// The tail bead type id.
-    pub fn tail_type(&self) -> u16 {
-        self.n_species as u16
-    }
-
-    /// The protein bead type id.
-    pub fn protein_type(&self) -> u16 {
-        (self.n_species + 1) as u16
-    }
-
     /// Particle indices of the head beads of one lipid species.
     pub fn heads_of(&self, species: usize) -> Vec<usize> {
         self.sys
@@ -287,7 +277,7 @@ mod tests {
             .typ
             .iter()
             .enumerate()
-            .filter(|&(_, &t)| t == m.tail_type())
+            .filter(|&(_, &t)| t == m.n_species as u16)
             .map(|(i, _)| i)
             .collect();
         let heads: Vec<usize> = (0..3).flat_map(|s| m.heads_of(s)).collect();

@@ -1,7 +1,5 @@
 //! Periodic 2-D scalar fields with finite-difference operators.
 
-use rayon::prelude::*;
-
 /// A periodic (torus) 2-D field of `f64`, row-major, square cells.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Grid2 {
@@ -115,34 +113,6 @@ impl Grid2 {
         (gx, gy)
     }
 
-    /// Five-point Laplacian into `out` (parallel over rows).
-    ///
-    /// # Panics
-    /// Panics when `out` has a different shape.
-    pub fn laplacian_into(&self, out: &mut Grid2) {
-        assert_eq!((self.nx, self.ny), (out.nx, out.ny), "shape mismatch");
-        let inv_h2 = 1.0 / (self.h * self.h);
-        let nx = self.nx;
-        let ny = self.ny;
-        let src = &self.data;
-        out.data
-            .par_chunks_mut(nx) // lint: allow(L8: row stencil into disjoint output rows; reads only the immutable source grid)
-            .enumerate()
-            .for_each(|(y, row)| {
-                let yu = (y + 1) % ny;
-                let yd = (y + ny - 1) % ny;
-                for x in 0..nx {
-                    let xr = (x + 1) % nx;
-                    let xl = (x + nx - 1) % nx;
-                    let c = src[y * nx + x];
-                    row[x] =
-                        (src[y * nx + xr] + src[y * nx + xl] + src[yu * nx + x] + src[yd * nx + x]
-                            - 4.0 * c)
-                            * inv_h2;
-                }
-            });
-    }
-
     /// Total integral of the field (sum × cell area) — conserved mass.
     pub fn integral(&self) -> f64 {
         self.data.iter().sum::<f64>() * self.h * self.h
@@ -202,27 +172,6 @@ mod tests {
         assert_eq!(g.at(4, 4), 7.0);
         assert_eq!(g.at(-4, -4), 7.0);
         assert_eq!(g.at(8, 0), 7.0);
-    }
-
-    #[test]
-    fn laplacian_of_constant_is_zero() {
-        let g = Grid2::constant(8, 8, 0.5, 3.25);
-        let mut out = Grid2::zeros(8, 8, 0.5);
-        g.laplacian_into(&mut out);
-        assert!(out.data().iter().all(|&v| v.abs() < 1e-12));
-    }
-
-    #[test]
-    fn laplacian_of_spike_sums_to_zero() {
-        // Discrete Laplacian conserves mass: sum over all cells is 0.
-        let mut g = Grid2::zeros(16, 16, 1.0);
-        *g.at_mut(5, 7) = 10.0;
-        let mut out = Grid2::zeros(16, 16, 1.0);
-        g.laplacian_into(&mut out);
-        let total: f64 = out.data().iter().sum();
-        assert!(total.abs() < 1e-10);
-        assert!(out.at(5, 7) < 0.0);
-        assert!(out.at(6, 7) > 0.0);
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //!
 //! This crate is the GridSim2D stand-in:
 //!
-//! - [`Grid2`] — periodic 2-D scalar fields with finite-difference
-//!   operators, rayon-parallel over rows;
+//! - [`Grid2`] — periodic 2-D scalar fields with bilinear sampling,
+//!   finite-difference gradients and Gaussian footprints;
 //! - [`ContinuumSim`] — dynamic density functional theory time stepping
-//!   for every lipid species, Langevin dynamics for protein particles, and
+//!   for every lipid species (rayon-parallel over species and rows), Langevin dynamics for protein particles, and
 //!   protein–lipid coupling parameters that can be **hot-reloaded** — the
 //!   CG→continuum feedback path ("the ongoing continuum simulation …
 //!   reads and updates these parameters on the fly");

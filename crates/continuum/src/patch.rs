@@ -9,7 +9,6 @@
 
 use datastore::codec::{Array, Records};
 
-use crate::grid::periodic_delta;
 use crate::snapshot::Snapshot;
 
 /// Patch extraction parameters.
@@ -161,14 +160,6 @@ pub fn extract_patches(snap: &Snapshot, cfg: &PatchConfig) -> Vec<Patch> {
     out
 }
 
-/// True when two patch centers overlap within `min_sep` nm on the periodic
-/// domain (used to avoid spawning near-duplicate CG systems).
-pub fn centers_overlap(a: (f64, f64), b: (f64, f64), domain: (f64, f64), min_sep: f64) -> bool {
-    let dx = periodic_delta(a.0 - b.0, domain.0);
-    let dy = periodic_delta(a.1 - b.1, domain.1);
-    dx * dx + dy * dy < min_sep * min_sep
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,12 +247,5 @@ mod tests {
         snap.proteins[0] = (0.1, 0.1, 0, 0);
         let patches = extract_patches(&snap, &PatchConfig::default());
         assert!(patches[0].windows[0].data().iter().all(|&v| v > 0.0));
-    }
-
-    #[test]
-    fn overlap_respects_periodicity() {
-        let domain = (64.0, 64.0);
-        assert!(centers_overlap((1.0, 1.0), (63.0, 63.0), domain, 5.0));
-        assert!(!centers_overlap((1.0, 1.0), (32.0, 32.0), domain, 5.0));
     }
 }

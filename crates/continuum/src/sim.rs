@@ -24,15 +24,6 @@ impl ProteinKind {
             ProteinKind::RasRaf => 1,
         }
     }
-
-    /// Decodes a snapshot code.
-    pub fn from_code(c: usize) -> ProteinKind {
-        if c == 0 {
-            ProteinKind::Ras
-        } else {
-            ProteinKind::RasRaf
-        }
-    }
 }
 
 /// A protein particle: position, kind, and configurational state.
@@ -156,12 +147,6 @@ pub struct ContinuumSim {
     coupling: CouplingParams,
     /// Per-species protein potential, rebuilt each step.
     potential: Vec<Grid2>,
-    /// Optional lipid–lipid interaction matrix χ[s][s'] (Flory-Huggins-like
-    /// cross terms): positive entries make species s avoid regions rich in
-    /// s' — the driver of membrane **domain formation**, one of the
-    /// phenomena the study probes ("membrane dynamics (e.g., undulations
-    /// and domain formation)", §2).
-    lipid_chi: Option<Vec<Vec<f64>>>,
     time_us: f64,
     step: u64,
     rng: StdRng,
@@ -209,7 +194,6 @@ impl ContinuumSim {
             fields,
             proteins,
             potential,
-            lipid_chi: None,
             time_us: 0.0,
             step: 0,
             rng,
@@ -227,11 +211,6 @@ impl ContinuumSim {
         self.time_us
     }
 
-    /// Steps taken.
-    pub fn step_count(&self) -> u64 {
-        self.step
-    }
-
     /// Density field of one species.
     pub fn field(&self, species: usize) -> &Grid2 {
         &self.fields[species]
@@ -245,43 +224,6 @@ impl ContinuumSim {
     /// Current coupling parameters.
     pub fn coupling(&self) -> &CouplingParams {
         &self.coupling
-    }
-
-    /// Sets the lipid–lipid interaction matrix χ (species × species).
-    /// Positive χ[s][s'] makes species `s` drift away from regions rich in
-    /// `s'`; a symmetric positive pair demixes into domains.
-    ///
-    /// # Panics
-    /// Panics when the matrix is not species × species.
-    pub fn set_lipid_interactions(&mut self, chi: Vec<Vec<f64>>) {
-        let n = self.cfg.species();
-        assert_eq!(chi.len(), n, "chi must be species x species");
-        for row in &chi {
-            assert_eq!(row.len(), n, "chi must be species x species");
-        }
-        self.lipid_chi = Some(chi);
-    }
-
-    /// Spatial demixing metric for a species pair: the negative Pearson
-    /// correlation of their density fields. 0 for uncorrelated fields,
-    /// approaching 1 as the species segregate into complementary domains.
-    pub fn demixing(&self, a: usize, b: usize) -> f64 {
-        let fa = self.fields[a].data();
-        let fb = self.fields[b].data();
-        let n = fa.len() as f64;
-        let (ma, mb) = (fa.iter().sum::<f64>() / n, fb.iter().sum::<f64>() / n);
-        let mut cov = 0.0;
-        let mut va = 0.0;
-        let mut vb = 0.0;
-        for (&x, &y) in fa.iter().zip(fb) {
-            cov += (x - ma) * (y - mb);
-            va += (x - ma) * (x - ma);
-            vb += (y - mb) * (y - mb);
-        }
-        if va <= 1e-30 || vb <= 1e-30 {
-            return 0.0;
-        }
-        -(cov / (va.sqrt() * vb.sqrt()))
     }
 
     /// Hot-reloads the protein–lipid couplings — the feedback entry point.
@@ -313,8 +255,7 @@ impl ContinuumSim {
         self.time_us += self.cfg.dt;
     }
 
-    /// Rebuilds the per-species potential fields: protein footprints plus
-    /// lipid–lipid cross terms (V_s += Σ_s' χ[s][s'] ρ_s').
+    /// Rebuilds the per-species potential fields from protein footprints.
     fn build_potentials(&mut self) {
         let range = self.coupling.range;
         for (s, pot) in self.potential.iter_mut().enumerate() {
@@ -323,16 +264,6 @@ impl ContinuumSim {
                 let w = self.coupling.strength[p.kind.code()][s];
                 if w != 0.0 {
                     pot.add_gaussian(p.x, p.y, range, w);
-                }
-            }
-            if let Some(chi) = &self.lipid_chi {
-                for (sp, field) in self.fields.iter().enumerate() {
-                    let k = chi[s][sp];
-                    if k != 0.0 {
-                        for (v, &rho) in pot.data_mut().iter_mut().zip(field.data()) {
-                            *v += k * rho;
-                        }
-                    }
                 }
             }
         }
@@ -455,12 +386,6 @@ impl ContinuumSim {
     pub fn snapshot(&self) -> Snapshot {
         Snapshot::capture(self.time_us, &self.fields, &self.proteins)
     }
-
-    /// Total lipid mass across species (diagnostic; conserved up to the
-    /// non-negativity clamp).
-    pub fn total_mass(&self) -> f64 {
-        self.fields.iter().map(Grid2::integral).sum()
-    }
 }
 
 #[cfg(test)]
@@ -479,12 +404,18 @@ mod tests {
         }
     }
 
+    /// Total lipid mass across species (conserved up to the
+    /// non-negativity clamp).
+    fn total_mass(sim: &ContinuumSim) -> f64 {
+        sim.fields.iter().map(Grid2::integral).sum()
+    }
+
     #[test]
     fn mass_is_conserved_without_coupling() {
         let mut sim = ContinuumSim::new(tiny());
-        let m0 = sim.total_mass();
+        let m0 = total_mass(&sim);
         sim.run(200);
-        let m1 = sim.total_mass();
+        let m1 = total_mass(&sim);
         assert!(
             (m1 - m0).abs() / m0 < 1e-9,
             "pure diffusion must conserve mass: {m0} -> {m1}"
@@ -579,42 +510,13 @@ mod tests {
     }
 
     #[test]
-    fn repulsive_chi_drives_domain_formation() {
-        // Species 0 and 1 repel each other; a small symmetry-breaking
-        // perturbation grows into complementary domains.
-        let mut cfg = tiny();
-        cfg.n_proteins = 0;
-        cfg.dt = 0.1;
-        cfg.density_noise = 0.02; // the fluctuation seed domains grow from
-        let mut sim = ContinuumSim::new(cfg);
-        let n = 3;
-        let mut chi = vec![vec![0.0; n]; n];
-        chi[0][1] = 0.8;
-        chi[1][0] = 0.8;
-        sim.set_lipid_interactions(chi);
-        let before = sim.demixing(0, 1);
-        sim.run(1500);
-        let after = sim.demixing(0, 1);
-        assert!(
-            after > before + 0.3,
-            "repulsive chi should demix: {before:.3} -> {after:.3}"
-        );
-        // Fields stay physical.
-        assert!(sim.field(0).min() >= 0.0);
-        assert!(sim.field(1).min() >= 0.0);
-        // The uninvolved species stays mixed.
-        assert!(sim.demixing(0, 2).abs() < 0.5);
-    }
-
-    #[test]
-    fn zero_chi_diffuses_fluctuations_away() {
-        // Without cross-interactions, diffusion erases the initial noise
-        // instead of amplifying it into domains.
+    fn diffusion_erases_fluctuations() {
+        // Without proteins, diffusion erases the initial noise instead of
+        // amplifying it into domains.
         let mut cfg = tiny();
         cfg.n_proteins = 0;
         cfg.density_noise = 0.02;
         let mut sim = ContinuumSim::new(cfg);
-        sim.set_lipid_interactions(vec![vec![0.0; 3]; 3]);
         let var = |sim: &ContinuumSim, s: usize| {
             let d = sim.field(s).data();
             let m = d.iter().sum::<f64>() / d.len() as f64;
@@ -627,17 +529,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "species x species")]
-    fn bad_chi_shape_panics() {
-        let mut sim = ContinuumSim::new(tiny());
-        sim.set_lipid_interactions(vec![vec![0.0; 2]; 2]);
-    }
-
-    #[test]
     fn time_advances_by_dt() {
         let mut sim = ContinuumSim::new(tiny());
         sim.run(10);
         assert!((sim.time_us() - 10.0 * sim.config().dt).abs() < 1e-12);
-        assert_eq!(sim.step_count(), 10);
+        assert_eq!(sim.step, 10);
     }
 }

@@ -8,7 +8,7 @@
 use datastore::codec::{Array, Records};
 
 use crate::grid::Grid2;
-use crate::sim::{Protein, ProteinKind};
+use crate::sim::Protein;
 
 /// A point-in-time capture of the continuum state.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,19 +43,6 @@ impl Snapshot {
     /// Number of lipid species captured.
     pub fn species(&self) -> usize {
         self.fields.len()
-    }
-
-    /// Reconstructs the protein list.
-    pub fn protein_list(&self) -> Vec<Protein> {
-        self.proteins
-            .iter()
-            .map(|&(x, y, kind, state)| Protein {
-                x,
-                y,
-                kind: ProteinKind::from_code(kind),
-                state,
-            })
-            .collect()
     }
 
     /// Serializes to the byte-stream format.
@@ -152,9 +139,6 @@ mod tests {
         let bytes = snap.encode();
         let back = Snapshot::decode(&bytes).unwrap();
         assert_eq!(back, snap);
-        let plist = back.protein_list();
-        assert_eq!(plist.len(), 4);
-        assert_eq!(plist[0].x, snap.proteins[0].0);
     }
 
     #[test]

@@ -30,9 +30,6 @@ pub enum Op {
     Flush,
 }
 
-/// Number of [`Op`] variants (size of per-op counter arrays).
-pub const OP_COUNT: usize = 5;
-
 impl Op {
     /// Stable label (used by serialized fault plans).
     pub fn label(self) -> &'static str {
@@ -100,12 +97,9 @@ impl FaultWindow {
 /// [`FaultWindow`]s are open. With no windows it is an exact passthrough,
 /// so a campaign can always run behind it.
 ///
-/// Counting: **every** fallible call — `write`, `read`, `move_ns`,
-/// `delete`, `flush` — increments its own slot in
-/// [`ScheduledFaultStore::op_counts`] exactly once, whether or not any
-/// window targets it. Each window additionally counts the targeted calls
-/// it saw and drives its failure schedule from that private counter, so
-/// traffic outside the window (or on other ops) never shifts it. When no
+/// Counting: each window counts the targeted calls it saw and drives its
+/// failure schedule from that private counter, so traffic outside the
+/// window (or on other ops) never shifts it. When no
 /// two windows fail the same call, the totals satisfy
 /// `injected() == Σ_w (window_hits(w) / period(w))`.
 #[derive(Debug)]
@@ -115,7 +109,6 @@ pub struct ScheduledFaultStore<S> {
     /// Targeted calls observed per window (drives its schedule).
     window_hits: Vec<u64>,
     now: SimTime,
-    counts: [u64; OP_COUNT],
     injected: u64,
     delayed: u64,
     delay_total: SimDuration,
@@ -130,7 +123,6 @@ impl<S: DataStore> ScheduledFaultStore<S> {
             windows,
             window_hits,
             now: SimTime::ZERO,
-            counts: [0; OP_COUNT],
             injected: 0,
             delayed: 0,
             delay_total: SimDuration::ZERO,
@@ -152,11 +144,6 @@ impl<S: DataStore> ScheduledFaultStore<S> {
         (self.delayed, self.delay_total)
     }
 
-    /// Calls observed per op, indexed by `Op as usize`.
-    pub fn op_counts(&self) -> [u64; OP_COUNT] {
-        self.counts
-    }
-
     /// Consumes the wrapper, returning the inner store.
     pub fn into_inner(self) -> S {
         self.inner
@@ -168,7 +155,6 @@ impl<S: DataStore> ScheduledFaultStore<S> {
     }
 
     fn should_fail(&mut self, op: Op) -> bool {
-        self.counts[op as usize] += 1;
         let mut fail = false;
         for (i, w) in self.windows.iter().enumerate() {
             if !w.active(self.now, op) {
@@ -270,11 +256,6 @@ mod tests {
             assert!(s.write("ns", &format!("k{i}"), b"v").is_ok());
         }
         assert_eq!(s.injected(), 0);
-        assert_eq!(
-            s.op_counts()[Op::Write as usize],
-            10,
-            "untargeted counting still exact"
-        );
     }
 
     #[test]
@@ -284,19 +265,6 @@ mod tests {
         assert!(matches!(s.read("ns", "k"), Err(DataError::Injected(_))));
         // Untargeted ops pass through.
         assert!(s.delete("ns", "k").is_ok());
-    }
-
-    #[test]
-    fn every_op_is_counted_exactly_once_per_call() {
-        let mut s = periodic(Op::Read, 0);
-        s.write("a", "k", b"v").unwrap();
-        s.write("a", "k2", b"v").unwrap();
-        s.read("a", "k").unwrap();
-        s.move_ns("k", "a", "b").unwrap();
-        s.delete("b", "k").unwrap();
-        s.flush().unwrap();
-        s.flush().unwrap();
-        assert_eq!(s.op_counts(), [2, 1, 1, 1, 2]);
     }
 
     #[test]
@@ -356,8 +324,6 @@ mod tests {
         s.set_now(SimTime::from_secs(20));
         assert!(s.read("ns", "k").is_ok(), "window end is exclusive");
         assert_eq!(s.injected(), 2);
-        assert_eq!(s.op_counts()[Op::Read as usize], 4);
-        assert_eq!(s.op_counts()[Op::Write as usize], 1);
     }
 
     #[test]
@@ -434,11 +400,10 @@ mod prop_tests {
     }
 
     proptest! {
-        /// Over arbitrary op sequences: per-op counts equal occurrence
-        /// counts, and injected-failure totals are exactly
-        /// `count(target) / period`, independent of interleaving.
+        /// Over arbitrary op sequences, injected-failure totals are
+        /// exactly `count(target) / period`, independent of interleaving.
         #[test]
-        fn counts_and_injections_are_exact(
+        fn injections_are_exact(
             ops in proptest::collection::vec(0usize..5, 0..120),
             target in 0usize..5,
             period in 0u64..5,
@@ -446,7 +411,7 @@ mod prop_tests {
             let all = [Op::Write, Op::Read, Op::MoveNs, Op::Delete, Op::Flush];
             let target = all[target];
             let mut s = periodic(target, period);
-            let mut expected = [0u64; OP_COUNT];
+            let mut expected = [0u64; 5];
             let mut injected = 0u64;
             for (i, &oi) in ops.iter().enumerate() {
                 let op = all[oi];
@@ -460,7 +425,6 @@ mod prop_tests {
                     injected += 1;
                 }
             }
-            prop_assert_eq!(s.op_counts(), expected);
             prop_assert_eq!(s.injected(), injected);
             let quota = expected[target as usize].checked_div(period).unwrap_or(0);
             prop_assert_eq!(s.injected(), quota);

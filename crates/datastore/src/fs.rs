@@ -3,7 +3,9 @@
 //! "The simplest data interface accesses the filesystem directly … Where
 //! needed, I/O armoring and redundancy is used to guard against filesystem
 //! failures, e.g., backups of checkpoint files and retrials if
-//! reading/writing fails" (§4.2).
+//! reading/writing fails" (§4.2). This backend implements the retrials:
+//! every file operation gets `ATTEMPTS` tries, and writes land through
+//! a temporary file renamed into place.
 
 use std::fs;
 use std::io;
@@ -14,17 +16,16 @@ use trace::Tracer;
 use crate::store::DataStore;
 use crate::{DataError, Result};
 
+/// Attempts per filesystem operation before its error surfaces.
+const ATTEMPTS: u32 = 3;
+
 /// Direct-filesystem store: `root/<ns>/<key>` files.
 ///
 /// Writes are armored: data goes to a `.tmp` file that is renamed into
-/// place (atomic on POSIX), with up to `retries` attempts per operation.
-/// With [`FsStore::with_backups`], each overwrite first preserves the old
-/// value as `<key>.bak` — the paper's checkpoint-backup redundancy.
+/// place (atomic on POSIX), with up to `ATTEMPTS` tries per operation.
 #[derive(Debug)]
 pub struct FsStore {
     root: PathBuf,
-    retries: u32,
-    backups: bool,
     tracer: Tracer,
 }
 
@@ -35,22 +36,8 @@ impl FsStore {
         fs::create_dir_all(&root)?;
         Ok(FsStore {
             root,
-            retries: 3,
-            backups: false,
             tracer: Tracer::disabled(),
         })
-    }
-
-    /// Sets the retry budget per I/O operation (minimum 1 attempt).
-    pub fn with_retries(mut self, retries: u32) -> FsStore {
-        self.retries = retries.max(1);
-        self
-    }
-
-    /// Enables `.bak` backups on overwrite (checkpoint armoring).
-    pub fn with_backups(mut self, enabled: bool) -> FsStore {
-        self.backups = enabled;
-        self
     }
 
     /// Installs a tracer; reads and writes record per-op events (with the
@@ -74,14 +61,6 @@ impl FsStore {
         self.ns_dir(ns).join(key)
     }
 
-    /// Reads the backup copy of `ns/key` if present — the recovery path
-    /// when a checkpoint read fails.
-    pub fn read_backup(&self, ns: &str, key: &str) -> Result<Vec<u8>> {
-        let mut p = self.item_path(ns, key).into_os_string();
-        p.push(".bak");
-        fs::read(PathBuf::from(p)).map_err(DataError::Io)
-    }
-
     fn retrying<T>(&self, op: impl FnMut() -> io::Result<T>) -> io::Result<T> {
         self.retrying_counted(op).map(|(v, _)| v)
     }
@@ -89,12 +68,11 @@ impl FsStore {
     /// Like [`FsStore::retrying`], but also reports how many attempts the
     /// operation consumed (1 = first try succeeded).
     fn retrying_counted<T>(&self, mut op: impl FnMut() -> io::Result<T>) -> io::Result<(T, u32)> {
-        let budget = self.retries.max(1);
         let mut attempt = 1;
         loop {
             match op() {
                 Ok(v) => return Ok((v, attempt)),
-                Err(e) if attempt >= budget => return Err(e),
+                Err(e) if attempt >= ATTEMPTS => return Err(e),
                 Err(_) => attempt += 1,
             }
         }
@@ -130,21 +108,12 @@ impl DataStore for FsStore {
         let mut attempts = 0;
         attempts += self.retrying_counted(|| fs::create_dir_all(&dir))?.1;
         let path = self.item_path(ns, key);
-        let mut steps = 3;
-        if self.backups && path.exists() {
-            let mut bak = path.clone().into_os_string();
-            bak.push(".bak");
-            attempts += self
-                .retrying_counted(|| fs::copy(&path, PathBuf::from(&bak)).map(|_| ()))?
-                .1;
-            steps += 1;
-        }
         let tmp = dir.join(format!(".{key}.tmp"));
         attempts += self.retrying_counted(|| fs::write(&tmp, data))?.1;
         attempts += self.retrying_counted(|| fs::rename(&tmp, &path))?.1;
-        // Each write is 3–4 armored steps; report retries beyond one
+        // Each write is 3 armored steps; report retries beyond one
         // attempt per step.
-        self.trace_op("write", ns, key, data.len(), attempts - steps + 1);
+        self.trace_op("write", ns, key, data.len(), attempts - 2);
         Ok(())
     }
 
@@ -179,8 +148,8 @@ impl DataStore for FsStore {
                 continue;
             }
             if let Some(name) = entry.file_name().to_str() {
-                // Skip armoring artifacts.
-                if name.starts_with('.') || name.ends_with(".bak") {
+                // Skip in-flight `.tmp` writes.
+                if name.starts_with('.') {
                     continue;
                 }
                 out.push(name.to_string());
@@ -253,14 +222,11 @@ mod tests {
 
     #[test]
     fn list_skips_artifacts() {
-        let mut s = store("list").with_backups(true);
-        s.write("ns", "a", b"1").unwrap();
-        s.write("ns", "a", b"2").unwrap(); // creates a.bak
-        s.write("ns", "b", b"3").unwrap();
-        let mut keys = s.list("ns").unwrap();
-        keys.sort();
-        assert_eq!(keys, vec!["a", "b"]);
-        assert_eq!(s.read_backup("ns", "a").unwrap(), b"1");
+        let mut s = store("list");
+        s.write("ns", "b", b"1").unwrap();
+        s.write("ns", "a", b"2").unwrap();
+        fs::write(s.root().join("ns/.c.tmp"), b"torn").unwrap();
+        assert_eq!(s.list("ns").unwrap(), vec!["a", "b"]);
         fs::remove_dir_all(s.root()).unwrap();
     }
 

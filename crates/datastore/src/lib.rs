@@ -1,5 +1,4 @@
-//! Generic data management: one abstract interface, three backends and a
-//! tier combinator.
+//! Generic data management: one abstract interface, three backends.
 //!
 //! §4.2 of the paper: "Rather than speculating on all possible scenarios and
 //! creating tailored implementations, we have developed an abstract notion of
@@ -9,15 +8,12 @@
 //! configuration switch":
 //!
 //! - [`FsStore`] — plain files under a root directory, with I/O armoring
-//!   (bounded retries) and optional checkpoint backups;
+//!   (bounded retries, atomic rename into place);
 //! - [`TarStore`] — one [`taridx::IndexedTar`] archive per namespace,
 //!   append-only, for the billion-file problem;
 //! - [`KvDataStore`] — key-value storage for high-throughput in-situ
 //!   feedback data, over either the in-process [`kvstore`] cluster or the
-//!   networked [`storeserver`] tier (loopback or TCP);
-//! - [`TieredStore`] — not a backend but a pair of them, the §6
-//!   RAM-disk/GPFS arrangement: a fast tier absorbing all traffic with
-//!   selected namespaces written through to a durable tier.
+//!   networked [`storeserver`] tier (loopback or TCP).
 //!
 //! The namespace-move operation ([`DataStore::move_ns`]) is the paper's
 //! frame-tagging primitive: processed items are moved out of the live
@@ -47,14 +43,12 @@ mod fs;
 mod kv;
 mod store;
 mod tar;
-mod tiered;
 
-pub use faults::{FaultWindow, Op, ScheduledFaultStore, OP_COUNT};
+pub use faults::{FaultWindow, Op, ScheduledFaultStore};
 pub use fs::FsStore;
 pub use kv::{KvDataStore, RemoteDataStore};
 pub use store::DataStore;
 pub use tar::TarStore;
-pub use tiered::TieredStore;
 
 use std::fmt;
 use std::io;

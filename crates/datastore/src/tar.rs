@@ -18,8 +18,8 @@ use crate::{DataError, Result};
 #[derive(Debug)]
 pub struct TarStore {
     root: PathBuf,
-    // Ordered by namespace so bulk operations (repack_all, flush) touch
-    // archives in a stable order regardless of open history.
+    // Ordered by namespace so `flush` touches archives in a stable order
+    // regardless of open history.
     archives: BTreeMap<String, IndexedTar>,
 }
 
@@ -37,23 +37,6 @@ impl TarStore {
     /// The root directory.
     pub fn root(&self) -> &Path {
         &self.root
-    }
-
-    /// Number of archive files currently open.
-    pub fn open_archives(&self) -> usize {
-        self.archives.len()
-    }
-
-    /// Repacks every open archive, dropping superseded and moved-out
-    /// payloads. Returns total bytes reclaimed. Run this between campaign
-    /// phases to keep archive growth bounded despite the append-only
-    /// `move_ns` semantics.
-    pub fn repack_all(&mut self) -> Result<u64> {
-        let mut reclaimed = 0;
-        for tar in self.archives.values_mut() {
-            reclaimed += tar.repack()?;
-        }
-        Ok(reclaimed)
     }
 
     fn archive(&mut self, ns: &str) -> Result<&mut IndexedTar> {
@@ -143,7 +126,6 @@ mod tests {
         s.write("a", "k", b"1").unwrap();
         s.write("b", "k", b"2").unwrap();
         s.flush().unwrap();
-        assert_eq!(s.open_archives(), 2);
         assert!(s.root().join("a.tar").is_file());
         assert!(s.root().join("b.tar").is_file());
         assert_eq!(s.read("a", "k").unwrap(), b"1");
@@ -174,25 +156,6 @@ mod tests {
         let mut s = TarStore::open(&dir).unwrap();
         assert_eq!(s.read("ns", "k").unwrap(), b"v");
         std::fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn repack_reclaims_moved_namespace_space() {
-        let mut s = store("repack");
-        for i in 0..20 {
-            s.write("new", &format!("f{i}"), &vec![1u8; 2000]).unwrap();
-        }
-        for i in 0..20 {
-            s.move_ns(&format!("f{i}"), "new", "done").unwrap();
-        }
-        s.flush().unwrap();
-        // The "new" archive is all dead weight now.
-        let reclaimed = s.repack_all().unwrap();
-        assert!(reclaimed > 20 * 2000, "reclaimed {reclaimed}");
-        assert_eq!(s.count("new").unwrap(), 0);
-        assert_eq!(s.count("done").unwrap(), 20);
-        assert_eq!(s.read("done", "f7").unwrap(), vec![1u8; 2000]);
-        std::fs::remove_dir_all(s.root()).unwrap();
     }
 
     #[test]

@@ -98,21 +98,6 @@ impl BinnedSampler {
         }
     }
 
-    /// Number of bins in the histogram.
-    pub fn bin_count(&self) -> usize {
-        self.bins.len()
-    }
-
-    /// How many selections bin `b` has produced.
-    pub fn sampled_in_bin(&self, b: usize) -> u64 {
-        self.sampled[b]
-    }
-
-    /// Occupancy (queued candidates) of bin `b`.
-    pub fn occupancy(&self, b: usize) -> usize {
-        self.bins[b].len()
-    }
-
     /// Picks one candidate according to the importance/randomness policy.
     fn pick_one(&mut self) -> Option<HdPoint> {
         if self.total == 0 {
@@ -291,7 +276,7 @@ mod tests {
         assert_eq!(s.candidates(), 0);
         // take() counts as a selection for importance purposes.
         let bin = config(1.0).bin_of(&[0.5, 0.5, 0.5]);
-        assert_eq!(s.sampled_in_bin(bin), 1);
+        assert_eq!(s.sampled[bin], 1);
     }
 
     #[test]

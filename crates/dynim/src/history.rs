@@ -41,11 +41,6 @@ impl History {
         self.events.push(HistoryEvent::Selected(id.to_string()));
     }
 
-    /// Records a discard.
-    pub fn record_discard(&mut self, id: &str) {
-        self.events.push(HistoryEvent::Discarded(id.to_string()));
-    }
-
     /// All events in order.
     pub fn events(&self) -> &[HistoryEvent] {
         &self.events
@@ -176,6 +171,11 @@ mod tests {
     use crate::ann::ExactNn;
     use crate::fps::{FarthestPointSampler, FpsConfig};
 
+    /// Records a discard (no selector caller discards through the log).
+    fn record_discard(h: &mut History, id: &str) {
+        h.events.push(HistoryEvent::Discarded(id.to_string()));
+    }
+
     fn p(id: &str, x: f64) -> HdPoint {
         HdPoint::new(id, vec![x, -x])
     }
@@ -186,7 +186,7 @@ mod tests {
         h.record_add(&p("a", 1.5));
         h.record_add(&p("b", -2.25));
         h.record_select("a");
-        h.record_discard("b");
+        record_discard(&mut h, "b");
         let text = h.to_text();
         let back = History::from_text(&text).unwrap();
         assert_eq!(back, h);
@@ -216,7 +216,7 @@ mod tests {
         for q in &picked {
             h.record_select(&q.id);
         }
-        h.record_discard("p3");
+        record_discard(&mut h, "p3");
         live.discard("p3");
 
         let mut replayed = FarthestPointSampler::new(FpsConfig { cap: 0 }, ExactNn::new());
@@ -250,7 +250,7 @@ mod tests {
         for q in live.select(7) {
             h.record_select(&q.id);
         }
-        h.record_discard("p2");
+        record_discard(&mut h, "p2");
         live.discard("p2");
         // Re-add a previously selected id with new coords.
         let fresh = p("p0", 9.0);
@@ -280,7 +280,7 @@ mod tests {
             h.record_add(&p(&format!("x{i}"), i as f64));
         }
         h.record_select("x3");
-        h.record_discard("x4");
+        record_discard(&mut h, "x4");
         let c1 = h.compact();
         let c2 = c1.compact();
         assert_eq!(c1, c2);

@@ -49,16 +49,6 @@ impl MultiQueueSampler {
         }
     }
 
-    /// Number of queues.
-    pub fn queue_count(&self) -> usize {
-        self.queues.len()
-    }
-
-    /// Candidates in one queue.
-    pub fn queue_candidates(&self, q: usize) -> usize {
-        self.queues[q].candidates()
-    }
-
     /// Total evictions across queues.
     pub fn evicted(&self) -> u64 {
         self.queues.iter().map(|q| q.evicted()).sum()
@@ -125,7 +115,7 @@ mod tests {
         }
         assert_eq!(s.candidates(), 50);
         for q in 0..5 {
-            assert_eq!(s.queue_candidates(q), 10);
+            assert_eq!(s.queues[q].candidates(), 10);
         }
     }
 

@@ -34,7 +34,7 @@ pub struct FarmServer {
 }
 
 /// Wire form of a campaign status.
-pub fn status_json(s: &CampaignStatus) -> Json {
+fn status_json(s: &CampaignStatus) -> Json {
     let mut map = BTreeMap::new();
     map.insert("id".into(), Json::Num(s.id as f64));
     map.insert("tenant".into(), Json::Str(s.tenant.clone()));

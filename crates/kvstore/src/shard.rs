@@ -90,11 +90,6 @@ impl Shard {
         self.map.read().values().map(|v| v.len()).sum()
     }
 
-    /// Removes every key.
-    pub fn flush_all(&self) {
-        self.map.write().clear();
-    }
-
     /// Cursor-based incremental scan (Redis `SCAN`): returns up to `count`
     /// matching keys starting at `cursor`, plus the next cursor (`None`
     /// when the scan completed). Unlike [`Shard::keys`], each call holds
@@ -180,8 +175,6 @@ mod tests {
         assert_eq!(s.memory_bytes(), 150);
         s.del("a");
         assert_eq!(s.memory_bytes(), 50);
-        s.flush_all();
-        assert!(s.is_empty());
     }
 
     #[test]

@@ -27,9 +27,9 @@
 //!   so the allowlist can only ratchet down.
 //! - **L5** — no raw `.state =` writes in `crates/sched` outside
 //!   `src/job.rs`. Job lifecycle transitions go through
-//!   `TrackedState::advance_to`, which checks membership in the exported
-//!   `sched::ALLOWED_TRANSITIONS` table — keeping that table exhaustive
-//!   over the code by construction.
+//!   `TrackedState::advance_to`, which checks membership in that module's
+//!   `ALLOWED_TRANSITIONS` table — keeping that table exhaustive over the
+//!   code by construction.
 //!
 //! The parallelism-readiness rules (the gate ROADMAP item 1 — deterministic
 //! intra-campaign parallelism — merges through; see DESIGN.md § 6.1):
@@ -42,8 +42,8 @@
 //!   only.
 //! - **L7** — no float reduction (`.sum`/`.fold`/`.reduce`) fed directly
 //!   by a parallel iterator in the same statement. Parallel results flow
-//!   through the ordered-indexed-collect idiom `campaign::sweep` uses
-//!   (`.collect()` into input order, reduce serially); integer turbofish
+//!   through the ordered-indexed-collect idiom (`.collect()` into input
+//!   order, reduce serially); integer turbofish
 //!   reductions (`.sum::<u64>()`) are exact under any order and pass.
 //! - **L8** — parallelism entry points (`thread::spawn`, `rayon::spawn`/
 //!   `rayon::join`, the `par_iter`/`par_chunks` families) only in modules
@@ -56,6 +56,17 @@
 //!   workspace (a cross-file check), pinning the guarantee that each
 //!   stochastic process owns a stable, collision-free stream.
 //!
+//! And one surface rule:
+//!
+//! - **L10** — every `pub fn`/`const`/`static` in non-test product code
+//!   (`crates/*/src` outside `src/bin/`) is *reached*: its name appears
+//!   as a token in another scanned file, bins, tests, examples and
+//!   `benchmark/src` included. Tokens on `use` lines do not count, so a
+//!   re-export or a doc example keeps nothing alive. Deliberate
+//!   exceptions sit in `lint.toml [pub_unreached]` with a reason; a
+//!   listed item that is gone or reached is flagged, so the table can
+//!   only shrink.
+//!
 //! The scanner is deliberately a *token* pass over comment- and
 //! string-masked source, not a full parser: the workspace vendors no
 //! `syn`, and every invariant above is expressible on masked tokens. The
@@ -64,6 +75,7 @@
 //! L6–L9 escapes must carry a written reason; bare allows are themselves
 //! violations there.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -71,7 +83,7 @@ use std::path::{Path, PathBuf};
 /// One rule violation, anchored to a source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Rule identifier: "L1".."L9" (or "config" for lint.toml problems).
+    /// Rule identifier: "L1".."L10" (or "config" for lint.toml problems).
     pub rule: &'static str,
     /// Workspace-relative file path (forward slashes).
     pub file: String,
@@ -163,7 +175,15 @@ pub struct Config {
     /// each (L8). Stale entries — files with no parallel entry point
     /// left — are flagged, so this table can only shrink.
     pub l8_parallel: BTreeMap<String, String>,
+    /// Unreached `pub` items kept on purpose (L10), keyed
+    /// `"<file>::<name>"`, with a reason each. Stale entries — items
+    /// gone or now reached — are flagged, so this table can only shrink.
+    pub pub_unreached: BTreeMap<String, String>,
 }
+
+/// The `lint.toml` tables; every one but `[l4_allow]` maps a key to a
+/// written reason.
+const SECTIONS: &[&str] = &["l1_exempt", "l4_allow", "l8_parallel", "pub_unreached"];
 
 impl Config {
     /// Parses the small TOML subset `lint.toml` uses: `[section]` headers
@@ -178,7 +198,7 @@ impl Config {
             }
             if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
                 section = name.trim().to_string();
-                if section != "l1_exempt" && section != "l4_allow" && section != "l8_parallel" {
+                if !SECTIONS.contains(&section.as_str()) {
                     return Err(format!(
                         "lint.toml:{}: unknown section [{section}]",
                         idx + 1
@@ -191,34 +211,32 @@ impl Config {
                 .ok_or_else(|| format!("lint.toml:{}: expected `key = value`", idx + 1))?;
             let key = key.trim().trim_matches('"').replace('\\', "/");
             let value = value.trim();
-            match section.as_str() {
-                "l1_exempt" => {
-                    let reason = value.trim_matches('"').to_string();
-                    cfg.l1_exempt.insert(key, reason);
-                }
+            let table = match section.as_str() {
                 "l4_allow" => {
                     let n: u64 = value
                         .parse()
                         .map_err(|_| format!("lint.toml:{}: budget must be an integer", idx + 1))?;
-                    cfg.l4_allow.insert(key, n);
+                    insert_once(&mut cfg.l4_allow, key, n, idx + 1)?;
+                    continue;
                 }
-                "l8_parallel" => {
-                    let reason = value.trim_matches('"').to_string();
-                    if reason.is_empty() {
-                        return Err(format!(
-                            "lint.toml:{}: [l8_parallel] entries need a written reason",
-                            idx + 1
-                        ));
-                    }
-                    cfg.l8_parallel.insert(key, reason);
-                }
+                "l1_exempt" => &mut cfg.l1_exempt,
+                "l8_parallel" => &mut cfg.l8_parallel,
+                "pub_unreached" => &mut cfg.pub_unreached,
                 _ => {
                     return Err(format!(
                         "lint.toml:{}: entry outside a known section",
                         idx + 1
                     ))
                 }
+            };
+            let reason = value.trim_matches('"').trim();
+            if reason.is_empty() {
+                return Err(format!(
+                    "lint.toml:{}: [{section}] entries need a written reason",
+                    idx + 1
+                ));
             }
+            insert_once(table, key, reason.to_string(), idx + 1)?;
         }
         Ok(cfg)
     }
@@ -234,8 +252,25 @@ impl Config {
     }
 }
 
+/// Adds `key` to one `lint.toml` table; a repeated key is an error, not a
+/// silent overwrite of the earlier entry.
+fn insert_once<V>(
+    table: &mut BTreeMap<String, V>,
+    key: String,
+    value: V,
+    line: usize,
+) -> Result<(), String> {
+    match table.entry(key) {
+        Entry::Occupied(e) => Err(format!("lint.toml:{line}: duplicate entry {}", e.key())),
+        Entry::Vacant(e) => {
+            e.insert(value);
+            Ok(())
+        }
+    }
+}
+
 /// Crates whose non-test code must be free of `unwrap()`/`expect()` (L4).
-pub const COORDINATION_CRATES: &[&str] = &["sched", "mummi-core", "campaign", "datastore", "chaos"];
+const COORDINATION_CRATES: &[&str] = &["sched", "mummi-core", "campaign", "datastore", "chaos"];
 
 /// Crates whose non-test code must not use order-nondeterministic
 /// containers (L3). `taridx` and `datastore` are here because listing
@@ -244,7 +279,7 @@ pub const COORDINATION_CRATES: &[&str] = &["sched", "mummi-core", "campaign", "d
 /// determinism regression detector, and `workload` because its
 /// generators promise seed-stable, cadence-invariant arrival streams —
 /// an unordered map anywhere in a draw path would break replay.
-pub const ORDERED_CRATES: &[&str] = &[
+const ORDERED_CRATES: &[&str] = &[
     "sched",
     "mummi-core",
     "campaign",
@@ -262,7 +297,7 @@ pub const ORDERED_CRATES: &[&str] = &[
 /// (intra-campaign parallelism) able to break the byte-identical-trace
 /// bar silently, so it must be impossible by construction, not merely
 /// tested-for.
-pub const L6_CRATES: &[&str] = &[
+const L6_CRATES: &[&str] = &[
     "sched",
     "mummi-core",
     "campaign",
@@ -341,8 +376,8 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Violation>, String> {
     lint_workspace_with(root, &config)
 }
 
-/// Like [`lint_workspace`], with an explicit config (used by tests).
-pub fn lint_workspace_with(root: &Path, config: &Config) -> Result<Vec<Violation>, String> {
+/// Like [`lint_workspace`], with an explicit config.
+fn lint_workspace_with(root: &Path, config: &Config) -> Result<Vec<Violation>, String> {
     let mut files = Vec::new();
     collect_rs_files(root, root, &mut files)?;
     files.sort();
@@ -380,11 +415,17 @@ pub struct ScanState {
     pub l8_used: BTreeSet<String>,
     /// `SeedStream` fork label -> non-test call sites (file, line).
     pub l9_labels: BTreeMap<String, Vec<(String, usize)>>,
+    /// Identifier token -> files naming it outside `use` lines (L10).
+    pub l10_tokens: BTreeMap<String, BTreeSet<String>>,
+    /// Non-test product `pub fn`/`const`/`static` declarations as
+    /// (file, line, name), checked against `l10_tokens` (L10).
+    pub l10_items: Vec<(String, usize, String)>,
 }
 
 /// The cross-file checks, run once after every file went through
 /// [`lint_file`]: stale `[l1_exempt]` entries, the L4 budget ratchet,
-/// stale `[l8_parallel]` entries, and L9 global label uniqueness.
+/// stale `[l8_parallel]` entries, L9 global label uniqueness, and L10
+/// reachability with its stale `[pub_unreached]` entries.
 pub fn finish_scan(config: &Config, state: &ScanState, violations: &mut Vec<Violation>) {
     // L1 ratchet: an exemption whose file is gone, or no longer reads
     // the host clock, is stale — the table may only shrink.
@@ -454,6 +495,47 @@ pub fn finish_scan(config: &Config, state: &ScanState, violations: &mut Vec<Viol
             }
         }
     }
+
+    // L10: a product `pub` item no other file names is surface nothing
+    // exercises. Listed items are clean; a listing whose item is gone or
+    // now reached is stale — the table may only shrink.
+    let mut listed = BTreeSet::new();
+    for (file, line, name) in &state.l10_items {
+        let reached = state
+            .l10_tokens
+            .get(name)
+            .is_some_and(|files| files.iter().any(|f| f != file));
+        let key = format!("{file}::{name}");
+        if reached {
+            continue;
+        }
+        if config.pub_unreached.contains_key(&key) {
+            listed.insert(key);
+            continue;
+        }
+        violations.push(Violation {
+            rule: "L10",
+            file: file.clone(),
+            line: *line,
+            message: format!(
+                "`pub` item `{name}` is named by no other file — drop `pub`, delete it, \
+                 or list \"{key}\" in lint.toml [pub_unreached] with a reason"
+            ),
+        });
+    }
+    for key in config.pub_unreached.keys() {
+        if !listed.contains(key) {
+            violations.push(Violation {
+                rule: "L10",
+                file: "lint.toml".to_string(),
+                line: 1,
+                message: format!(
+                    "[pub_unreached] entry {key} is gone or now reached elsewhere; \
+                     the list may only shrink — remove the entry"
+                ),
+            });
+        }
+    }
 }
 
 /// Lints one file's source text. Exposed for the scratch-violation tests.
@@ -472,6 +554,9 @@ pub fn lint_file(
     let raw_lines: Vec<&str> = source.lines().collect();
     // A file under `tests/` or `benches/` is integration-test code.
     let integration_test = rel.split('/').any(|c| c == "tests" || c == "benches");
+    let product = is_product_source(rel);
+    let mut in_use = false;
+    let mut tokens = BTreeSet::new();
 
     for (i, line) in masked.lines().enumerate() {
         let lineno = i + 1;
@@ -569,7 +654,7 @@ pub fn lint_file(
                     file: rel.to_string(),
                     line: lineno,
                     message: "raw `.state =` write — job lifecycle transitions must go \
-                              through TrackedState::advance_to so sched::ALLOWED_TRANSITIONS \
+                              through TrackedState::advance_to so job.rs's ALLOWED_TRANSITIONS \
                               stays exhaustive"
                         .to_string(),
                 });
@@ -667,6 +752,28 @@ pub fn lint_file(
         if !in_tests {
             lint_l9_line(rel, raw, line, lineno, violations, state);
         }
+
+        // L10: index every identifier outside `use` statements (which
+        // may span lines), and record product `pub` declarations.
+        let trimmed = line.trim_start();
+        in_use |= trimmed.starts_with("use ") || trimmed.starts_with("pub use ");
+        if in_use {
+            in_use = !line.contains(';');
+        } else {
+            tokens.extend(identifiers(line));
+        }
+        if product && !in_tests {
+            if let Some(name) = pub_item_name(trimmed) {
+                state
+                    .l10_items
+                    .push((rel.to_string(), lineno, name.to_string()));
+            }
+        }
+    }
+
+    for tok in tokens {
+        let files = state.l10_tokens.entry(tok.to_string()).or_default();
+        files.insert(rel.to_string());
     }
 
     // L7 runs as its own pass: the statement window between a parallel
@@ -679,7 +786,7 @@ pub fn lint_file(
 /// (or the enclosing block closing) disarms it. A `.sum`/`.fold`/
 /// `.reduce` inside an armed window reduces in task-completion order,
 /// not input order — for floats that is a different answer per run. The
-/// prescribed shape is `campaign::sweep`'s ordered indexed collect:
+/// prescribed shape is an ordered indexed collect:
 /// `.collect()` into input order (which never fires), then reduce
 /// serially in the next statement. Integer turbofish reductions
 /// (`.sum::<u64>()`) are exact under any order and pass.
@@ -732,7 +839,7 @@ fn lint_l7(rel: &str, masked: &str, raw_lines: &[&str], violations: &mut Vec<Vio
                                         "`{tok}` fed by a parallel iterator in the same \
                                          statement — float reductions in completion order \
                                          are nondeterministic; collect in input order \
-                                         (ordered indexed collect, see campaign::sweep) \
+                                         (ordered indexed collect) \
                                          and reduce serially, give the reduction an \
                                          integer turbofish, or justify with \
                                          `// lint: allow(L7: <why>)`"
@@ -828,6 +935,37 @@ fn lint_l9_line(
             }
         }
     }
+}
+
+/// True for product source L10 audits: `crates/<name>/src/`, bins aside.
+fn is_product_source(rel: &str) -> bool {
+    let parts: Vec<&str> = rel.split('/').collect();
+    parts.len() > 3 && parts[0] == "crates" && parts[2] == "src" && parts[3] != "bin"
+}
+
+/// The identifier tokens of a masked line (numeric literals skipped).
+fn identifiers(line: &str) -> impl Iterator<Item = &str> {
+    line.split(|c: char| !(c == '_' || c.is_ascii_alphanumeric()))
+        .filter(|t| t.bytes().next().is_some_and(|b| !b.is_ascii_digit()))
+}
+
+/// The name a `pub fn`/`pub const`/`pub static` declaration line
+/// introduces (`const`/`unsafe`/`async` fn qualifiers and `static mut`
+/// included); `None` for any other line, `pub(crate)` items among them.
+fn pub_item_name(trimmed: &str) -> Option<&str> {
+    let mut words = trimmed
+        .strip_prefix("pub ")?
+        .split_whitespace()
+        .filter(|w| !matches!(*w, "unsafe" | "async" | "mut"));
+    let name = match words.next()? {
+        "fn" | "static" => words.next()?,
+        "const" => match words.next()? {
+            "fn" => words.next()?,
+            name => name,
+        },
+        _ => return None,
+    };
+    identifiers(name).next()
 }
 
 /// True when `line[pos..]` starts with `token` respecting the same
@@ -1001,7 +1139,7 @@ fn find_raw_state_write(line: &str) -> Option<usize> {
 /// strings with spaces, preserving byte length and line structure so line
 /// numbers survive. Tokens inside docs or log strings can then never
 /// trigger a rule.
-pub fn mask_source(src: &str) -> String {
+fn mask_source(src: &str) -> String {
     #[derive(PartialEq)]
     enum State {
         Code,
@@ -1175,7 +1313,7 @@ fn closes_raw(bytes: &[u8], mut i: usize, hashes: u32) -> bool {
 
 /// Per-line flags marking `#[cfg(test)]` regions (attribute through the
 /// matching close brace of the item it gates).
-pub fn test_region_lines(masked: &str) -> Vec<bool> {
+fn test_region_lines(masked: &str) -> Vec<bool> {
     let n_lines = masked.lines().count();
     let mut flags = vec![false; n_lines];
     let bytes = masked.as_bytes();
@@ -1320,7 +1458,8 @@ mod tests {
         let cfg = Config::parse(
             "# comment\n[l1_exempt]\n\"crates/bench/src/bin/x.rs\" = \"measures real time\"\n\
              [l4_allow]\n\"crates/sched/src/engine.rs\" = 3\n\
-             [l8_parallel]\n\"crates/campaign/src/sweep.rs\" = \"ordered indexed collect\"\n",
+             [l8_parallel]\n\"crates/farm/src/farm.rs\" = \"thread shell\"\n\
+             [pub_unreached]\n\"crates/storeserver/src/wal.rs::crc32\" = \"journal reuse\"\n",
         )
         .unwrap();
         assert_eq!(
@@ -1328,14 +1467,55 @@ mod tests {
             "measures real time"
         );
         assert_eq!(cfg.l4_allow["crates/sched/src/engine.rs"], 3);
+        assert_eq!(cfg.l8_parallel["crates/farm/src/farm.rs"], "thread shell");
         assert_eq!(
-            cfg.l8_parallel["crates/campaign/src/sweep.rs"],
-            "ordered indexed collect"
+            cfg.pub_unreached["crates/storeserver/src/wal.rs::crc32"],
+            "journal reuse"
         );
         assert!(Config::parse("[bogus]\n").is_err());
-        // An l8_parallel entry without a reason is a config error, not a
-        // silent empty string.
-        assert!(Config::parse("[l8_parallel]\n\"crates/x/src/lib.rs\" = \"\"\n").is_err());
+    }
+
+    #[test]
+    fn config_reason_tables_reject_empty_reasons() {
+        // Every reasoned table, not just [l8_parallel]: an entry without a
+        // reason is a config error, not a silent empty string.
+        for section in ["l1_exempt", "l8_parallel", "pub_unreached"] {
+            for reason in ["\"\"", "\"  \""] {
+                let text = format!("[{section}]\n\"crates/x/src/lib.rs\" = {reason}\n");
+                let err = Config::parse(&text).expect_err(&text);
+                assert!(err.contains("written reason"), "{err}");
+            }
+        }
+    }
+
+    #[test]
+    fn config_rejects_duplicate_entries() {
+        // A repeated key would silently replace the earlier entry.
+        for (section, a, b) in [
+            ("l1_exempt", "\"one\"", "\"two\""),
+            ("l4_allow", "1", "2"),
+            ("l8_parallel", "\"one\"", "\"two\""),
+            ("pub_unreached", "\"one\"", "\"two\""),
+        ] {
+            let text = format!("[{section}]\n\"k\" = {a}\n\"k\" = {b}\n");
+            let err = Config::parse(&text).expect_err(&text);
+            assert_eq!(err, "lint.toml:3: duplicate entry k");
+        }
+    }
+
+    #[test]
+    fn pub_item_names() {
+        assert_eq!(pub_item_name("pub fn run(x: u8) {"), Some("run"));
+        assert_eq!(
+            pub_item_name("pub const fn len(&self) -> usize {"),
+            Some("len")
+        );
+        assert_eq!(pub_item_name("pub unsafe fn raw<T>() {"), Some("raw"));
+        assert_eq!(pub_item_name("pub const LIMIT: u32 = 3;"), Some("LIMIT"));
+        assert_eq!(pub_item_name("pub static mut HITS: u64 = 0;"), Some("HITS"));
+        assert_eq!(pub_item_name("pub(crate) fn inner() {}"), None);
+        assert_eq!(pub_item_name("pub struct S;"), None);
+        assert_eq!(pub_item_name("pub use a::b;"), None);
     }
 
     #[test]

@@ -51,7 +51,7 @@ fn main() -> ExitCode {
                     eprintln!("{v}");
                 }
                 if violations.is_empty() {
-                    eprintln!("mummi-lint: workspace clean (L1-L9)");
+                    eprintln!("mummi-lint: workspace clean (L1-L10)");
                 } else {
                     eprintln!("mummi-lint: {} violation(s)", violations.len());
                 }

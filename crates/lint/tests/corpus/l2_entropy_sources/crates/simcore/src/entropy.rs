@@ -1,18 +1,18 @@
 //! Fixture: every broadened L2 entropy source plus the inline escape.
 
-pub fn bad_os_rng() {
+fn bad_os_rng() {
     let mut r = OsRng;
     let _ = r;
 }
 
-pub fn bad_from_entropy() {
+fn bad_from_entropy() {
     let _rng = StdRng::from_entropy();
 }
 
-pub fn bad_getrandom(buf: &mut [u8]) {
+fn bad_getrandom(buf: &mut [u8]) {
     getrandom(buf).ok();
 }
 
-pub fn allowed_tiebreak() {
+fn allowed_tiebreak() {
     let _r = thread_rng(); // lint: allow(L2) deliberate fixture escape
 }

@@ -6,7 +6,7 @@ use std::sync::Mutex;
 
 static mut COUNTER: u64 = 0;
 
-pub fn bump() {
+fn bump() {
     unsafe { COUNTER += 1 }
 }
 
@@ -30,7 +30,7 @@ pub struct BareAllowed {
     m: Mutex<u64>, // lint: allow(L6)
 }
 
-pub fn relaxed_has_no_escape(x: &AtomicShim) -> u32 {
+fn relaxed_has_no_escape(x: &AtomicShim) -> u32 {
     x.load(Ordering::Relaxed) // lint: allow(L6: even a reasoned allow cannot save Relaxed)
 }
 

@@ -1,22 +1,22 @@
 //! Fixture: parallelism entry points outside the allowlist (L8), the
 //! reasoned escape, the bare-allow violation, and the stale-entry check.
 
-pub fn launch_thread() {
+fn launch_thread() {
     std::thread::spawn(|| {});
 }
 
-pub fn launch_rayon_join() {
+fn launch_rayon_join() {
     rayon::join(|| {}, || {});
 }
 
-pub fn launch_rayon_spawn() {
+fn launch_rayon_spawn() {
     rayon::spawn(|| {});
 }
 
-pub fn allowed_sort(xs: &mut [u64]) {
+fn allowed_sort(xs: &mut [u64]) {
     xs.par_sort_unstable(); // lint: allow(L8: in-place sort of a locally owned slice; result independent of schedule)
 }
 
-pub fn bare_allowed_sort(xs: &mut [u64]) {
+fn bare_allowed_sort(xs: &mut [u64]) {
     xs.par_sort(); // lint: allow(L8)
 }

@@ -1,7 +1,7 @@
 //! Fixture: L9 fork-label discipline — a computed label, a cross-file
 //! duplicate, the fork_indexed idiom, and the reasoned escape.
 
-pub fn run_streams(seeds: &SeedStream, i: u64) {
+fn run_streams(seeds: &SeedStream, i: u64) {
     let _dup = seeds.fork("jobs");
     let _computed = seeds.fork(&format!("run-{i}"));
     let _indexed = seeds.fork_indexed("worker", i);

@@ -1,6 +1,6 @@
 //! Fixture, second crate: the duplicate "jobs" label lives here, so the
 //! uniqueness check must correlate call sites across files.
 
-pub fn scheduler_stream(seeds: &SeedStream) {
+fn scheduler_stream(seeds: &SeedStream) {
     let _dup = seeds.fork("jobs");
 }

@@ -11,7 +11,6 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 use crate::matrix::Matrix;
 use crate::net::{Activation, Adam, Mlp};
@@ -84,13 +83,6 @@ impl Autoencoder {
         self.cfg.latent_dim
     }
 
-    /// Mean reconstruction error over a batch.
-    pub fn reconstruction_error(&self, xs: &Matrix) -> f64 {
-        let z = self.encoder.forward(xs);
-        let y = self.decoder.forward(&z);
-        y.sub(xs).mean_sq()
-    }
-
     /// Trains on `samples` (rows = patch vectors); returns per-epoch losses.
     ///
     /// The full network (encoder ∘ decoder) is trained end-to-end by
@@ -135,11 +127,6 @@ impl Autoencoder {
         let m = Matrix::row_vector(x.to_vec());
         self.encoder.forward(&m).data().to_vec()
     }
-
-    /// Encodes a batch of patch vectors in parallel.
-    pub fn encode_batch(&self, xs: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        xs.par_iter().map(|x| self.encode(x)).collect() // lint: allow(L8: pure per-item encode; indexed collect preserves input order)
-    }
 }
 
 /// Concatenates encoder and decoder layers into one MLP for joint training.
@@ -180,6 +167,12 @@ mod tests {
         Matrix::from_vec(n, dim, data)
     }
 
+    /// Mean reconstruction error over a batch.
+    fn reconstruction_error(ae: &Autoencoder, xs: &Matrix) -> f64 {
+        let z = ae.encoder.forward(xs);
+        ae.decoder.forward(&z).sub(xs).mean_sq()
+    }
+
     #[test]
     fn training_reduces_reconstruction_error() {
         let patches = synthetic_patches(256, 16, 1);
@@ -187,9 +180,9 @@ mod tests {
         cfg.epochs = 40;
         cfg.latent_dim = 4;
         let mut ae = Autoencoder::new(cfg);
-        let before = ae.reconstruction_error(&patches);
+        let before = reconstruction_error(&ae, &patches);
         let losses = ae.train(&patches);
-        let after = ae.reconstruction_error(&patches);
+        let after = reconstruction_error(&ae, &patches);
         assert!(
             after < before * 0.2,
             "reconstruction error {before} -> {after}"
@@ -232,17 +225,6 @@ mod tests {
             d_near < d_far,
             "near {d_near} should encode closer than far {d_far}"
         );
-    }
-
-    #[test]
-    fn encode_batch_matches_sequential() {
-        let patches = synthetic_patches(16, 8, 4);
-        let ae = Autoencoder::new(AutoencoderConfig::small(8));
-        let xs: Vec<Vec<f64>> = (0..16).map(|r| patches.row(r).to_vec()).collect();
-        let batch = ae.encode_batch(&xs);
-        for (x, z) in xs.iter().zip(&batch) {
-            assert_eq!(&ae.encode(x), z);
-        }
     }
 
     fn dist(a: &[f64], b: &[f64]) -> f64 {

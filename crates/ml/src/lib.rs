@@ -15,8 +15,6 @@
 //! - [`Pca`] — principal component analysis (power iteration with
 //!   deflation), the paper's "simpler dimensionality reduction" alternative
 //!   encoder.
-//!
-//! Batch training parallelizes over samples with rayon.
 
 mod encoder;
 mod matrix;

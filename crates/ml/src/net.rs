@@ -132,11 +132,6 @@ impl Mlp {
         self.layers[0].w.rows()
     }
 
-    /// Output dimensionality.
-    pub fn output_dim(&self) -> usize {
-        self.layers.last().expect("non-empty").w.cols()
-    }
-
     /// Batch forward pass.
     pub fn forward(&self, x: &Matrix) -> Matrix {
         let mut a = x.clone();
@@ -183,18 +178,6 @@ impl Mlp {
         }
         grads.reverse();
         (loss, grads)
-    }
-
-    /// Applies raw SGD with learning rate `lr`.
-    pub fn apply_sgd(&mut self, grads: &[LayerGrad], lr: f64) {
-        for (layer, g) in self.layers.iter_mut().zip(grads) {
-            for (w, d) in layer.w.data_mut().iter_mut().zip(g.dw.data()) {
-                *w -= lr * d;
-            }
-            for (b, d) in layer.b.iter_mut().zip(&g.db) {
-                *b -= lr * d;
-            }
-        }
     }
 }
 
@@ -264,12 +247,23 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Applies raw SGD with learning rate `lr`: the baseline Adam beats.
+    fn apply_sgd(net: &mut Mlp, grads: &[LayerGrad], lr: f64) {
+        for (layer, g) in net.layers.iter_mut().zip(grads) {
+            for (w, d) in layer.w.data_mut().iter_mut().zip(g.dw.data()) {
+                *w -= lr * d;
+            }
+            for (b, d) in layer.b.iter_mut().zip(&g.db) {
+                *b -= lr * d;
+            }
+        }
+    }
+
     #[test]
     fn forward_shapes() {
         let mut rng = StdRng::seed_from_u64(0);
         let net = Mlp::new(&[4, 8, 2], Activation::Relu, &mut rng);
         assert_eq!(net.input_dim(), 4);
-        assert_eq!(net.output_dim(), 2);
         let x = Matrix::zeros(5, 4);
         let y = net.forward(&x);
         assert_eq!((y.rows(), y.cols()), (5, 2));
@@ -313,7 +307,7 @@ mod tests {
         let (l0, _) = net.mse_gradients(&x, &t);
         for _ in 0..500 {
             let (_, g) = net.mse_gradients(&x, &t);
-            net.apply_sgd(&g, 0.1);
+            apply_sgd(&mut net, &g, 0.1);
         }
         let (l1, _) = net.mse_gradients(&x, &t);
         assert!(l1 < l0 * 1e-3, "loss did not drop: {l0} -> {l1}");
@@ -337,7 +331,7 @@ mod tests {
                 if use_adam {
                     adam.step(&mut net, &g);
                 } else {
-                    net.apply_sgd(&g, 0.01);
+                    apply_sgd(&mut net, &g, 0.01);
                 }
             }
             net.mse_gradients(&x, &t).0

@@ -95,11 +95,6 @@ impl Pca {
         &self.explained
     }
 
-    /// The principal axes (rows, unit length).
-    pub fn components(&self) -> &Matrix {
-        &self.components
-    }
-
     /// Projects one observation onto the principal axes.
     pub fn transform(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.mean.len(), "dimension mismatch");
@@ -113,16 +108,6 @@ impl Pca {
                     .sum()
             })
             .collect()
-    }
-
-    /// Projects a batch (rows = observations).
-    pub fn transform_batch(&self, xs: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(xs.rows(), self.k());
-        for r in 0..xs.rows() {
-            let t = self.transform(xs.row(r));
-            out.data_mut()[r * self.k()..(r + 1) * self.k()].copy_from_slice(&t);
-        }
-        out
     }
 }
 
@@ -203,7 +188,7 @@ mod tests {
         let inv3 = 1.0 / (3.0f64).sqrt();
         let data = stretched_data(500, [inv3, inv3, inv3], 10.0, 0.1);
         let pca = Pca::fit(&data, 1);
-        let c = pca.components().row(0);
+        let c = pca.components.row(0);
         let dot: f64 = c.iter().map(|&v| v * inv3).sum();
         assert!(dot.abs() > 0.999, "axis alignment was {dot}");
         assert!(pca.explained_variance()[0] > 10.0);
@@ -217,10 +202,10 @@ mod tests {
         for i in 0..3 {
             for j in 0..3 {
                 let dot: f64 = pca
-                    .components()
+                    .components
                     .row(i)
                     .iter()
-                    .zip(pca.components().row(j))
+                    .zip(pca.components.row(j))
                     .map(|(&a, &b)| a * b)
                     .sum();
                 let expect = if i == j { 1.0 } else { 0.0 };
@@ -251,8 +236,7 @@ mod tests {
         // The mean point must project to the origin.
         let z = pca.transform(&[13.0, 0.0]);
         assert!(z[0].abs() < 1e-9);
-        let batch = pca.transform_batch(&data);
-        let sum: f64 = (0..4).map(|r| batch.at(r, 0)).sum();
+        let sum: f64 = (0..4).map(|r| pca.transform(data.row(r))[0]).sum();
         assert!(sum.abs() < 1e-9);
     }
 

@@ -28,7 +28,7 @@ pub enum EncoderKind {
 pub const PATCH_QUEUES: usize = 5;
 
 /// Per-queue candidate cap ("each queue is capped at 35,000 patches").
-pub const PATCH_QUEUE_CAP: usize = 35_000;
+const PATCH_QUEUE_CAP: usize = 35_000;
 
 /// Latent dimensionality of the patch encoding (9-D in the campaign).
 pub const PATCH_LATENT_DIM: usize = 9;

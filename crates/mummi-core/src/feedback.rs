@@ -64,11 +64,6 @@ impl CgToContinuumFeedback {
         }
     }
 
-    /// The running mean RDF of one species (empty before any data).
-    pub fn mean_rdf(&self, species: usize) -> &[f64] {
-        &self.mean_rdfs[species]
-    }
-
     fn fold(&mut self, frame: &CgFrame) {
         self.count += 1;
         let k = self.count as f64;
@@ -277,7 +272,7 @@ mod tests {
             store.write(crate::ns::RDF_NEW, &f.id, &f.encode()).unwrap();
         }
         fb.iterate(&mut store).unwrap();
-        let m = fb.mean_rdf(0);
+        let m = &fb.mean_rdfs[0];
         assert!((m[0] - 2.0).abs() < 1e-9, "mean of 1.0s and 3.0s: {}", m[0]);
     }
 

@@ -56,21 +56,26 @@
 //!
 //! ## 3. Choose data backends per data flow
 //!
-//! One configuration switch per flow (§4.2): filesystem for
-//! tool-compatible files, taridx for the billion-file problem, the KV
-//! store for feedback, a [`datastore::TieredStore`] for RAM-disk + GPFS.
+//! One configuration switch per flow (§4.2): [`datastore::FsStore`] for
+//! tool-compatible files, [`datastore::TarStore`] for the billion-file
+//! problem, [`datastore::KvDataStore`] for feedback. Application code is
+//! written against [`datastore::DataStore`], so the switch is the
+//! constructor alone:
 //!
 //! ```
-//! use datastore::{DataStore, KvDataStore, TieredStore};
+//! use datastore::{DataStore, KvDataStore, TarStore};
 //!
-//! let mut store = TieredStore::new(
-//!     KvDataStore::new(4),            // fast tier (on-node)
-//!     KvDataStore::new(2),            // durable tier (shared filesystem)
-//!     &["checkpoints"],               // what must survive the node
-//! );
-//! store.write("checkpoints", "wm", b"state").unwrap();
-//! store.write("scratch", "tmp", b"big").unwrap();
-//! assert_eq!(store.write_counts(), (2, 1));
+//! fn stage_frame(store: &mut dyn DataStore) -> datastore::Result<usize> {
+//!     store.write("frames-new", "sim1:f0", b"frame")?;
+//!     store.move_ns("sim1:f0", "frames-new", "frames-done")?;
+//!     store.count("frames-done")
+//! }
+//!
+//! let dir = std::env::temp_dir().join(format!("guide-tar-{}", std::process::id()));
+//! let mut archives = TarStore::open(&dir).unwrap();
+//! assert_eq!(stage_frame(&mut archives).unwrap(), 1);
+//! assert_eq!(stage_frame(&mut KvDataStore::new(2)).unwrap(), 1);
+//! # std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 //!
 //! ## 4. Write your feedback manager
@@ -150,8 +155,8 @@
 //!     Coupling::Asynchronous,
 //!     Costs::free(),
 //! );
-//! // Parse tunables from a config file (see mummi_core::parse_ini).
-//! let cfg = WmConfig::from_ini("[workflow]\ncg_gpu_fraction = 1.0\n").unwrap();
+//! // Tunables are plain fields: override what differs from the defaults.
+//! let cfg = WmConfig { cg_gpu_fraction: 1.0, ..WmConfig::default() };
 //! let mut wm = WorkflowManager::new(
 //!     cfg.clone(),
 //!     launcher,

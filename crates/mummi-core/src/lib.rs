@@ -27,7 +27,6 @@
 
 pub mod app3;
 mod config;
-mod config_file;
 mod feedback;
 pub mod guide;
 mod patches;
@@ -35,7 +34,6 @@ mod tracker;
 mod wm;
 
 pub use config::WmConfig;
-pub use config_file::{parse_duration, parse_ini, ConfigError};
 pub use feedback::{
     AaToCgFeedback, CgParams, CgToContinuumFeedback, FeedbackManager, FeedbackOutcome,
 };
@@ -47,8 +45,6 @@ pub use wm::{
 
 /// Namespace names used by the three-scale campaign's data flows.
 pub mod ns {
-    /// Continuum snapshots.
-    pub const SNAPSHOTS: &str = "snapshots";
     /// Extracted patches.
     pub const PATCHES: &str = "patches";
     /// CG frames awaiting CG→continuum feedback.
@@ -59,6 +55,4 @@ pub mod ns {
     pub const SS_NEW: &str = "ss-new";
     /// AA frames already folded into feedback.
     pub const SS_DONE: &str = "ss-done";
-    /// Workflow-manager checkpoints.
-    pub const WM: &str = "wm";
 }

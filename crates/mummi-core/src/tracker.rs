@@ -146,11 +146,6 @@ impl JobTracker {
         }
     }
 
-    /// The configured watchdog grace factor.
-    pub fn timeout_grace(&self) -> f64 {
-        self.timeout_grace
-    }
-
     /// The tracker's job class.
     pub fn class(&self) -> JobClass {
         self.cfg.class

@@ -299,11 +299,6 @@ impl<L: Launcher> WorkflowManager<L> {
         self.patch_selector.candidates()
     }
 
-    /// Frame candidates waiting in the selector.
-    pub fn frame_candidates(&self) -> usize {
-        self.frame_selector.candidates()
-    }
-
     /// Ingests new patch candidates (Task 1 output).
     pub fn add_patch_candidates(&mut self, mut points: Vec<HdPoint>) {
         self.add_patch_candidates_from(&mut points);

@@ -296,12 +296,6 @@ impl ResourceGraph {
         self.visited_total
     }
 
-    /// Resets the visited counters.
-    pub fn reset_visited(&mut self) {
-        self.visited_last = 0;
-        self.visited_total = 0;
-    }
-
     /// Marks a node as drained: running jobs continue, new placements skip
     /// it. This is Flux's node-failure response the paper leans on.
     pub fn drain(&mut self, node: NodeId) {
@@ -985,7 +979,5 @@ mod tests {
         g.try_alloc(&JobShape::sim_standard(), MatchPolicy::LowIdExhaustive)
             .unwrap();
         assert_eq!(g.visited_total(), 200);
-        g.reset_visited();
-        assert_eq!(g.visited_total(), 0);
     }
 }

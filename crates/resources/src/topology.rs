@@ -36,15 +36,8 @@ impl NodeSpec {
         self.sockets * self.cores_per_socket
     }
 
-    /// GPUs attached to a given socket (even split; remainders go to the
+    /// The socket a GPU hangs off (even split; remainders go to the
     /// lower sockets).
-    pub fn gpus_on_socket(&self, socket: u32) -> Vec<u32> {
-        (0..self.gpus)
-            .filter(|g| g * self.sockets / self.gpus == socket)
-            .collect()
-    }
-
-    /// The socket a GPU hangs off.
     pub fn socket_of_gpu(&self, gpu: u32) -> u32 {
         debug_assert!(gpu < self.gpus);
         gpu * self.sockets / self.gpus
@@ -56,11 +49,6 @@ impl NodeSpec {
     pub fn cores_on_socket(&self, socket: u32) -> std::ops::Range<u32> {
         let lo = socket * self.cores_per_socket;
         lo..lo + self.cores_per_socket
-    }
-
-    /// The socket a core belongs to.
-    pub fn socket_of_core(&self, core: u32) -> u32 {
-        core / self.cores_per_socket
     }
 }
 
@@ -133,20 +121,16 @@ mod tests {
         let n = NodeSpec::summit();
         assert_eq!(n.cores(), 44);
         assert_eq!(n.gpus, 6);
-        assert_eq!(n.gpus_on_socket(0), vec![0, 1, 2]);
-        assert_eq!(n.gpus_on_socket(1), vec![3, 4, 5]);
         assert_eq!(n.socket_of_gpu(2), 0);
         assert_eq!(n.socket_of_gpu(3), 1);
         assert_eq!(n.cores_on_socket(1), 22..44);
-        assert_eq!(n.socket_of_core(21), 0);
-        assert_eq!(n.socket_of_core(22), 1);
     }
 
     #[test]
     fn lassen_shape() {
         let n = NodeSpec::lassen();
-        assert_eq!(n.gpus_on_socket(0), vec![0, 1]);
-        assert_eq!(n.gpus_on_socket(1), vec![2, 3]);
+        assert_eq!(n.socket_of_gpu(1), 0);
+        assert_eq!(n.socket_of_gpu(2), 1);
     }
 
     #[test]
@@ -166,9 +150,8 @@ mod tests {
             cores_per_socket: 4,
             gpus: 3,
         };
-        let s0 = n.gpus_on_socket(0);
-        let s1 = n.gpus_on_socket(1);
-        assert_eq!(s0.len() + s1.len(), 3);
-        assert!(s0.len() >= s1.len());
+        let s0 = (0..3).filter(|&g| n.socket_of_gpu(g) == 0).count();
+        assert_eq!(s0, 2);
+        assert_eq!(n.socket_of_gpu(2), 1);
     }
 }

@@ -87,8 +87,7 @@ pub struct SchedStats {
 }
 
 /// Queue-wait aggregates for one job class: always collected, cheap to
-/// keep (three words per class). Full per-placement samples for p50/p99
-/// percentiles are opt-in via [`SchedEngine::collect_wait_samples`].
+/// keep (three words per class).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClassWait {
     /// Placements of this class.
@@ -285,9 +284,6 @@ pub struct SchedEngine {
     /// Per-class queue-wait aggregates (count, sum, max) for every
     /// placement.
     wait_by_class: BTreeMap<JobClass, ClassWait>,
-    /// Full queue-wait samples in placement order, opt-in (benchmarks
-    /// need percentiles; campaigns keep this off).
-    wait_samples: Option<Vec<u64>>,
     /// (backfilled job, head it was backfilled around), opt-in — the
     /// instrumentation behind the "EASY never delays the head" proptest.
     bf_pairs: Option<Vec<(JobId, JobId)>>,
@@ -340,7 +336,6 @@ impl SchedEngine {
             failed_nodes: BTreeSet::new(),
             stats: SchedStats::default(),
             wait_by_class: BTreeMap::new(),
-            wait_samples: None,
             bf_pairs: None,
             recorder: None,
             pending_events: Vec::new(),
@@ -411,25 +406,6 @@ impl SchedEngine {
         log
     }
 
-    /// Starts collecting one queue-wait sample per placement (for
-    /// percentile reporting in benchmarks). Off by default: the sample
-    /// vector grows with every placement.
-    pub fn collect_wait_samples(&mut self, on: bool) {
-        if on {
-            if self.wait_samples.is_none() {
-                self.wait_samples = Some(Vec::new());
-            }
-        } else {
-            self.wait_samples = None;
-        }
-    }
-
-    /// Queue-wait samples (microseconds) in placement order; empty when
-    /// collection is off.
-    pub fn wait_samples(&self) -> &[u64] {
-        self.wait_samples.as_deref().unwrap_or(&[])
-    }
-
     /// Starts collecting (backfilled job, blocked head) pairs — proptest
     /// instrumentation for the no-head-delay invariant. Off by default.
     pub fn collect_backfill_pairs(&mut self, on: bool) {
@@ -451,12 +427,6 @@ impl SchedEngine {
     /// Per-class queue-wait aggregates, in class order.
     pub fn class_waits(&self) -> Vec<(JobClass, ClassWait)> {
         self.wait_by_class.iter().map(|(&c, &w)| (c, w)).collect()
-    }
-
-    /// Node-microseconds consumed by a class so far (fair-share key;
-    /// accrued at release).
-    pub fn consumed_node_micros(&self, class: JobClass) -> u128 {
-        self.consumed.get(&class).copied().unwrap_or(0)
     }
 
     /// Simulates a compute-node failure at time `at`: the node is drained
@@ -1102,9 +1072,6 @@ impl SchedEngine {
                         w.count += 1;
                         w.sum_us += wait_us;
                         w.max_us = w.max_us.max(wait_us);
-                        if let Some(samples) = &mut self.wait_samples {
-                            samples.push(wait_us);
-                        }
                         if pos > 0 && self.sched_policy.is_backfill() {
                             self.stats.backfills += 1;
                             self.tracer.counter_add("sched.backfills", 1);
@@ -1556,6 +1523,46 @@ mod tests {
         assert_eq!(e.class_counts(JobClass::CgSim), (1, 0));
         assert_eq!(e.class_counts(JobClass::CgSetup), (1, 0));
         assert_eq!(e.class_counts(JobClass::AaSim), (0, 0));
+    }
+
+    #[test]
+    fn class_waits_aggregate_every_placement() {
+        // Free ingestion, 1 s per dispatch: three jobs queued at t=0 are
+        // placed at 1 s, 2 s and 3 s, one matcher service after another.
+        let costs = Costs {
+            submit: SimDuration::ZERO,
+            per_node_visit: SimDuration::ZERO,
+            dispatch: SimDuration::from_secs(1),
+        };
+        let mut e = engine(4, MatchPolicy::FirstMatch, Coupling::Asynchronous, costs);
+        e.submit(sim_spec(100), SimTime::ZERO);
+        e.submit(sim_spec(100), SimTime::ZERO);
+        e.submit(
+            JobSpec::new(
+                JobClass::CgSetup,
+                JobShape::setup(),
+                SimDuration::from_secs(50),
+            ),
+            SimTime::ZERO,
+        );
+        e.advance(SimTime::from_secs(10));
+        assert_eq!(e.stats().placed, 3);
+        let setup = ClassWait {
+            count: 1,
+            sum_us: 3_000_000,
+            max_us: 3_000_000,
+        };
+        let sim = ClassWait {
+            count: 2,
+            sum_us: 3_000_000,
+            max_us: 2_000_000,
+        };
+        assert_eq!(
+            e.class_waits(),
+            vec![(JobClass::CgSetup, setup), (JobClass::CgSim, sim)]
+        );
+        assert_eq!(sim.mean_us(), 1_500_000);
+        assert_eq!(ClassWait::default().mean_us(), 0);
     }
 
     #[test]

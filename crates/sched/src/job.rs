@@ -126,11 +126,6 @@ pub enum JobState {
 }
 
 impl JobState {
-    /// Whether the job still counts as "pending" for occupancy purposes.
-    pub fn is_pending(self) -> bool {
-        matches!(self, JobState::Submitted | JobState::Queued)
-    }
-
     /// Whether the job has reached a terminal state.
     pub fn is_terminal(self) -> bool {
         matches!(
@@ -139,8 +134,8 @@ impl JobState {
         )
     }
 
-    /// Whether `self -> to` appears in [`ALLOWED_TRANSITIONS`].
-    pub fn can_transition_to(self, to: JobState) -> bool {
+    /// Whether `self -> to` appears in `ALLOWED_TRANSITIONS`.
+    fn can_transition_to(self, to: JobState) -> bool {
         ALLOWED_TRANSITIONS.contains(&(self, to))
     }
 }
@@ -151,7 +146,7 @@ impl JobState {
 /// pass (`cargo run -p lint`) additionally rejects raw `.state =`
 /// assignments anywhere in this crate outside this module, so the table
 /// below is, by construction, exhaustive over the code.
-pub const ALLOWED_TRANSITIONS: &[(JobState, JobState)] = &[
+const ALLOWED_TRANSITIONS: &[(JobState, JobState)] = &[
     (JobState::Submitted, JobState::Queued),
     (JobState::Submitted, JobState::Canceled),
     (JobState::Queued, JobState::Running),
@@ -161,7 +156,7 @@ pub const ALLOWED_TRANSITIONS: &[(JobState, JobState)] = &[
     (JobState::Running, JobState::Canceled),
 ];
 
-/// A job's lifecycle state, writable only along [`ALLOWED_TRANSITIONS`].
+/// A job's lifecycle state, writable only along `ALLOWED_TRANSITIONS`.
 ///
 /// Jobs always begin [`JobState::Submitted`]; there is deliberately no
 /// way to construct an arbitrary state or assign one directly.
@@ -186,7 +181,7 @@ impl TrackedState {
     /// Moves to `to`, returning the previous state.
     ///
     /// # Panics
-    /// Panics if `current -> to` is not in [`ALLOWED_TRANSITIONS`]: an
+    /// Panics if `current -> to` is not in `ALLOWED_TRANSITIONS`: an
     /// illegal transition is a scheduler bug, never a recoverable input
     /// condition.
     pub fn advance_to(&mut self, to: JobState) -> JobState {
@@ -235,9 +230,6 @@ mod tests {
 
     #[test]
     fn state_predicates() {
-        assert!(JobState::Submitted.is_pending());
-        assert!(JobState::Queued.is_pending());
-        assert!(!JobState::Running.is_pending());
         assert!(JobState::Completed.is_terminal());
         assert!(!JobState::Running.is_terminal());
     }

@@ -51,9 +51,7 @@ mod replay;
 mod throttle;
 
 pub use engine::{ClassWait, Costs, Coupling, SchedEngine, SchedStats};
-pub use job::{
-    JobClass, JobEvent, JobId, JobOutcome, JobSpec, JobState, TrackedState, ALLOWED_TRANSITIONS,
-};
+pub use job::{JobClass, JobEvent, JobId, JobOutcome, JobSpec, JobState, TrackedState};
 pub use launcher::Launcher;
 pub use policy::SchedPolicy;
 pub use replay::{SchedEvent, SchedLog};

@@ -22,7 +22,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// A time-ordered, FIFO-tie-broken event queue.
 #[derive(Debug)]
@@ -30,7 +30,6 @@ pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     seq: u64,
     now: SimTime,
-    popped: u64,
 }
 
 #[derive(Debug)]
@@ -69,7 +68,6 @@ impl<E> EventQueue<E> {
             heap: BinaryHeap::new(),
             seq: 0,
             now: SimTime::ZERO,
-            popped: 0,
         }
     }
 
@@ -88,11 +86,6 @@ impl<E> EventQueue<E> {
         self.heap.is_empty()
     }
 
-    /// Total number of events delivered so far.
-    pub fn delivered(&self) -> u64 {
-        self.popped
-    }
-
     /// Schedules `event` at absolute time `at`.
     ///
     /// Scheduling in the past is a logic error in the caller; the event is
@@ -106,43 +99,17 @@ impl<E> EventQueue<E> {
         });
     }
 
-    /// Schedules `event` after a delay relative to the current time.
-    pub fn schedule_after(&mut self, delay: SimDuration, event: E) {
-        self.schedule(self.now + delay, event);
-    }
-
     /// Pops the earliest event and advances the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let entry = self.heap.pop()?;
         let Reverse((t, _)) = entry.key;
         self.now = t;
-        self.popped += 1;
         Some((t, entry.event))
     }
 
     /// Timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.key.0 .0)
-    }
-
-    /// Runs the loop until the queue is empty or `horizon` is passed,
-    /// delivering each event to `handler`. The handler may schedule more
-    /// events. Returns the number of events delivered.
-    pub fn run_until<F>(&mut self, horizon: SimTime, mut handler: F) -> u64
-    where
-        F: FnMut(&mut Self, SimTime, E),
-    {
-        let mut count = 0;
-        while let Some(t) = self.peek_time() {
-            if t > horizon {
-                break;
-            }
-            let (t, ev) = self.pop().expect("peeked entry must pop");
-            // Handler gets the queue back so it can schedule follow-ups.
-            handler(self, t, ev);
-            count += 1;
-        }
-        count
     }
 }
 
@@ -189,32 +156,5 @@ mod tests {
         let (t, e) = q.pop().unwrap();
         assert_eq!(e, "early");
         assert_eq!(t, SimTime::from_micros(100));
-    }
-
-    #[test]
-    fn run_until_respects_horizon_and_allows_rescheduling() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_micros(1), 0u32);
-        let mut seen = Vec::new();
-        let n = q.run_until(SimTime::from_micros(5), |q, t, ev| {
-            seen.push(ev);
-            if ev < 10 {
-                q.schedule(t + SimDuration::from_micros(1), ev + 1);
-            }
-        });
-        // Events at t=1..=5 fire; the one scheduled for t=6 stays queued.
-        assert_eq!(n, 5);
-        assert_eq!(seen, vec![0, 1, 2, 3, 4]);
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn delivered_counts_pops() {
-        let mut q = EventQueue::new();
-        for i in 0..7u8 {
-            q.schedule(SimTime::from_micros(i as u64), i);
-        }
-        while q.pop().is_some() {}
-        assert_eq!(q.delivered(), 7);
     }
 }

@@ -78,7 +78,7 @@ impl OccupancyProfiler {
     }
 
     /// CPU occupancy percentages per profile event.
-    pub fn cpu_series(&self) -> Vec<f64> {
+    fn cpu_series(&self) -> Vec<f64> {
         self.samples.iter().map(|s| s.cpu_pct()).collect()
     }
 
@@ -167,14 +167,6 @@ impl Timeline {
         self.points.extend_from_slice(&other.points);
     }
 
-    /// Time at which the running count first reached `target`, if ever.
-    pub fn time_to_reach(&self, target: u64) -> Option<SimTime> {
-        self.points
-            .iter()
-            .find(|p| p.running >= target)
-            .map(|p| p.at)
-    }
-
     /// Peak running count.
     pub fn peak_running(&self) -> u64 {
         self.points.iter().map(|p| p.running).max().unwrap_or(0)
@@ -253,13 +245,11 @@ mod tests {
     }
 
     #[test]
-    fn timeline_time_to_reach_and_peak() {
+    fn timeline_peak() {
         let mut t = Timeline::new();
         t.record(SimTime::from_micros(0), 0, 100);
         t.record(SimTime::from_micros(10), 50, 50);
         t.record(SimTime::from_micros(20), 100, 0);
-        assert_eq!(t.time_to_reach(100), Some(SimTime::from_micros(20)));
-        assert_eq!(t.time_to_reach(1000), None);
         assert_eq!(t.peak_running(), 100);
     }
 

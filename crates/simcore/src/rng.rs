@@ -46,11 +46,6 @@ impl SeedStream {
         StdRng::seed_from_u64(self.seed_for(name))
     }
 
-    /// Builds an [`StdRng`] for a (name, index) pair.
-    pub fn rng_indexed(&self, name: &str, index: u64) -> StdRng {
-        StdRng::seed_from_u64(self.seed_for_indexed(name, index))
-    }
-
     /// Forks a child stream family, e.g. one per campaign run.
     pub fn fork(&self, name: &str) -> SeedStream {
         SeedStream {
@@ -73,7 +68,7 @@ impl SeedStream {
 
 /// SplitMix64 finalizer: a fast, well-mixed 64-bit permutation.
 #[inline]
-pub fn splitmix64(mut z: u64) -> u64 {
+fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

@@ -130,21 +130,9 @@ impl Histogram {
     }
 
     /// The center of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
+    fn bin_center(&self, i: usize) -> f64 {
         let w = (self.hi - self.lo) / self.counts.len() as f64;
         self.lo + (i as f64 + 0.5) * w
-    }
-
-    /// Fraction of mass in bins whose center is ≥ `threshold`.
-    pub fn fraction_at_least(&self, threshold: f64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let n: u64 = (0..self.counts.len())
-            .filter(|&i| self.bin_center(i) >= threshold)
-            .map(|i| self.counts[i])
-            .sum();
-        n as f64 / self.total as f64
     }
 
     /// Renders `(bin_center, count)` rows for figure output.
@@ -209,16 +197,6 @@ mod tests {
         assert_eq!(h.counts()[0], 2); // 0.5 and clamped -3.0
         assert_eq!(h.counts()[1], 1);
         assert_eq!(h.counts()[9], 2); // 9.5 and clamped 42.0
-    }
-
-    #[test]
-    fn histogram_fraction_at_least() {
-        let mut h = Histogram::new(0.0, 100.0, 100);
-        for v in 0..100 {
-            h.add(v as f64 + 0.5);
-        }
-        let f = h.fraction_at_least(90.0);
-        assert!((f - 0.10).abs() < 1e-9, "got {f}");
     }
 
     #[test]

@@ -129,11 +129,6 @@ impl SimDuration {
         self.as_secs_f64() / 3600.0
     }
 
-    /// True when the duration is zero.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
     /// Scales the duration by a non-negative float, saturating on overflow.
     pub fn mul_f64(self, k: f64) -> Self {
         if k <= 0.0 || !k.is_finite() {

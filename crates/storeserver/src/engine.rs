@@ -166,11 +166,6 @@ impl StoreEngine {
         self.cluster().shard_count()
     }
 
-    /// Whether mutations are being logged.
-    pub fn is_durable(&self) -> bool {
-        self.wal.is_some()
-    }
-
     /// Durability barrier: syncs every shard WAL that has unsynced
     /// records. Returns the number of shards that needed a sync.
     pub fn sync_dirty(&self) -> std::io::Result<u64> {

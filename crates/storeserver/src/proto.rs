@@ -25,44 +25,44 @@ use std::io::{self, BufRead, Write};
 
 /// Hard upper bound on a frame body; anything larger is a protocol error
 /// (protects the server from a garbage length prefix).
-pub const MAX_FRAME: u32 = 64 * 1024 * 1024;
+const MAX_FRAME: u32 = 64 * 1024 * 1024;
 
 /// Request opcodes (the `tag` byte of a request frame).
-pub mod opcode {
-    pub const PING: u8 = 1;
-    pub const PUT: u8 = 2;
-    pub const GET: u8 = 3;
-    pub const DEL: u8 = 4;
-    pub const EXISTS: u8 = 5;
-    pub const RENAME: u8 = 6;
-    pub const KEYS: u8 = 7;
-    pub const SCAN: u8 = 8;
-    pub const PUT_MANY: u8 = 9;
-    pub const GET_MANY: u8 = 10;
-    pub const DEL_MANY: u8 = 11;
-    pub const STATS: u8 = 12;
-    pub const SYNC: u8 = 13;
+mod opcode {
+    pub(super) const PING: u8 = 1;
+    pub(super) const PUT: u8 = 2;
+    pub(super) const GET: u8 = 3;
+    pub(super) const DEL: u8 = 4;
+    pub(super) const EXISTS: u8 = 5;
+    pub(super) const RENAME: u8 = 6;
+    pub(super) const KEYS: u8 = 7;
+    pub(super) const SCAN: u8 = 8;
+    pub(super) const PUT_MANY: u8 = 9;
+    pub(super) const GET_MANY: u8 = 10;
+    pub(super) const DEL_MANY: u8 = 11;
+    pub(super) const STATS: u8 = 12;
+    pub(super) const SYNC: u8 = 13;
 }
 
 /// Response status codes (the `tag` byte of a response frame).
-pub mod status {
-    pub const OK: u8 = 0;
-    pub const NO_SUCH_KEY: u8 = 1;
-    pub const CROSS_SHARD_RENAME: u8 = 2;
-    pub const BAD_REQUEST: u8 = 3;
-    pub const SERVER_ERROR: u8 = 4;
+mod status {
+    pub(super) const OK: u8 = 0;
+    pub(super) const NO_SUCH_KEY: u8 = 1;
+    pub(super) const CROSS_SHARD_RENAME: u8 = 2;
+    pub(super) const BAD_REQUEST: u8 = 3;
+    pub(super) const SERVER_ERROR: u8 = 4;
 }
 
 /// Kind tags distinguishing Ok-response payload shapes.
 mod kind {
-    pub const UNIT: u8 = 0;
-    pub const BOOL: u8 = 1;
-    pub const VALUE: u8 = 2;
-    pub const KEY_LIST: u8 = 3;
-    pub const SCAN_PAGE: u8 = 4;
-    pub const COUNT: u8 = 5;
-    pub const VALUES: u8 = 6;
-    pub const STATS: u8 = 7;
+    pub(super) const UNIT: u8 = 0;
+    pub(super) const BOOL: u8 = 1;
+    pub(super) const VALUE: u8 = 2;
+    pub(super) const KEY_LIST: u8 = 3;
+    pub(super) const SCAN_PAGE: u8 = 4;
+    pub(super) const COUNT: u8 = 5;
+    pub(super) const VALUES: u8 = 6;
+    pub(super) const STATS: u8 = 7;
 }
 
 /// A decoded request.
@@ -291,7 +291,7 @@ impl<'a> Cur<'a> {
 
 impl Request {
     /// The opcode this request travels under.
-    pub fn opcode(&self) -> u8 {
+    fn opcode(&self) -> u8 {
         match self {
             Request::Ping => opcode::PING,
             Request::Put { .. } => opcode::PUT,
@@ -310,7 +310,7 @@ impl Request {
     }
 
     /// Encodes the body (everything after the tag byte).
-    pub fn encode_body(&self) -> Vec<u8> {
+    fn encode_body(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
             Request::Ping | Request::Stats | Request::Sync => {}
@@ -426,7 +426,7 @@ impl Response {
     }
 
     /// Encodes the body (everything after the tag byte).
-    pub fn encode_body(&self) -> Vec<u8> {
+    fn encode_body(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
             Response::Unit => out.push(kind::UNIT),

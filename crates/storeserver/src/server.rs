@@ -49,11 +49,6 @@ impl DropSchedule {
         let n = self.counter.fetch_add(1, Ordering::SeqCst);
         self.points.contains(&n)
     }
-
-    /// Ops counted so far.
-    pub fn ops_seen(&self) -> u64 {
-        self.counter.load(Ordering::SeqCst)
-    }
 }
 
 /// A listening store server.

@@ -22,10 +22,6 @@ pub struct IndexedTar {
     /// Byte offset where the next member header will be written (i.e. where
     /// the end-of-archive terminator currently starts).
     end: u64,
-    /// Seconds-since-epoch stamped into member headers, injected via
-    /// [`IndexedTar::set_mtime`]. Never the host wall clock: identical
-    /// campaign runs must produce byte-identical archives.
-    mtime: u64,
 }
 
 impl IndexedTar {
@@ -45,7 +41,6 @@ impl IndexedTar {
             path,
             index: Index::new(),
             end: 0,
-            mtime: 0,
         })
     }
 
@@ -59,7 +54,6 @@ impl IndexedTar {
             path,
             index: Index::new(),
             end: 0,
-            mtime: 0,
         };
         let idx_path = tar.index_path();
         match Index::load(&idx_path) {
@@ -78,7 +72,7 @@ impl IndexedTar {
     }
 
     /// Path of the sidecar index file.
-    pub fn index_path(&self) -> PathBuf {
+    fn index_path(&self) -> PathBuf {
         let mut os = self.path.clone().into_os_string();
         os.push(".idx");
         PathBuf::from(os)
@@ -114,23 +108,10 @@ impl IndexedTar {
         self.index.appended()
     }
 
-    /// Sets the modification time (seconds since the Unix epoch) stamped
-    /// into the headers of subsequently appended members. Callers inject
-    /// their own clock — typically the campaign's virtual `SimTime` — so
-    /// archive bytes are a pure function of the data written.
-    pub fn set_mtime(&mut self, secs_since_epoch: u64) {
-        self.mtime = secs_since_epoch;
-    }
-
-    /// The mtime currently stamped into new members.
-    pub fn mtime(&self) -> u64 {
-        self.mtime
-    }
-
     /// Appends a member. If `key` already exists the new copy supersedes the
     /// old one in the index (the old payload stays in the file, unreferenced).
     pub fn append(&mut self, key: &str, data: &[u8]) -> Result<()> {
-        let header = TarHeader::encode(key, data.len() as u64, self.mtime)?;
+        let header = TarHeader::encode(key, data.len() as u64, 0)?;
         let data_offset = self.end + BLOCK_SIZE as u64;
         let padded = TarHeader::data_blocks(data.len() as u64) * BLOCK_SIZE as u64;
 
@@ -165,7 +146,7 @@ impl IndexedTar {
     }
 
     /// Reads a payload by its index entry (used for bulk scans).
-    pub fn read_entry(&mut self, entry: IndexEntry) -> Result<Vec<u8>> {
+    fn read_entry(&mut self, entry: IndexEntry) -> Result<Vec<u8>> {
         self.file.seek(SeekFrom::Start(entry.offset))?;
         let mut buf = vec![0u8; entry.size as usize];
         self.file.read_exact(&mut buf)?;
@@ -218,46 +199,6 @@ impl IndexedTar {
             }
         }
         Ok(())
-    }
-
-    /// Rewrites the archive keeping only live index entries, reclaiming the
-    /// space of superseded re-inserts and removed keys. Live keys keep
-    /// their payloads; the sidecar index is rewritten to match. Returns the
-    /// number of bytes reclaimed.
-    ///
-    /// The rewrite goes through a `.repack` sibling file that atomically
-    /// replaces the archive, so a crash mid-repack leaves the original
-    /// intact — the same append-only safety argument as normal writes.
-    pub fn repack(&mut self) -> Result<u64> {
-        let old_size = self.file.metadata()?.len();
-        let mut repack_path = self.path.clone().into_os_string();
-        repack_path.push(".repack");
-        let repack_path = PathBuf::from(repack_path);
-
-        // Index iteration is sorted, so the rewritten layout is
-        // deterministic without an extra sort.
-        let keys: Vec<String> = self.index.keys().map(str::to_string).collect();
-        {
-            let mut fresh = IndexedTar::create(&repack_path)?;
-            fresh.set_mtime(self.mtime);
-            for key in &keys {
-                let data = self.read(key)?;
-                fresh.append(key, &data)?;
-            }
-            fresh.flush()?;
-        }
-        // Atomically swap in the new archive and its sidecar index.
-        let mut repack_idx = repack_path.clone().into_os_string();
-        repack_idx.push(".idx");
-        std::fs::rename(&repack_path, &self.path)?;
-        std::fs::rename(PathBuf::from(repack_idx), self.index_path())?;
-        let reopened = IndexedTar::open(&self.path)?;
-        self.file = reopened.file;
-        self.index = reopened.index;
-        self.end = reopened.end;
-        self.flush()?;
-        let new_size = self.file.metadata()?.len();
-        Ok(old_size.saturating_sub(new_size))
     }
 
     /// Scans headers to locate the append point without touching the index.
@@ -409,62 +350,13 @@ mod tests {
     }
 
     #[test]
-    fn repack_reclaims_dead_space_and_preserves_live_data() {
-        let dir = tmpdir("repack");
-        let p = dir.join("a.tar");
-        let mut tar = IndexedTar::create(&p).unwrap();
-        // Lots of superseded versions plus a removed key.
-        for round in 0..10 {
-            tar.append("hot", format!("version-{round}").as_bytes())
-                .unwrap();
-        }
-        tar.append("cold", &vec![3u8; 4000]).unwrap();
-        tar.append("dead", &vec![4u8; 8000]).unwrap();
-        tar.remove_key("dead");
-        tar.flush().unwrap();
-
-        let before = fs::metadata(&p).unwrap().len();
-        let reclaimed = tar.repack().unwrap();
-        let after = fs::metadata(&p).unwrap().len();
-        assert!(reclaimed > 8000, "reclaimed {reclaimed}");
-        assert_eq!(before - after, reclaimed);
-
-        assert_eq!(tar.len(), 2);
-        assert_eq!(tar.read("hot").unwrap(), b"version-9");
-        assert_eq!(tar.read("cold").unwrap(), vec![3u8; 4000]);
-        assert!(matches!(tar.read("dead"), Err(TarError::KeyNotFound(_))));
-
-        // Still appendable and recoverable after the rewrite.
-        tar.append("new", b"post-repack").unwrap();
-        tar.recover_index().unwrap();
-        assert_eq!(tar.read("new").unwrap(), b"post-repack");
-        fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn repack_of_clean_archive_is_lossless() {
-        let dir = tmpdir("repack-clean");
-        let mut tar = IndexedTar::create(dir.join("a.tar")).unwrap();
-        for i in 0..5 {
-            tar.append(&format!("k{i}"), &[i as u8; 100]).unwrap();
-        }
-        tar.flush().unwrap();
-        tar.repack().unwrap();
-        for i in 0..5 {
-            assert_eq!(tar.read(&format!("k{i}")).unwrap(), vec![i as u8; 100]);
-        }
-        fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
     fn identical_writes_produce_identical_bytes() {
-        // Archive bytes are a pure function of (keys, payloads, injected
-        // mtime) — no wall clock leaks into the format.
+        // Archive bytes are a pure function of (keys, payloads): member
+        // mtimes are zero, so no wall clock leaks into the format.
         let dir = tmpdir("det");
         let write = |name: &str| -> Vec<u8> {
             let p = dir.join(name);
             let mut tar = IndexedTar::create(&p).unwrap();
-            tar.set_mtime(1_600_000_000);
             tar.append("a", b"alpha").unwrap();
             tar.append("b", &vec![9u8; 1000]).unwrap();
             tar.flush().unwrap();

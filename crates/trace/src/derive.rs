@@ -7,13 +7,13 @@
 //! [`simcore::profile`] collectors. Job throughput (jobs placed per
 //! virtual minute) comes from the scheduler's `job.placed` records.
 
-use simcore::{OccupancyProfiler, OccupancySample, SimTime, Timeline};
+use simcore::{OccupancyProfiler, OccupancySample, Timeline};
 
 use crate::event::TraceEvent;
 
 /// Rebuilds the Figure 5 occupancy samples from `wm.profile` records, in
 /// record order.
-pub fn occupancy_samples(events: &[TraceEvent]) -> Vec<OccupancySample> {
+fn occupancy_samples(events: &[TraceEvent]) -> Vec<OccupancySample> {
     events
         .iter()
         .filter(|e| e.cat == "wm" && e.name == "wm.profile")
@@ -84,13 +84,6 @@ pub fn jobs_per_minute(events: &[TraceEvent]) -> Vec<(u64, u64)> {
 /// (metric summary lines are skipped).
 pub fn events_from_jsonl(text: &str) -> Vec<TraceEvent> {
     text.lines().filter_map(TraceEvent::from_jsonl).collect()
-}
-
-/// First and last event timestamps, if any events exist.
-pub fn time_bounds(events: &[TraceEvent]) -> Option<(SimTime, SimTime)> {
-    let min = events.iter().map(|e| e.at).min()?;
-    let max = events.iter().map(|e| e.at).max()?;
-    Some((min, max))
 }
 
 #[cfg(test)]
@@ -203,9 +196,5 @@ mod tests {
         }
         let reparsed = events_from_jsonl(&t.to_jsonl());
         assert_eq!(occupancy_samples(&reparsed), occupancy_samples(&t.events()));
-        assert_eq!(
-            time_bounds(&reparsed),
-            Some((SimTime::ZERO, SimTime::from_mins(70)))
-        );
     }
 }

@@ -72,7 +72,7 @@ impl From<bool> for Arg {
 
 impl Arg {
     /// The argument as a `u64`, if it is one.
-    pub fn as_u64(&self) -> Option<u64> {
+    fn as_u64(&self) -> Option<u64> {
         match *self {
             Arg::U64(v) => Some(v),
             _ => None,

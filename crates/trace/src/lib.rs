@@ -35,5 +35,5 @@ pub mod tracer;
 
 pub use event::{Arg, TraceEvent};
 pub use json::Json;
-pub use metrics::{FixedHistogram, MetricsRegistry, MetricsSnapshot, DEFAULT_BUCKETS};
+pub use metrics::{FixedHistogram, MetricsRegistry, MetricsSnapshot};
 pub use tracer::Tracer;

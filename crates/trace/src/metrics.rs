@@ -12,7 +12,7 @@ use crate::event::escape_json_into;
 /// Default bucket upper bounds (inclusive), used by
 /// [`MetricsRegistry::observe`] for unregistered histograms. The decade
 /// ladder suits both virtual-µs latencies and payload byte sizes.
-pub const DEFAULT_BUCKETS: &[u64] = &[
+const DEFAULT_BUCKETS: &[u64] = &[
     1,
     10,
     100,
@@ -71,7 +71,7 @@ impl FixedHistogram {
     }
 
     /// Bucket upper bounds.
-    pub fn bounds(&self) -> &[u64] {
+    fn bounds(&self) -> &[u64] {
         &self.bounds
     }
 
@@ -105,16 +105,8 @@ impl MetricsRegistry {
         self.gauges.insert(name.to_string(), value);
     }
 
-    /// Registers histogram `name` with explicit bucket bounds. A histogram
-    /// first touched by [`observe`](Self::observe) gets
-    /// [`DEFAULT_BUCKETS`].
-    pub fn register_hist(&mut self, name: &str, bounds: &[u64]) {
-        self.hists
-            .entry(name.to_string())
-            .or_insert_with(|| FixedHistogram::new(bounds));
-    }
-
-    /// Records one observation into histogram `name`.
+    /// Records one observation into histogram `name`, bucketed by
+    /// `DEFAULT_BUCKETS`.
     pub fn observe(&mut self, name: &str, value: u64) {
         self.hists
             .entry(name.to_string())
@@ -125,16 +117,6 @@ impl MetricsRegistry {
     /// Current value of counter `name` (zero when absent).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Current value of gauge `name`.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
-    /// Histogram `name`, if it has been touched.
-    pub fn hist(&self, name: &str) -> Option<&FixedHistogram> {
-        self.hists.get(name)
     }
 
     /// An ordered snapshot of every metric.
@@ -269,6 +251,5 @@ mod tests {
         m.counter_add("x", 3);
         m.counter_add("x", 4);
         assert_eq!(m.counter("x"), 7);
-        assert_eq!(m.gauge("nope"), None);
     }
 }

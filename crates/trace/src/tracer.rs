@@ -210,7 +210,7 @@ impl Tracer {
     /// (openable in `about:tracing` or <https://ui.perfetto.dev>).
     /// Categories map to thread lanes so each subsystem renders as its own
     /// row; timestamps are virtual microseconds.
-    pub fn to_chrome(&self) -> String {
+    fn to_chrome(&self) -> String {
         let events = self.events();
         // Deterministic lane assignment: categories in sorted order.
         let mut cats: Vec<&'static str> = events.iter().map(|e| e.cat).collect();

@@ -21,7 +21,7 @@ use crate::{WorkloadJob, WorkloadSource};
 
 /// The CSV header line (written by [`TraceFile::to_csv`], skipped on
 /// parse).
-pub const CSV_HEADER: &str = "at_us,class,nodes,cores,gpus,affinity,runtime_us,outcome";
+const CSV_HEADER: &str = "at_us,class,nodes,cores,gpus,affinity,runtime_us,outcome";
 
 /// A typed trace-parse failure. `line` is 1-based.
 #[derive(Debug, Clone, PartialEq, Eq)]
