@@ -14,6 +14,11 @@
 //!    and leaves the same state as the retained O(n) linear matcher,
 //!    for both match policies.
 //!
+//! 4. **Range ≡ drained whole machine** — a match restricted to
+//!    `[lo, hi)` picks exactly what whole-machine first-match picks once
+//!    every node outside the range is drained, and charges the visits a
+//!    lowest-ID-first walk of the range would.
+//!
 //! The free-count index (`validate_index`) is additionally checked
 //! against the node table after every operation.
 
@@ -246,5 +251,79 @@ proptest! {
         prop_assert_eq!(indexed.visited_total(), linear.visited_total());
         prop_assert_eq!(indexed.gpu_usage(), linear.gpu_usage());
         prop_assert_eq!(indexed.cpu_usage(), linear.cpu_usage());
+    }
+
+    /// A range match is whole-machine first-match with the outside of
+    /// the range drained: same grant from any reachable state, for both
+    /// policies and any `[lo, hi)` (empty and inverted ranges included),
+    /// and its visit charge is the range walk's — through the last node
+    /// picked under first-match, the whole range on a miss or under
+    /// exhaustive low-ID.
+    #[test]
+    fn range_match_equals_first_match_with_the_outside_drained(
+        ops in proptest::collection::vec(arb_op(), 0..60),
+        probes in proptest::collection::vec(
+            (
+                prop_oneof![
+                    Just(Shape::SimStandard),
+                    Just(Shape::SimWide),
+                    Just(Shape::Bundled),
+                    Just(Shape::Setup),
+                    Just(Shape::Continuum),
+                ],
+                prop_oneof![
+                    Just(MatchPolicy::FirstMatch),
+                    Just(MatchPolicy::LowIdExhaustive),
+                ],
+                0..=NODES as usize + 2,
+                0..=NODES as usize + 2,
+            ),
+            1..12,
+        ),
+    ) {
+        let mut g = ResourceGraph::new(machine());
+        let mut outstanding: Vec<Alloc> = Vec::new();
+        for op in ops {
+            match op {
+                Op::Alloc(s, p) => {
+                    if let Some(a) = g.try_alloc(&s.shape(), p) {
+                        outstanding.push(a);
+                    }
+                }
+                Op::Release(k) => {
+                    if !outstanding.is_empty() {
+                        let a = outstanding.remove(k % outstanding.len());
+                        g.release(&a);
+                    }
+                }
+                Op::Drain(n) => g.drain(n),
+                Op::Undrain(n) => g.undrain(n),
+            }
+        }
+        for (s, policy, lo, hi) in probes {
+            let shape = s.shape();
+            let mut fenced = g.clone();
+            for n in 0..NODES {
+                if !(lo..hi).contains(&(n as usize)) {
+                    fenced.drain(n);
+                }
+            }
+            let want = fenced.try_alloc(&shape, MatchPolicy::FirstMatch);
+            let got = g.try_alloc_range(&shape, policy, lo, hi);
+            prop_assert_eq!(&got, &want, "range [{}, {}) {:?} {:?}", lo, hi, s, policy);
+            let span = hi.min(NODES as usize).saturating_sub(lo) as u64;
+            let charged = match &got {
+                Some(a) if policy == MatchPolicy::FirstMatch => {
+                    a.slices.last().expect("nodes > 0").node as u64 - lo as u64 + 1
+                }
+                _ => span,
+            };
+            prop_assert_eq!(g.visited_last(), charged, "range [{}, {}) {:?} {:?}", lo, hi, s, policy);
+            if let Some(a) = got {
+                outstanding.push(a);
+            }
+            prop_assert!(g.validate_index().is_ok());
+        }
+        prop_assert_eq!(g.free_masks(), expected_masks(g.spec(), &outstanding));
     }
 }

@@ -181,7 +181,13 @@ fn parse_line(line: usize, l: &str) -> Result<WorkloadJob, TraceError> {
     let at_us: u64 = at.parse().map_err(|_| bad("at_us", at))?;
     let class = JobClass::from_label(class).ok_or_else(|| bad("class", class))?;
     let shape = JobShape {
-        nodes: nodes.parse().map_err(|_| bad("nodes", nodes))?,
+        // A zero-node request holds nothing and would "place" on any
+        // machine, however full: not a job a trace can describe.
+        nodes: nodes
+            .parse()
+            .ok()
+            .filter(|&n: &u32| n > 0)
+            .ok_or_else(|| bad("nodes", nodes))?,
         cores_per_node: cores.parse().map_err(|_| bad("cores", cores))?,
         gpus_per_node: gpus.parse().map_err(|_| bad("gpus", gpus))?,
         affinity: match affinity {
@@ -295,6 +301,20 @@ at_us,class,nodes,cores,gpus,affinity,runtime_us,outcome
             let err = TraceFile::parse(text).expect_err("must fail");
             assert_eq!(err.to_string(), *msg, "for input {text:?}");
         }
+    }
+
+    #[test]
+    fn zero_node_records_are_rejected() {
+        let err = TraceFile::parse("0,cg-sim,0,3,1,gpu,100,ok").expect_err("must fail");
+        assert_eq!(
+            err,
+            TraceError::Field {
+                line: 1,
+                field: "nodes",
+                value: "0".into()
+            }
+        );
+        assert_eq!(err.to_string(), "trace line 1: bad nodes '0'");
     }
 
     #[test]
