@@ -155,9 +155,10 @@ fn policy_zoo_adversarial_snapshots() {
 const WORK_RUNGS: &[(&str, u32, f64)] = &[("1/64", 72, 25.0), ("1/8", 576, 200.0)];
 
 /// The hierarchical policy's floor at every rung (~2.2× measured):
-/// partitioning already bounds the exhaustive scan to one child and its
-/// range-walk placement is not free-index accelerated, so the invariant
-/// there is only that async/first-match never loses.
+/// partitioning already bounds the exhaustive scan to one child, and a
+/// first-match range placement keeps no scan hint, so it is charged the
+/// walk from the child's first node every time; the invariant there is
+/// only that async/first-match never loses.
 const HIERARCHICAL_FLOOR: f64 = 1.5;
 
 /// Drives the §5.2 job mix scaled to `nodes` — one `ceil(3·nodes/80)`-node
