@@ -83,7 +83,7 @@ proptest! {
                 }
                 Op::FailNode { node } => {
                     engine.fail_node(*node, now);
-                    engine.graph_mut().undrain(*node);
+                    engine.undrain(*node);
                 }
             }
         }
