@@ -154,7 +154,7 @@ impl AaFrame {
             "ss",
             Array::from_vec(self.ss.iter().map(|c| c.code() as f64).collect()),
         );
-        rec.encode().to_vec()
+        rec.encode()
     }
 
     /// Decodes a frame (the id comes from the namespace key).

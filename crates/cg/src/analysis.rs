@@ -47,7 +47,7 @@ impl CgFrame {
         for (s, r) in self.rdfs.iter().enumerate() {
             rec.insert(&format!("rdf{s}"), Array::from_vec(r.clone()));
         }
-        rec.encode().to_vec()
+        rec.encode()
     }
 
     /// Decodes a serialized frame (the id comes from the namespace key).

@@ -282,7 +282,7 @@ impl MdSystem {
             "typ",
             Array::from_vec(self.typ.iter().map(|&t| t as f64).collect()),
         );
-        rec.encode().to_vec()
+        rec.encode()
     }
 
     /// Restores a system from a checkpoint.

@@ -94,7 +94,7 @@ impl Patch {
         for (s, w) in self.windows.iter().enumerate() {
             rec.insert(&format!("w{s}"), w.clone());
         }
-        rec.encode().to_vec()
+        rec.encode()
     }
 
     /// Decodes a serialized patch; the id is not stored and must be

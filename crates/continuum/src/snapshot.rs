@@ -65,7 +65,7 @@ impl Snapshot {
             pdata.extend_from_slice(&[x, y, k as f64, st as f64]);
         }
         rec.insert("proteins", Array::new(vec![self.proteins.len(), 4], pdata));
-        rec.encode().to_vec()
+        rec.encode()
     }
 
     /// Decodes the byte-stream format.

@@ -2,7 +2,10 @@
 //!
 //! Supports `*` (any run of characters), `?` (any single character), and
 //! literal matching. Character classes are not needed by the workflow and
-//! are intentionally omitted.
+//! are intentionally omitted. `Shard::keys` bounds its walk by the bytes
+//! before the first `*` or `?` (`literal_prefix`); that is sound only
+//! while those two are the only metacharacters, so adding one (a class,
+//! an escape) means teaching `literal_prefix` where it ends.
 
 /// Returns true when `key` matches the glob `pattern`.
 ///
@@ -34,6 +37,12 @@ pub fn glob_match(pattern: &str, key: &str) -> bool {
         pi += 1;
     }
     pi == p.len()
+}
+
+/// The bytes of `pattern` before its first `*` or `?`. Every key the
+/// pattern matches starts with them.
+pub(crate) fn literal_prefix(pattern: &str) -> &str {
+    pattern.find(['*', '?']).map_or(pattern, |i| &pattern[..i])
 }
 
 #[cfg(test)]

@@ -3,8 +3,9 @@
 use bytes::Bytes;
 use parking_lot::RwLock; // lint: allow(L6: shard storage lock import; the field carries the reason)
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
-use crate::glob::glob_match;
+use crate::glob::{glob_match, literal_prefix};
 use crate::{KvError, Result};
 
 /// A thread-safe in-memory key-value shard.
@@ -65,11 +66,21 @@ impl Shard {
         }
     }
 
-    /// Returns all keys matching a Redis-style glob pattern.
+    /// Returns all keys matching a Redis-style glob pattern, in key order.
+    ///
+    /// Only keys that start with the pattern's literal prefix (the bytes
+    /// before its first `*` or `?`) can match, and in the key order they
+    /// are one contiguous run. So the walk starts at that prefix and stops
+    /// at the first key without it: listing `rdf-new` costs the live keys,
+    /// not the `rdf-done` history beside them. This relies on `*` and `?`
+    /// being the only metacharacters [`glob_match`] knows.
     pub fn keys(&self, pattern: &str) -> Vec<String> {
+        let prefix = literal_prefix(pattern);
         self.map
             .read()
-            .keys()
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+            .map(|(k, _)| k)
+            .take_while(|k| k.starts_with(prefix))
             .filter(|k| glob_match(pattern, k))
             .cloned()
             .collect()

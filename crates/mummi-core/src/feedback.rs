@@ -315,9 +315,12 @@ mod tests {
     }
 
     #[test]
-    fn feedback_cost_scales_with_live_frames_only() {
+    fn second_round_processes_only_the_new_frames() {
         // After 100 frames are processed, an iteration with 5 new frames
-        // must only touch 5 keys — the namespace-move design.
+        // processes those 5: the first round moved the rest out of the
+        // live namespace. That listing the live namespace costs the live
+        // keys only is `kvstore`'s `keys_equals_the_full_filtered_walk`
+        // together with `Shard::keys`' prefix bound.
         let mut store = KvDataStore::new(4);
         let mut fb = CgToContinuumFeedback::new(2);
         for i in 0..100 {
