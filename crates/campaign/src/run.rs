@@ -1159,8 +1159,8 @@ impl<'c> RunSim<'c> {
             }
         }
         self.run_profiler.merge(self.wm.profiler());
-        self.run_cg_tl.merge(self.wm.cg_timeline());
-        self.run_aa_tl.merge(self.wm.aa_timeline());
+        self.run_cg_tl.merge(self.wm.timeline(0));
+        self.run_aa_tl.merge(self.wm.timeline(1));
         live
     }
 
@@ -1171,13 +1171,13 @@ impl<'c> RunSim<'c> {
         let t = self.t;
         for ev in self.wm_events.drain(..) {
             match ev {
-                WmEvent::CgSimStarted { sim_id, .. } | WmEvent::AaSimStarted { sim_id, .. } => {
+                WmEvent::SimStarted { sim_id, .. } => {
                     self.placed += 1;
                     if let Some(rec) = self.camp.sims.lock().get_mut(&*sim_id) {
                         rec.started_at = Some(t);
                     }
                 }
-                WmEvent::CgSimFinished { sim_id } | WmEvent::AaSimFinished { sim_id } => {
+                WmEvent::SimFinished { sim_id, .. } => {
                     self.completed += 1;
                     if let Some(rec) = self.camp.sims.lock().get_mut(&*sim_id) {
                         rec.achieved = rec.target;
@@ -1189,26 +1189,15 @@ impl<'c> RunSim<'c> {
         }
         // Lifetime counters must never run backwards, fault plan or not.
         let st = self.wm.launcher().stats();
-        let ws = self.wm.stats();
-        self.watch.observe(&[
+        let mut counters = vec![
             st.submitted,
             st.placed,
             st.completed,
             st.failed,
             st.canceled,
-            ws.patches_ingested,
-            ws.frames_ingested,
-            ws.cg_selected,
-            ws.aa_selected,
-            ws.cg_sims_started,
-            ws.aa_sims_started,
-            ws.cg_sims_completed,
-            ws.aa_sims_completed,
-            ws.feedback_iterations,
-            ws.feedback_frames,
-            ws.jobs_timed_out,
-            ws.jobs_abandoned,
-        ]);
+        ];
+        counters.extend(self.wm.stats().fields());
+        self.watch.observe(&counters);
         if self.load_time.is_none() {
             let (r, _) = self.wm.launcher().class_counts(JobClass::CgSim);
             if r * 10 >= self.cg_target * 9 {

@@ -119,11 +119,11 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(7);
         let mut now = SimTime::ZERO;
         for &mins in &runtimes {
-            tracker.submit_with(
+            tracker.submit(
                 &mut engine,
-                &format!("cg-{mins}"),
+                format!("cg-{mins}").into(),
                 now,
-                SimDuration::from_mins(mins),
+                Some(SimDuration::from_mins(mins)),
                 &mut rng,
             );
         }

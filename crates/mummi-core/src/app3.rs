@@ -99,8 +99,7 @@ pub fn build_three_scale_wm<L: Launcher>(
     WorkflowManager::new(
         cfg,
         launcher,
-        patch_selector(PATCH_QUEUE_CAP),
-        frame_selector(0.8, seed),
+        vec![patch_selector(PATCH_QUEUE_CAP), frame_selector(0.8, seed)],
         n_species,
     )
 }

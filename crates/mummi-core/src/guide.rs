@@ -136,10 +136,12 @@
 //!
 //! ## 5. Assemble and drive the workflow manager
 //!
-//! The WM is the same for every application; only its inputs differ. See
-//! the `custom_application` example for a complete two-scale port in
-//! ~100 lines, and `three_scale_minicampaign` for the full RAS-RAF
-//! pipeline.
+//! The WM is the same for every application; only its inputs differ. It
+//! takes one selector per promoted scale: one for a coarse → fine ladder
+//! (below), two for the three-scale continuum → CG → AA ladder
+//! ([`crate::app3::build_three_scale_wm`]). See the `custom_application`
+//! example for a complete two-scale port in ~100 lines, and
+//! `three_scale_minicampaign` for the full RAS-RAF pipeline.
 //!
 //! ```
 //! use dynim::{ExactNn, FarthestPointSampler, FpsConfig, HdPoint, Sampler};
@@ -160,11 +162,10 @@
 //! let mut wm = WorkflowManager::new(
 //!     cfg.clone(),
 //!     launcher,
-//!     Box::new(FarthestPointSampler::new(FpsConfig::default(), ExactNn::new())),
-//!     Box::new(FarthestPointSampler::new(FpsConfig::default(), ExactNn::new())),
+//!     vec![Box::new(FarthestPointSampler::new(FpsConfig::default(), ExactNn::new()))],
 //!     1,
 //! );
-//! wm.add_patch_candidates(vec![HdPoint::new("candidate-0", vec![0.0, 1.0])]);
+//! wm.add_patch_candidates_from(&mut vec![HdPoint::new("candidate-0", vec![0.0, 1.0])]);
 //! let mut store = KvDataStore::new(2);
 //! let mut t = SimTime::ZERO;
 //! for _ in 0..150 { // past the default 90-minute createsim runtime

@@ -10,7 +10,10 @@
 //! - [`WmConfig`] / [`WorkflowManager`] — the configurable WM that performs
 //!   the paper's four tasks (§4.4): processing coarse-scale data, selecting
 //!   important patches/frames, scheduling and managing tens of thousands of
-//!   jobs, and facilitating frequent feedback;
+//!   jobs, and facilitating frequent feedback. Each promoted scale is one
+//!   row of the WM's stage table (selector, setup and simulation trackers,
+//!   ready queue, timeline), built from the selectors it is handed: one
+//!   for a continuum → CG ladder, two for continuum → CG → AA;
 //! - [`JobTracker`] — "a generic and abstract Job Tracker that can be
 //!   customized" per job type: resource shape, buffer targets, runtime
 //!   model, failure handling with resubmission;

@@ -171,58 +171,26 @@ impl JobTracker {
         launcher.class_counts(self.cfg.class)
     }
 
-    /// Submits one job for `payload` at time `at`, with the configured
-    /// (jittered) runtime. Interns the payload; resubmission paths use
-    /// [`JobTracker::submit_interned`] to reuse the existing allocation.
+    /// Submits one job for `payload` at time `at`. An explicit `runtime`
+    /// serves per-payload runtime models (e.g. remaining length to target
+    /// in the campaign DES); `None` takes the configured runtime with its
+    /// jitter, drawn before the failure draw.
     pub fn submit(
         &mut self,
         launcher: &mut dyn Launcher,
-        payload: &str,
-        at: SimTime,
-        rng: &mut StdRng,
-    ) -> JobId {
-        self.submit_interned(launcher, Arc::from(payload), at, rng)
-    }
-
-    /// [`JobTracker::submit`] with an already-interned payload.
-    pub fn submit_interned(
-        &mut self,
-        launcher: &mut dyn Launcher,
         payload: PayloadId,
         at: SimTime,
+        runtime: Option<SimDuration>,
         rng: &mut StdRng,
     ) -> JobId {
-        let jitter = if self.cfg.runtime_jitter > 0.0 {
-            1.0 + rng.gen_range(-self.cfg.runtime_jitter..self.cfg.runtime_jitter)
-        } else {
-            1.0
-        };
-        let runtime = self.cfg.runtime.mul_f64(jitter);
-        self.submit_interned_with(launcher, payload, at, runtime, rng)
-    }
-
-    /// Submits one job with an explicit runtime (per-payload runtime
-    /// models, e.g. remaining-length-to-target in the campaign DES).
-    pub fn submit_with(
-        &mut self,
-        launcher: &mut dyn Launcher,
-        payload: &str,
-        at: SimTime,
-        runtime: SimDuration,
-        rng: &mut StdRng,
-    ) -> JobId {
-        self.submit_interned_with(launcher, Arc::from(payload), at, runtime, rng)
-    }
-
-    /// [`JobTracker::submit_with`] with an already-interned payload.
-    pub fn submit_interned_with(
-        &mut self,
-        launcher: &mut dyn Launcher,
-        payload: PayloadId,
-        at: SimTime,
-        runtime: SimDuration,
-        rng: &mut StdRng,
-    ) -> JobId {
+        let runtime = runtime.unwrap_or_else(|| {
+            let jitter = if self.cfg.runtime_jitter > 0.0 {
+                1.0 + rng.gen_range(-self.cfg.runtime_jitter..self.cfg.runtime_jitter)
+            } else {
+                1.0
+            };
+            self.cfg.runtime.mul_f64(jitter)
+        });
         let mut spec = JobSpec::new(self.cfg.class, self.cfg.shape, runtime);
         if self.cfg.failure_prob > 0.0 && rng.gen_bool(self.cfg.failure_prob) {
             spec = spec.failing();
@@ -284,7 +252,7 @@ impl JobTracker {
             let payload = job.payload;
             let attempt = self.attempts.get(&payload).copied().unwrap_or(0);
             if attempt <= self.cfg.max_resubmits {
-                self.submit_interned(launcher, payload.clone(), now, rng);
+                self.submit(launcher, payload.clone(), now, None, rng);
                 out.push(Tracked::Resubmitted {
                     payload,
                     attempt: attempt + 1,
@@ -344,7 +312,7 @@ impl JobTracker {
                     self.failed += 1;
                     let attempt = self.attempts.get(&payload).copied().unwrap_or(0);
                     if attempt <= self.cfg.max_resubmits {
-                        self.submit_interned(launcher, payload.clone(), at, rng);
+                        self.submit(launcher, payload.clone(), at, None, rng);
                         Some(Tracked::Resubmitted {
                             payload,
                             attempt: attempt + 1,
@@ -391,7 +359,7 @@ mod tests {
         let mut l = launcher(1);
         let mut t = sim_tracker(0.0);
         let mut rng = StdRng::seed_from_u64(1);
-        let id = t.submit(&mut l, "patch-42", SimTime::ZERO, &mut rng);
+        let id = t.submit(&mut l, "patch-42".into(), SimTime::ZERO, None, &mut rng);
         let events = l.poll(SimTime::from_secs(1));
         let tracked: Vec<Tracked> = events
             .iter()
@@ -432,7 +400,7 @@ mod tests {
             )
         });
         let mut rng = StdRng::seed_from_u64(2);
-        t.submit(&mut l, "doomed", SimTime::ZERO, &mut rng);
+        t.submit(&mut l, "doomed".into(), SimTime::ZERO, None, &mut rng);
         let mut resubmits = 0;
         let mut abandoned = false;
         for round in 1..20 {
@@ -465,7 +433,7 @@ mod tests {
         let mut t = sim_tracker(0.0);
         t.set_timeout_grace(1.5);
         let mut rng = StdRng::seed_from_u64(5);
-        let id = t.submit(&mut l, "patch-7", SimTime::ZERO, &mut rng);
+        let id = t.submit(&mut l, "patch-7".into(), SimTime::ZERO, None, &mut rng);
         for e in l.poll(SimTime::from_secs(1)) {
             t.on_event(&mut l, &e, &mut rng);
         }
@@ -506,7 +474,7 @@ mod tests {
         });
         t.set_timeout_grace(1.5);
         let mut rng = StdRng::seed_from_u64(6);
-        t.submit(&mut l, "cursed", SimTime::ZERO, &mut rng);
+        t.submit(&mut l, "cursed".into(), SimTime::ZERO, None, &mut rng);
         let mut resubmits = 0;
         let mut abandoned = false;
         let mut now = SimTime::ZERO;
@@ -550,7 +518,7 @@ mod tests {
             SimDuration::from_mins(5),
         ));
         let mut rng = StdRng::seed_from_u64(3);
-        cg.submit(&mut l, "mine", SimTime::ZERO, &mut rng);
+        cg.submit(&mut l, "mine".into(), SimTime::ZERO, None, &mut rng);
         let events = l.poll(SimTime::from_secs(1));
         for e in &events {
             assert!(other.on_event(&mut l, e, &mut rng).is_none());
@@ -570,7 +538,13 @@ mod tests {
         });
         let mut rng = StdRng::seed_from_u64(4);
         for i in 0..10 {
-            t.submit(&mut l, &format!("p{i}"), SimTime::ZERO, &mut rng);
+            t.submit(
+                &mut l,
+                format!("p{i}").into(),
+                SimTime::ZERO,
+                None,
+                &mut rng,
+            );
         }
         l.poll(SimTime::from_secs(1));
         let events = l.poll(SimTime::from_mins(300));

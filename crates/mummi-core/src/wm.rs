@@ -7,9 +7,9 @@
 //! four tasks against any [`sched::Launcher`] and [`datastore::DataStore`]:
 //!
 //! 1. coarse-data processing is fed in by the driver through
-//!    [`WorkflowManager::add_patch_candidates`] /
-//!    [`WorkflowManager::add_frame_candidates`] (the [`crate::PatchCreator`]
-//!    produces them from snapshots);
+//!    [`WorkflowManager::add_patch_candidates_from`] /
+//!    [`WorkflowManager::add_frame_candidates_from`] (the
+//!    [`crate::PatchCreator`] produces them from snapshots);
 //! 2. selection happens on demand when resources free up, through the
 //!    configured samplers;
 //! 3. job management keeps the GPU partition full: setup jobs keep the
@@ -17,6 +17,14 @@
 //!    each), failures are resubmitted;
 //! 4. feedback iterations run on a fixed cadence and report aggregated
 //!    parameters as [`WmEvent`]s for the driver to apply.
+//!
+//! Each promoted scale is one *stage*: a selector and its replayable
+//! history, a setup and a simulation [`JobTracker`], the ready queue
+//! between them, and a Figure 6 timeline. The WM holds one stage per
+//! selector it is built with, in promotion order (stage 0: continuum
+//! patches → CG, stage 1: CG frames → AA), and every phase of a cycle
+//! walks that list once. A one-scale application passes one selector and
+//! has no second stage.
 
 use std::collections::VecDeque;
 
@@ -27,7 +35,7 @@ use continuum::CouplingParams;
 use datastore::DataStore;
 use dynim::{HdPoint, History, Sampler};
 use resources::JobShape;
-use sched::{JobClass, JobId, Launcher, Throttle};
+use sched::{JobClass, JobEvent, JobId, Launcher, Throttle};
 use simcore::{OccupancyProfiler, OccupancySample, SimTime, Timeline};
 use trace::Tracer;
 
@@ -35,40 +43,31 @@ use crate::config::WmConfig;
 use crate::feedback::{AaToCgFeedback, CgParams, CgToContinuumFeedback, FeedbackManager};
 use crate::tracker::{JobTracker, PayloadId, Tracked, TrackerConfig};
 
-/// Notifications the WM hands back to its driver.
+/// Notifications the WM hands back to its driver. `stage` indexes the
+/// WM's stages in promotion order (0 = CG, 1 = AA).
 #[derive(Debug, Clone, PartialEq)]
 pub enum WmEvent {
-    /// A createsim job finished; its CG system is ready to simulate.
-    CgSetupDone {
-        /// The source patch id.
-        patch_id: PayloadId,
+    /// A setup job (createsim for CG, backmapping for AA) finished; its
+    /// system is ready to simulate.
+    SetupDone {
+        /// Which stage.
+        stage: usize,
+        /// The source patch or frame id.
+        payload: PayloadId,
     },
-    /// A CG simulation was placed on a GPU.
-    CgSimStarted {
+    /// A simulation was placed on a GPU.
+    SimStarted {
+        /// Which stage.
+        stage: usize,
         /// Scheduler job id.
         job: JobId,
-        /// Simulation id (= patch id).
+        /// Simulation id (= the source patch or frame id).
         sim_id: PayloadId,
     },
-    /// A CG simulation finished.
-    CgSimFinished {
-        /// Simulation id.
-        sim_id: PayloadId,
-    },
-    /// A backmapping job finished; its AA system is ready to simulate.
-    AaSetupDone {
-        /// The source CG frame id.
-        frame_id: PayloadId,
-    },
-    /// An AA simulation was placed on a GPU.
-    AaSimStarted {
-        /// Scheduler job id.
-        job: JobId,
-        /// Simulation id (= frame id).
-        sim_id: PayloadId,
-    },
-    /// An AA simulation finished.
-    AaSimFinished {
+    /// A simulation finished.
+    SimFinished {
+        /// Which stage.
+        stage: usize,
         /// Simulation id.
         sim_id: PayloadId,
     },
@@ -93,7 +92,8 @@ pub enum WmEvent {
     CgParamsUpdated(CgParams),
 }
 
-/// WM lifetime counters.
+/// WM lifetime counters. The per-scale fields read stage 0 (`patches`,
+/// `cg`) and stage 1 (`frames`, `aa`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WmStats {
     /// Patch candidates ingested.
@@ -122,35 +122,98 @@ pub struct WmStats {
     pub jobs_abandoned: u64,
 }
 
+impl WmStats {
+    /// The twelve counters in declaration (= checkpoint text) order.
+    pub fn fields(&self) -> [u64; 12] {
+        let mut stats = *self;
+        stats.fields_mut().map(|n| *n)
+    }
+
+    fn fields_mut(&mut self) -> [&mut u64; 12] {
+        [
+            &mut self.patches_ingested,
+            &mut self.frames_ingested,
+            &mut self.cg_selected,
+            &mut self.aa_selected,
+            &mut self.cg_sims_started,
+            &mut self.aa_sims_started,
+            &mut self.cg_sims_completed,
+            &mut self.aa_sims_completed,
+            &mut self.feedback_iterations,
+            &mut self.feedback_frames,
+            &mut self.jobs_timed_out,
+            &mut self.jobs_abandoned,
+        ]
+    }
+
+    /// Stage `stage`'s counters under their per-scale names, indexed
+    /// [`INGESTED`], [`SELECTED`], [`STARTED`], [`COMPLETED`]: the one place
+    /// stage 0 maps to `patches`/`cg` and stage 1 to `frames`/`aa` (the
+    /// per-scale fields alternate between them in declaration order).
+    fn stage_mut(&mut self, stage: usize) -> [&mut u64; 4] {
+        let [a, b, c, d, e, f, g, h, ..] = self.fields_mut();
+        if stage == 0 {
+            [a, c, e, g]
+        } else {
+            [b, d, f, h]
+        }
+    }
+}
+
+// A stage's counters: candidates ingested and selected, simulations
+// started and completed.
+const INGESTED: usize = 0;
+const SELECTED: usize = 1;
+const STARTED: usize = 2;
+const COMPLETED: usize = 3;
+
+/// One promoted scale: candidates are selected, set up, queued ready, and
+/// simulated on one GPU each.
+struct Stage {
+    /// The stage's `wm.timeline` label (`"cg"`, `"aa"`).
+    label: &'static str,
+    selector: Box<dyn Sampler + Send>,
+    /// The selector's mutation log — "elaborate history files that may be
+    /// replayed exactly" (§4.4). Checkpointed, so a restarted WM rebuilds
+    /// its exact ML-selection state.
+    history: History,
+    setup: JobTracker,
+    sim: JobTracker,
+    /// Payloads whose setup completed, awaiting a GPU (interned).
+    ready: VecDeque<PayloadId>,
+    /// Prepared-or-in-preparation systems to keep stocked.
+    buffer: usize,
+    /// Running/pending simulations over time (Figure 6 source data).
+    timeline: Timeline,
+    /// Lifetime counters, indexed [`INGESTED`] … [`COMPLETED`].
+    counts: [u64; 4],
+}
+
+impl Stage {
+    fn tracker(&mut self, sim: bool) -> &mut JobTracker {
+        if sim {
+            &mut self.sim
+        } else {
+            &mut self.setup
+        }
+    }
+}
+
 /// The workflow manager.
 pub struct WorkflowManager<L: Launcher> {
     cfg: WmConfig,
     launcher: L,
-    patch_selector: Box<dyn Sampler + Send>,
-    frame_selector: Box<dyn Sampler + Send>,
-    cg_setup: JobTracker,
-    cg_sim: JobTracker,
-    aa_setup: JobTracker,
-    aa_sim: JobTracker,
+    /// The promoted scales, in promotion order.
+    stages: Vec<Stage>,
     cg_feedback: CgToContinuumFeedback,
     aa_feedback: AaToCgFeedback,
     throttle: Throttle,
     profiler: OccupancyProfiler,
-    cg_timeline: Timeline,
-    aa_timeline: Timeline,
-    /// Patch ids whose createsim completed, awaiting a GPU (interned).
-    cg_ready: VecDeque<PayloadId>,
-    /// Frame ids whose backmapping completed, awaiting a GPU (interned).
-    aa_ready: VecDeque<PayloadId>,
     next_feedback: SimTime,
     next_profile: SimTime,
+    /// WM-wide counters; the per-scale ones live on the stages.
     stats: WmStats,
     rng: StdRng,
-    /// Mutation logs of the two selectors — "elaborate history files that
-    /// may be replayed exactly" (§4.4). Included in checkpoints so a
-    /// restarted WM reconstructs its exact ML-selection state.
-    patch_history: History,
-    frame_history: History,
     /// Optional per-job runtime override: `(class, payload) -> runtime`.
     /// The campaign driver installs one so a simulation's virtual runtime
     /// reflects its remaining target length at its sampled throughput.
@@ -164,17 +227,23 @@ pub struct WorkflowManager<L: Launcher> {
 pub type RuntimeModel = Box<dyn FnMut(JobClass, &str) -> Option<simcore::SimDuration> + Send>;
 
 impl<L: Launcher> WorkflowManager<L> {
-    /// Assembles a WM over a launcher and the two selectors.
+    /// Assembles a WM over a launcher and one selector per promoted scale:
+    /// one (patches → CG) or two (then CG frames → AA).
+    ///
+    /// # Panics
+    /// If `selectors` holds neither one nor two samplers.
     pub fn new(
         cfg: WmConfig,
         launcher: L,
-        patch_selector: Box<dyn Sampler + Send>,
-        frame_selector: Box<dyn Sampler + Send>,
+        selectors: Vec<Box<dyn Sampler + Send>>,
         n_species: usize,
     ) -> WorkflowManager<L> {
-        let rng = StdRng::seed_from_u64(cfg.seed);
-        let throttle = Throttle::per_minute(cfg.submit_rate_per_min);
-        let mk = |class, shape, runtime| {
+        assert!(
+            matches!(selectors.len(), 1 | 2),
+            "one selector per promoted scale (CG, then AA), got {}",
+            selectors.len()
+        );
+        let tracker = |class, shape, runtime| {
             let mut t = JobTracker::new(TrackerConfig {
                 runtime_jitter: 0.2,
                 failure_prob: cfg.job_failure_prob,
@@ -184,38 +253,56 @@ impl<L: Launcher> WorkflowManager<L> {
             t.set_timeout_grace(cfg.job_timeout_grace);
             t
         };
+        let scales = [
+            (
+                "cg",
+                tracker(JobClass::CgSetup, JobShape::setup(), cfg.cg_setup_runtime),
+                tracker(
+                    JobClass::CgSim,
+                    JobShape::sim_standard(),
+                    cfg.cg_sim_runtime,
+                ),
+                cfg.cg_ready_buffer,
+            ),
+            (
+                "aa",
+                tracker(JobClass::AaSetup, JobShape::setup(), cfg.aa_setup_runtime),
+                tracker(
+                    JobClass::AaSim,
+                    JobShape::sim_standard(),
+                    cfg.aa_sim_runtime,
+                ),
+                cfg.aa_ready_buffer,
+            ),
+        ];
+        let stages = selectors
+            .into_iter()
+            .zip(scales)
+            .map(|(selector, (label, setup, sim, buffer))| Stage {
+                label,
+                selector,
+                history: History::new(),
+                setup,
+                sim,
+                ready: VecDeque::new(),
+                buffer,
+                timeline: Timeline::new(),
+                counts: [0; 4],
+            })
+            .collect();
         WorkflowManager {
-            cg_setup: mk(JobClass::CgSetup, JobShape::setup(), cfg.cg_setup_runtime),
-            cg_sim: mk(
-                JobClass::CgSim,
-                JobShape::sim_standard(),
-                cfg.cg_sim_runtime,
-            ),
-            aa_setup: mk(JobClass::AaSetup, JobShape::setup(), cfg.aa_setup_runtime),
-            aa_sim: mk(
-                JobClass::AaSim,
-                JobShape::sim_standard(),
-                cfg.aa_sim_runtime,
-            ),
+            stages,
             cg_feedback: CgToContinuumFeedback::new(n_species),
             aa_feedback: AaToCgFeedback::new(),
-            throttle,
+            throttle: Throttle::per_minute(cfg.submit_rate_per_min),
             profiler: OccupancyProfiler::new(),
-            cg_timeline: Timeline::new(),
-            aa_timeline: Timeline::new(),
-            cg_ready: VecDeque::new(),
-            aa_ready: VecDeque::new(),
             next_feedback: SimTime::ZERO + cfg.feedback_interval,
             next_profile: SimTime::ZERO,
             stats: WmStats::default(),
-            rng,
+            rng: StdRng::seed_from_u64(cfg.seed),
             launcher,
-            patch_selector,
-            frame_selector,
             cfg,
             runtime_model: None,
-            patch_history: History::new(),
-            frame_history: History::new(),
             tracer: Tracer::disabled(),
         }
     }
@@ -245,16 +332,29 @@ impl<L: Launcher> WorkflowManager<L> {
         &mut self.launcher
     }
 
-    /// Lifetime counters.
+    /// Lifetime counters: the WM-wide ones plus each stage's, under the
+    /// per-scale names (a missing stage reads zero).
     pub fn stats(&self) -> WmStats {
-        self.stats
+        let mut stats = self.stats;
+        for (i, st) in self.stages.iter().enumerate() {
+            for (field, n) in stats.stage_mut(i).into_iter().zip(st.counts) {
+                *field = n;
+            }
+        }
+        stats
     }
 
-    /// Aggregate accounting over all four job trackers, for end-of-run
+    /// Every job tracker in the fixed visiting order: each stage's setup
+    /// then simulation tracker, stage by stage.
+    fn trackers(&self) -> impl Iterator<Item = &JobTracker> {
+        self.stages.iter().flat_map(|s| [&s.setup, &s.sim])
+    }
+
+    /// Aggregate accounting over all job trackers, for end-of-run
     /// reconciliation against the scheduler's own counters.
     pub fn tracker_totals(&self) -> TrackerTotals {
         let mut t = TrackerTotals::default();
-        for tr in [&self.cg_setup, &self.cg_sim, &self.aa_setup, &self.aa_sim] {
+        for tr in self.trackers() {
             let (s, c, f) = tr.counters();
             t.submitted += s;
             t.completed += c;
@@ -284,52 +384,41 @@ impl<L: Launcher> WorkflowManager<L> {
         &self.profiler
     }
 
-    /// Running/pending timeline of CG GPU jobs (Figure 6 source data).
-    pub fn cg_timeline(&self) -> &Timeline {
-        &self.cg_timeline
-    }
-
-    /// Running/pending timeline of AA GPU jobs (Figure 6 source data).
-    pub fn aa_timeline(&self) -> &Timeline {
-        &self.aa_timeline
+    /// Running/pending timeline of one stage's GPU jobs (Figure 6 source
+    /// data).
+    pub fn timeline(&self, stage: usize) -> &Timeline {
+        &self.stages[stage].timeline
     }
 
     /// Patch candidates waiting in the selector.
     pub fn patch_candidates(&self) -> usize {
-        self.patch_selector.candidates()
+        self.stages[0].selector.candidates()
     }
 
-    /// Ingests new patch candidates (Task 1 output).
-    pub fn add_patch_candidates(&mut self, mut points: Vec<HdPoint>) {
-        self.add_patch_candidates_from(&mut points);
-    }
-
-    /// [`WorkflowManager::add_patch_candidates`] draining a caller-owned
-    /// buffer, so a driver loop can reuse one allocation across ticks.
+    /// Ingests new patch candidates (Task 1 output) into stage 0, draining
+    /// a caller-owned buffer so a driver loop can reuse one allocation
+    /// across ticks.
     pub fn add_patch_candidates_from(&mut self, points: &mut Vec<HdPoint>) {
-        self.stats.patches_ingested += points.len() as u64;
-        for p in points.drain(..) {
-            if self.cfg.record_history {
-                self.patch_history.record_add(&p);
-            }
-            self.patch_selector.add(p);
-        }
+        self.ingest(0, points);
     }
 
-    /// Ingests new CG-frame candidates (from the distributed CG analyses).
-    pub fn add_frame_candidates(&mut self, mut points: Vec<HdPoint>) {
-        self.add_frame_candidates_from(&mut points);
-    }
-
-    /// [`WorkflowManager::add_frame_candidates`] draining a caller-owned
-    /// buffer (see [`WorkflowManager::add_patch_candidates_from`]).
+    /// Ingests new CG-frame candidates (from the distributed CG analyses)
+    /// into stage 1 (see [`WorkflowManager::add_patch_candidates_from`]).
+    ///
+    /// # Panics
+    /// If the WM was built with one stage.
     pub fn add_frame_candidates_from(&mut self, points: &mut Vec<HdPoint>) {
-        self.stats.frames_ingested += points.len() as u64;
+        self.ingest(1, points);
+    }
+
+    fn ingest(&mut self, stage: usize, points: &mut Vec<HdPoint>) {
+        let st = &mut self.stages[stage];
+        st.counts[INGESTED] += points.len() as u64;
         for p in points.drain(..) {
             if self.cfg.record_history {
-                self.frame_history.record_add(&p);
+                st.history.record_add(&p);
             }
-            self.frame_selector.add(p);
+            st.selector.add(p);
         }
     }
 
@@ -349,12 +438,10 @@ impl<L: Launcher> WorkflowManager<L> {
             next = next.min(t);
         }
         if self.cfg.job_timeout_grace > 0.0 {
-            for tr in [&self.cg_setup, &self.cg_sim, &self.aa_setup, &self.aa_sim] {
-                if let Some(deadline) = tr.earliest_timeout() {
-                    // `expire_overdue` uses a strict comparison, so the
-                    // job is only reclaimable just past its deadline.
-                    next = next.min(deadline + eps);
-                }
+            for deadline in self.trackers().filter_map(JobTracker::earliest_timeout) {
+                // `expire_overdue` uses a strict comparison, so the
+                // job is only reclaimable just past its deadline.
+                next = next.min(deadline + eps);
             }
         }
         next.max(now + eps)
@@ -411,7 +498,7 @@ impl<L: Launcher> WorkflowManager<L> {
         store: &mut dyn DataStore,
         events: &mut Vec<WmEvent>,
     ) {
-        self.maintain_sims(now, events);
+        self.maintain_sims(now);
         self.maintain_setups(now);
         self.run_feedback(now, store, events);
         self.sample_profile(now);
@@ -421,105 +508,48 @@ impl<L: Launcher> WorkflowManager<L> {
     fn poll_jobs(&mut self, now: SimTime, events: &mut Vec<WmEvent>) {
         let raw = self.launcher.poll(now);
         for ev in &raw {
-            // Each event belongs to exactly one tracker.
-            if let Some(t) = self
-                .cg_setup
-                .on_event(&mut self.launcher, ev, &mut self.rng)
-            {
-                match t {
-                    Tracked::Done { payload } => {
-                        self.cg_ready.push_back(payload.clone());
-                        events.push(WmEvent::CgSetupDone { patch_id: payload });
-                    }
-                    Tracked::Resubmitted { payload, attempt } => {
-                        self.trace_resubmit(now, JobClass::CgSetup, &payload, attempt);
-                        events.push(WmEvent::JobResubmitted {
-                            class: JobClass::CgSetup,
-                            payload,
-                        });
-                    }
-                    Tracked::Abandoned { payload } => {
-                        self.give_up(now, JobClass::CgSetup, payload, events);
-                    }
-                    _ => {}
-                }
+            let Some((stage, sim, class, tracked)) = self.route(ev) else {
                 continue;
-            }
-            if let Some(t) = self.cg_sim.on_event(&mut self.launcher, ev, &mut self.rng) {
-                match t {
-                    Tracked::Started { job, payload } => {
-                        self.stats.cg_sims_started += 1;
-                        events.push(WmEvent::CgSimStarted {
-                            job,
-                            sim_id: payload,
-                        });
-                    }
-                    Tracked::Done { payload } => {
-                        self.stats.cg_sims_completed += 1;
-                        events.push(WmEvent::CgSimFinished { sim_id: payload });
-                    }
-                    Tracked::Resubmitted { payload, attempt } => {
-                        self.trace_resubmit(now, JobClass::CgSim, &payload, attempt);
-                        events.push(WmEvent::JobResubmitted {
-                            class: JobClass::CgSim,
-                            payload,
-                        });
-                    }
-                    Tracked::Abandoned { payload } => {
-                        self.give_up(now, JobClass::CgSim, payload, events);
-                    }
+            };
+            match tracked {
+                Tracked::Started { job, payload } if sim => {
+                    self.stages[stage].counts[STARTED] += 1;
+                    events.push(WmEvent::SimStarted {
+                        stage,
+                        job,
+                        sim_id: payload,
+                    });
                 }
-                continue;
-            }
-            if let Some(t) = self
-                .aa_setup
-                .on_event(&mut self.launcher, ev, &mut self.rng)
-            {
-                match t {
-                    Tracked::Done { payload } => {
-                        self.aa_ready.push_back(payload.clone());
-                        events.push(WmEvent::AaSetupDone { frame_id: payload });
-                    }
-                    Tracked::Resubmitted { payload, attempt } => {
-                        self.trace_resubmit(now, JobClass::AaSetup, &payload, attempt);
-                        events.push(WmEvent::JobResubmitted {
-                            class: JobClass::AaSetup,
-                            payload,
-                        });
-                    }
-                    Tracked::Abandoned { payload } => {
-                        self.give_up(now, JobClass::AaSetup, payload, events);
-                    }
-                    _ => {}
+                Tracked::Started { .. } => {}
+                Tracked::Done { payload } if sim => {
+                    self.stages[stage].counts[COMPLETED] += 1;
+                    events.push(WmEvent::SimFinished {
+                        stage,
+                        sim_id: payload,
+                    });
                 }
-                continue;
+                Tracked::Done { payload } => {
+                    self.stages[stage].ready.push_back(payload.clone());
+                    events.push(WmEvent::SetupDone { stage, payload });
+                }
+                failed => self.settle_failure(now, class, failed, false, events),
             }
-            if let Some(t) = self.aa_sim.on_event(&mut self.launcher, ev, &mut self.rng) {
-                match t {
-                    Tracked::Started { job, payload } => {
-                        self.stats.aa_sims_started += 1;
-                        events.push(WmEvent::AaSimStarted {
-                            job,
-                            sim_id: payload,
-                        });
-                    }
-                    Tracked::Done { payload } => {
-                        self.stats.aa_sims_completed += 1;
-                        events.push(WmEvent::AaSimFinished { sim_id: payload });
-                    }
-                    Tracked::Resubmitted { payload, attempt } => {
-                        self.trace_resubmit(now, JobClass::AaSim, &payload, attempt);
-                        events.push(WmEvent::JobResubmitted {
-                            class: JobClass::AaSim,
-                            payload,
-                        });
-                    }
-                    Tracked::Abandoned { payload } => {
-                        self.give_up(now, JobClass::AaSim, payload, events);
-                    }
+        }
+    }
+
+    /// Hands a launcher event to the one tracker that owns it, asking
+    /// them in the fixed visiting order. Returns the owner's stage,
+    /// whether it is the simulation tracker, and its class.
+    fn route(&mut self, ev: &JobEvent) -> Option<(usize, bool, JobClass, Tracked)> {
+        for (stage, st) in self.stages.iter_mut().enumerate() {
+            for sim in [false, true] {
+                let tracker = st.tracker(sim);
+                if let Some(t) = tracker.on_event(&mut self.launcher, ev, &mut self.rng) {
+                    return Some((stage, sim, tracker.class(), t));
                 }
             }
         }
+        None
     }
 
     /// The §4.4 hang watchdog: cancel-and-resubmit any placed job that
@@ -529,154 +559,91 @@ impl<L: Launcher> WorkflowManager<L> {
         if self.cfg.job_timeout_grace <= 0.0 {
             return;
         }
-        // Iterate trackers in a fixed order (determinism contract).
-        for which in 0..4usize {
-            let tracker = match which {
-                0 => &mut self.cg_setup,
-                1 => &mut self.cg_sim,
-                2 => &mut self.aa_setup,
-                _ => &mut self.aa_sim,
-            };
-            let class = tracker.class();
-            let expired = tracker.expire_overdue(&mut self.launcher, now, &mut self.rng);
-            for tracked in expired {
-                self.stats.jobs_timed_out += 1;
-                match tracked {
-                    Tracked::Resubmitted { payload, attempt } => {
-                        self.tracer.instant_at(
-                            now,
-                            "wm",
-                            "wm.timeout",
-                            &[
-                                ("class", class.label().into()),
-                                ("payload", (&*payload).into()),
-                                ("attempt", attempt.into()),
-                            ],
-                        );
-                        self.tracer.counter_add("wm.timeouts", 1);
-                        events.push(WmEvent::JobResubmitted { class, payload });
-                    }
-                    Tracked::Abandoned { payload } => {
-                        self.tracer.instant_at(
-                            now,
-                            "wm",
-                            "wm.timeout",
-                            &[
-                                ("class", class.label().into()),
-                                ("payload", (&*payload).into()),
-                            ],
-                        );
-                        self.tracer.counter_add("wm.timeouts", 1);
-                        self.give_up(now, class, payload, events);
-                    }
-                    _ => {}
+        // Iterate trackers in the fixed order (determinism contract).
+        for stage in 0..self.stages.len() {
+            for sim in [false, true] {
+                let tracker = self.stages[stage].tracker(sim);
+                let class = tracker.class();
+                let expired = tracker.expire_overdue(&mut self.launcher, now, &mut self.rng);
+                for tracked in expired {
+                    self.stats.jobs_timed_out += 1;
+                    self.settle_failure(now, class, tracked, true, events);
                 }
             }
         }
     }
 
-    /// Terminal abandonment: the payload exhausted its budget and will
-    /// never be submitted again. Recorded as the `wm.gave_up` trace event
-    /// so lost work is visible rather than silently dropped.
-    fn give_up(
+    /// Reports a failed or timed-out job, which the tracker either
+    /// resubmitted or gave up on for good. A timeout is traced as
+    /// `wm.timeout`, a resubmitted failure as `wm.resubmit`; abandonment is
+    /// terminal — the payload is never submitted again — and traced as
+    /// `wm.gave_up`, so lost work is visible rather than silently dropped.
+    fn settle_failure(
         &mut self,
         now: SimTime,
         class: JobClass,
-        payload: PayloadId,
+        failed: Tracked,
+        timed_out: bool,
         events: &mut Vec<WmEvent>,
     ) {
-        self.stats.jobs_abandoned += 1;
-        self.tracer.instant_at(
-            now,
-            "wm",
-            "wm.gave_up",
-            &[
-                ("class", class.label().into()),
-                ("payload", (&*payload).into()),
-            ],
-        );
-        self.tracer.counter_add("wm.gave_up", 1);
-        events.push(WmEvent::JobAbandoned { class, payload });
-    }
-
-    /// Records one failed-and-resubmitted job on the trace.
-    fn trace_resubmit(&self, now: SimTime, class: JobClass, payload: &str, attempt: u32) {
-        self.tracer.instant_at(
-            now,
-            "wm",
-            "wm.resubmit",
-            &[
-                ("class", class.label().into()),
-                ("payload", payload.into()),
-                ("attempt", attempt.into()),
-            ],
-        );
-        self.tracer.counter_add("wm.resubmits", 1);
+        let (payload, attempt) = match failed {
+            Tracked::Resubmitted { payload, attempt } => (payload, Some(attempt)),
+            Tracked::Abandoned { payload } => (payload, None),
+            Tracked::Started { .. } | Tracked::Done { .. } => return,
+        };
+        let args = [
+            ("class", class.label().into()),
+            ("payload", (&*payload).into()),
+            ("attempt", attempt.unwrap_or(0).into()),
+        ];
+        let args = if attempt.is_some() {
+            &args[..]
+        } else {
+            &args[..2]
+        };
+        if timed_out {
+            self.tracer.instant_at(now, "wm", "wm.timeout", args);
+            self.tracer.counter_add("wm.timeouts", 1);
+        }
+        match attempt {
+            Some(_) => {
+                if !timed_out {
+                    self.tracer.instant_at(now, "wm", "wm.resubmit", args);
+                    self.tracer.counter_add("wm.resubmits", 1);
+                }
+                events.push(WmEvent::JobResubmitted { class, payload });
+            }
+            None => {
+                self.stats.jobs_abandoned += 1;
+                self.tracer.instant_at(now, "wm", "wm.gave_up", args);
+                self.tracer.counter_add("wm.gave_up", 1);
+                events.push(WmEvent::JobAbandoned { class, payload });
+            }
+        }
     }
 
     /// Keep the GPU partition full: spawn simulations from the ready
-    /// buffers up to each scale's GPU target.
-    fn maintain_sims(&mut self, now: SimTime, events: &mut Vec<WmEvent>) {
+    /// buffers up to each stage's GPU target. Started events arrive via
+    /// poll on placement.
+    fn maintain_sims(&mut self, now: SimTime) {
         let (_, total_gpus) = self.launcher.gpu_usage();
         let (cg_target, aa_target) = self.cfg.gpu_targets(total_gpus);
-
-        loop {
-            let (running, pending) = self.cg_sim.counts(&self.launcher);
-            if running + pending >= cg_target {
-                break;
-            }
-            let Some(sim_id) = self.cg_ready.pop_front() else {
-                break;
-            };
-            let at = self.throttle.reserve(now);
-            match self
-                .runtime_model
-                .as_mut()
-                .and_then(|m| m(JobClass::CgSim, &sim_id))
-            {
-                Some(rt) => {
-                    self.cg_sim.submit_interned_with(
-                        &mut self.launcher,
-                        sim_id,
-                        at,
-                        rt,
-                        &mut self.rng,
-                    );
+        for (st, target) in self.stages.iter_mut().zip([cg_target, aa_target]) {
+            loop {
+                let (running, pending) = st.sim.counts(&self.launcher);
+                if running + pending >= target {
+                    break;
                 }
-                None => {
-                    self.cg_sim
-                        .submit_interned(&mut self.launcher, sim_id, at, &mut self.rng);
-                }
-            }
-            let _ = events; // started events arrive via poll on placement
-        }
-        loop {
-            let (running, pending) = self.aa_sim.counts(&self.launcher);
-            if running + pending >= aa_target {
-                break;
-            }
-            let Some(sim_id) = self.aa_ready.pop_front() else {
-                break;
-            };
-            let at = self.throttle.reserve(now);
-            match self
-                .runtime_model
-                .as_mut()
-                .and_then(|m| m(JobClass::AaSim, &sim_id))
-            {
-                Some(rt) => {
-                    self.aa_sim.submit_interned_with(
-                        &mut self.launcher,
-                        sim_id,
-                        at,
-                        rt,
-                        &mut self.rng,
-                    );
-                }
-                None => {
-                    self.aa_sim
-                        .submit_interned(&mut self.launcher, sim_id, at, &mut self.rng);
-                }
+                let Some(sim_id) = st.ready.pop_front() else {
+                    break;
+                };
+                let at = self.throttle.reserve(now);
+                let runtime = self
+                    .runtime_model
+                    .as_mut()
+                    .and_then(|m| m(st.sim.class(), &sim_id));
+                st.sim
+                    .submit(&mut self.launcher, sim_id, at, runtime, &mut self.rng);
             }
         }
     }
@@ -689,14 +656,16 @@ impl<L: Launcher> WorkflowManager<L> {
     /// every simulation behind it.
     fn cpu_headroom(&self) -> i64 {
         let (used, total) = self.launcher.cpu_usage();
-        let pending_cores = |t: &JobTracker, per_job: u64| -> u64 {
-            let (_, pending) = t.counts(&self.launcher);
-            pending * per_job
-        };
-        let committed = pending_cores(&self.cg_setup, JobShape::setup().total_cores())
-            + pending_cores(&self.aa_setup, JobShape::setup().total_cores())
-            + pending_cores(&self.cg_sim, JobShape::sim_standard().total_cores())
-            + pending_cores(&self.aa_sim, JobShape::sim_standard().total_cores());
+        let setup_cores = JobShape::setup().total_cores();
+        let sim_cores = JobShape::sim_standard().total_cores();
+        let committed: u64 = self
+            .stages
+            .iter()
+            .map(|s| {
+                s.setup.counts(&self.launcher).1 * setup_cores
+                    + s.sim.counts(&self.launcher).1 * sim_cores
+            })
+            .sum();
         total as i64 - used as i64 - committed as i64
     }
 
@@ -705,63 +674,37 @@ impl<L: Launcher> WorkflowManager<L> {
     /// are kept prepared in anticipation."
     fn maintain_setups(&mut self, now: SimTime) {
         let setup_cores = JobShape::setup().total_cores() as i64;
-        loop {
-            let (running, pending) = self.cg_setup.counts(&self.launcher);
-            let in_flight = (running + pending) as usize;
-            if self.cg_ready.len() + in_flight >= self.cfg.cg_ready_buffer
-                || self.cpu_headroom() < setup_cores
-            {
-                break;
+        for stage in 0..self.stages.len() {
+            loop {
+                let st = &self.stages[stage];
+                let (running, pending) = st.setup.counts(&self.launcher);
+                if st.ready.len() + (running + pending) as usize >= st.buffer
+                    || self.cpu_headroom() < setup_cores
+                {
+                    break;
+                }
+                let st = &mut self.stages[stage];
+                let Some(pick) = st.selector.select(1).pop() else {
+                    break;
+                };
+                if self.cfg.record_history {
+                    st.history.record_select(&pick.id);
+                }
+                st.counts[SELECTED] += 1;
+                self.tracer.instant_at(
+                    now,
+                    "wm",
+                    "wm.select",
+                    &[
+                        ("class", st.setup.class().label().into()),
+                        ("payload", pick.id.as_str().into()),
+                    ],
+                );
+                self.tracer.counter_add("wm.selected", 1);
+                let at = self.throttle.reserve(now);
+                st.setup
+                    .submit(&mut self.launcher, pick.id.into(), at, None, &mut self.rng);
             }
-            let Some(pick) = self.patch_selector.select(1).pop() else {
-                break;
-            };
-            if self.cfg.record_history {
-                self.patch_history.record_select(&pick.id);
-            }
-            self.stats.cg_selected += 1;
-            self.tracer.instant_at(
-                now,
-                "wm",
-                "wm.select",
-                &[
-                    ("class", JobClass::CgSetup.label().into()),
-                    ("payload", pick.id.as_str().into()),
-                ],
-            );
-            self.tracer.counter_add("wm.selected", 1);
-            let at = self.throttle.reserve(now);
-            self.cg_setup
-                .submit(&mut self.launcher, &pick.id, at, &mut self.rng);
-        }
-        loop {
-            let (running, pending) = self.aa_setup.counts(&self.launcher);
-            let in_flight = (running + pending) as usize;
-            if self.aa_ready.len() + in_flight >= self.cfg.aa_ready_buffer
-                || self.cpu_headroom() < setup_cores
-            {
-                break;
-            }
-            let Some(pick) = self.frame_selector.select(1).pop() else {
-                break;
-            };
-            if self.cfg.record_history {
-                self.frame_history.record_select(&pick.id);
-            }
-            self.stats.aa_selected += 1;
-            self.tracer.instant_at(
-                now,
-                "wm",
-                "wm.select",
-                &[
-                    ("class", JobClass::AaSetup.label().into()),
-                    ("payload", pick.id.as_str().into()),
-                ],
-            );
-            self.tracer.counter_add("wm.selected", 1);
-            let at = self.throttle.reserve(now);
-            self.aa_setup
-                .submit(&mut self.launcher, &pick.id, at, &mut self.rng);
         }
     }
 
@@ -843,38 +786,38 @@ impl<L: Launcher> WorkflowManager<L> {
                 100.0 * gpus_used as f64 / gpus_total as f64,
             );
         }
-        let (r, p) = self.cg_sim.counts(&self.launcher);
-        self.cg_timeline.record(now, r, p);
-        self.trace_timeline(now, "cg", r, p);
-        let (r, p) = self.aa_sim.counts(&self.launcher);
-        self.aa_timeline.record(now, r, p);
-        self.trace_timeline(now, "aa", r, p);
-    }
-
-    /// Records one Figure 6 timeline point on the trace.
-    fn trace_timeline(&self, now: SimTime, class: &str, running: u64, pending: u64) {
-        self.tracer.instant_at(
-            now,
-            "wm",
-            "wm.timeline",
-            &[
-                ("class", class.into()),
-                ("running", running.into()),
-                ("pending", pending.into()),
-            ],
-        );
+        for st in &mut self.stages {
+            let (running, pending) = st.sim.counts(&self.launcher);
+            st.timeline.record(now, running, pending);
+            self.tracer.instant_at(
+                now,
+                "wm",
+                "wm.timeline",
+                &[
+                    ("class", st.label.into()),
+                    ("running", running.into()),
+                    ("pending", pending.into()),
+                ],
+            );
+        }
     }
 
     /// Serializes restartable WM state: counters, ready buffers, and the
-    /// selector histories.
+    /// selector histories (a missing stage writes none).
     pub fn checkpoint(&self) -> WmCheckpoint {
-        WmCheckpoint {
-            stats: self.stats,
-            cg_ready: self.cg_ready.iter().map(|p| p.to_string()).collect(),
-            aa_ready: self.aa_ready.iter().map(|p| p.to_string()).collect(),
-            patch_history: self.patch_history.compact().to_text(),
-            frame_history: self.frame_history.compact().to_text(),
+        let mut ckpt = WmCheckpoint {
+            stats: self.stats(),
+            ..WmCheckpoint::default()
+        };
+        let slots = [
+            (&mut ckpt.cg_ready, &mut ckpt.patch_history),
+            (&mut ckpt.aa_ready, &mut ckpt.frame_history),
+        ];
+        for (st, (ready, history)) in self.stages.iter().zip(slots) {
+            *ready = st.ready.iter().map(|p| p.to_string()).collect();
+            *history = st.history.compact().to_text();
         }
+        ckpt
     }
 
     /// Restores counters, ready buffers, and selector state from a
@@ -882,28 +825,22 @@ impl<L: Launcher> WorkflowManager<L> {
     /// reconstructing their candidate queues and selected sets exactly.
     pub fn restore(&mut self, ckpt: &WmCheckpoint) {
         self.stats = ckpt.stats;
-        self.cg_ready = ckpt
-            .cg_ready
-            .iter()
-            .map(|s| PayloadId::from(s.as_str()))
-            .collect();
-        self.aa_ready = ckpt
-            .aa_ready
-            .iter()
-            .map(|s| PayloadId::from(s.as_str()))
-            .collect();
-        if let Some(h) = History::from_text(&ckpt.patch_history) {
-            h.replay(self.patch_selector.as_mut());
-            self.patch_history = h;
-        }
-        if let Some(h) = History::from_text(&ckpt.frame_history) {
-            h.replay(self.frame_selector.as_mut());
-            self.frame_history = h;
+        let saved = [
+            (&ckpt.cg_ready, &ckpt.patch_history),
+            (&ckpt.aa_ready, &ckpt.frame_history),
+        ];
+        for (i, (st, (ready, history))) in self.stages.iter_mut().zip(saved).enumerate() {
+            st.counts = self.stats.stage_mut(i).map(|n| *n);
+            st.ready = ready.iter().map(|s| PayloadId::from(s.as_str())).collect();
+            if let Some(h) = History::from_text(history) {
+                h.replay(st.selector.as_mut());
+                st.history = h;
+            }
         }
     }
 }
 
-/// Aggregate accounting over the WM's four job trackers.
+/// Aggregate accounting over the WM's job trackers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrackerTotals {
     /// Jobs submitted (including resubmissions).
@@ -919,7 +856,7 @@ pub struct TrackerTotals {
 }
 
 /// Restartable WM state.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WmCheckpoint {
     /// Lifetime counters.
     pub stats: WmStats,
@@ -994,40 +931,16 @@ impl WmCheckpoint {
     /// Serializes to a line-oriented text format, ending with a counted
     /// `end` footer so truncation is detectable.
     pub fn to_text(&self) -> String {
-        let s = &self.stats;
-        let mut out = format!(
-            "stats {} {} {} {} {} {} {} {} {} {} {} {}\n",
-            s.patches_ingested,
-            s.frames_ingested,
-            s.cg_selected,
-            s.aa_selected,
-            s.cg_sims_started,
-            s.aa_sims_started,
-            s.cg_sims_completed,
-            s.aa_sims_completed,
-            s.feedback_iterations,
-            s.feedback_frames,
-            s.jobs_timed_out,
-            s.jobs_abandoned,
-        );
-        let mut body = 1usize;
-        for id in &self.cg_ready {
-            out.push_str(&format!("cg {id}\n"));
-            body += 1;
+        let stats: Vec<String> = self.stats.fields().iter().map(u64::to_string).collect();
+        let mut out = format!("stats {}\n", stats.join(" "));
+        let body = (self.cg_ready.iter().map(|id| ("cg", id.as_str())))
+            .chain(self.aa_ready.iter().map(|id| ("aa", id.as_str())))
+            .chain(self.patch_history.lines().map(|line| ("ph", line)))
+            .chain(self.frame_history.lines().map(|line| ("fh", line)));
+        for (tag, line) in body {
+            out.push_str(&format!("{tag} {line}\n"));
         }
-        for id in &self.aa_ready {
-            out.push_str(&format!("aa {id}\n"));
-            body += 1;
-        }
-        for line in self.patch_history.lines() {
-            out.push_str(&format!("ph {line}\n"));
-            body += 1;
-        }
-        for line in self.frame_history.lines() {
-            out.push_str(&format!("fh {line}\n"));
-            body += 1;
-        }
-        out.push_str(&format!("end {body}\n"));
+        out.push_str(&format!("end {}\n", out.lines().count()));
         out
     }
 
@@ -1050,6 +963,11 @@ impl WmCheckpoint {
                 return Err(bad("content after `end` footer"));
             }
             let (tag, rest) = line.split_once(' ').ok_or_else(|| bad("missing tag"))?;
+            if tag == "end" {
+                footer = Some(rest.parse().map_err(|_| bad("footer needs a line count"))?);
+                continue;
+            }
+            body += 1;
             match tag {
                 "stats" => {
                     if stats.is_some() {
@@ -1063,49 +981,25 @@ impl WmCheckpoint {
                     if v.len() != 12 {
                         return Err(bad("stats needs exactly 12 fields"));
                     }
-                    stats = Some(WmStats {
-                        patches_ingested: v[0],
-                        frames_ingested: v[1],
-                        cg_selected: v[2],
-                        aa_selected: v[3],
-                        cg_sims_started: v[4],
-                        aa_sims_started: v[5],
-                        cg_sims_completed: v[6],
-                        aa_sims_completed: v[7],
-                        feedback_iterations: v[8],
-                        feedback_frames: v[9],
-                        jobs_timed_out: v[10],
-                        jobs_abandoned: v[11],
-                    });
-                    body += 1;
-                }
-                "cg" => {
-                    cg_ready.push(rest.to_string());
-                    body += 1;
-                }
-                "aa" => {
-                    aa_ready.push(rest.to_string());
-                    body += 1;
-                }
-                "ph" => {
-                    if History::from_text(rest).is_none() {
-                        return Err(bad("unreplayable patch-history record"));
+                    let mut parsed = WmStats::default();
+                    for (field, n) in parsed.fields_mut().into_iter().zip(v) {
+                        *field = n;
                     }
-                    patch_history.push_str(rest);
-                    patch_history.push('\n');
-                    body += 1;
+                    stats = Some(parsed);
                 }
-                "fh" => {
+                "cg" => cg_ready.push(rest.to_string()),
+                "aa" => aa_ready.push(rest.to_string()),
+                "ph" | "fh" => {
+                    let (history, what) = if tag == "ph" {
+                        (&mut patch_history, "patch")
+                    } else {
+                        (&mut frame_history, "frame")
+                    };
                     if History::from_text(rest).is_none() {
-                        return Err(bad("unreplayable frame-history record"));
+                        return Err(bad(&format!("unreplayable {what}-history record")));
                     }
-                    frame_history.push_str(rest);
-                    frame_history.push('\n');
-                    body += 1;
-                }
-                "end" => {
-                    let n: usize = rest.parse().map_err(|_| bad("footer needs a line count"))?;
-                    footer = Some(n);
+                    history.push_str(rest);
+                    history.push('\n');
                 }
                 _ => return Err(bad("unknown checkpoint field")),
             }
@@ -1137,21 +1031,28 @@ mod tests {
     use sched::{Costs, Coupling, SchedEngine};
     use simcore::SimDuration;
 
-    fn wm(nodes: u32, cfg: WmConfig) -> WorkflowManager<SchedEngine> {
-        let launcher = SchedEngine::new(
+    fn engine(nodes: u32) -> SchedEngine {
+        SchedEngine::new(
             ResourceGraph::new(MachineSpec::custom("t", nodes, NodeSpec::summit())),
             MatchPolicy::FirstMatch,
             Coupling::Asynchronous,
             Costs::free(),
-        );
+        )
+    }
+
+    fn patch_selector() -> Box<dyn Sampler + Send> {
+        Box::new(FarthestPointSampler::new(
+            FpsConfig { cap: 0 },
+            ExactNn::new(),
+        ))
+    }
+
+    fn wm(nodes: u32, cfg: WmConfig) -> WorkflowManager<SchedEngine> {
+        let frame_selector = Box::new(BinnedSampler::new(BinnedConfig::cg_frames()));
         WorkflowManager::new(
             cfg,
-            launcher,
-            Box::new(FarthestPointSampler::new(
-                FpsConfig { cap: 0 },
-                ExactNn::new(),
-            )),
-            Box::new(BinnedSampler::new(BinnedConfig::cg_frames())),
+            engine(nodes),
+            vec![patch_selector(), frame_selector],
             2,
         )
     }
@@ -1197,8 +1098,8 @@ mod tests {
     fn wm_fills_gpus_from_candidates() {
         let mut m = wm(2, WmConfig::test_scale()); // 12 GPUs
         let mut store = KvDataStore::new(4);
-        m.add_patch_candidates(patch_points(50, 0));
-        m.add_frame_candidates(frame_points(50));
+        m.add_patch_candidates_from(&mut patch_points(50, 0));
+        m.add_frame_candidates_from(&mut frame_points(50));
         let events = drive(&mut m, &mut store, 2);
 
         let stats = m.stats();
@@ -1211,10 +1112,10 @@ mod tests {
         assert!(cg_run <= 8, "CG target respected: {cg_run}");
         assert!(events
             .iter()
-            .any(|e| matches!(e, WmEvent::CgSetupDone { .. })));
+            .any(|e| matches!(e, WmEvent::SetupDone { stage: 0, .. })));
         assert!(events
             .iter()
-            .any(|e| matches!(e, WmEvent::CgSimStarted { .. })));
+            .any(|e| matches!(e, WmEvent::SimStarted { stage: 0, .. })));
     }
 
     #[test]
@@ -1223,7 +1124,7 @@ mod tests {
         cfg.cg_sim_runtime = SimDuration::from_mins(10);
         let mut m = wm(1, cfg);
         let mut store = KvDataStore::new(4);
-        m.add_patch_candidates(patch_points(100, 0));
+        m.add_patch_candidates_from(&mut patch_points(100, 0));
         drive(&mut m, &mut store, 6);
         let stats = m.stats();
         assert!(stats.cg_sims_completed >= 3, "turnover expected: {stats:?}");
@@ -1259,7 +1160,7 @@ mod tests {
         cfg.cg_sim_runtime = SimDuration::from_mins(5);
         let mut m = wm(1, cfg);
         let mut store = KvDataStore::new(4);
-        m.add_patch_candidates(patch_points(100, 0));
+        m.add_patch_candidates_from(&mut patch_points(100, 0));
         let events = drive(&mut m, &mut store, 4);
         assert!(
             events
@@ -1280,7 +1181,7 @@ mod tests {
         cfg.cg_setup_runtime = SimDuration::from_mins(2);
         let mut m = wm(1, cfg);
         let mut store = KvDataStore::new(4);
-        m.add_patch_candidates(patch_points(6, 0));
+        m.add_patch_candidates_from(&mut patch_points(6, 0));
         let events = drive(&mut m, &mut store, 8);
         let abandoned = events
             .iter()
@@ -1306,7 +1207,7 @@ mod tests {
         cfg.cg_sim_runtime = SimDuration::from_mins(10);
         let mut m = wm(1, cfg);
         let mut store = KvDataStore::new(4);
-        m.add_patch_candidates(patch_points(30, 0));
+        m.add_patch_candidates_from(&mut patch_points(30, 0));
         // Warm up until sims are running, then hang one.
         let mut t = SimTime::ZERO;
         while m.launcher().class_counts(JobClass::CgSim).0 == 0 {
@@ -1334,15 +1235,15 @@ mod tests {
     fn profiler_records_occupancy_samples() {
         let mut m = wm(2, WmConfig::test_scale());
         let mut store = KvDataStore::new(4);
-        m.add_patch_candidates(patch_points(80, 0));
-        m.add_frame_candidates(frame_points(80));
+        m.add_patch_candidates_from(&mut patch_points(80, 0));
+        m.add_frame_candidates_from(&mut frame_points(80));
         drive(&mut m, &mut store, 2);
         assert!(m.profiler().samples().len() >= 20);
         // Once warmed up, the GPU occupancy should be substantial.
         let late: Vec<f64> = m.profiler().gpu_series().into_iter().skip(12).collect();
         let mean = late.iter().sum::<f64>() / late.len().max(1) as f64;
         assert!(mean > 50.0, "late GPU occupancy should be high: {mean:.1}%");
-        assert!(!m.cg_timeline().points().is_empty());
+        assert!(!m.timeline(0).points().is_empty());
     }
 
     #[test]
@@ -1351,7 +1252,7 @@ mod tests {
         cfg.cg_ready_buffer = 3;
         let mut m = wm(1, cfg);
         let mut store = KvDataStore::new(4);
-        m.add_patch_candidates(patch_points(100, 0));
+        m.add_patch_candidates_from(&mut patch_points(100, 0));
         m.tick(SimTime::ZERO, &mut store);
         // In-flight setups never exceed the buffer target.
         let (r, p) = m.launcher().class_counts(JobClass::CgSetup);
@@ -1362,7 +1263,7 @@ mod tests {
     fn checkpoint_roundtrip_restores_state() {
         let mut m = wm(1, WmConfig::test_scale());
         let mut store = KvDataStore::new(4);
-        m.add_patch_candidates(patch_points(30, 0));
+        m.add_patch_candidates_from(&mut patch_points(30, 0));
         drive(&mut m, &mut store, 1);
         let ckpt = m.checkpoint();
         let text = ckpt.to_text();
@@ -1390,7 +1291,7 @@ mod tests {
     fn populated_checkpoint() -> WmCheckpoint {
         let mut m = wm(1, WmConfig::test_scale());
         let mut store = KvDataStore::new(4);
-        m.add_patch_candidates(patch_points(30, 0));
+        m.add_patch_candidates_from(&mut patch_points(30, 0));
         drive(&mut m, &mut store, 1);
         let ckpt = m.checkpoint();
         assert!(!ckpt.patch_history.is_empty(), "want history to corrupt");
@@ -1463,5 +1364,37 @@ mod tests {
         drive(&mut m, &mut store, 1);
         assert_eq!(m.stats().cg_sims_started, 0);
         assert_eq!(m.stats().cg_selected, 0);
+    }
+
+    /// A one-scale ladder (continuum → CG) is one selector: no second
+    /// stage exists, so no AA-class job is ever submitted.
+    #[test]
+    fn one_stage_ladder_promotes_only_to_cg() {
+        let cfg = WmConfig {
+            cg_gpu_fraction: 1.0,
+            cg_sim_runtime: SimDuration::from_mins(10),
+            ..WmConfig::test_scale()
+        };
+        let one_stage = || WorkflowManager::new(cfg.clone(), engine(1), vec![patch_selector()], 2);
+        let mut m = one_stage();
+        let mut store = KvDataStore::new(4);
+        m.add_patch_candidates_from(&mut patch_points(60, 0));
+        drive(&mut m, &mut store, 3);
+        let stats = m.stats();
+        assert!(stats.cg_sims_started > 0, "{stats:?}");
+        assert!(stats.cg_sims_completed > 0, "{stats:?}");
+        // Every job the launcher ever saw came from the CG trackers.
+        assert_eq!(m.launcher().stats().submitted, m.tracker_totals().submitted);
+        for class in [JobClass::AaSetup, JobClass::AaSim] {
+            assert_eq!(m.launcher().class_counts(class), (0, 0), "{class:?}");
+        }
+
+        let ckpt = m.checkpoint();
+        assert!(ckpt.aa_ready.is_empty() && ckpt.frame_history.is_empty());
+        let parsed = WmCheckpoint::from_text(&ckpt.to_text()).unwrap();
+        assert_eq!(parsed, ckpt);
+        let mut fresh = one_stage();
+        fresh.restore(&parsed);
+        assert_eq!(fresh.checkpoint(), ckpt);
     }
 }

@@ -58,13 +58,8 @@ fn main() {
     );
 
     // Application part 3: a single farthest-point queue as the selector.
+    // One selector means one promoted scale: the WM builds no second stage.
     let selector: Box<dyn Sampler + Send> = Box::new(FarthestPointSampler::new(
-        FpsConfig { cap: 0 },
-        ExactNn::new(),
-    ));
-    // The "fine scale" selector is unused by this two-scale study; a
-    // second empty queue satisfies the interface.
-    let fine_selector: Box<dyn Sampler + Send> = Box::new(FarthestPointSampler::new(
         FpsConfig { cap: 0 },
         ExactNn::new(),
     ));
@@ -81,14 +76,14 @@ fn main() {
     cfg.cg_sim_runtime = SimDuration::from_mins(15);
     cfg.cg_setup_runtime = SimDuration::from_mins(2);
     let poll = cfg.poll_interval;
-    let mut wm = WorkflowManager::new(cfg, launcher, selector, fine_selector, 1);
+    let mut wm = WorkflowManager::new(cfg, launcher, vec![selector], 1);
 
     // Feed candidates through the standard ingestion path.
-    let points: Vec<HdPoint> = raw
+    let mut points: Vec<HdPoint> = raw
         .iter()
         .map(|(id, f)| HdPoint::new(id.clone(), pca.transform(f)))
         .collect();
-    wm.add_patch_candidates(points);
+    wm.add_patch_candidates_from(&mut points);
 
     // Drive the study; a filesystem store this time (one config switch).
     let dir = std::env::temp_dir().join(format!("custom-app-{}", std::process::id()));

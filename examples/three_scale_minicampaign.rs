@@ -93,11 +93,14 @@ fn main() {
             ));
             patches.insert(patch.id.clone(), patch);
         }
-        wm.add_patch_candidates(points);
+        wm.add_patch_candidates_from(&mut points);
 
         for event in wm.tick(t, &mut store) {
             match event {
-                WmEvent::CgSetupDone { patch_id } => {
+                WmEvent::SetupDone {
+                    stage: 0,
+                    payload: patch_id,
+                } => {
                     // createsim: patch -> equilibrated CG system.
                     let patch = patches.get(&*patch_id).expect("selected patch exists");
                     let (cgs, _) = createsim(
@@ -111,7 +114,9 @@ fn main() {
                     );
                     cg_systems.insert(patch_id.to_string(), cgs);
                 }
-                WmEvent::CgSimStarted { sim_id, .. } => {
+                WmEvent::SimStarted {
+                    stage: 0, sim_id, ..
+                } => {
                     // Run the Martini surrogate and publish analyzed frames.
                     let cgs = cg_systems.get_mut(&*sim_id).expect("prepared CG system");
                     let mut frame_points = Vec::new();
@@ -124,9 +129,12 @@ fn main() {
                         frame_counter += 1;
                         frame_points.push(HdPoint::new(frame.id.clone(), frame.encoding.to_vec()));
                     }
-                    wm.add_frame_candidates(frame_points);
+                    wm.add_frame_candidates_from(&mut frame_points);
                 }
-                WmEvent::AaSetupDone { frame_id } => {
+                WmEvent::SetupDone {
+                    stage: 1,
+                    payload: frame_id,
+                } => {
                     // backmapping: promote the frame's CG system to AA.
                     let source_sim = frame_id.split(':').next().expect("frame id format");
                     if let Some(cgs) = cg_systems.get(source_sim) {
@@ -134,7 +142,9 @@ fn main() {
                         aa_systems.insert(frame_id.to_string(), aas);
                     }
                 }
-                WmEvent::AaSimStarted { sim_id, .. } => {
+                WmEvent::SimStarted {
+                    stage: 1, sim_id, ..
+                } => {
                     if let Some(aas) = aa_systems.get_mut(&*sim_id) {
                         aas.run(100);
                         let frame = AaFrame {

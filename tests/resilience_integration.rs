@@ -108,11 +108,13 @@ fn wm_survives_checkpoint_restart_mid_campaign() {
         mummi::core::WorkflowManager::new(
             WmConfig::test_scale(),
             launcher,
-            Box::new(FarthestPointSampler::new(
-                FpsConfig { cap: 0 },
-                ExactNn::new(),
-            )),
-            Box::new(BinnedSampler::new(BinnedConfig::cg_frames())),
+            vec![
+                Box::new(FarthestPointSampler::new(
+                    FpsConfig { cap: 0 },
+                    ExactNn::new(),
+                )),
+                Box::new(BinnedSampler::new(BinnedConfig::cg_frames())),
+            ],
             2,
         )
     };
@@ -122,7 +124,7 @@ fn wm_survives_checkpoint_restart_mid_campaign() {
 
     // First incarnation runs half the campaign, then "crashes".
     let mut wm1 = build();
-    wm1.add_patch_candidates(points.clone());
+    wm1.add_patch_candidates_from(&mut points.clone());
     let mut store = KvDataStore::new(4);
     let poll = WmConfig::test_scale().poll_interval;
     let mut t = SimTime::ZERO;
@@ -150,7 +152,7 @@ fn wm_survives_checkpoint_restart_mid_campaign() {
     let mut started_after_restart = 0;
     while t2 <= SimTime::from_hours(1) {
         for ev in wm2.tick(t2, &mut store) {
-            if matches!(ev, WmEvent::CgSimStarted { .. }) {
+            if matches!(ev, WmEvent::SimStarted { stage: 0, .. }) {
                 started_after_restart += 1;
             }
         }
@@ -175,15 +177,17 @@ fn failed_jobs_are_replayed_to_completion() {
     let mut wm = mummi::core::WorkflowManager::new(
         cfg.clone(),
         launcher,
-        Box::new(FarthestPointSampler::new(
-            FpsConfig { cap: 0 },
-            ExactNn::new(),
-        )),
-        Box::new(BinnedSampler::new(BinnedConfig::cg_frames())),
+        vec![
+            Box::new(FarthestPointSampler::new(
+                FpsConfig { cap: 0 },
+                ExactNn::new(),
+            )),
+            Box::new(BinnedSampler::new(BinnedConfig::cg_frames())),
+        ],
         2,
     );
-    wm.add_patch_candidates(
-        (0..30)
+    wm.add_patch_candidates_from(
+        &mut (0..30)
             .map(|i| HdPoint::new(format!("p{i}"), vec![i as f64, 1.0]))
             .collect(),
     );

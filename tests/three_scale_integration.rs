@@ -96,7 +96,7 @@ impl MiniCampaign {
                 ));
                 self.patches.insert(patch.id.clone(), patch);
             }
-            self.wm.add_patch_candidates(points);
+            self.wm.add_patch_candidates_from(&mut points);
 
             for ev in self.wm.tick(t, &mut self.store) {
                 self.handle(ev);
@@ -107,7 +107,10 @@ impl MiniCampaign {
 
     fn handle(&mut self, ev: WmEvent) {
         match ev {
-            WmEvent::CgSetupDone { patch_id } => {
+            WmEvent::SetupDone {
+                stage: 0,
+                payload: patch_id,
+            } => {
                 let patch = self.patches.get(&*patch_id).expect("patch exists");
                 let (cgs, report) = createsim(
                     patch,
@@ -121,7 +124,9 @@ impl MiniCampaign {
                 assert!(report.energy_after <= report.energy_before);
                 self.cg_systems.insert(patch_id.to_string(), cgs);
             }
-            WmEvent::CgSimStarted { sim_id, .. } => {
+            WmEvent::SimStarted {
+                stage: 0, sim_id, ..
+            } => {
                 let cgs = self.cg_systems.get_mut(&*sim_id).expect("prepared system");
                 let mut frame_points = Vec::new();
                 for burst in 0..2 {
@@ -132,9 +137,12 @@ impl MiniCampaign {
                         .expect("frame write");
                     frame_points.push(HdPoint::new(frame.id.clone(), frame.encoding.to_vec()));
                 }
-                self.wm.add_frame_candidates(frame_points);
+                self.wm.add_frame_candidates_from(&mut frame_points);
             }
-            WmEvent::AaSetupDone { frame_id } => {
+            WmEvent::SetupDone {
+                stage: 1,
+                payload: frame_id,
+            } => {
                 let source = frame_id.split(':').next().expect("id format");
                 if let Some(cgs) = self.cg_systems.get(source) {
                     let (mut aas, report) = backmap(cgs, &BackmapConfig::default());
@@ -150,7 +158,7 @@ impl MiniCampaign {
                         .expect("ss write");
                 }
             }
-            WmEvent::AaSimStarted { .. } => {
+            WmEvent::SimStarted { stage: 1, .. } => {
                 self.aa_started += 1;
             }
             WmEvent::CouplingUpdated(params) => {
