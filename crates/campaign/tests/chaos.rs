@@ -77,21 +77,6 @@ fn smoke_plan_reconciles_and_reruns_byte_identical() {
 }
 
 #[test]
-fn serialized_plan_reproduces_the_same_run() {
-    // The text form is the reproduction recipe: a plan that survived a
-    // to_text/from_text round trip must drive the identical run.
-    let plan = FaultPlan::smoke(3, SimDuration::from_hours(8), 10);
-    let reparsed = FaultPlan::from_text(&plan.to_text()).expect("round trip");
-    let run = |p: FaultPlan| {
-        let mut c = Campaign::new(chaos_cfg(p));
-        c.set_tracer(Tracer::enabled());
-        c.execute_run(10, 8);
-        c.tracer().to_jsonl()
-    };
-    assert_eq!(run(plan), run(reparsed));
-}
-
-#[test]
 fn hung_job_is_canceled_resubmitted_and_books_reconcile() {
     // Minimal reproducing plan for the watchdog path: one CG hang, no
     // other faults, attrition off.

@@ -14,8 +14,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simcore::SeedStream;
 
-use crate::plan::PlanError;
-
 /// One scheduled kill: when the farm's total completed-leg counter
 /// reaches `after_legs`, worker `worker` dies at its next cooperative
 /// point (between legs, or at the next whole virtual hour mid-leg).
@@ -27,7 +25,7 @@ pub struct WorkerKill {
     pub worker: usize,
 }
 
-/// A seeded, serializable schedule of worker kills, ordered by trigger.
+/// A seeded schedule of worker kills, ordered by trigger.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct WorkerKillPlan {
     /// The seed the plan was generated from (the reproduction recipe).
@@ -79,73 +77,6 @@ impl WorkerKillPlan {
             .count();
         &self.kills[fired..fired + upto]
     }
-
-    /// Serializes to the chaos crate's line format: a `kill-plan <seed>`
-    /// header, one `kill <after_legs> <worker>` line per entry, and a
-    /// counted `end <n>` footer so truncation is detectable.
-    pub fn to_text(&self) -> String {
-        let mut out = format!("kill-plan {}\n", self.seed);
-        for k in &self.kills {
-            out.push_str(&format!("kill {} {}\n", k.after_legs, k.worker));
-        }
-        out.push_str(&format!("end {}\n", self.kills.len()));
-        out
-    }
-
-    /// Parses the text format, reporting the offending line on failure.
-    pub fn from_text(text: &str) -> Result<WorkerKillPlan, PlanError> {
-        let mut lines = text.lines().enumerate();
-        let (_, header) = lines.next().ok_or(PlanError::MissingHeader)?;
-        let seed = header
-            .strip_prefix("kill-plan ")
-            .and_then(|s| s.parse().ok())
-            .ok_or(PlanError::MissingHeader)?;
-        let mut kills = Vec::new();
-        let mut footer: Option<usize> = None;
-        for (idx, line) in lines {
-            let bad = |reason: &str| PlanError::BadLine {
-                line: idx + 1,
-                content: line.to_string(),
-                reason: reason.to_string(),
-            };
-            if footer.is_some() {
-                return Err(bad("content after `end` footer"));
-            }
-            let mut parts = line.split(' ');
-            match parts.next().unwrap_or("") {
-                "end" => {
-                    let n: usize = parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| bad("footer needs a kill count"))?;
-                    footer = Some(n);
-                }
-                "kill" => {
-                    let after_legs = parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| bad("missing or bad trigger"))?;
-                    let worker = parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| bad("missing or bad worker index"))?;
-                    if parts.next().is_some() {
-                        return Err(bad("trailing fields"));
-                    }
-                    kills.push(WorkerKill { after_legs, worker });
-                }
-                _ => return Err(bad("unknown kill-plan tag")),
-            }
-        }
-        let expected = footer.ok_or(PlanError::MissingFooter)?;
-        if expected != kills.len() {
-            return Err(PlanError::CountMismatch {
-                expected,
-                actual: kills.len(),
-            });
-        }
-        Ok(WorkerKillPlan { seed, kills })
-    }
 }
 
 #[cfg(test)]
@@ -196,32 +127,5 @@ mod tests {
             plan.due(10, 5).is_empty(),
             "past-the-end cursor is exhausted, not a panic"
         );
-    }
-
-    #[test]
-    fn text_roundtrip_is_exact() {
-        let plan = WorkerKillPlan::generate(99, 8, 40, 6);
-        let text = plan.to_text();
-        let back = WorkerKillPlan::from_text(&text).unwrap();
-        assert_eq!(back, plan);
-        assert_eq!(back.to_text(), text);
-        let empty = WorkerKillPlan::empty();
-        assert_eq!(WorkerKillPlan::from_text(&empty.to_text()).unwrap(), empty);
-    }
-
-    #[test]
-    fn truncated_or_bad_text_is_rejected() {
-        let plan = WorkerKillPlan::generate(5, 2, 10, 3);
-        let text = plan.to_text();
-        let cut: Vec<&str> = text.lines().take(1 + plan.kills.len()).collect();
-        assert_eq!(
-            WorkerKillPlan::from_text(&(cut.join("\n") + "\n")).unwrap_err(),
-            PlanError::MissingFooter
-        );
-        assert!(matches!(
-            WorkerKillPlan::from_text("kill-plan 1\nkill x 0\nend 1\n").unwrap_err(),
-            PlanError::BadLine { line: 2, .. }
-        ));
-        assert!(WorkerKillPlan::from_text("plan 1\nend 0\n").is_err());
     }
 }

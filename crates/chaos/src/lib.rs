@@ -5,10 +5,11 @@
 //! node failures, I/O faults, and job loss across a months-long campaign.
 //! This crate turns that claim into a testable contract:
 //!
-//! * [`FaultPlan`] — a seeded, serializable schedule of typed faults
-//!   ([`FaultKind`]) stamped at virtual times. The same plan applied to the
-//!   same campaign seed must produce a byte-identical trace; fault
-//!   injection is part of the determinism contract, not an exception to it.
+//! * [`FaultPlan`] — a seeded schedule of typed faults ([`FaultKind`])
+//!   stamped at virtual times; the seed and shape are the reproduction
+//!   recipe. The same plan applied to the same campaign seed must produce
+//!   a byte-identical trace; fault injection is part of the determinism
+//!   contract, not an exception to it.
 //! * [`RunLedger`] — campaign-level accounting collected across every
 //!   workflow-manager incarnation of a run. [`RunLedger::check`] asserts
 //!   that no job is lost or double-counted: scheduler totals conserve,
@@ -44,4 +45,4 @@ mod plan;
 pub use invariants::{MonotonicWatch, RunLedger};
 pub use kill::{WorkerKill, WorkerKillPlan};
 pub use netfault::{StoreChaosPlan, WalTruncation};
-pub use plan::{FaultEvent, FaultKind, FaultPlan, PlanError, PlanShape};
+pub use plan::{FaultEvent, FaultKind, FaultPlan, PlanShape};

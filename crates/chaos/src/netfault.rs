@@ -14,8 +14,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simcore::SeedStream;
 
-use crate::plan::PlanError;
-
 /// One scheduled WAL truncation: cut `bytes` off the tail of shard
 /// `shard`'s log before recovery (simulating a torn final append).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,7 +24,7 @@ pub struct WalTruncation {
     pub bytes: u64,
 }
 
-/// A seeded, serializable schedule of store-tier faults.
+/// A seeded schedule of store-tier faults.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StoreChaosPlan {
     /// The seed the plan was generated from (the reproduction recipe).
@@ -40,11 +38,6 @@ pub struct StoreChaosPlan {
 }
 
 impl StoreChaosPlan {
-    /// No faults.
-    pub fn empty() -> StoreChaosPlan {
-        StoreChaosPlan::default()
-    }
-
     /// Sorts and dedups drop points (two drops on one op index would
     /// just be one drop) and orders truncations by shard.
     pub fn normalize(&mut self) {
@@ -86,92 +79,6 @@ impl StoreChaosPlan {
         plan.normalize();
         plan
     }
-
-    /// Serializes to the chaos crate's line format: a `store-chaos
-    /// <seed>` header, one line per fault, and a counted `end <n>`
-    /// footer so truncation of the *plan file itself* is detectable.
-    pub fn to_text(&self) -> String {
-        let mut out = format!("store-chaos {}\n", self.seed);
-        for d in &self.conn_drops {
-            out.push_str(&format!("drop {d}\n"));
-        }
-        for t in &self.wal_truncations {
-            out.push_str(&format!("truncate {} {}\n", t.shard, t.bytes));
-        }
-        out.push_str(&format!(
-            "end {}\n",
-            self.conn_drops.len() + self.wal_truncations.len()
-        ));
-        out
-    }
-
-    /// Parses the text format, reporting the offending line on failure.
-    pub fn from_text(text: &str) -> Result<StoreChaosPlan, PlanError> {
-        let mut lines = text.lines().enumerate();
-        let (_, header) = lines.next().ok_or(PlanError::MissingHeader)?;
-        let seed = header
-            .strip_prefix("store-chaos ")
-            .and_then(|s| s.parse().ok())
-            .ok_or(PlanError::MissingHeader)?;
-        let mut conn_drops = Vec::new();
-        let mut wal_truncations = Vec::new();
-        let mut footer: Option<usize> = None;
-        for (idx, line) in lines {
-            let bad = |reason: &str| PlanError::BadLine {
-                line: idx + 1,
-                content: line.to_string(),
-                reason: reason.to_string(),
-            };
-            if footer.is_some() {
-                return Err(bad("content after `end` footer"));
-            }
-            let mut parts = line.split(' ');
-            match parts.next().unwrap_or("") {
-                "end" => {
-                    let n: usize = parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| bad("footer needs a fault count"))?;
-                    footer = Some(n);
-                }
-                "drop" => {
-                    let at = parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| bad("missing or bad op index"))?;
-                    if parts.next().is_some() {
-                        return Err(bad("trailing fields"));
-                    }
-                    conn_drops.push(at);
-                }
-                "truncate" => {
-                    let shard = parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| bad("missing or bad shard index"))?;
-                    let bytes = parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| bad("missing or bad byte count"))?;
-                    if parts.next().is_some() {
-                        return Err(bad("trailing fields"));
-                    }
-                    wal_truncations.push(WalTruncation { shard, bytes });
-                }
-                _ => return Err(bad("unknown store-chaos tag")),
-            }
-        }
-        let expected = footer.ok_or(PlanError::MissingFooter)?;
-        let actual = conn_drops.len() + wal_truncations.len();
-        if expected != actual {
-            return Err(PlanError::CountMismatch { expected, actual });
-        }
-        Ok(StoreChaosPlan {
-            seed,
-            conn_drops,
-            wal_truncations,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -192,40 +99,5 @@ mod tests {
             .iter()
             .all(|t| t.shard < 8 && (1..=64).contains(&t.bytes)));
         assert_ne!(a, StoreChaosPlan::generate(12, 500, 4, 8, 3));
-    }
-
-    #[test]
-    fn text_roundtrip_is_exact() {
-        let plan = StoreChaosPlan::generate(99, 1000, 5, 20, 4);
-        let text = plan.to_text();
-        let back = StoreChaosPlan::from_text(&text).unwrap();
-        assert_eq!(back, plan);
-        assert_eq!(back.to_text(), text);
-        let empty = StoreChaosPlan::empty();
-        assert_eq!(StoreChaosPlan::from_text(&empty.to_text()).unwrap(), empty);
-    }
-
-    #[test]
-    fn truncated_or_bad_text_is_rejected() {
-        let plan = StoreChaosPlan::generate(5, 100, 3, 4, 2);
-        let text = plan.to_text();
-        let lines: Vec<&str> = text.lines().collect();
-        let cut = lines[..lines.len() - 1].join("\n") + "\n";
-        assert_eq!(
-            StoreChaosPlan::from_text(&cut).unwrap_err(),
-            PlanError::MissingFooter
-        );
-        assert!(matches!(
-            StoreChaosPlan::from_text("store-chaos 1\ndrop x\nend 1\n").unwrap_err(),
-            PlanError::BadLine { line: 2, .. }
-        ));
-        assert!(StoreChaosPlan::from_text("chaos 1\nend 0\n").is_err());
-        assert!(matches!(
-            StoreChaosPlan::from_text("store-chaos 1\ndrop 5\nend 2\n").unwrap_err(),
-            PlanError::CountMismatch {
-                expected: 2,
-                actual: 1
-            }
-        ));
     }
 }

@@ -1,4 +1,4 @@
-//! Seeded, serializable fault plans.
+//! Seeded fault plans: the seed and shape are the reproduction recipe.
 
 use datastore::Op;
 use rand::rngs::StdRng;
@@ -43,8 +43,7 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// Stable tag used in the text serialization and in chaos trace
-    /// events.
+    /// Stable tag used in the printed plan and in chaos trace events.
     pub fn tag(&self) -> &'static str {
         match self {
             FaultKind::NodeFail { .. } => "fail-node",
@@ -89,55 +88,7 @@ impl Default for PlanShape {
     }
 }
 
-/// A typed error from [`FaultPlan::from_text`], carrying the offending
-/// line (1-based) and its content.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PlanError {
-    /// The text does not start with a `plan <seed>` header.
-    MissingHeader,
-    /// A line could not be parsed.
-    BadLine {
-        /// 1-based line number.
-        line: usize,
-        /// The raw line.
-        content: String,
-        /// What was wrong.
-        reason: String,
-    },
-    /// The trailing `end <count>` line is missing (truncated file).
-    MissingFooter,
-    /// The footer count disagrees with the events actually present.
-    CountMismatch {
-        /// Events the footer promised.
-        expected: usize,
-        /// Events actually parsed.
-        actual: usize,
-    },
-}
-
-impl std::fmt::Display for PlanError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PlanError::MissingHeader => write!(f, "fault plan missing `plan <seed>` header"),
-            PlanError::BadLine {
-                line,
-                content,
-                reason,
-            } => write!(f, "fault plan line {line}: {reason}: `{content}`"),
-            PlanError::MissingFooter => {
-                write!(f, "fault plan missing `end <count>` footer (truncated?)")
-            }
-            PlanError::CountMismatch { expected, actual } => write!(
-                f,
-                "fault plan footer promised {expected} events, found {actual}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for PlanError {}
-
-/// A seeded, serializable schedule of typed faults, applied by the
+/// A seeded schedule of typed faults, applied by the
 /// campaign driver to one run's virtual timeline.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultPlan {
@@ -250,8 +201,9 @@ impl FaultPlan {
         FaultPlan { seed, events }
     }
 
-    /// Serializes to a line-oriented text format with a header and a
-    /// counted footer (so truncation is detectable).
+    /// Renders the plan for display (`table1 --chaos` prints it): a
+    /// `plan <seed>` header, one line per event, and an `end <count>`
+    /// footer. Nothing parses it back; a plan is rebuilt from its seed.
     pub fn to_text(&self) -> String {
         let mut out = format!("plan {}\n", self.seed);
         for ev in &self.events {
@@ -283,100 +235,6 @@ impl FaultPlan {
         }
         out.push_str(&format!("end {}\n", self.events.len()));
         out
-    }
-
-    /// Parses the text format, reporting the offending line on failure.
-    pub fn from_text(text: &str) -> Result<FaultPlan, PlanError> {
-        let mut lines = text.lines().enumerate();
-        let (_, header) = lines.next().ok_or(PlanError::MissingHeader)?;
-        let seed = header
-            .strip_prefix("plan ")
-            .and_then(|s| s.parse().ok())
-            .ok_or(PlanError::MissingHeader)?;
-        let mut events = Vec::new();
-        let mut footer: Option<usize> = None;
-        for (idx, line) in lines {
-            let bad = |reason: &str| PlanError::BadLine {
-                line: idx + 1,
-                content: line.to_string(),
-                reason: reason.to_string(),
-            };
-            if footer.is_some() {
-                return Err(bad("content after `end` footer"));
-            }
-            let mut parts = line.split(' ');
-            let tag = parts.next().unwrap_or("");
-            match tag {
-                "end" => {
-                    let n: usize = parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| bad("footer needs an event count"))?;
-                    footer = Some(n);
-                }
-                "fail-node" | "store" | "hang" | "crash" => {
-                    let at = parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .map(SimTime::from_micros)
-                        .ok_or_else(|| bad("missing or bad timestamp"))?;
-                    let kind = match tag {
-                        "fail-node" => FaultKind::NodeFail {
-                            node: parts
-                                .next()
-                                .and_then(|s| s.parse().ok())
-                                .ok_or_else(|| bad("missing or bad node index"))?,
-                        },
-                        "store" => {
-                            let op = parts
-                                .next()
-                                .and_then(Op::from_label)
-                                .ok_or_else(|| bad("unknown datastore op"))?;
-                            let period = parts
-                                .next()
-                                .and_then(|s| s.parse().ok())
-                                .ok_or_else(|| bad("missing or bad period"))?;
-                            let duration = parts
-                                .next()
-                                .and_then(|s| s.parse().ok())
-                                .map(SimDuration::from_micros)
-                                .ok_or_else(|| bad("missing or bad duration"))?;
-                            let extra_latency = parts
-                                .next()
-                                .and_then(|s| s.parse().ok())
-                                .map(SimDuration::from_micros)
-                                .ok_or_else(|| bad("missing or bad latency"))?;
-                            FaultKind::StoreFaults {
-                                op,
-                                period,
-                                duration,
-                                extra_latency,
-                            }
-                        }
-                        "hang" => FaultKind::JobHang {
-                            class: parts
-                                .next()
-                                .and_then(JobClass::from_label)
-                                .ok_or_else(|| bad("unknown job class"))?,
-                        },
-                        _ => FaultKind::WmCrash,
-                    };
-                    if parts.next().is_some() {
-                        return Err(bad("trailing fields"));
-                    }
-                    events.push(FaultEvent { at, kind });
-                }
-                _ => return Err(bad("unknown fault tag")),
-            }
-        }
-        let expected = footer.ok_or(PlanError::MissingFooter)?;
-        if expected != events.len() {
-            return Err(PlanError::CountMismatch {
-                expected,
-                actual: events.len(),
-            });
-        }
-        Ok(FaultPlan { seed, events })
     }
 }
 
@@ -418,54 +276,44 @@ mod tests {
     }
 
     #[test]
-    fn text_roundtrip_is_exact() {
-        let plan = FaultPlan::generate(99, SimDuration::from_hours(12), 50, PlanShape::default());
-        let text = plan.to_text();
-        let back = FaultPlan::from_text(&text).unwrap();
-        assert_eq!(back, plan);
-        assert_eq!(back.to_text(), text);
-    }
-
-    #[test]
-    fn truncated_plan_is_rejected() {
-        let plan = FaultPlan::smoke(1, SimDuration::from_hours(2), 4);
-        let text = plan.to_text();
-        // Drop the footer line.
-        let cut = text.lines().take(plan.events.len()).collect::<Vec<_>>();
-        let err = FaultPlan::from_text(&(cut.join("\n") + "\n")).unwrap_err();
-        assert_eq!(err, PlanError::MissingFooter);
-        // Drop an event but keep the footer.
-        let mut lines: Vec<&str> = text.lines().collect();
-        lines.remove(2);
-        match FaultPlan::from_text(&(lines.join("\n") + "\n")).unwrap_err() {
-            PlanError::CountMismatch { expected, actual } => {
-                assert_eq!(expected, 4);
-                assert_eq!(actual, 3);
-            }
-            e => panic!("unexpected error: {e}"),
-        }
-    }
-
-    #[test]
-    fn bad_lines_name_the_offender() {
-        let err = FaultPlan::from_text("plan 1\nfail-node oops 3\nend 1\n").unwrap_err();
-        match err {
-            PlanError::BadLine { line, content, .. } => {
-                assert_eq!(line, 2);
-                assert!(content.contains("oops"));
-            }
-            e => panic!("unexpected error: {e}"),
-        }
-        assert!(FaultPlan::from_text("not a plan\n").is_err());
-        assert!(matches!(
-            FaultPlan::from_text("plan 1\nwat 5\nend 1\n").unwrap_err(),
-            PlanError::BadLine { line: 2, .. }
-        ));
-    }
-
-    #[test]
-    fn empty_plan_roundtrips() {
-        let plan = FaultPlan::empty();
-        assert_eq!(FaultPlan::from_text(&plan.to_text()).unwrap(), plan);
+    fn printed_plan_pins_one_line_per_event_kind() {
+        let plan = FaultPlan {
+            seed: 5,
+            events: vec![
+                FaultEvent {
+                    at: SimTime::from_micros(10),
+                    kind: FaultKind::NodeFail { node: 3 },
+                },
+                FaultEvent {
+                    at: SimTime::from_micros(20),
+                    kind: FaultKind::StoreFaults {
+                        op: Op::MoveNs,
+                        period: 2,
+                        duration: SimDuration::from_micros(300),
+                        extra_latency: SimDuration::from_millis(4),
+                    },
+                },
+                FaultEvent {
+                    at: SimTime::from_micros(30),
+                    kind: FaultKind::JobHang {
+                        class: JobClass::AaSim,
+                    },
+                },
+                FaultEvent {
+                    at: SimTime::from_micros(40),
+                    kind: FaultKind::WmCrash,
+                },
+            ],
+        };
+        assert_eq!(
+            plan.to_text(),
+            "plan 5\n\
+             fail-node 10 3\n\
+             store 20 move_ns 2 300 4000\n\
+             hang 30 aa-sim\n\
+             crash 40\n\
+             end 4\n"
+        );
+        assert_eq!(FaultPlan::empty().to_text(), "plan 0\nend 0\n");
     }
 }

@@ -31,7 +31,7 @@ pub enum Op {
 }
 
 impl Op {
-    /// Stable label (used by serialized fault plans).
+    /// Stable label (used in printed fault plans and chaos trace events).
     pub fn label(self) -> &'static str {
         match self {
             Op::Write => "write",
@@ -39,18 +39,6 @@ impl Op {
             Op::MoveNs => "move_ns",
             Op::Delete => "delete",
             Op::Flush => "flush",
-        }
-    }
-
-    /// The inverse of [`Op::label`].
-    pub fn from_label(label: &str) -> Option<Op> {
-        match label {
-            "write" => Some(Op::Write),
-            "read" => Some(Op::Read),
-            "move_ns" => Some(Op::MoveNs),
-            "delete" => Some(Op::Delete),
-            "flush" => Some(Op::Flush),
-            _ => None,
         }
     }
 }

@@ -57,66 +57,7 @@ impl Cluster {
     pub fn memory_bytes(&self) -> usize {
         self.shards.iter().map(Shard::memory_bytes).sum()
     }
-
-    /// Serializes the whole cluster — shard count and every shard's
-    /// contents — to `w`. The placement is part of the snapshot: entries
-    /// are recorded per shard, so a [`Cluster::load`] restores byte-for-
-    /// byte identical shard populations without rehashing.
-    pub fn save<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
-        w.write_all(SNAPSHOT_MAGIC)?;
-        w.write_all(&(self.shards.len() as u32).to_le_bytes())?;
-        for shard in &self.shards {
-            let keys = shard.keys("*");
-            w.write_all(&(keys.len() as u64).to_le_bytes())?;
-            for key in keys {
-                let value = shard.get(&key).unwrap_or_default();
-                w.write_all(&(key.len() as u32).to_le_bytes())?;
-                w.write_all(key.as_bytes())?;
-                w.write_all(&(value.len() as u32).to_le_bytes())?;
-                w.write_all(&value)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Restores a cluster from a [`Cluster::save`] stream. The shard
-    /// count round-trips exactly; a snapshot is *not* a resharding tool.
-    pub fn load<R: std::io::Read>(r: &mut R) -> std::io::Result<Arc<Cluster>> {
-        use std::io::{Error, ErrorKind};
-        let mut magic = [0u8; SNAPSHOT_MAGIC.len()];
-        r.read_exact(&mut magic)?;
-        if magic != *SNAPSHOT_MAGIC {
-            return Err(Error::new(ErrorKind::InvalidData, "not a kvstore snapshot"));
-        }
-        let mut u32_buf = [0u8; 4];
-        let mut u64_buf = [0u8; 8];
-        r.read_exact(&mut u32_buf)?;
-        let n = u32::from_le_bytes(u32_buf) as usize;
-        if n == 0 {
-            return Err(Error::new(ErrorKind::InvalidData, "snapshot has 0 shards"));
-        }
-        let cluster = Cluster::new(n);
-        for shard in &cluster.shards {
-            r.read_exact(&mut u64_buf)?;
-            let count = u64::from_le_bytes(u64_buf);
-            for _ in 0..count {
-                r.read_exact(&mut u32_buf)?;
-                let mut key = vec![0u8; u32::from_le_bytes(u32_buf) as usize];
-                r.read_exact(&mut key)?;
-                let key = String::from_utf8(key)
-                    .map_err(|_| Error::new(ErrorKind::InvalidData, "non-UTF-8 key"))?;
-                r.read_exact(&mut u32_buf)?;
-                let mut value = vec![0u8; u32::from_le_bytes(u32_buf) as usize];
-                r.read_exact(&mut value)?;
-                shard.set(&key, value);
-            }
-        }
-        Ok(cluster)
-    }
 }
-
-/// Magic prefix of the [`Cluster::save`] stream (versioned).
-const SNAPSHOT_MAGIC: &[u8] = b"kvsnap1\n";
 
 /// Extracts the hashable portion of a key: the contents of the first
 /// non-empty `{...}` tag, or the whole key when no tag exists.

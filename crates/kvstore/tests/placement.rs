@@ -1,9 +1,10 @@
-//! Property-based placement contracts: hash tags pin co-location, a
+//! Property-based placement contracts: hash tags pin co-location, and a
 //! rename that would cross shards is a typed error (never a silent
-//! partial mutation), and a saved cluster snapshot restores placement
-//! exactly. These are the invariants the networked store tier inherits
-//! — `storeserver` routes with this same `Cluster`, so a placement bug
-//! here would surface as wire-level data loss there.
+//! partial mutation). These are the invariants the networked store tier
+//! inherits — `storeserver` routes with this same `Cluster`, so a
+//! placement bug here would surface as wire-level data loss there.
+//! Store durability is the storeserver write-ahead log, not a snapshot
+//! of the cluster.
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -84,52 +85,4 @@ proptest! {
             Err(other) => prop_assert!(false, "unexpected error {other:?}"),
         }
     }
-
-    /// `save` → `load` round-trips the shard count and every shard's
-    /// exact population — placement is preserved byte for byte, not
-    /// recomputed.
-    #[test]
-    fn snapshot_round_trips_shard_populations(
-        shards in 1usize..24,
-        entries in proptest::collection::vec(
-            ("[a-z0-9:{}_-]{1,20}", proptest::collection::vec(any::<u8>(), 0..32)),
-            0..40,
-        ),
-    ) {
-        let cluster = Cluster::new(shards);
-        let client = Client::new(std::sync::Arc::clone(&cluster));
-        for (k, v) in &entries {
-            client.set(k, Bytes::from(v.clone()));
-        }
-        let mut buf = Vec::new();
-        cluster.save(&mut buf).unwrap();
-        let restored = Cluster::load(&mut buf.as_slice()).unwrap();
-        prop_assert_eq!(restored.shard_count(), cluster.shard_count());
-        prop_assert_eq!(restored.len(), cluster.len());
-        for i in 0..cluster.shard_count() {
-            let mut want = cluster.shard(i).keys("*");
-            let mut got = restored.shard(i).keys("*");
-            want.sort();
-            got.sort();
-            prop_assert_eq!(&got, &want, "shard {} population diverged", i);
-            for key in want {
-                prop_assert_eq!(
-                    restored.shard(i).get(&key),
-                    cluster.shard(i).get(&key),
-                    "value diverged at {}", key
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn load_rejects_garbage() {
-    assert!(Cluster::load(&mut &b"not a snapshot"[..]).is_err());
-    let mut truncated = Vec::new();
-    let cluster = Cluster::new(4);
-    Client::new(std::sync::Arc::clone(&cluster)).set("k:{t}", &b"v"[..]);
-    cluster.save(&mut truncated).unwrap();
-    truncated.truncate(truncated.len() - 1);
-    assert!(Cluster::load(&mut truncated.as_slice()).is_err());
 }

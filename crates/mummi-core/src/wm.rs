@@ -33,7 +33,7 @@ use rand::SeedableRng;
 
 use continuum::CouplingParams;
 use datastore::DataStore;
-use dynim::{HdPoint, History, Sampler};
+use dynim::{HdPoint, History, HistoryEvent, Sampler};
 use resources::JobShape;
 use sched::{JobClass, JobEvent, JobId, Launcher, Throttle};
 use simcore::{OccupancyProfiler, OccupancySample, SimTime, Timeline};
@@ -951,6 +951,8 @@ impl WmCheckpoint {
         let mut aa_ready = Vec::new();
         let mut patch_history = String::new();
         let mut frame_history = String::new();
+        // Coordinates per point of each history, fixed by its first point.
+        let mut dims: [Option<usize>; 2] = [None, None];
         let mut body = 0usize;
         let mut footer: Option<usize> = None;
         for (idx, line) in text.lines().enumerate() {
@@ -990,13 +992,21 @@ impl WmCheckpoint {
                 "cg" => cg_ready.push(rest.to_string()),
                 "aa" => aa_ready.push(rest.to_string()),
                 "ph" | "fh" => {
-                    let (history, what) = if tag == "ph" {
-                        (&mut patch_history, "patch")
+                    let (history, dim, what) = if tag == "ph" {
+                        (&mut patch_history, &mut dims[0], "patch")
                     } else {
-                        (&mut frame_history, "frame")
+                        (&mut frame_history, &mut dims[1], "frame")
                     };
-                    if History::from_text(rest).is_none() {
-                        return Err(bad(&format!("unreplayable {what}-history record")));
+                    let record = History::from_text(rest)
+                        .ok_or_else(|| bad(&format!("unreplayable {what}-history record")))?;
+                    // A selector holds its points in one space: replaying a
+                    // point of another dimensionality would panic in it.
+                    if let Some(HistoryEvent::Added(p)) = record.events().first() {
+                        if *dim.get_or_insert(p.dim()) != p.dim() {
+                            return Err(bad(&format!(
+                                "{what}-history point dimensionality differs from the first"
+                            )));
+                        }
                     }
                     history.push_str(rest);
                     history.push('\n');

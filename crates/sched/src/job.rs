@@ -52,7 +52,7 @@ impl JobClass {
         }
     }
 
-    /// The inverse of [`JobClass::label`] (used by serialized fault plans).
+    /// The inverse of [`JobClass::label`] (used by the job-log CSV reader).
     pub fn from_label(label: &str) -> Option<JobClass> {
         match label {
             "continuum" => Some(JobClass::Continuum),

@@ -6,11 +6,10 @@
 //! a fresh engine reproduces every placement and completion bit-for-bit —
 //! the post-mortem debugging tool the paper leaned on at scale.
 
-use resources::{Affinity, JobShape};
-use simcore::{SimDuration, SimTime};
+use simcore::SimTime;
 
 use crate::engine::SchedEngine;
-use crate::job::{JobClass, JobId, JobOutcome, JobSpec};
+use crate::job::{JobId, JobSpec};
 
 /// One logged scheduler mutation.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,7 +35,13 @@ pub enum SchedEvent {
     },
 }
 
-/// An append-only scheduler log with text serialization and replay.
+/// An append-only, in-memory scheduler log that replays exactly.
+///
+/// Its file form is the job-log CSV:
+/// `workload::TraceFile::from_sched_log(..).to_csv()` writes the
+/// submissions (what a campaign's `RunReport::job_log` holds) and
+/// `TraceFile::parse` reads them back. Cancels and node failures are
+/// out-of-band control and stay in memory.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SchedLog {
     events: Vec<SchedEvent>,
@@ -106,108 +111,15 @@ impl SchedLog {
         engine.advance(horizon);
         engine
     }
-
-    /// Serializes to a line format:
-    /// `S <at_us> <class> <nodes> <cores> <gpus> <affinity> <runtime_us> <outcome>`
-    /// / `C <id>` / `F <at_us> <node>`.
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        for ev in &self.events {
-            match ev {
-                SchedEvent::Submit { at, spec } => {
-                    let aff = match spec.shape.affinity {
-                        Affinity::None => "none",
-                        Affinity::PackNearGpu => "gpu",
-                        Affinity::PackCores => "cores",
-                    };
-                    let outcome = match spec.outcome {
-                        JobOutcome::Success => "ok",
-                        JobOutcome::Failure => "fail",
-                    };
-                    out.push_str(&format!(
-                        "S {} {} {} {} {} {aff} {} {outcome}\n",
-                        at.as_micros(),
-                        spec.class.label(),
-                        spec.shape.nodes,
-                        spec.shape.cores_per_node,
-                        spec.shape.gpus_per_node,
-                        spec.runtime.as_micros(),
-                    ));
-                }
-                SchedEvent::Cancel { id } => out.push_str(&format!("C {}\n", id.0)),
-                SchedEvent::FailNode { at, node } => {
-                    out.push_str(&format!("F {} {node}\n", at.as_micros()))
-                }
-            }
-        }
-        out
-    }
-
-    /// Parses the line format; `None` on malformed input.
-    pub fn from_text(text: &str) -> Option<SchedLog> {
-        let mut log = SchedLog::new();
-        for line in text.lines() {
-            if line.is_empty() {
-                continue;
-            }
-            let parts: Vec<&str> = line.split(' ').collect();
-            match parts.as_slice() {
-                ["S", at, class, nodes, cores, gpus, aff, runtime, outcome] => {
-                    let class = match *class {
-                        "continuum" => JobClass::Continuum,
-                        "cg-setup" => JobClass::CgSetup,
-                        "cg-sim" => JobClass::CgSim,
-                        "aa-setup" => JobClass::AaSetup,
-                        "aa-sim" => JobClass::AaSim,
-                        "other" => JobClass::Other,
-                        _ => return None,
-                    };
-                    let affinity = match *aff {
-                        "none" => Affinity::None,
-                        "gpu" => Affinity::PackNearGpu,
-                        "cores" => Affinity::PackCores,
-                        _ => return None,
-                    };
-                    let shape = JobShape {
-                        nodes: nodes.parse().ok()?,
-                        cores_per_node: cores.parse().ok()?,
-                        gpus_per_node: gpus.parse().ok()?,
-                        affinity,
-                    };
-                    let mut spec = JobSpec::new(
-                        class,
-                        shape,
-                        SimDuration::from_micros(runtime.parse().ok()?),
-                    );
-                    if *outcome == "fail" {
-                        spec = spec.failing();
-                    } else if *outcome != "ok" {
-                        return None;
-                    }
-                    log.events.push(SchedEvent::Submit {
-                        at: SimTime::from_micros(at.parse().ok()?),
-                        spec,
-                    });
-                }
-                ["C", id] => log.events.push(SchedEvent::Cancel {
-                    id: JobId(id.parse().ok()?),
-                }),
-                ["F", at, node] => log.events.push(SchedEvent::FailNode {
-                    at: SimTime::from_micros(at.parse().ok()?),
-                    node: node.parse().ok()?,
-                }),
-                _ => return None,
-            }
-        }
-        Some(log)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{Costs, Coupling};
-    use resources::{MachineSpec, MatchPolicy, NodeSpec, ResourceGraph};
+    use crate::job::JobClass;
+    use resources::{JobShape, MachineSpec, MatchPolicy, NodeSpec, ResourceGraph};
+    use simcore::SimDuration;
 
     fn fresh_engine() -> SchedEngine {
         SchedEngine::new(
@@ -264,26 +176,5 @@ mod tests {
         assert!(a.stats().placed > 10);
         assert!(a.stats().canceled >= 1);
         assert!(a.stats().failed >= 1);
-    }
-
-    #[test]
-    fn text_roundtrip_preserves_replay() {
-        let log = scripted_log();
-        let text = log.to_text();
-        let parsed = SchedLog::from_text(&text).expect("parses");
-        assert_eq!(parsed, log);
-        let horizon = SimTime::from_hours(2);
-        let a = log.replay(fresh_engine(), horizon);
-        let b = parsed.replay(fresh_engine(), horizon);
-        assert_eq!(a.stats(), b.stats());
-    }
-
-    #[test]
-    fn malformed_text_is_rejected() {
-        assert!(SchedLog::from_text("X nope").is_none());
-        assert!(SchedLog::from_text("S 0 bogus-class 1 2 1 gpu 100 ok").is_none());
-        assert!(SchedLog::from_text("S 0 cg-sim 1 2 1 sideways 100 ok").is_none());
-        assert!(SchedLog::from_text("C not-a-number").is_none());
-        assert_eq!(SchedLog::from_text("").unwrap().len(), 0);
     }
 }

@@ -28,9 +28,6 @@ fn seeded_connection_drops_conserve_the_ledger() {
     let ops_total = 280u64;
     let plan = StoreChaosPlan::generate(42, ops_total, 5, 8, 0);
     assert!(!plan.conn_drops.is_empty());
-    // The plan round-trips through its text form — what a repro file
-    // would carry.
-    let plan = StoreChaosPlan::from_text(&plan.to_text()).unwrap();
 
     let engine = Arc::new(StoreEngine::in_memory(8));
     let server = StoreServer::start_with_drops(

@@ -59,10 +59,15 @@ impl IndexedTar {
         match Index::load(&idx_path) {
             Ok(idx) => {
                 tar.index = idx;
-                // End offset = after the last member recorded in the scan;
-                // scanning is still needed to find the append point, but we
-                // can trust the index for reads immediately.
-                tar.end = tar.scan_end_offset()?;
+                // The scan finds the append point and checks the sidecar
+                // against the member headers; one that disagrees is treated
+                // like an unreadable one.
+                let (end, sidecar_matches) = tar.scan_end_offset()?;
+                if sidecar_matches {
+                    tar.end = end;
+                } else {
+                    tar.recover_index()?;
+                }
             }
             Err(_) => {
                 tar.recover_index()?;
@@ -201,25 +206,39 @@ impl IndexedTar {
         Ok(())
     }
 
-    /// Scans headers to locate the append point without touching the index.
-    fn scan_end_offset(&mut self) -> Result<u64> {
+    /// Scans headers to locate the append point, and reports whether every
+    /// loaded index entry points at the payload of a member header with the
+    /// same key and size. The sidecar is read from disk: an entry no header
+    /// backs would read tar padding or the next member, or size a read
+    /// buffer from an arbitrary number.
+    fn scan_end_offset(&mut self) -> Result<(u64, bool)> {
         let mut offset = 0u64;
         let file_len = self.file.metadata()?.len();
         let mut block = [0u8; BLOCK_SIZE];
         let mut end = 0u64;
+        let mut matched = 0usize;
         while offset + BLOCK_SIZE as u64 <= file_len {
             self.file.seek(SeekFrom::Start(offset))?;
             self.file.read_exact(&mut block)?;
             match TarHeader::decode(&block)? {
                 None => break,
                 Some(h) => {
-                    offset +=
-                        BLOCK_SIZE as u64 + TarHeader::data_blocks(h.size) * BLOCK_SIZE as u64;
+                    let data_offset = offset + BLOCK_SIZE as u64;
+                    let member = IndexEntry {
+                        offset: data_offset,
+                        size: h.size,
+                    };
+                    // Keys are unique in the index and data offsets unique in
+                    // the stream, so each entry matches at most one header.
+                    if self.index.get(&h.name) == Some(member) {
+                        matched += 1;
+                    }
+                    offset = data_offset + TarHeader::data_blocks(h.size) * BLOCK_SIZE as u64;
                     end = offset;
                 }
             }
         }
-        Ok(end)
+        Ok((end, matched == self.index.len()))
     }
 }
 
