@@ -1,106 +1,30 @@
 //! Clock primitives for the campaign event loop.
 //!
 //! The event-driven driver advances virtual time to a **safe horizon**:
-//! the minimum over every wakeup source of the earliest instant that
-//! source can act — nothing can happen strictly between two horizons, so
-//! jumping the clock skips no work. Two things about the horizon are
-//! load-bearing enough to live in their own module with their own
-//! tests:
+//! the minimum over the five wakeup sources (continuum snapshot,
+//! background workload, node attrition, chaos fault plan, scheduler/WM)
+//! of the earliest instant each can act. Nothing can happen strictly
+//! between two horizons, so jumping the clock skips no work.
+//! `RunSim::advance` (`run.rs`) takes that plain minimum inline. Sources
+//! due at the same instant all drain in the one pass at that instant, in
+//! the statement order of `RunSim::run`'s loop body: snapshots, frames,
+//! background workload, faults (attrition, then the chaos plan), then the
+//! WM tick (scheduler poll and maintenance). Which source reached the
+//! minimum decides nothing, so it is not recorded.
 //!
-//! 1. **Tie-breaking.** When several sources coincide at the same
-//!    `SimTime`, one driver pass drains them in a *documented* priority
-//!    order — the statement order of the loop body
-//!    (`RunSim::run` in `run.rs`), a contract instead of an accident of
-//!    a `min` chain:
-//!
-//!    | priority | source   | loop-body phase                      |
-//!    |---------:|----------|--------------------------------------|
-//!    | 0        | Snapshot | continuum snapshot → patch candidates|
-//!    | 1        | Workload | background workload-source arrivals  |
-//!    | 2        | Failure  | node-attrition arrivals              |
-//!    | 3        | Chaos    | fault-plan events                    |
-//!    | 4        | Wm       | scheduler poll + WM maintenance      |
-//!
-//!    Same-seed traces are byte-stable because every pass drains in
-//!    this order.
-//!
-//! 2. **Forced advance.** The legacy advance expression
-//!    `next.min(end).max(t + 1µs)` silently bumped the clock one
-//!    microsecond whenever a source returned a wakeup `<= t`. At
-//!    [`SimTime`]'s integer-microsecond resolution a wakeup *strictly
-//!    between* `t` and `t + 1µs` is unrepresentable, so the only way the
-//!    clamp can engage is a source returning an already-past (stale)
-//!    wakeup — a contract violation that the old expression masked as
-//!    1 µs of silent drift. [`advance_clock`] makes the
-//!    case explicit: a normal advance jumps exactly to the horizon, and
-//!    a stale source is *flagged* so the driver can count it
-//!    ([`crate::RunReport::forced_advances`]) and debug-assert on it.
+//! **Forced advance.** The legacy advance expression
+//! `next.min(end).max(t + 1µs)` silently bumped the clock one
+//! microsecond whenever a source returned a wakeup `<= t`. At
+//! [`SimTime`]'s integer-microsecond resolution a wakeup *strictly
+//! between* `t` and `t + 1µs` is unrepresentable, so the only way the
+//! clamp can engage is a source returning an already-past (stale)
+//! wakeup — a contract violation that the old expression masked as
+//! 1 µs of silent drift. [`advance_clock`] makes the case explicit: a
+//! normal advance jumps exactly to the horizon, and a stale source is
+//! *flagged* so the driver can count it
+//! ([`crate::RunReport::forced_advances`]) and debug-assert on it.
 
 use simcore::SimTime;
-
-/// A wakeup source of the campaign event loop, in drain priority order
-/// (`Snapshot` drains first at a tied time, `Wm` last). The numeric
-/// order matches the loop body's statement order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum WakeSource {
-    /// Continuum snapshot → patch-candidate generation.
-    Snapshot,
-    /// Background workload-source arrivals ([`workload::WorkloadSource`]
-    /// streams submitted alongside the WM's own jobs).
-    Workload,
-    /// Node-attrition (hardware failure) arrivals.
-    Failure,
-    /// Chaos fault-plan events (node kills, store windows, hangs, WM
-    /// crash points).
-    Chaos,
-    /// Scheduler/WM activity: job completions, ready-buffer maintenance,
-    /// feedback and profile cadences, hang-watchdog deadlines.
-    Wm,
-}
-
-/// The next driver pass: the earliest wakeup over all
-/// sources, plus which source claims it under the documented tie-break.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Horizon {
-    /// Wakeup time (safe horizon).
-    pub at: SimTime,
-    /// Highest-priority source due at `at`.
-    pub source: WakeSource,
-}
-
-/// Computes the safe horizon from the five wakeup sources.
-///
-/// Ties resolve to the lowest-priority-number source ([`WakeSource`]
-/// order), matching the loop body's drain order. `workload` is `None`
-/// when no background workload source is configured (or it is
-/// exhausted); `chaos` is `None` when the fault-plan queue is empty.
-pub fn next_horizon(
-    snapshot: SimTime,
-    workload: Option<SimTime>,
-    failure: SimTime,
-    chaos: Option<SimTime>,
-    wm: SimTime,
-) -> Horizon {
-    let mut h = Horizon {
-        at: snapshot,
-        source: WakeSource::Snapshot,
-    };
-    // Strict `<` keeps the earliest-listed source on ties: the listing
-    // order *is* the priority order.
-    for (at, source) in [
-        (workload, WakeSource::Workload),
-        (Some(failure), WakeSource::Failure),
-        (chaos, WakeSource::Chaos),
-        (Some(wm), WakeSource::Wm),
-    ] {
-        if let Some(at) = at {
-            if at < h.at {
-                h = Horizon { at, source };
-            }
-        }
-    }
-    h
-}
 
 /// Advances the driver clock from `t` toward `horizon`, clamped to
 /// `end`. Returns the new clock and whether the advance was **forced**.
@@ -187,38 +111,5 @@ mod tests {
         let (t2, forced) = advance_clock(t, gap_free_next, us(1_000));
         assert_eq!(t2, gap_free_next);
         assert!(!forced);
-    }
-
-    #[test]
-    fn horizon_picks_earliest_source() {
-        let h = next_horizon(us(50), None, us(20), Some(us(30)), us(40));
-        assert_eq!(h.at, us(20));
-        assert_eq!(h.source, WakeSource::Failure);
-        let h = next_horizon(us(50), None, us(20), None, us(10));
-        assert_eq!(h.source, WakeSource::Wm);
-        let h = next_horizon(us(50), Some(us(5)), us(20), None, us(10));
-        assert_eq!(h.at, us(5));
-        assert_eq!(h.source, WakeSource::Workload);
-    }
-
-    #[test]
-    fn tied_sources_resolve_in_documented_priority_order() {
-        // Regression for the tie-break bugfix: before the Horizon helper
-        // the processing order of coincident wakeups was an accident of
-        // a `min` chain. The contract:
-        // Snapshot < Workload < Failure < Chaos < Wm.
-        let t = us(77);
-        let all_tied = next_horizon(t, Some(t), t, Some(t), t);
-        assert_eq!(all_tied.source, WakeSource::Snapshot);
-        let no_snapshot = next_horizon(us(100), Some(t), t, Some(t), t);
-        assert_eq!(no_snapshot.source, WakeSource::Workload);
-        let no_workload = next_horizon(us(100), None, t, Some(t), t);
-        assert_eq!(no_workload.source, WakeSource::Failure);
-        let chaos_vs_wm = next_horizon(us(100), None, us(100), Some(t), t);
-        assert_eq!(chaos_vs_wm.source, WakeSource::Chaos);
-        assert!(WakeSource::Snapshot < WakeSource::Workload);
-        assert!(WakeSource::Workload < WakeSource::Failure);
-        assert!(WakeSource::Failure < WakeSource::Chaos);
-        assert!(WakeSource::Chaos < WakeSource::Wm);
     }
 }

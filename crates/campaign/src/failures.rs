@@ -7,9 +7,9 @@
 //! consumer of the stream saw. An event-driven clock cannot tick per
 //! interval at all, so the process is reformulated the standard way: node
 //! failures are a Poisson process, realised by sampling exponential
-//! inter-arrival times from a dedicated [`SeedStream`]-derived RNG. The
-//! resulting `(time, node)` stream depends only on the seed and the daily
-//! rate — never on how the driver advances time.
+//! inter-arrival times from a dedicated [`simcore::SeedStream`]-derived
+//! RNG. The resulting `(time, node)` stream depends only on the seed and
+//! the daily rate — never on how the driver advances time.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

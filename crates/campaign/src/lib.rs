@@ -30,7 +30,7 @@ mod persistent;
 mod run;
 
 pub use control::RunControl;
-pub use driver::{advance_clock, next_horizon, Horizon, WakeSource};
+pub use driver::advance_clock;
 pub use failures::FailureProcess;
 pub use feedback_model::{FeedbackTimingModel, Iteration};
 pub use perf::{AaPerf, CgPerf, ContinuumPerf};

@@ -33,11 +33,11 @@ use crate::perf::{AaPerf, CgPerf, ContinuumPerf};
 /// `tests/netstore.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreBackend {
-    /// The in-process [`kvstore`] cluster (the historical default).
+    /// The in-process `kvstore` cluster (the historical default).
     InProcess,
     /// The networked datastore tier via its deterministic in-process
     /// loopback transport: every op is encoded as a wire frame, decoded
-    /// and handled by a [`storeserver`] engine — the campaign-side
+    /// and handled by a `storeserver` engine — the campaign-side
     /// rehearsal of the real TCP deployment, with no sockets or threads.
     Loopback,
 }
@@ -364,9 +364,6 @@ pub struct Campaign {
     tracer: Tracer,
 }
 
-/// The concrete WM the campaign drives (the three-scale MuMMI app over
-/// the Flux-model scheduler).
-type CampaignWm = WorkflowManager<SchedEngine>;
 /// One run's `(size, rate)` perf samples — CG first, AA second — filled
 /// by the runtime-model closures and drained once at close.
 type PerfSamples = Arc<Mutex<(Vec<(f64, f64)>, Vec<(f64, f64)>)>>; // lint: allow(L6: perf-sample scratch shared with model closures; drained once after the run)
@@ -403,7 +400,12 @@ fn fault_windows(plan: &FaultPlan) -> Vec<FaultWindow> {
 /// Submits the continuum job — one multi-node CPU job covering
 /// `at..until` — and returns its id. The job belongs to the driver, not
 /// to a tracker, so the caller books its failures.
-fn submit_continuum(wm: &mut CampaignWm, cont_nodes: u32, at: SimTime, until: SimTime) -> JobId {
+fn submit_continuum(
+    wm: &mut WorkflowManager,
+    cont_nodes: u32,
+    at: SimTime,
+    until: SimTime,
+) -> JobId {
     wm.launcher_mut().submit(
         JobSpec::new(
             JobClass::Continuum,
@@ -662,7 +664,7 @@ impl Campaign {
         wm_cfg: WmConfig,
         model: RuntimeModel,
         ckpt: Option<&WmCheckpoint>,
-    ) -> CampaignWm {
+    ) -> WorkflowManager {
         let mut engine = SchedEngine::new(
             ResourceGraph::new(machine.clone()),
             self.cfg.policy,
@@ -715,7 +717,7 @@ struct RunSim<'c> {
     wm_cfg: WmConfig,
     make_model: ModelFactory,
     samples: PerfSamples,
-    wm: CampaignWm,
+    wm: WorkflowManager,
     store: ScheduledFaultStore<KvDataStore>,
     cont_nodes: u32,
     cont_perf: ContinuumPerf,
@@ -1215,30 +1217,28 @@ impl<'c> RunSim<'c> {
             return false;
         }
         // Next-event time advance: jump straight to the safe horizon —
-        // the earliest instant anything can happen, under the
-        // documented tie-break (snapshot, workload, failure, chaos, WM)
-        // — clamped so the run closes with a final pass exactly at
-        // `run_end`. Every source returns a wakeup strictly after `t`
-        // once its due work is drained; a stale (already-past) horizon
-        // is a source contract violation, counted instead of silently
-        // masked as 1 µs of drift (the legacy `.max(t + 1µs)` clamp),
-        // and fatal under debug.
-        let horizon = driver::next_horizon(
-            self.next_snapshot,
+        // the earliest instant any source can act — clamped so the run
+        // closes with a final pass exactly at `run_end`. Every source
+        // returns a wakeup strictly after `t` once its due work is
+        // drained; a stale (already-past) horizon is a source contract
+        // violation, counted instead of silently masked as 1 µs of drift
+        // (the legacy `.max(t + 1µs)` clamp), and fatal under debug.
+        let horizon = [
             self.bg_src.as_deref().and_then(|s| s.next_at()),
-            self.failures.next_at(),
             self.plan_q.peek_time(),
-            self.wm.next_wakeup(self.t),
+        ]
+        .into_iter()
+        .flatten()
+        .fold(
+            self.next_snapshot
+                .min(self.failures.next_at())
+                .min(self.wm.next_wakeup(self.t)),
+            SimTime::min,
         );
-        let (next_t, forced) = driver::advance_clock(self.t, horizon.at, self.run_end);
+        let (next_t, forced) = driver::advance_clock(self.t, horizon, self.run_end);
         if forced {
             self.forced_advances += 1;
-            debug_assert!(
-                false,
-                "stale wakeup from {:?} at t={}us",
-                horizon.source,
-                self.t.as_micros()
-            );
+            debug_assert!(false, "stale wakeup at t={}us", self.t.as_micros());
         }
         self.t = next_t;
         true
@@ -1314,7 +1314,7 @@ impl<'c> RunSim<'c> {
                 .wm
                 .launcher_mut()
                 .take_log()
-                .map(|log| workload::TraceFile::from_sched_log(&log).to_csv()),
+                .map(|log| workload::TraceFile::from_submissions(&log).to_csv()),
         };
         let tracer = &self.camp.tracer;
         if let Some(p) = paused_at {

@@ -1,6 +1,6 @@
 //! Property tests for the wakeup-source contract behind the event loop.
 //!
-//! The safe-horizon advance ([`campaign::next_horizon`] +
+//! The safe-horizon advance (the minimum of the wakeup sources, fed to
 //! [`campaign::advance_clock`]) is only correct if every wakeup source
 //! honors two rules once its due work is drained at `now`:
 //!
@@ -12,8 +12,8 @@
 //!    never moves the reported wakeup backwards, so a horizon computed
 //!    at a barrier stays a valid lower bound for the next one.
 //!
-//! One property per accessor: `SchedEngine::next_wakeup` (also the
-//! `Launcher` view the WM consults), `JobTracker::earliest_timeout`,
+//! One property per accessor: `SchedEngine::next_wakeup` (the view the
+//! WM folds into its own), `JobTracker::earliest_timeout`,
 //! `WorkflowManager::next_wakeup`, and `FailureProcess::next_at`.
 
 use campaign::FailureProcess;
@@ -69,7 +69,7 @@ proptest! {
 
     /// The scheduler: after `advance(now)` has drained all work, the
     /// engine either is idle or reports a wakeup strictly after `now` —
-    /// the `Launcher::next_wakeup` view the WM folds into its own.
+    /// the view the WM folds into its own.
     #[test]
     fn sched_engine_next_wakeup_is_strictly_future(
         runtimes in prop::collection::vec(1u64..300, 1..24),
@@ -110,12 +110,14 @@ proptest! {
         steps in prop::collection::vec(1u64..90, 1..24),
     ) {
         let mut engine = small_engine(2);
-        let mut tracker = JobTracker::new(TrackerConfig::new(
-            JobClass::CgSim,
-            JobShape::sim_standard(),
-            SimDuration::from_mins(30),
-        ));
-        tracker.set_timeout_grace(grace);
+        let mut tracker = JobTracker::new(TrackerConfig {
+            timeout_grace: grace,
+            ..TrackerConfig::new(
+                JobClass::CgSim,
+                JobShape::sim_standard(),
+                SimDuration::from_mins(30),
+            )
+        });
         let mut rng = StdRng::seed_from_u64(7);
         let mut now = SimTime::ZERO;
         for &mins in &runtimes {
@@ -143,7 +145,7 @@ proptest! {
     }
 
     /// The workflow manager: after a full tick at `t`, the folded wakeup
-    /// (launcher, cadences, watchdog deadlines) is strictly after `t`,
+    /// (scheduler, cadences, watchdog deadlines) is strictly after `t`,
     /// and for a fixed post-tick state it is monotone in `now`.
     #[test]
     fn wm_next_wakeup_is_strictly_future_and_monotone_in_now(

@@ -8,7 +8,7 @@
 
 use dynim::{BinnedConfig, BinnedSampler, HdPoint, MultiQueueSampler, Sampler};
 use ml::{Autoencoder, AutoencoderConfig, Matrix, Pca};
-use sched::Launcher;
+use sched::SchedEngine;
 
 use crate::config::WmConfig;
 use crate::patches::PatchEncoder;
@@ -89,16 +89,16 @@ pub fn state_tagged_point(id: &str, state: usize, encoded: Vec<f64>) -> HdPoint 
     HdPoint::new(id, coords)
 }
 
-/// Assembles the full three-scale workflow manager over any launcher.
-pub fn build_three_scale_wm<L: Launcher>(
+/// Assembles the full three-scale workflow manager over a scheduler.
+pub fn build_three_scale_wm(
     cfg: WmConfig,
-    launcher: L,
+    engine: SchedEngine,
     n_species: usize,
-) -> WorkflowManager<L> {
+) -> WorkflowManager {
     let seed = cfg.seed;
     WorkflowManager::new(
         cfg,
-        launcher,
+        engine,
         vec![patch_selector(PATCH_QUEUE_CAP), frame_selector(0.8, seed)],
         n_species,
     )

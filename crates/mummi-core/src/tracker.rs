@@ -13,7 +13,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::Rng;
 use resources::JobShape;
-use sched::{JobClass, JobEvent, JobId, JobSpec, Launcher};
+use sched::{JobClass, JobEvent, JobId, JobSpec, SchedEngine};
 use simcore::{SimDuration, SimTime};
 
 /// An interned application payload (patch/frame/simulation id). One heap
@@ -37,10 +37,15 @@ pub struct TrackerConfig {
     pub failure_prob: f64,
     /// Resubmission budget per payload; beyond it the payload is dropped.
     pub max_resubmits: u32,
+    /// Hang watchdog grace factor: a placed job is presumed hung once it
+    /// overstays `timeout_grace` times its submitted runtime (`0`
+    /// disables the watchdog).
+    pub timeout_grace: f64,
 }
 
 impl TrackerConfig {
-    /// A tracker for `class` with shape and runtime, no jitter/failures.
+    /// A tracker for `class` with shape and runtime, no jitter/failures,
+    /// watchdog off.
     pub fn new(class: JobClass, shape: JobShape, runtime: SimDuration) -> TrackerConfig {
         TrackerConfig {
             class,
@@ -49,6 +54,7 @@ impl TrackerConfig {
             runtime_jitter: 0.0,
             failure_prob: 0.0,
             max_resubmits: 3,
+            timeout_grace: 0.0,
         }
     }
 }
@@ -103,11 +109,8 @@ pub struct JobTracker {
     /// index behind [`JobTracker::earliest_timeout`] and
     /// [`JobTracker::expire_overdue`].
     /// Deadlines are `placed_at + runtime × grace`; empty while the
-    /// watchdog is disabled (`timeout_grace == 0`).
+    /// watchdog is disabled ([`TrackerConfig::timeout_grace`] `== 0`).
     deadlines: BTreeSet<(SimTime, JobId)>,
-    /// Grace factor the deadlines were computed with (see
-    /// [`JobTracker::set_timeout_grace`]).
-    timeout_grace: f64,
     submitted: u64,
     completed: u64,
     failed: u64,
@@ -115,34 +118,18 @@ pub struct JobTracker {
 }
 
 impl JobTracker {
-    /// Creates a tracker with the hang watchdog disabled.
+    /// Creates a tracker; its hang watchdog runs when
+    /// [`TrackerConfig::timeout_grace`] is above zero.
     pub fn new(cfg: TrackerConfig) -> JobTracker {
         JobTracker {
             cfg,
             live: BTreeMap::new(),
             attempts: BTreeMap::new(),
             deadlines: BTreeSet::new(),
-            timeout_grace: 0.0,
             submitted: 0,
             completed: 0,
             failed: 0,
             timed_out: 0,
-        }
-    }
-
-    /// Sets the watchdog grace factor: a placed job is presumed hung once
-    /// it overstays `grace` times its submitted runtime (`0` disables the
-    /// watchdog). Rebuilds the deadline index, so changing the factor
-    /// mid-run is allowed but costs O(live · log live).
-    pub fn set_timeout_grace(&mut self, grace: f64) {
-        self.timeout_grace = grace;
-        self.deadlines.clear();
-        if grace > 0.0 {
-            for (&id, job) in &self.live {
-                if let Some(p) = job.placed_at {
-                    self.deadlines.insert((p + job.runtime.mul_f64(grace), id));
-                }
-            }
         }
     }
 
@@ -166,18 +153,13 @@ impl JobTracker {
         self.live.len()
     }
 
-    /// (running, pending) from the launcher for this class.
-    pub fn counts(&self, launcher: &dyn Launcher) -> (u64, u64) {
-        launcher.class_counts(self.cfg.class)
-    }
-
     /// Submits one job for `payload` at time `at`. An explicit `runtime`
     /// serves per-payload runtime models (e.g. remaining length to target
     /// in the campaign DES); `None` takes the configured runtime with its
     /// jitter, drawn before the failure draw.
     pub fn submit(
         &mut self,
-        launcher: &mut dyn Launcher,
+        engine: &mut SchedEngine,
         payload: PayloadId,
         at: SimTime,
         runtime: Option<SimDuration>,
@@ -195,7 +177,7 @@ impl JobTracker {
         if self.cfg.failure_prob > 0.0 && rng.gen_bool(self.cfg.failure_prob) {
             spec = spec.failing();
         }
-        let id = launcher.submit(spec, at);
+        let id = engine.submit(spec, at);
         self.live.insert(
             id,
             LiveJob {
@@ -216,7 +198,7 @@ impl JobTracker {
     /// resubmitted under the usual budget; the returned [`Tracked`]s
     /// describe what happened. With a grace factor above 1 a healthy job
     /// always finishes first, so only genuinely hung jobs expire. No-op
-    /// until [`JobTracker::set_timeout_grace`] enables the watchdog.
+    /// while [`TrackerConfig::timeout_grace`] is zero.
     ///
     /// Overdue jobs come straight off the front of the deadline index; no
     /// live-table scan happens. They are processed in job-id
@@ -224,13 +206,10 @@ impl JobTracker {
     /// trace — does not depend on how deadlines happen to sort.
     pub fn expire_overdue(
         &mut self,
-        launcher: &mut dyn Launcher,
+        engine: &mut SchedEngine,
         now: SimTime,
         rng: &mut StdRng,
     ) -> Vec<Tracked> {
-        if self.timeout_grace <= 0.0 {
-            return Vec::new();
-        }
         let mut overdue: Vec<JobId> = Vec::new();
         while let Some(&(deadline, id)) = self.deadlines.first() {
             // A job expires strictly after its deadline
@@ -244,7 +223,7 @@ impl JobTracker {
         overdue.sort_unstable();
         let mut out = Vec::new();
         for id in overdue {
-            launcher.cancel(id);
+            engine.cancel(id);
             let Some(job) = self.live.remove(&id) else {
                 continue;
             };
@@ -252,7 +231,7 @@ impl JobTracker {
             let payload = job.payload;
             let attempt = self.attempts.get(&payload).copied().unwrap_or(0);
             if attempt <= self.cfg.max_resubmits {
-                self.submit(launcher, payload.clone(), now, None, rng);
+                self.submit(engine, payload.clone(), now, None, rng);
                 out.push(Tracked::Resubmitted {
                     payload,
                     attempt: attempt + 1,
@@ -280,7 +259,7 @@ impl JobTracker {
     /// immediately (at the finish time) until the budget runs out.
     pub fn on_event(
         &mut self,
-        launcher: &mut dyn Launcher,
+        engine: &mut SchedEngine,
         event: &JobEvent,
         rng: &mut StdRng,
     ) -> Option<Tracked> {
@@ -289,18 +268,18 @@ impl JobTracker {
                 let job = self.live.get_mut(&id)?;
                 job.placed_at = Some(at);
                 let payload = job.payload.clone();
-                if self.timeout_grace > 0.0 {
-                    let deadline = at + job.runtime.mul_f64(self.timeout_grace);
+                if self.cfg.timeout_grace > 0.0 {
+                    let deadline = at + job.runtime.mul_f64(self.cfg.timeout_grace);
                     self.deadlines.insert((deadline, id));
                 }
                 Some(Tracked::Started { job: id, payload })
             }
             JobEvent::Finished { id, at, success } => {
                 let job = self.live.remove(&id)?;
-                if self.timeout_grace > 0.0 {
+                if self.cfg.timeout_grace > 0.0 {
                     if let Some(p) = job.placed_at {
                         self.deadlines
-                            .remove(&(p + job.runtime.mul_f64(self.timeout_grace), id));
+                            .remove(&(p + job.runtime.mul_f64(self.cfg.timeout_grace), id));
                     }
                 }
                 let payload = job.payload;
@@ -312,7 +291,7 @@ impl JobTracker {
                     self.failed += 1;
                     let attempt = self.attempts.get(&payload).copied().unwrap_or(0);
                     if attempt <= self.cfg.max_resubmits {
-                        self.submit(launcher, payload.clone(), at, None, rng);
+                        self.submit(engine, payload.clone(), at, None, rng);
                         Some(Tracked::Resubmitted {
                             payload,
                             attempt: attempt + 1,
@@ -334,7 +313,7 @@ mod tests {
     use resources::{MachineSpec, MatchPolicy, NodeSpec, ResourceGraph};
     use sched::{Costs, Coupling, SchedEngine};
 
-    fn launcher(nodes: u32) -> SchedEngine {
+    fn engine(nodes: u32) -> SchedEngine {
         SchedEngine::new(
             ResourceGraph::new(MachineSpec::custom("t", nodes, NodeSpec::summit())),
             MatchPolicy::FirstMatch,
@@ -356,11 +335,11 @@ mod tests {
 
     #[test]
     fn lifecycle_maps_payloads() {
-        let mut l = launcher(1);
+        let mut l = engine(1);
         let mut t = sim_tracker(0.0);
         let mut rng = StdRng::seed_from_u64(1);
         let id = t.submit(&mut l, "patch-42".into(), SimTime::ZERO, None, &mut rng);
-        let events = l.poll(SimTime::from_secs(1));
+        let events = l.advance(SimTime::from_secs(1));
         let tracked: Vec<Tracked> = events
             .iter()
             .filter_map(|e| t.on_event(&mut l, e, &mut rng))
@@ -372,7 +351,7 @@ mod tests {
                 payload: "patch-42".into()
             }]
         );
-        let events = l.poll(SimTime::from_mins(11));
+        let events = l.advance(SimTime::from_mins(11));
         let tracked: Vec<Tracked> = events
             .iter()
             .filter_map(|e| t.on_event(&mut l, e, &mut rng))
@@ -389,7 +368,7 @@ mod tests {
 
     #[test]
     fn failures_are_resubmitted_until_budget() {
-        let mut l = launcher(1);
+        let mut l = engine(1);
         let mut t = JobTracker::new(TrackerConfig {
             failure_prob: 1.0, // every attempt fails
             max_resubmits: 2,
@@ -404,7 +383,7 @@ mod tests {
         let mut resubmits = 0;
         let mut abandoned = false;
         for round in 1..20 {
-            let events = l.poll(SimTime::from_mins(2 * round));
+            let events = l.advance(SimTime::from_mins(2 * round));
             for e in &events {
                 match t.on_event(&mut l, e, &mut rng) {
                     Some(Tracked::Resubmitted { attempt, .. }) => {
@@ -429,12 +408,18 @@ mod tests {
 
     #[test]
     fn hung_jobs_expire_and_resubmit() {
-        let mut l = launcher(1);
-        let mut t = sim_tracker(0.0);
-        t.set_timeout_grace(1.5);
+        let mut l = engine(1);
+        let mut t = JobTracker::new(TrackerConfig {
+            timeout_grace: 1.5,
+            ..TrackerConfig::new(
+                JobClass::CgSim,
+                JobShape::sim_standard(),
+                SimDuration::from_mins(10),
+            )
+        });
         let mut rng = StdRng::seed_from_u64(5);
         let id = t.submit(&mut l, "patch-7".into(), SimTime::ZERO, None, &mut rng);
-        for e in l.poll(SimTime::from_secs(1)) {
+        for e in l.advance(SimTime::from_secs(1)) {
             t.on_event(&mut l, &e, &mut rng);
         }
         l.hang_running(JobClass::CgSim, SimTime::from_mins(1));
@@ -455,7 +440,7 @@ mod tests {
         assert_eq!(t.timed_out(), 1);
         assert_eq!(t.live_count(), 1, "replacement job is live");
         // The replacement runs to completion (the node is healthy).
-        for e in l.poll(SimTime::from_mins(40)) {
+        for e in l.advance(SimTime::from_mins(40)) {
             t.on_event(&mut l, &e, &mut rng);
         }
         assert_eq!(t.counters(), (2, 1, 0));
@@ -463,16 +448,16 @@ mod tests {
 
     #[test]
     fn perpetually_hung_payload_is_abandoned() {
-        let mut l = launcher(1);
+        let mut l = engine(1);
         let mut t = JobTracker::new(TrackerConfig {
             max_resubmits: 2,
+            timeout_grace: 1.5,
             ..TrackerConfig::new(
                 JobClass::CgSim,
                 JobShape::sim_standard(),
                 SimDuration::from_mins(10),
             )
         });
-        t.set_timeout_grace(1.5);
         let mut rng = StdRng::seed_from_u64(6);
         t.submit(&mut l, "cursed".into(), SimTime::ZERO, None, &mut rng);
         let mut resubmits = 0;
@@ -480,12 +465,12 @@ mod tests {
         let mut now = SimTime::ZERO;
         for _ in 0..10 {
             now += SimDuration::from_mins(1);
-            for e in l.poll(now) {
+            for e in l.advance(now) {
                 t.on_event(&mut l, &e, &mut rng);
             }
             l.hang_running(JobClass::CgSim, now);
             now += SimDuration::from_mins(30);
-            for e in l.poll(now) {
+            for e in l.advance(now) {
                 t.on_event(&mut l, &e, &mut rng);
             }
             for tracked in t.expire_overdue(&mut l, now, &mut rng) {
@@ -510,7 +495,7 @@ mod tests {
 
     #[test]
     fn events_for_other_trackers_are_ignored() {
-        let mut l = launcher(1);
+        let mut l = engine(1);
         let mut cg = sim_tracker(0.0);
         let mut other = JobTracker::new(TrackerConfig::new(
             JobClass::AaSim,
@@ -519,7 +504,7 @@ mod tests {
         ));
         let mut rng = StdRng::seed_from_u64(3);
         cg.submit(&mut l, "mine".into(), SimTime::ZERO, None, &mut rng);
-        let events = l.poll(SimTime::from_secs(1));
+        let events = l.advance(SimTime::from_secs(1));
         for e in &events {
             assert!(other.on_event(&mut l, e, &mut rng).is_none());
         }
@@ -527,7 +512,7 @@ mod tests {
 
     #[test]
     fn runtime_jitter_varies_finish_times() {
-        let mut l = launcher(4);
+        let mut l = engine(4);
         let mut t = JobTracker::new(TrackerConfig {
             runtime_jitter: 0.5,
             ..TrackerConfig::new(
@@ -546,8 +531,8 @@ mod tests {
                 &mut rng,
             );
         }
-        l.poll(SimTime::from_secs(1));
-        let events = l.poll(SimTime::from_mins(300));
+        l.advance(SimTime::from_secs(1));
+        let events = l.advance(SimTime::from_mins(300));
         let finish_times: std::collections::HashSet<u64> = events
             .iter()
             .filter_map(|e| match e {

@@ -4,7 +4,8 @@
 //! the role of the WM is to couple the scales by consuming relevant data,
 //! supporting ML-based selection, spawning the corresponding simulations,
 //! and facilitating a feedback loop." The WM here performs the paper's
-//! four tasks against any [`sched::Launcher`] and [`datastore::DataStore`]:
+//! four tasks against a [`sched::SchedEngine`] and any
+//! [`datastore::DataStore`]:
 //!
 //! 1. coarse-data processing is fed in by the driver through
 //!    [`WorkflowManager::add_patch_candidates_from`] /
@@ -35,7 +36,7 @@ use continuum::CouplingParams;
 use datastore::DataStore;
 use dynim::{HdPoint, History, HistoryEvent, Sampler};
 use resources::JobShape;
-use sched::{JobClass, JobEvent, JobId, Launcher, Throttle};
+use sched::{JobClass, JobEvent, JobId, SchedEngine, Throttle};
 use simcore::{OccupancyProfiler, OccupancySample, SimTime, Timeline};
 use trace::Tracer;
 
@@ -200,9 +201,10 @@ impl Stage {
 }
 
 /// The workflow manager.
-pub struct WorkflowManager<L: Launcher> {
+pub struct WorkflowManager {
     cfg: WmConfig,
-    launcher: L,
+    /// The scheduler the WM submits to and polls (Maestro's role, §4.3).
+    engine: SchedEngine,
     /// The promoted scales, in promotion order.
     stages: Vec<Stage>,
     cg_feedback: CgToContinuumFeedback,
@@ -226,32 +228,31 @@ pub struct WorkflowManager<L: Launcher> {
 /// Computes a job's virtual runtime from its class and payload.
 pub type RuntimeModel = Box<dyn FnMut(JobClass, &str) -> Option<simcore::SimDuration> + Send>;
 
-impl<L: Launcher> WorkflowManager<L> {
-    /// Assembles a WM over a launcher and one selector per promoted scale:
+impl WorkflowManager {
+    /// Assembles a WM over a scheduler and one selector per promoted scale:
     /// one (patches → CG) or two (then CG frames → AA).
     ///
     /// # Panics
     /// If `selectors` holds neither one nor two samplers.
     pub fn new(
         cfg: WmConfig,
-        launcher: L,
+        engine: SchedEngine,
         selectors: Vec<Box<dyn Sampler + Send>>,
         n_species: usize,
-    ) -> WorkflowManager<L> {
+    ) -> WorkflowManager {
         assert!(
             matches!(selectors.len(), 1 | 2),
             "one selector per promoted scale (CG, then AA), got {}",
             selectors.len()
         );
         let tracker = |class, shape, runtime| {
-            let mut t = JobTracker::new(TrackerConfig {
+            JobTracker::new(TrackerConfig {
                 runtime_jitter: 0.2,
                 failure_prob: cfg.job_failure_prob,
                 max_resubmits: cfg.max_resubmits,
+                timeout_grace: cfg.job_timeout_grace,
                 ..TrackerConfig::new(class, shape, runtime)
-            });
-            t.set_timeout_grace(cfg.job_timeout_grace);
-            t
+            })
         };
         let scales = [
             (
@@ -300,7 +301,7 @@ impl<L: Launcher> WorkflowManager<L> {
             next_profile: SimTime::ZERO,
             stats: WmStats::default(),
             rng: StdRng::seed_from_u64(cfg.seed),
-            launcher,
+            engine,
             cfg,
             runtime_model: None,
             tracer: Tracer::disabled(),
@@ -309,7 +310,7 @@ impl<L: Launcher> WorkflowManager<L> {
 
     /// Installs a tracer; the WM records its loop, feedback rounds,
     /// selections, and profile samples on it. Install the same handle on
-    /// the launcher (e.g. [`sched::SchedEngine::set_tracer`]) to get the
+    /// the scheduler ([`sched::SchedEngine::set_tracer`]) to get the
     /// job-lifecycle records in the same trace.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
@@ -321,15 +322,15 @@ impl<L: Launcher> WorkflowManager<L> {
         self.runtime_model = Some(model);
     }
 
-    /// The launcher (e.g. for occupancy queries by the driver).
-    pub fn launcher(&self) -> &L {
-        &self.launcher
+    /// The scheduler (e.g. for occupancy queries by the driver).
+    pub fn launcher(&self) -> &SchedEngine {
+        &self.engine
     }
 
-    /// Mutable launcher access, for jobs the WM does not manage itself
+    /// Mutable scheduler access, for jobs the WM does not manage itself
     /// (e.g. the campaign's single continuum job).
-    pub fn launcher_mut(&mut self) -> &mut L {
-        &mut self.launcher
+    pub fn launcher_mut(&mut self) -> &mut SchedEngine {
+        &mut self.engine
     }
 
     /// Lifetime counters: the WM-wide ones plus each stage's, under the
@@ -423,7 +424,7 @@ impl<L: Launcher> WorkflowManager<L> {
     }
 
     /// The earliest instant after `now` at which a [`WorkflowManager::tick`]
-    /// would do anything: the launcher's next event, the feedback or
+    /// would do anything: the scheduler's next event, the feedback or
     /// profile cadence, or the hang-watchdog's next deadline. Event-driven
     /// drivers jump the clock to the minimum of this and their own event
     /// sources instead of polling on a fixed interval.
@@ -434,15 +435,13 @@ impl<L: Launcher> WorkflowManager<L> {
     pub fn next_wakeup(&self, now: SimTime) -> SimTime {
         let eps = simcore::SimDuration::from_micros(1);
         let mut next = self.next_feedback.min(self.next_profile);
-        if let Some(t) = self.launcher.next_wakeup() {
+        if let Some(t) = self.engine.next_wakeup() {
             next = next.min(t);
         }
-        if self.cfg.job_timeout_grace > 0.0 {
-            for deadline in self.trackers().filter_map(JobTracker::earliest_timeout) {
-                // `expire_overdue` uses a strict comparison, so the
-                // job is only reclaimable just past its deadline.
-                next = next.min(deadline + eps);
-            }
+        for deadline in self.trackers().filter_map(JobTracker::earliest_timeout) {
+            // `expire_overdue` uses a strict comparison, so the job is
+            // only reclaimable just past its deadline.
+            next = next.min(deadline + eps);
         }
         next.max(now + eps)
     }
@@ -468,7 +467,7 @@ impl<L: Launcher> WorkflowManager<L> {
         self.tick_maintain_phase(now, store, events);
     }
 
-    /// The first half of a WM cycle: poll the launcher and expire hung
+    /// The first half of a WM cycle: poll the scheduler and expire hung
     /// jobs. This phase never touches the data store. The split exists
     /// so a profiler can time the two halves separately (the benchmark's
     /// `mummi-core.poll_phase_s` / `maintain_phase_s`); finish the cycle
@@ -506,7 +505,7 @@ impl<L: Launcher> WorkflowManager<L> {
 
     /// Task 3: scan all running jobs, determine completion, route events.
     fn poll_jobs(&mut self, now: SimTime, events: &mut Vec<WmEvent>) {
-        let raw = self.launcher.poll(now);
+        let raw = self.engine.advance(now);
         for ev in &raw {
             let Some((stage, sim, class, tracked)) = self.route(ev) else {
                 continue;
@@ -537,14 +536,14 @@ impl<L: Launcher> WorkflowManager<L> {
         }
     }
 
-    /// Hands a launcher event to the one tracker that owns it, asking
+    /// Hands a scheduler event to the one tracker that owns it, asking
     /// them in the fixed visiting order. Returns the owner's stage,
     /// whether it is the simulation tracker, and its class.
     fn route(&mut self, ev: &JobEvent) -> Option<(usize, bool, JobClass, Tracked)> {
         for (stage, st) in self.stages.iter_mut().enumerate() {
             for sim in [false, true] {
                 let tracker = st.tracker(sim);
-                if let Some(t) = tracker.on_event(&mut self.launcher, ev, &mut self.rng) {
+                if let Some(t) = tracker.on_event(&mut self.engine, ev, &mut self.rng) {
                     return Some((stage, sim, tracker.class(), t));
                 }
             }
@@ -564,7 +563,7 @@ impl<L: Launcher> WorkflowManager<L> {
             for sim in [false, true] {
                 let tracker = self.stages[stage].tracker(sim);
                 let class = tracker.class();
-                let expired = tracker.expire_overdue(&mut self.launcher, now, &mut self.rng);
+                let expired = tracker.expire_overdue(&mut self.engine, now, &mut self.rng);
                 for tracked in expired {
                     self.stats.jobs_timed_out += 1;
                     self.settle_failure(now, class, tracked, true, events);
@@ -626,11 +625,11 @@ impl<L: Launcher> WorkflowManager<L> {
     /// buffers up to each stage's GPU target. Started events arrive via
     /// poll on placement.
     fn maintain_sims(&mut self, now: SimTime) {
-        let (_, total_gpus) = self.launcher.gpu_usage();
+        let (_, total_gpus) = self.engine.graph().gpu_usage();
         let (cg_target, aa_target) = self.cfg.gpu_targets(total_gpus);
         for (st, target) in self.stages.iter_mut().zip([cg_target, aa_target]) {
             loop {
-                let (running, pending) = st.sim.counts(&self.launcher);
+                let (running, pending) = self.engine.class_counts(st.sim.class());
                 if running + pending >= target {
                     break;
                 }
@@ -643,7 +642,7 @@ impl<L: Launcher> WorkflowManager<L> {
                     .as_mut()
                     .and_then(|m| m(st.sim.class(), &sim_id));
                 st.sim
-                    .submit(&mut self.launcher, sim_id, at, runtime, &mut self.rng);
+                    .submit(&mut self.engine, sim_id, at, runtime, &mut self.rng);
             }
         }
     }
@@ -655,15 +654,15 @@ impl<L: Launcher> WorkflowManager<L> {
     /// backfilling an unplaceable setup at the queue head would convoy
     /// every simulation behind it.
     fn cpu_headroom(&self) -> i64 {
-        let (used, total) = self.launcher.cpu_usage();
+        let (used, total) = self.engine.graph().cpu_usage();
         let setup_cores = JobShape::setup().total_cores();
         let sim_cores = JobShape::sim_standard().total_cores();
         let committed: u64 = self
             .stages
             .iter()
             .map(|s| {
-                s.setup.counts(&self.launcher).1 * setup_cores
-                    + s.sim.counts(&self.launcher).1 * sim_cores
+                self.engine.class_counts(s.setup.class()).1 * setup_cores
+                    + self.engine.class_counts(s.sim.class()).1 * sim_cores
             })
             .sum();
         total as i64 - used as i64 - committed as i64
@@ -677,7 +676,7 @@ impl<L: Launcher> WorkflowManager<L> {
         for stage in 0..self.stages.len() {
             loop {
                 let st = &self.stages[stage];
-                let (running, pending) = st.setup.counts(&self.launcher);
+                let (running, pending) = self.engine.class_counts(st.setup.class());
                 if st.ready.len() + (running + pending) as usize >= st.buffer
                     || self.cpu_headroom() < setup_cores
                 {
@@ -703,7 +702,7 @@ impl<L: Launcher> WorkflowManager<L> {
                 self.tracer.counter_add("wm.selected", 1);
                 let at = self.throttle.reserve(now);
                 st.setup
-                    .submit(&mut self.launcher, pick.id.into(), at, None, &mut self.rng);
+                    .submit(&mut self.engine, pick.id.into(), at, None, &mut self.rng);
             }
         }
     }
@@ -757,8 +756,8 @@ impl<L: Launcher> WorkflowManager<L> {
             return;
         }
         self.next_profile = now + self.cfg.profile_interval;
-        let (gpus_used, gpus_total) = self.launcher.gpu_usage();
-        let (cpus_used, cpus_total) = self.launcher.cpu_usage();
+        let (gpus_used, gpus_total) = self.engine.graph().gpu_usage();
+        let (cpus_used, cpus_total) = self.engine.graph().cpu_usage();
         self.profiler.record(OccupancySample {
             at: now,
             gpus_used,
@@ -787,7 +786,7 @@ impl<L: Launcher> WorkflowManager<L> {
             );
         }
         for st in &mut self.stages {
-            let (running, pending) = st.sim.counts(&self.launcher);
+            let (running, pending) = self.engine.class_counts(st.sim.class());
             st.timeline.record(now, running, pending);
             self.tracer.instant_at(
                 now,
@@ -1057,7 +1056,7 @@ mod tests {
         ))
     }
 
-    fn wm(nodes: u32, cfg: WmConfig) -> WorkflowManager<SchedEngine> {
+    fn wm(nodes: u32, cfg: WmConfig) -> WorkflowManager {
         let frame_selector = Box::new(BinnedSampler::new(BinnedConfig::cg_frames()));
         WorkflowManager::new(
             cfg,
@@ -1089,11 +1088,7 @@ mod tests {
     }
 
     /// Drives the WM for `hours` of virtual time at the poll interval.
-    fn drive(
-        wm: &mut WorkflowManager<SchedEngine>,
-        store: &mut dyn DataStore,
-        hours: u64,
-    ) -> Vec<WmEvent> {
+    fn drive(wm: &mut WorkflowManager, store: &mut dyn DataStore, hours: u64) -> Vec<WmEvent> {
         let mut all = Vec::new();
         let mut t = SimTime::ZERO;
         let end = SimTime::from_hours(hours);
@@ -1393,7 +1388,7 @@ mod tests {
         let stats = m.stats();
         assert!(stats.cg_sims_started > 0, "{stats:?}");
         assert!(stats.cg_sims_completed > 0, "{stats:?}");
-        // Every job the launcher ever saw came from the CG trackers.
+        // Every job the scheduler ever saw came from the CG trackers.
         assert_eq!(m.launcher().stats().submitted, m.tracker_totals().submitted);
         for class in [JobClass::AaSetup, JobClass::AaSim] {
             assert_eq!(m.launcher().class_counts(class), (0, 0), "{class:?}");

@@ -126,7 +126,7 @@ fn damage(text: &str, how: &Damage) -> String {
 
 /// A fresh workflow manager with the three-scale selectors, as a farm
 /// worker builds before restoring a recovered tenant.
-fn fresh_wm() -> WorkflowManager<SchedEngine> {
+fn fresh_wm() -> WorkflowManager {
     let launcher = SchedEngine::new(
         ResourceGraph::new(MachineSpec::custom("ckpt", 2, NodeSpec::summit())),
         MatchPolicy::FirstMatch,

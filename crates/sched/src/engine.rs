@@ -19,7 +19,6 @@ use trace::Tracer;
 
 use crate::job::{JobClass, JobEvent, JobId, JobOutcome, JobSpec, JobState, TrackedState};
 use crate::policy::SchedPolicy;
-use crate::replay::SchedLog;
 
 /// How Q and R communicate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -339,8 +338,9 @@ pub struct SchedEngine {
     /// (backfilled job, head it was backfilled around), opt-in — the
     /// instrumentation behind the "EASY never delays the head" proptest.
     bf_pairs: Option<Vec<(JobId, JobId)>>,
-    /// Opt-in submission/cancel/fail log (§4.4 history files).
-    recorder: Option<SchedLog>,
+    /// Opt-in submission log (§4.4 history files): every submit with its
+    /// time and spec, in order.
+    recorder: Option<Vec<(SimTime, JobSpec)>>,
     /// Events produced outside `advance` (e.g. node failures), delivered
     /// on the next poll.
     pending_events: Vec<JobEvent>,
@@ -430,33 +430,18 @@ impl SchedEngine {
         self.legacy_fcfs = on;
     }
 
-    /// Starts (or stops) recording submissions, cancels, and node
-    /// failures into a [`SchedLog`] — the paper's §4.4 replayable
-    /// history file. Off by default.
+    /// Starts (or stops) recording every submission with its time and
+    /// spec — the paper's §4.4 replayable history file, written as the
+    /// job-log CSV by `workload::TraceFile::from_submissions`. Off by
+    /// default.
     pub fn set_recording(&mut self, on: bool) {
-        if on {
-            if self.recorder.is_none() {
-                self.recorder = Some(SchedLog::new());
-            }
-        } else {
-            self.recorder = None;
-        }
+        self.recorder = on.then(|| self.recorder.take().unwrap_or_default());
     }
 
-    /// The recorded log so far, if recording.
-    pub fn log(&self) -> Option<&SchedLog> {
-        self.recorder.as_ref()
-    }
-
-    /// Takes the recorded log, leaving recording on with a fresh log if
-    /// it was on.
-    pub fn take_log(&mut self) -> Option<SchedLog> {
-        let was_on = self.recorder.is_some();
-        let log = self.recorder.take();
-        if was_on {
-            self.recorder = Some(SchedLog::new());
-        }
-        log
+    /// Takes the recorded submissions, leaving recording on with a fresh
+    /// log if it was on.
+    pub fn take_log(&mut self) -> Option<Vec<(SimTime, JobSpec)>> {
+        self.recorder.as_mut().map(std::mem::take)
     }
 
     /// Starts collecting (backfilled job, blocked head) pairs — proptest
@@ -494,9 +479,6 @@ impl SchedEngine {
         // (undrained) node is eligible to fail anew.
         if self.failed_nodes.contains(&node) && self.graph.is_drained(node) {
             return Vec::new();
-        }
-        if let Some(log) = &mut self.recorder {
-            log.record_fail_node(at, node);
         }
         self.failed_nodes.insert(node);
         self.graph.drain(node);
@@ -643,7 +625,7 @@ impl SchedEngine {
     /// calls.
     pub fn submit(&mut self, spec: JobSpec, at: SimTime) -> JobId {
         if let Some(log) = &mut self.recorder {
-            log.record_submit(at, &spec);
+            log.push((at, spec.clone()));
         }
         let class = spec.class;
         let id = self.jobs.push(JobRecord {
@@ -697,9 +679,6 @@ impl SchedEngine {
             }
             JobState::Running => {}
             _ => return false,
-        }
-        if let Some(log) = &mut self.recorder {
-            log.record_cancel(id);
         }
         let Some(rec) = self.jobs.get_mut(id) else {
             return false;

@@ -23,12 +23,16 @@
 //!   concurrently.
 //!
 //! [`Throttle`] reproduces MuMMI's deliberate submission throttling
-//! (~100 jobs/min) and [`Launcher`] is the Maestro-like facade the
-//! workflow manager talks to, keeping it agnostic to the backend.
+//! (~100 jobs/min). The paper's WM reaches Flux through Maestro, "a
+//! consistent API to schedule and monitor jobs" (§4.3); with one backend
+//! here, that API is [`SchedEngine`]'s public submit, cancel, advance and
+//! query calls. A trait comes back when a second backend exists.
+//! [`SchedEngine::set_recording`] keeps the §4.4 history file: the
+//! submissions, which `workload::TraceFile` writes as CSV and replays.
 
 //! ```
 //! use resources::{JobShape, MachineSpec, MatchPolicy, ResourceGraph};
-//! use sched::{Costs, Coupling, JobClass, JobSpec, Launcher, SchedEngine};
+//! use sched::{Costs, Coupling, JobClass, JobSpec, SchedEngine};
 //! use simcore::{SimDuration, SimTime};
 //!
 //! let graph = ResourceGraph::new(MachineSpec::summit_allocation(2));
@@ -38,21 +42,17 @@
 //!     JobSpec::new(JobClass::CgSim, JobShape::sim_standard(), SimDuration::from_hours(1)),
 //!     SimTime::ZERO,
 //! );
-//! let events = flux.poll(SimTime::from_secs(1));
+//! let events = flux.advance(SimTime::from_secs(1));
 //! assert!(matches!(events[0], sched::JobEvent::Placed { .. }));
-//! assert_eq!(flux.gpu_usage().0, 1); // one GPU, not a whole node
+//! assert_eq!(flux.graph().gpu_usage().0, 1); // one GPU, not a whole node
 //! ```
 
 mod engine;
 mod job;
-mod launcher;
 mod policy;
-mod replay;
 mod throttle;
 
 pub use engine::{ClassWait, Costs, Coupling, SchedEngine, SchedStats};
 pub use job::{JobClass, JobEvent, JobId, JobOutcome, JobSpec, JobState, TrackedState};
-pub use launcher::Launcher;
 pub use policy::SchedPolicy;
-pub use replay::{SchedEvent, SchedLog};
 pub use throttle::Throttle;

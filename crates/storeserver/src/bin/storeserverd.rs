@@ -6,8 +6,11 @@
 //! that every acknowledged write survives replay.
 //!
 //! Usage:
-//!   storeserverd [--addr <host:port>] [--data-dir <path>] [--shards <n>]
-//!                [--sync real|virtual]
+//!
+//! ```text
+//! storeserverd [--addr <host:port>] [--data-dir <path>] [--shards <n>]
+//!              [--sync real|virtual]
+//! ```
 //!
 //! Without `--data-dir` the store is memory-only (no WAL).
 

@@ -265,6 +265,7 @@ fn intern_key(s: &str) -> &'static str {
         "from",
         "until",
         "lost",
+        "requested",
     ];
     KEYS.iter().find(|k| **k == s).copied().unwrap_or("arg")
 }

@@ -16,7 +16,7 @@
 //!   with name-ordered deterministic snapshots.
 //! - Exporters — JSONL (events + metrics summary) and Chrome
 //!   `trace_event` JSON for `about:tracing` / <https://ui.perfetto.dev>.
-//! - [`derive`] — rebuilds the Figure 5 occupancy and Figure 6 timeline
+//! - [`derive`](mod@derive) — rebuilds the Figure 5 occupancy and Figure 6 timeline
 //!   series from a trace, for exact comparison against the live
 //!   [`simcore::profile`] collectors.
 //!

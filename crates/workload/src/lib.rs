@@ -16,7 +16,8 @@
 //! job stream. Implementations here:
 //!
 //! - [`TraceReplayer`] — replays a [`TraceFile`] (CSV records, buildable
-//!   from a recorded [`sched::SchedLog`]);
+//!   from the submissions a recording [`sched::SchedEngine`] logged —
+//!   the one file form and the one replay of a scheduler history);
 //! - [`PaperMix`] — the paper's continuum + throttled-sims mix, scaled
 //!   to the target allocation;
 //! - [`WideStarvesNarrow`], [`BurstyPoisson`], [`HeteroShapes`] — the

@@ -14,7 +14,7 @@
 //! an input boundary, and silent coercion there is how a benchmark lies.
 
 use resources::{Affinity, JobShape};
-use sched::{JobClass, JobOutcome, JobSpec, SchedEvent, SchedLog};
+use sched::{JobClass, JobOutcome, JobSpec};
 use simcore::{SimDuration, SimTime};
 
 use crate::{WorkloadJob, WorkloadSource};
@@ -89,21 +89,17 @@ impl TraceFile {
         self.jobs.is_empty()
     }
 
-    /// Builds a trace from a recorded scheduler log's submissions
-    /// (cancels and node failures are out-of-band control, not
-    /// workload). This is the record half of the §4.4 record → replay
-    /// loop: run a campaign with recording on, convert its log, and the
-    /// replayed trace drives a fresh engine to identical placements.
-    pub fn from_sched_log(log: &SchedLog) -> TraceFile {
+    /// Builds a trace from the submissions a recording engine logged
+    /// (`SchedEngine::take_log`). This is the record half of the §4.4
+    /// record → replay loop: run a campaign with recording on, convert
+    /// its log, and the replayed trace drives a fresh engine to identical
+    /// placements.
+    pub fn from_submissions(log: &[(SimTime, JobSpec)]) -> TraceFile {
         let jobs = log
-            .events()
             .iter()
-            .filter_map(|ev| match ev {
-                SchedEvent::Submit { at, spec } => Some(WorkloadJob {
-                    at: *at,
-                    spec: spec.clone(),
-                }),
-                _ => None,
+            .map(|(at, spec)| WorkloadJob {
+                at: *at,
+                spec: spec.clone(),
             })
             .collect();
         TraceFile { jobs }
@@ -331,23 +327,5 @@ at_us,class,nodes,cores,gpus,affinity,runtime_us,outcome
         }
         assert_eq!(out, bulk);
         assert_eq!(stepped.next_at(), None);
-    }
-
-    #[test]
-    fn sched_log_submissions_convert() {
-        let mut log = SchedLog::new();
-        log.record_submit(
-            SimTime::from_secs(1),
-            &JobSpec::new(
-                JobClass::CgSim,
-                JobShape::sim_standard(),
-                SimDuration::from_mins(10),
-            ),
-        );
-        log.record_cancel(sched::JobId(0));
-        log.record_fail_node(SimTime::from_secs(2), 1);
-        let t = TraceFile::from_sched_log(&log);
-        assert_eq!(t.len(), 1); // control events are not workload
-        assert_eq!(t.jobs()[0].at, SimTime::from_secs(1));
     }
 }

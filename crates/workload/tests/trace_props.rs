@@ -1,5 +1,5 @@
 //! The job-log CSV is the one file form of a scheduler submission record:
-//! `TraceFile::from_sched_log(..).to_csv()` writes it and
+//! `TraceFile::from_submissions(..).to_csv()` writes it and
 //! `TraceFile::parse` reads it back. Every job class, affinity, outcome
 //! and shape must round-trip exactly, and a record with one field replaced
 //! by garbage must come back as a typed error naming its line, never a
@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use resources::{Affinity, JobShape};
-use sched::{JobClass, JobOutcome, JobSpec, SchedLog};
+use sched::{JobClass, JobOutcome, JobSpec};
 use simcore::{SimDuration, SimTime};
 use workload::{TraceError, TraceFile};
 
@@ -66,11 +66,11 @@ fn arb_job() -> impl Strategy<Value = (u64, JobSpec)> {
 fn arb_trace(min: usize) -> impl Strategy<Value = TraceFile> {
     proptest::collection::vec(arb_job(), min..24).prop_map(|mut jobs| {
         jobs.sort_by_key(|(at, _)| *at);
-        let mut log = SchedLog::new();
-        for (at, spec) in &jobs {
-            log.record_submit(SimTime::from_micros(*at), spec);
-        }
-        TraceFile::from_sched_log(&log)
+        let log: Vec<_> = jobs
+            .into_iter()
+            .map(|(at, spec)| (SimTime::from_micros(at), spec))
+            .collect();
+        TraceFile::from_submissions(&log)
     })
 }
 

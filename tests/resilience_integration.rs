@@ -8,7 +8,7 @@ use mummi::dynim::{
     BinnedConfig, BinnedSampler, ExactNn, FarthestPointSampler, FpsConfig, HdPoint,
 };
 use mummi::resources::{JobShape, MachineSpec, MatchPolicy, NodeSpec, ResourceGraph};
-use mummi::sched::{Costs, Coupling, JobClass, JobEvent, JobSpec, Launcher, SchedEngine};
+use mummi::sched::{Costs, Coupling, JobClass, JobEvent, JobSpec, SchedEngine};
 use mummi::simcore::{SimDuration, SimTime};
 
 fn engine(nodes: u32) -> SchedEngine {
@@ -225,7 +225,7 @@ fn sched_events_are_exactly_once_across_polls() {
     let mut finished = 0;
     let mut t = SimTime::ZERO;
     for _ in 0..100 {
-        for ev in e.poll(t) {
+        for ev in e.advance(t) {
             match ev {
                 JobEvent::Placed { id: j, .. } if j == id => placed += 1,
                 JobEvent::Finished { id: j, .. } if j == id => finished += 1,

@@ -27,7 +27,7 @@ fn continuum() -> ContinuumSim {
     })
 }
 
-fn wm(n_species: usize) -> WorkflowManager<SchedEngine> {
+fn wm(n_species: usize) -> WorkflowManager {
     let launcher = SchedEngine::new(
         ResourceGraph::new(MachineSpec::custom("t", 2, NodeSpec::summit())),
         MatchPolicy::FirstMatch,
@@ -41,7 +41,7 @@ fn wm(n_species: usize) -> WorkflowManager<SchedEngine> {
 /// createsim / CG MD / backmapping / AA MD on the workflow's schedule.
 struct MiniCampaign {
     continuum: ContinuumSim,
-    wm: WorkflowManager<SchedEngine>,
+    wm: WorkflowManager,
     store: KvDataStore,
     patch_creator: PatchCreator,
     patches: HashMap<String, Patch>,
