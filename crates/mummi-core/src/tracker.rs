@@ -447,6 +447,62 @@ mod tests {
     }
 
     #[test]
+    fn timeout_grace_sets_each_deadline_from_placement() {
+        let tracker = |timeout_grace| {
+            JobTracker::new(TrackerConfig {
+                timeout_grace,
+                ..TrackerConfig::new(
+                    JobClass::CgSim,
+                    JobShape::sim_standard(),
+                    SimDuration::from_mins(10),
+                )
+            })
+        };
+        let mut rng = StdRng::seed_from_u64(8);
+
+        // Grace 0: the watchdog never arms.
+        let mut l = engine(1);
+        let mut off = tracker(0.0);
+        off.submit(&mut l, "free".into(), SimTime::ZERO, None, &mut rng);
+        for e in l.advance(SimTime::from_secs(1)) {
+            off.on_event(&mut l, &e, &mut rng);
+        }
+        l.hang_running(JobClass::CgSim, SimTime::from_secs(2));
+        assert_eq!(off.earliest_timeout(), None);
+        assert!(off
+            .expire_overdue(&mut l, SimTime::from_hours(10), &mut rng)
+            .is_empty());
+
+        // Grace 2: the deadline is placement + 2 × runtime, and the job
+        // expires strictly after it.
+        let mut l = engine(1);
+        let mut t = tracker(2.0);
+        assert_eq!(t.earliest_timeout(), None, "nothing placed yet");
+        t.submit(&mut l, "watched".into(), SimTime::ZERO, None, &mut rng);
+        let mut placed = None;
+        for e in l.advance(SimTime::from_secs(1)) {
+            if let JobEvent::Placed { at, .. } = e {
+                placed = Some(at);
+            }
+            t.on_event(&mut l, &e, &mut rng);
+        }
+        let placed = placed.expect("the job was placed");
+        l.hang_running(JobClass::CgSim, SimTime::from_secs(2));
+        let deadline = placed + SimDuration::from_mins(20);
+        assert_eq!(t.earliest_timeout(), Some(deadline));
+        assert!(t.expire_overdue(&mut l, deadline, &mut rng).is_empty());
+        let tracked = t.expire_overdue(&mut l, deadline + SimDuration::from_micros(1), &mut rng);
+        assert_eq!(
+            tracked,
+            vec![Tracked::Resubmitted {
+                payload: "watched".into(),
+                attempt: 2
+            }]
+        );
+        assert_eq!(t.timed_out(), 1);
+    }
+
+    #[test]
     fn perpetually_hung_payload_is_abandoned() {
         let mut l = engine(1);
         let mut t = JobTracker::new(TrackerConfig {

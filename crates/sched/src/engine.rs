@@ -1433,6 +1433,97 @@ mod tests {
     }
 
     #[test]
+    fn recording_keeps_submissions_only_in_order() {
+        let mut e = engine(
+            2,
+            MatchPolicy::FirstMatch,
+            Coupling::Asynchronous,
+            Costs::free(),
+        );
+        assert_eq!(e.take_log(), None, "recording is off by default");
+        e.submit(sim_spec(5), SimTime::ZERO);
+        e.set_recording(true);
+        let want: Vec<(SimTime, JobSpec)> = [sim_spec(100), sim_spec(200).failing(), sim_spec(300)]
+            .into_iter()
+            .enumerate()
+            .map(|(i, spec)| (SimTime::from_secs(i as u64), spec))
+            .collect();
+        let ids: Vec<JobId> = want
+            .iter()
+            .map(|(at, spec)| e.submit(spec.clone(), *at))
+            .collect();
+        e.advance(SimTime::from_secs(3));
+        assert!(e.cancel(ids[0]));
+        e.fail_node(0, SimTime::from_secs(4));
+        // Turning recording on again keeps what was recorded.
+        e.set_recording(true);
+        assert_eq!(
+            e.take_log(),
+            Some(want),
+            "only submissions made while recording, in order; cancels and node failures are not logged"
+        );
+        assert_eq!(e.take_log(), Some(Vec::new()), "taking leaves recording on");
+        e.set_recording(false);
+        e.submit(sim_spec(1), SimTime::from_secs(5));
+        assert_eq!(e.take_log(), None);
+    }
+
+    #[test]
+    fn recorded_submissions_replay_to_the_same_schedule() {
+        // The §4.4 history file: a run's recorded submissions, resubmitted
+        // at their times into a fresh engine polled at the same instants,
+        // reproduce the run's job events and counters exactly.
+        let fresh = || {
+            engine(
+                3,
+                MatchPolicy::FirstMatch,
+                Coupling::Synchronous,
+                Costs::summit_campaign(),
+            )
+        };
+        let horizon = SimTime::from_hours(2);
+        let mut live = fresh();
+        live.set_recording(true);
+        let mut live_events = Vec::new();
+        for i in 0..20u64 {
+            let at = SimTime::from_secs(i * 30);
+            live_events.extend(live.advance(at));
+            let class = if i % 3 == 0 {
+                JobClass::AaSim
+            } else {
+                JobClass::CgSim
+            };
+            let mut spec = JobSpec::new(
+                class,
+                JobShape::sim_standard(),
+                SimDuration::from_mins(10 + i),
+            );
+            if i % 7 == 6 {
+                spec = spec.failing();
+            }
+            live.submit(spec, at);
+        }
+        live_events.extend(live.advance(horizon));
+        let log = live.take_log().expect("recording is on");
+        assert_eq!(log.len(), 20);
+
+        let mut replay = fresh();
+        let mut replay_events = Vec::new();
+        for (at, spec) in log {
+            replay_events.extend(replay.advance(at));
+            replay.submit(spec, at);
+        }
+        replay_events.extend(replay.advance(horizon));
+        assert_eq!(replay_events, live_events);
+        assert_eq!(replay.stats(), live.stats());
+        assert_eq!(replay.totals(), live.totals());
+        assert_eq!(replay.graph().gpu_usage(), live.graph().gpu_usage());
+        // The run actually did something: every job placed, some failed.
+        assert_eq!(live.stats().placed, 20);
+        assert!(live.stats().failed >= 1);
+    }
+
+    #[test]
     fn fcfs_head_blocks_queue_until_release() {
         // One node = 6 GPUs. Fill with 6 sims, then submit a 7th (blocks)
         // and an 8th behind it. No backfilling: neither runs until a
