@@ -9,7 +9,8 @@
 //! crash–restore tolerances, resume at a new width, a seeded kill plan on
 //! the threaded pool with conserved ledgers, strict rejection of invalid
 //! submissions, the line framing (one write per line, no delayed-ACK
-//! stalls, bounded request lines) and shutdown by decoded op.
+//! stalls, bounded request lines and nesting) and shutdown by decoded
+//! op.
 
 mod common;
 
@@ -370,6 +371,32 @@ fn an_unterminated_request_line_is_refused_at_the_cap() {
         "{\"error\": \"request line too long\", \"ok\": false}\n"
     );
     // The refusal is per connection; the service is unharmed.
+    client.ping().expect("ping");
+    server.stop();
+}
+
+#[test]
+fn a_line_nested_past_the_parser_limit_is_an_error_not_an_abort() {
+    let (_farm, server, mut client) = start_server(1, WorkerKillPlan::empty());
+    let mut raw = TcpStream::connect(server.addr()).expect("connect");
+    let mut replies = BufReader::new(raw.try_clone().expect("clone"));
+    // One line just under the cap, all `[`: parsing it by unbounded
+    // recursion overflowed the connection thread's stack and aborted
+    // the whole server.
+    let mut deep = vec![b'['; farm::proto::MAX_REQUEST_LINE as usize - 1];
+    deep.push(b'\n');
+    raw.write_all(&deep).expect("write");
+    let mut line = String::new();
+    replies.read_line(&mut line).expect("read");
+    let reply = Json::parse(line.trim()).expect("a JSON reply");
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(false)));
+    let error = reply.get("error").and_then(Json::as_str).unwrap_or("");
+    assert!(error.contains("nesting deeper than"), "{error}");
+    // The same connection, and every other, is still served.
+    line.clear();
+    raw.write_all(b"{\"op\": \"ping\"}\n").expect("write");
+    replies.read_line(&mut line).expect("read");
+    assert_eq!(line, "{\"ok\": true, \"pong\": true}\n");
     client.ping().expect("ping");
     server.stop();
 }

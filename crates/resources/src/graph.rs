@@ -1,4 +1,10 @@
 //! The resource graph: allocation state and matching policies.
+//!
+//! There is one matcher, the `FreeIndex` descent behind
+//! [`ResourceGraph::try_alloc`] and [`ResourceGraph::try_alloc_range`].
+//! Its reference, a plain lowest-ID-first walk with its own scan hints,
+//! lives in `sched/tests/alloc_props.rs` and reaches the graph only
+//! through this public API.
 
 use std::collections::HashMap;
 
@@ -67,7 +73,7 @@ struct NodeState {
 /// Segment tree over node IDs holding per-segment maxima of free-GPU and
 /// free-core *counts*. `first_candidate` descends left-first to the lowest
 /// node ID at or above a cursor whose counts satisfy a shape's demand —
-/// O(log n) against the linear matcher's O(n) rescan. Counts are necessary
+/// O(log n) where a walk of the node table is O(n). Counts are necessary
 /// but not sufficient (affinity can still fail on a fragmented node), so
 /// callers re-verify candidates with the full per-node matcher. Drained
 /// nodes are recorded as (0, 0) so the descent skips them wholesale.
@@ -173,13 +179,6 @@ pub struct ResourceGraph {
     index: FreeIndex,
     /// How many nodes are drained.
     drained: usize,
-    /// When set, `try_alloc` uses the retained O(n) linear matcher instead
-    /// of the segment-tree descent. Property-test reference only: the
-    /// linear matcher is the differential oracle for the index
-    /// (`tests/alloc_props.rs` in `sched`) and nothing else sets this;
-    /// both paths pick the same nodes and report the same virtual visit
-    /// counts.
-    linear_scan: bool,
 }
 
 impl ResourceGraph {
@@ -216,18 +215,7 @@ impl ResourceGraph {
             scan_hints: HashMap::new(),
             index,
             drained: 0,
-            linear_scan: false,
         }
-    }
-
-    /// Selects the retained O(n) linear matcher (`true`) or the indexed
-    /// matcher (`false`, the default). Both produce identical allocations,
-    /// visit counts, and scan-hint state. Not configuration: the toggle
-    /// exists only so `alloc_props.rs` can compare the two at the same
-    /// seed, and no campaign, service or binary reaches it.
-    #[doc(hidden)]
-    pub fn set_linear_scan(&mut self, on: bool) {
-        self.linear_scan = on;
     }
 
     /// Per-node `(free core mask, free GPU mask)` snapshot, in node-ID
@@ -348,68 +336,19 @@ impl ResourceGraph {
     /// Attempts to allocate `shape` under `policy`. Returns `None` when the
     /// request cannot currently be satisfied (nothing is held in that case).
     ///
-    /// The matcher is the segment-tree descent; a property test can swap
-    /// in the retained linear scan as its reference
-    /// (`ResourceGraph::set_linear_scan`). Both select the lowest-ID
-    /// feasible nodes and charge the *policy's* visit cost — for
-    /// [`MatchPolicy::LowIdExhaustive`] that is always the full node count
-    /// (the modeled Flux traversal), for [`MatchPolicy::FirstMatch`] the
-    /// span actually scanned — so virtual-time traces do not depend on
-    /// which one ran.
+    /// The matcher is the segment-tree descent (`match_span`) over the
+    /// whole machine from the shape's scan hint. It selects the lowest-ID
+    /// feasible nodes and charges the *policy's* visit cost — for
+    /// [`MatchPolicy::LowIdExhaustive`] always the full node count (the
+    /// modeled Flux traversal), for [`MatchPolicy::FirstMatch`] the span a
+    /// lowest-ID-first walk from the hint covers — so virtual-time traces
+    /// do not depend on how the index found the nodes. `alloc_props.rs`
+    /// (in `sched`) checks grants, visit counts and hints against a plain
+    /// walk of the node table.
     pub fn try_alloc(&mut self, shape: &JobShape, policy: MatchPolicy) -> Option<Alloc> {
         if shape.nodes == 0 {
             return self.empty_alloc();
         }
-        if self.linear_scan {
-            self.try_alloc_linear(shape, policy)
-        } else {
-            self.try_alloc_indexed(shape, policy)
-        }
-    }
-
-    /// The retained pre-index matcher: a straight O(nodes) scan. Kept as
-    /// the differential oracle for the segment-tree path
-    /// (`alloc_props.rs::indexed_matches_linear_oracle`), nothing else.
-    fn try_alloc_linear(&mut self, shape: &JobShape, policy: MatchPolicy) -> Option<Alloc> {
-        let want = shape.nodes as usize;
-        let exhaustive = policy == MatchPolicy::LowIdExhaustive;
-        // First-match starts at the shape's scan cursor; the exhaustive
-        // low-ID policy always walks the whole graph (the modeled Flux
-        // traversal cost).
-        let start = if exhaustive {
-            0
-        } else {
-            *self.scan_hints.get(shape).unwrap_or(&0)
-        };
-        let mut found: Vec<NodeAlloc> = Vec::with_capacity(want);
-        let mut visited = 0u64;
-        for id in start..self.nodes.len() {
-            if !exhaustive && found.len() == want {
-                break;
-            }
-            visited += 1;
-            if found.len() < want {
-                if let Some(slice) = self.match_node(id as NodeId, shape) {
-                    found.push(slice);
-                } else if !exhaustive && found.is_empty() {
-                    // Everything up to here is infeasible for this shape;
-                    // remember that until a release invalidates it.
-                    self.scan_hints.insert(*shape, id + 1);
-                }
-            }
-        }
-        self.visited_last = visited;
-        self.visited_total += visited;
-        self.commit_all(shape, found)
-    }
-
-    /// Indexed matcher: the [`ResourceGraph::match_span`] descent over
-    /// the whole machine from the shape's scan hint. Selection order is
-    /// identical to the linear scan — lowest feasible IDs first — and the
-    /// reported visit counts and final scan-hint values reproduce the
-    /// linear scan's arithmetic exactly, which is what keeps same-seed
-    /// traces byte-identical across engines.
-    fn try_alloc_indexed(&mut self, shape: &JobShape, policy: MatchPolicy) -> Option<Alloc> {
         let exhaustive = policy == MatchPolicy::LowIdExhaustive;
         let len = self.nodes.len();
         let start = if exhaustive {
@@ -419,9 +358,10 @@ impl ResourceGraph {
         };
         let found = self.match_span(shape, exhaustive, start, len);
         if !exhaustive {
-            // The linear scan bumps the hint past every leading infeasible
-            // node; its final value is the first feasible ID (or the node
-            // count when nothing matched at all).
+            // Every node below the first feasible one is infeasible for
+            // this shape until a release or undrain lowers the hint: move
+            // the hint onto it (or to the node count when nothing matched
+            // at all).
             match found.first().map(|s| s.node as usize) {
                 Some(f) if f > start => {
                     self.scan_hints.insert(*shape, f);
@@ -991,17 +931,14 @@ mod tests {
             nodes: 0,
             ..JobShape::sim_standard()
         };
-        for linear in [false, true] {
-            let mut g = small(10);
-            g.set_linear_scan(linear);
-            g.try_alloc(&JobShape::sim_standard(), MatchPolicy::LowIdExhaustive)
-                .unwrap();
-            assert_eq!(g.visited_last(), 10);
-            let a = g.try_alloc(&empty, MatchPolicy::LowIdExhaustive).unwrap();
-            assert!(a.slices.is_empty());
-            assert_eq!(g.visited_last(), 0, "linear={linear}: stale visit count");
-            assert_eq!(g.visited_total(), 10);
-        }
+        let mut g = small(10);
+        g.try_alloc(&JobShape::sim_standard(), MatchPolicy::LowIdExhaustive)
+            .unwrap();
+        assert_eq!(g.visited_last(), 10);
+        let a = g.try_alloc(&empty, MatchPolicy::LowIdExhaustive).unwrap();
+        assert!(a.slices.is_empty());
+        assert_eq!(g.visited_last(), 0, "stale visit count");
+        assert_eq!(g.visited_total(), 10);
     }
 
     #[test]

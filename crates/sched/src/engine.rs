@@ -3,12 +3,12 @@
 //! Queue ordering and backfill decisions live in the [`SchedPolicy`]
 //! layer (`policy.rs`); this module owns the service-time mechanics
 //! (ingest/match costs, coupling, completions) and executes whichever
-//! candidate the policy nominates. The FCFS path is byte-identical to
-//! the pre-policy-zoo engine, and that engine's monolithic service loop
-//! is retained verbatim behind `SchedEngine::set_legacy_fcfs` as a
-//! property-test reference only (`policy_props.rs`; no campaign,
-//! service or binary reaches it), mirroring the linear-scan reference
-//! kept for the indexed matcher.
+//! candidate the policy nominates. There is one service loop for every
+//! policy: `advance` and `next_wakeup` read the same candidate (the next
+//! ingest or match and its start time). The FCFS schedule is pinned
+//! exactly, under every op kind, by `churn_pins`, the campaign goldens
+//! (`trace_pins`, `golden_policies`, `stats_pins`) and the hand-written
+//! kill matrix in `tests/mutants/` (`MUTANTS.md`).
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
@@ -266,10 +266,6 @@ pub struct SchedEngine {
     sched_policy: SchedPolicy,
     coupling: Coupling,
     costs: Costs,
-    /// Route `advance`/`next_wakeup` through the retained pre-refactor
-    /// monolith (FCFS only). Property-test reference only: nothing but
-    /// `policy_props.rs` sets it.
-    legacy_fcfs: bool,
     jobs: JobTable,
     /// Submissions not yet ingested by Q: (submit time, id).
     inbox: VecDeque<(SimTime, JobId)>,
@@ -366,7 +362,6 @@ impl SchedEngine {
             sched_policy: SchedPolicy::Fcfs,
             coupling,
             costs,
-            legacy_fcfs: false,
             jobs: JobTable::default(),
             inbox: VecDeque::new(),
             ready: VecDeque::new(),
@@ -413,21 +408,6 @@ impl SchedEngine {
     /// The active queue policy.
     pub fn sched_policy(&self) -> SchedPolicy {
         self.sched_policy
-    }
-
-    /// Routes service selection through the retained pre-refactor FCFS
-    /// monolith — the differential oracle for the policy split. Only
-    /// meaningful under [`SchedPolicy::Fcfs`]; same-seed runs must trace
-    /// byte-identically with this on or off. Not configuration: it exists
-    /// only so `policy_props.rs::fcfs_matches_the_legacy_monolith` can
-    /// compare the two.
-    #[doc(hidden)]
-    pub fn set_legacy_fcfs(&mut self, on: bool) {
-        debug_assert!(
-            !on || self.sched_policy == SchedPolicy::Fcfs,
-            "the legacy path models FCFS only"
-        );
-        self.legacy_fcfs = on;
     }
 
     /// Starts (or stops) recording every submission with its time and
@@ -724,19 +704,10 @@ impl SchedEngine {
     /// contract is *no progress is possible before it*, not that work is
     /// guaranteed exactly at it.
     pub fn next_wakeup(&self) -> Option<SimTime> {
-        if self.legacy_fcfs {
-            return self.next_wakeup_legacy();
-        }
         let eps = SimDuration::from_micros(1);
         let completion = self.completions.peek().map(|Reverse((t, _))| *t);
-        let ingest = self
-            .inbox
-            .front()
-            .map(|&(sub_t, _)| self.q_free_at.max(sub_t) + eps);
-        let matcher = self
-            .match_candidate()
-            .map(|(ready_at, _)| self.matcher_server().max(ready_at) + eps);
-        [completion, ingest, matcher].into_iter().flatten().min()
+        let service = self.next_service().map(|(start, _)| start + eps);
+        completion.into_iter().chain(service).min()
     }
 
     /// Processes all scheduler work whose *start* time is before `now`,
@@ -745,8 +716,8 @@ impl SchedEngine {
     /// before `now` may finish (and be reported) slightly after it.
     pub fn advance(&mut self, now: SimTime) -> Vec<JobEvent> {
         let mut events = std::mem::take(&mut self.pending_events);
-        // Retry a blocked FCFS head once per poll (the legacy engine's
-        // behavior, kept byte-identical): resources may have changed
+        // Retry a blocked FCFS head once per poll (the pre-zoo engine's
+        // behavior, which the pins hold): resources may have changed
         // outside the engine's view (undrained nodes, etc.). The other
         // policies must NOT reset here — their blocked state is cleared
         // by releases, failures, and cancels instead. Resetting on every
@@ -765,21 +736,13 @@ impl SchedEngine {
                 .peek()
                 .map(|Reverse((t, _))| *t)
                 .filter(|&t| t <= now);
-            let next_service = if self.legacy_fcfs {
-                self.next_service_legacy(now)
-            } else {
-                self.next_service(now)
-            };
+            let next_service = self.next_service().filter(|&(ts, _)| ts < now);
             match (next_completion, next_service) {
                 (None, None) => break,
                 (Some(tc), Some((ts, _))) if tc <= ts => self.run_completion(&mut events),
                 (Some(_), None) => self.run_completion(&mut events),
                 (None, Some((ts, act))) | (Some(_), Some((ts, act))) => {
-                    if self.legacy_fcfs {
-                        self.run_service_legacy(ts, act, &mut events)
-                    } else {
-                        self.run_service(ts, act, &mut events)
-                    }
+                    self.run_service(ts, act, &mut events)
                 }
             }
         }
@@ -952,9 +915,10 @@ impl SchedEngine {
         self.h_blocked = [false; 2];
     }
 
-    /// Determines the next Q/R action and its start time, if one can start
-    /// strictly before `now`.
-    fn next_service(&self, now: SimTime) -> Option<(SimTime, Action)> {
+    /// The next Q/R action and the time it can start. `advance` runs it
+    /// if that is strictly before `now`; `next_wakeup` wakes the driver
+    /// just after it.
+    fn next_service(&self) -> Option<(SimTime, Action)> {
         let ingest = self.inbox.front().map(|&(sub_t, _)| {
             let server = self.q_free_at;
             (server.max(sub_t), Action::Ingest)
@@ -964,15 +928,14 @@ impl SchedEngine {
             // queue (an idle server does not work in the past).
             (self.matcher_server().max(ready_at), Action::Match(pos))
         });
-        let candidate = match (ingest, matcher) {
+        match (ingest, matcher) {
             (None, None) => None,
             (Some(a), None) => Some(a),
             (None, Some(b)) => Some(b),
             // Tie goes to ingestion: under synchronous coupling Q's inbox
             // preempts R, which is the bottleneck the paper describes.
             (Some(a), Some(b)) => Some(if a.0 <= b.0 { a } else { b }),
-        };
-        candidate.filter(|&(t, _)| t < now)
+        }
     }
 
     fn run_completion(&mut self, events: &mut Vec<JobEvent>) {
@@ -1168,147 +1131,6 @@ impl SchedEngine {
                                 self.h_blocked[hier_child(job_class)] = true
                             }
                         }
-                        self.stats.match_misses += 1;
-                        self.tracer.counter_add("sched.match_misses", 1);
-                    }
-                }
-            }
-        }
-    }
-
-    // --- Retained pre-refactor FCFS path (differential oracle) ---------
-    //
-    // These three methods are verbatim copies of the engine's service
-    // loop from before the policy split, dispatched by `legacy_fcfs`.
-    // They model strict FCFS/no-backfill only; `policy_props.rs` pins
-    // the refactored FCFS path byte-identical against them, the same
-    // way the linear matcher pins the segment-tree index.
-
-    fn next_wakeup_legacy(&self) -> Option<SimTime> {
-        let eps = SimDuration::from_micros(1);
-        let completion = self.completions.peek().map(|Reverse((t, _))| *t);
-        let ingest = self
-            .inbox
-            .front()
-            .map(|&(sub_t, _)| self.q_free_at.max(sub_t) + eps);
-        let matcher = match (self.ready.front(), self.head_blocked) {
-            (Some(&(ready_at, _)), false) => {
-                let server = match self.coupling {
-                    Coupling::Synchronous => self.q_free_at,
-                    Coupling::Asynchronous => self.r_free_at,
-                };
-                Some(server.max(ready_at) + eps)
-            }
-            _ => None,
-        };
-        [completion, ingest, matcher].into_iter().flatten().min()
-    }
-
-    fn next_service_legacy(&self, now: SimTime) -> Option<(SimTime, Action)> {
-        let ingest = self.inbox.front().map(|&(sub_t, _)| {
-            let server = self.q_free_at;
-            (server.max(sub_t), Action::Ingest)
-        });
-        let matcher = match (self.ready.front(), self.head_blocked) {
-            (Some(&(ready_at, _)), false) => {
-                let server = match self.coupling {
-                    Coupling::Synchronous => self.q_free_at,
-                    Coupling::Asynchronous => self.r_free_at,
-                };
-                Some((server.max(ready_at), Action::Match(0)))
-            }
-            _ => None,
-        };
-        let candidate = match (ingest, matcher) {
-            (None, None) => None,
-            (Some(a), None) => Some(a),
-            (None, Some(b)) => Some(b),
-            (Some(a), Some(b)) => Some(if a.0 <= b.0 { a } else { b }),
-        };
-        candidate.filter(|&(t, _)| t < now)
-    }
-
-    fn run_service_legacy(&mut self, start: SimTime, action: Action, events: &mut Vec<JobEvent>) {
-        match action {
-            Action::Ingest => {
-                let Some((_, id)) = self.inbox.pop_front() else {
-                    return;
-                };
-                let end = start + self.costs.submit;
-                self.q_free_at = end;
-                if let Some(rec) = self.jobs.get_mut(id) {
-                    rec.state.advance_to(JobState::Queued);
-                    let class = rec.spec.class;
-                    self.ready.push_back((end, id));
-                    self.queued.entry(class).or_default().insert(id);
-                    self.tracer.span_at(
-                        start,
-                        self.costs.submit,
-                        "sched",
-                        "svc.ingest",
-                        &[("job", id.0.into())],
-                    );
-                }
-            }
-            Action::Match(_) => {
-                let Some(&(ready_at, id)) = self.ready.front() else {
-                    return;
-                };
-                let Some(shape) = self.jobs.get(id).map(|rec| rec.spec.shape) else {
-                    return;
-                };
-                let placed = self.graph.try_alloc(&shape, self.policy);
-                let visited = self.graph.visited_last();
-                let cost = self.costs.per_node_visit * visited
-                    + if placed.is_some() {
-                        self.costs.dispatch
-                    } else {
-                        SimDuration::ZERO
-                    };
-                let end = start + cost;
-                match self.coupling {
-                    Coupling::Synchronous => self.q_free_at = end,
-                    Coupling::Asynchronous => self.r_free_at = end,
-                }
-                self.tracer.span_at(
-                    start,
-                    cost,
-                    "sched",
-                    "svc.match",
-                    &[("job", id.0.into()), ("visited", visited.into())],
-                );
-                self.tracer.observe("sched.visited_per_match", visited);
-                match placed {
-                    Some(alloc) => {
-                        self.ready.pop_front();
-                        let Some(rec) = self.jobs.get_mut(id) else {
-                            self.graph.release(&alloc);
-                            return;
-                        };
-                        rec.alloc = Some(alloc);
-                        rec.state.advance_to(JobState::Running);
-                        rec.placed_at = Some(end);
-                        let runtime = rec.spec.runtime;
-                        let class = rec.spec.class;
-                        let counts = self.counts_mut(class);
-                        counts.0 += 1;
-                        counts.1 -= 1;
-                        self.stats.placed += 1;
-                        self.index_running(id, class, end + runtime);
-                        self.completions.push(Reverse((end + runtime, id)));
-                        self.tracer.instant_at(
-                            end,
-                            "sched",
-                            "job.placed",
-                            &[("job", id.0.into()), ("class", class.label().into())],
-                        );
-                        self.tracer.counter_add("sched.placed", 1);
-                        self.tracer
-                            .observe("sched.queue_wait_us", end.since(ready_at).as_micros());
-                        events.push(JobEvent::Placed { id, at: end });
-                    }
-                    None => {
-                        self.head_blocked = true;
                         self.stats.match_misses += 1;
                         self.tracer.counter_add("sched.match_misses", 1);
                     }

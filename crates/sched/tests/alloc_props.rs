@@ -1,6 +1,6 @@
 //! Property tests for the resource matcher's allocation invariants.
 //!
-//! Three families of properties over arbitrary seeded op sequences
+//! Four families of properties over arbitrary seeded op sequences
 //! (allocations of all four MuMMI job shapes, releases, drains,
 //! undrains) on a Summit-shaped machine:
 //!
@@ -11,9 +11,9 @@
 //!    the *exact* prior free set, bit for bit.
 //! 3. **Indexed ≡ linear (differential oracle)** — the segment-tree
 //!    matcher picks the same node set, reports the same visit counts,
-//!    and leaves the same state as the retained O(n) linear matcher,
+//!    and leaves the same state as [`LinearRef`], a plain lowest-ID-first
+//!    walk with its own scan hints written here against the public API,
 //!    for both match policies.
-//!
 //! 4. **Range ≡ drained whole machine** — a match restricted to
 //!    `[lo, hi)` picks exactly what whole-machine first-match picks once
 //!    every node outside the range is drained, and charges the visits a
@@ -21,6 +21,8 @@
 //!
 //! The free-count index (`validate_index`) is additionally checked
 //! against the node table after every operation.
+
+use std::collections::HashMap;
 
 use proptest::prelude::*;
 use resources::{Alloc, JobShape, MachineSpec, MatchPolicy, ResourceGraph};
@@ -125,6 +127,99 @@ fn expected_masks(spec: &MachineSpec, outstanding: &[Alloc]) -> Vec<(u64, u8)> {
     masks
 }
 
+/// The reference matcher: a straight O(n) walk of the node table from a
+/// per-shape scan hint, with the hint arithmetic and visit accounting of
+/// the modeled Flux traversal kept here rather than in the product. It
+/// holds its grants on a graph of its own. Whether node `id` can host one
+/// slice of a shape is asked of a throwaway clone of that graph with a
+/// one-node match confined to `[id, id + 1)`; a chosen node is committed
+/// with the same call on the graph itself.
+struct LinearRef {
+    g: ResourceGraph,
+    /// First node not yet known infeasible, per shape (first-match only).
+    hints: HashMap<JobShape, usize>,
+    visited_last: u64,
+    visited_total: u64,
+}
+
+impl LinearRef {
+    fn new() -> LinearRef {
+        LinearRef {
+            g: ResourceGraph::new(machine()),
+            hints: HashMap::new(),
+            visited_last: 0,
+            visited_total: 0,
+        }
+    }
+
+    fn try_alloc(&mut self, shape: &JobShape, policy: MatchPolicy) -> Option<Alloc> {
+        let want = shape.nodes as usize;
+        let exhaustive = policy == MatchPolicy::LowIdExhaustive;
+        let one = JobShape { nodes: 1, ..*shape };
+        // First-match starts at the shape's hint; exhaustive low-ID walks
+        // the whole machine every time.
+        let start = if exhaustive {
+            0
+        } else {
+            *self.hints.get(shape).unwrap_or(&0)
+        };
+        let mut found = Vec::new();
+        let mut visited = 0u64;
+        for id in start..NODES as usize {
+            if !exhaustive && found.len() == want {
+                break;
+            }
+            visited += 1;
+            if found.len() < want {
+                if self
+                    .g
+                    .clone()
+                    .try_alloc_range(&one, policy, id, id + 1)
+                    .is_some()
+                {
+                    found.push(id);
+                } else if !exhaustive && found.is_empty() {
+                    // Everything up to here is infeasible for this shape
+                    // until a release or an undrain says otherwise.
+                    self.hints.insert(*shape, id + 1);
+                }
+            }
+        }
+        self.visited_last = visited;
+        self.visited_total += visited;
+        if found.len() < want {
+            return None;
+        }
+        let slices = found
+            .into_iter()
+            .flat_map(|id| {
+                let a = self.g.try_alloc_range(&one, policy, id, id + 1);
+                a.expect("probed feasible").slices
+            })
+            .collect();
+        Some(Alloc { slices })
+    }
+
+    /// Lowers every hint to `node`: capacity there may fit any shape.
+    fn lower_hints(&mut self, node: usize) {
+        for hint in self.hints.values_mut() {
+            *hint = (*hint).min(node);
+        }
+    }
+
+    fn release(&mut self, a: &Alloc) {
+        if let Some(lowest) = a.slices.iter().map(|s| s.node as usize).min() {
+            self.lower_hints(lowest);
+        }
+        self.g.release(a);
+    }
+
+    fn undrain(&mut self, n: u32) {
+        self.g.undrain(n);
+        self.lower_hints(n as usize);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -205,13 +300,12 @@ proptest! {
         prop_assert!(g.validate_index().is_ok());
     }
 
-    /// The indexed matcher is observationally identical to the retained
-    /// linear matcher: same grants, same visit counts, same end state.
+    /// The indexed matcher is observationally identical to the linear
+    /// reference: same grants, same visit counts, same end state.
     #[test]
     fn indexed_matches_linear_oracle(ops in proptest::collection::vec(arb_op(), 1..80)) {
         let mut indexed = ResourceGraph::new(machine());
-        let mut linear = ResourceGraph::new(machine());
-        linear.set_linear_scan(true);
+        let mut linear = LinearRef::new();
         let mut outstanding: Vec<Alloc> = Vec::new();
         for op in ops {
             match op {
@@ -221,7 +315,7 @@ proptest! {
                     prop_assert_eq!(&a_idx, &a_lin, "matchers diverged on {:?}", op);
                     prop_assert_eq!(
                         indexed.visited_last(),
-                        linear.visited_last(),
+                        linear.visited_last,
                         "visit counts diverged on {:?}",
                         op
                     );
@@ -238,19 +332,19 @@ proptest! {
                 }
                 Op::Drain(n) => {
                     indexed.drain(n);
-                    linear.drain(n);
+                    linear.g.drain(n);
                 }
                 Op::Undrain(n) => {
                     indexed.undrain(n);
                     linear.undrain(n);
                 }
             }
-            prop_assert_eq!(indexed.free_masks(), linear.free_masks());
+            prop_assert_eq!(indexed.free_masks(), linear.g.free_masks());
             prop_assert!(indexed.validate_index().is_ok());
         }
-        prop_assert_eq!(indexed.visited_total(), linear.visited_total());
-        prop_assert_eq!(indexed.gpu_usage(), linear.gpu_usage());
-        prop_assert_eq!(indexed.cpu_usage(), linear.cpu_usage());
+        prop_assert_eq!(indexed.visited_total(), linear.visited_total);
+        prop_assert_eq!(indexed.gpu_usage(), linear.g.gpu_usage());
+        prop_assert_eq!(indexed.cpu_usage(), linear.g.cpu_usage());
     }
 
     /// A range match is whole-machine first-match with the outside of

@@ -13,10 +13,11 @@
 //!   state (no starvation, including under backfill);
 //! - EASY backfill never delays the blocked head: a backfilled job
 //!   returns its resources no later than the head's actual start;
-//! - FCFS through the split policy layer is event-identical to the
-//!   retained pre-refactor monolith (`set_legacy_fcfs`), the
-//!   differential oracle for the whole refactor;
 //! - identical jobs submitted together place in submission order.
+//!
+//! FCFS's exact schedule is not a property here: `churn_pins.rs` and the
+//! campaign goldens pin it byte for byte, and `MUTANTS.md` records which
+//! suite kills each hand-written FCFS bug.
 //!
 //! The contract's op streams fail and repair nodes and hang running
 //! jobs as well as submitting, cancelling and advancing, so every path
@@ -446,30 +447,6 @@ proptest! {
     ) {
         check_pairs(&easy_pairs(&ops, false))?;
     }
-
-    /// The split FCFS policy is event-identical to the retained
-    /// pre-refactor monolith on the same stream — placements, finishes,
-    /// timestamps, and final stats all match.
-    #[test]
-    fn fcfs_matches_the_legacy_monolith(
-        ops in prop::collection::vec(arb_op(), 1..60),
-    ) {
-        let run = |legacy: bool| {
-            let mut e = engine(SchedPolicy::Fcfs);
-            e.set_legacy_fcfs(legacy);
-            let mut d = Driver::new(e);
-            let mut events = Vec::new();
-            for op in &ops {
-                events.extend(d.apply(op));
-            }
-            events.extend(d.finish());
-            (events, d.e.stats())
-        };
-        let (split_events, split_stats) = run(false);
-        let (legacy_events, legacy_stats) = run(true);
-        prop_assert_eq!(split_events, legacy_events);
-        prop_assert_eq!(split_stats, legacy_stats);
-    }
 }
 
 proptest! {
@@ -604,6 +581,37 @@ fn aggregate_feasible_but_fragmented_head_still_backfills() {
             policy.name()
         );
     }
+}
+
+/// FCFS's blocked head, exactly: a head that can never fit misses once
+/// per poll, charging one traversal each time, and holds the job behind
+/// it. Blocking is what stops it re-buying that traversal back to back
+/// until the poll's horizon; the once-per-poll retry is what lets it see
+/// capacity that changed outside the engine.
+#[test]
+fn an_unplaceable_fcfs_head_misses_once_per_poll() {
+    let mut e = SchedEngine::new(
+        ResourceGraph::new(MachineSpec::custom("p", 2, NodeSpec::summit())),
+        MatchPolicy::LowIdExhaustive,
+        Coupling::Asynchronous,
+        Costs::summit_campaign(),
+    );
+    let runtime = SimDuration::from_mins(10);
+    let wide = e.submit(
+        JobSpec::new(JobClass::Continuum, JobShape::continuum(3), runtime),
+        SimTime::ZERO,
+    );
+    let narrow = e.submit(
+        JobSpec::new(JobClass::CgSim, JobShape::sim_standard(), runtime),
+        SimTime::ZERO,
+    );
+    for poll in 1..=3u64 {
+        assert!(e.advance(SimTime::from_mins(poll)).is_empty());
+        assert_eq!(e.stats().match_misses, poll, "one miss per poll");
+        assert_eq!(e.next_wakeup(), None, "a blocked head schedules nothing");
+    }
+    assert_eq!(e.state(wide), Some(JobState::Queued));
+    assert_eq!(e.state(narrow), Some(JobState::Queued));
 }
 
 /// Queue ties break by submission sequence: a burst of identical jobs

@@ -271,6 +271,18 @@ impl<'a> Cur<'a> {
         Ok(Bytes::copy_from_slice(self.take(n)?))
     }
 
+    /// A `u32` element count, refused when the rest of the body cannot
+    /// hold that many elements of at least `min_len` bytes each, so a
+    /// forged count never sizes an allocation.
+    fn count(&mut self, min_len: usize) -> DecodeResult<usize> {
+        let n = self.u32()? as usize;
+        let left = self.buf.len() - self.pos;
+        if n.saturating_mul(min_len) > left {
+            return Err(format!("count {n} cannot fit in the {left} bytes left"));
+        }
+        Ok(n)
+    }
+
     fn str(&mut self) -> DecodeResult<String> {
         let n = self.u32()? as usize;
         String::from_utf8(self.take(n)?.to_vec()).map_err(|_| "non-UTF-8 string".to_string())
@@ -383,16 +395,16 @@ impl Request {
                 count: c.u32()?,
             },
             opcode::PUT_MANY => {
-                let n = c.u32()?;
-                let mut pairs = Vec::with_capacity(n as usize);
+                let n = c.count(8)?;
+                let mut pairs = Vec::with_capacity(n);
                 for _ in 0..n {
                     pairs.push((c.str()?, c.bytes()?));
                 }
                 Request::PutMany { pairs }
             }
             opcode::GET_MANY | opcode::DEL_MANY => {
-                let n = c.u32()?;
-                let mut keys = Vec::with_capacity(n as usize);
+                let n = c.count(4)?;
+                let mut keys = Vec::with_capacity(n);
                 for _ in 0..n {
                     keys.push(c.str()?);
                 }
@@ -524,8 +536,8 @@ impl Response {
                     other => return Err(format!("bad option tag {other}")),
                 },
                 kind::KEY_LIST => {
-                    let n = c.u32()?;
-                    let mut keys = Vec::with_capacity(n as usize);
+                    let n = c.count(4)?;
+                    let mut keys = Vec::with_capacity(n);
                     for _ in 0..n {
                         keys.push(c.str()?);
                     }
@@ -534,8 +546,8 @@ impl Response {
                 kind::SCAN_PAGE => {
                     let raw = c.u64()?;
                     let next = (raw != u64::MAX).then_some(raw);
-                    let n = c.u32()?;
-                    let mut keys = Vec::with_capacity(n as usize);
+                    let n = c.count(4)?;
+                    let mut keys = Vec::with_capacity(n);
                     for _ in 0..n {
                         keys.push(c.str()?);
                     }
@@ -543,8 +555,8 @@ impl Response {
                 }
                 kind::COUNT => Response::Count(c.u64()?),
                 kind::VALUES => {
-                    let n = c.u32()?;
-                    let mut vals = Vec::with_capacity(n as usize);
+                    let n = c.count(1)?;
+                    let mut vals = Vec::with_capacity(n);
                     for _ in 0..n {
                         vals.push(match c.u8()? {
                             0 => None,

@@ -16,7 +16,8 @@ pub enum Arg {
     /// Signed integer (deltas).
     I64(i64),
     /// Float (percentages, couplings). Serialized via Rust's shortest
-    /// round-trip formatting, which is deterministic.
+    /// round-trip formatting, which is deterministic, always with a `.`
+    /// or an exponent so it reads back as a float.
     F64(f64),
     /// String (payload ids, class names, namespaces).
     Str(String),
@@ -87,16 +88,20 @@ impl Arg {
         }
     }
 
-    fn write_json(&self, out: &mut String) {
+    /// Writes the argument as a JSON value (the JSONL and Chrome forms).
+    pub(crate) fn write_json(&self, out: &mut String) {
         match self {
             Arg::U64(v) => out.push_str(&v.to_string()),
             Arg::I64(v) => out.push_str(&v.to_string()),
             Arg::F64(v) => {
                 if v.is_finite() {
-                    out.push_str(&v.to_string());
+                    // `{:?}` keeps the `.0` of an integral value and
+                    // switches to an exponent for huge or tiny ones, so
+                    // the reader never mistakes it for an integer.
+                    out.push_str(&format!("{v:?}"));
                 } else {
-                    // JSON has no NaN/Inf; clamp to null-like zero.
-                    out.push('0');
+                    // JSON has no NaN/Inf; clamp to zero, still a float.
+                    out.push_str("0.0");
                 }
             }
             Arg::Str(s) => {
@@ -466,9 +471,45 @@ mod tests {
 
     #[test]
     fn float_formatting_is_shortest_roundtrip() {
-        let mut s = String::new();
-        Arg::F64(98.33333333333333).write_json(&mut s);
-        assert_eq!(s, "98.33333333333333");
-        assert_eq!(s.parse::<f64>().unwrap(), 98.33333333333333);
+        let written = |v: f64| {
+            let mut s = String::new();
+            Arg::F64(v).write_json(&mut s);
+            s
+        };
+        assert_eq!(written(98.33333333333333), "98.33333333333333");
+        assert_eq!(written(1.0), "1.0");
+        assert_eq!(written(-2.0), "-2.0");
+        assert_eq!(written(1e20), "1e20");
+        assert_eq!(written(f64::NAN), "0.0");
+        assert_eq!(written(f64::NEG_INFINITY), "0.0");
+        // Every float reads back as the same `F64`, never an integer.
+        for v in [
+            98.33333333333333,
+            1.0,
+            -2.0,
+            0.0,
+            -0.5,
+            1e20,
+            2.5e-7,
+            f64::MAX,
+        ] {
+            let e = TraceEvent {
+                at: SimTime::ZERO,
+                dur: None,
+                cat: "campaign",
+                name: "x".into(),
+                args: vec![("coupling", Arg::F64(v))],
+            };
+            assert_eq!(TraceEvent::from_jsonl(&e.to_jsonl()), Some(e), "{v}");
+        }
+        let nan = TraceEvent {
+            at: SimTime::ZERO,
+            dur: None,
+            cat: "campaign",
+            name: "x".into(),
+            args: vec![("coupling", Arg::F64(f64::NAN))],
+        };
+        let back = TraceEvent::from_jsonl(&nan.to_jsonl()).expect("parses");
+        assert_eq!(back.args, vec![("coupling", Arg::F64(0.0))]);
     }
 }

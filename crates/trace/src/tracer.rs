@@ -261,22 +261,7 @@ impl Tracer {
                 line.push('"');
                 crate::event::escape_json_into(k, &mut line);
                 line.push_str("\":");
-                match v {
-                    Arg::U64(n) => line.push_str(&n.to_string()),
-                    Arg::I64(n) => line.push_str(&n.to_string()),
-                    Arg::F64(n) => {
-                        if n.is_finite() {
-                            line.push_str(&n.to_string());
-                        } else {
-                            line.push('0');
-                        }
-                    }
-                    Arg::Str(s) => {
-                        line.push('"');
-                        crate::event::escape_json_into(s, &mut line);
-                        line.push('"');
-                    }
-                }
+                v.write_json(&mut line);
             }
             line.push_str("}}");
             out.push_str(&line);
