@@ -380,9 +380,9 @@ fn a_line_nested_past_the_parser_limit_is_an_error_not_an_abort() {
     let (_farm, server, mut client) = start_server(1, WorkerKillPlan::empty());
     let mut raw = TcpStream::connect(server.addr()).expect("connect");
     let mut replies = BufReader::new(raw.try_clone().expect("clone"));
-    // One line just under the cap, all `[`: parsing it by unbounded
-    // recursion overflowed the connection thread's stack and aborted
-    // the whole server.
+    // One line just under the cap, all `[`: parsed by unbounded
+    // recursion it would overflow the connection thread's stack and
+    // abort the whole server.
     let mut deep = vec![b'['; farm::proto::MAX_REQUEST_LINE as usize - 1];
     deep.push(b'\n');
     raw.write_all(&deep).expect("write");

@@ -15,9 +15,10 @@
 //!   returns its resources no later than the head's actual start;
 //! - identical jobs submitted together place in submission order.
 //!
-//! FCFS's exact schedule is not a property here: `churn_pins.rs` and the
-//! campaign goldens pin it byte for byte, and `MUTANTS.md` records which
-//! suite kills each hand-written FCFS bug.
+//! FCFS's exact schedule is pinned byte for byte by `churn_pins.rs` and
+//! the campaign goldens; here only its blocked head is, by one plain
+//! test. `MUTANTS.md` records which suite kills each hand-written FCFS
+//! bug.
 //!
 //! The contract's op streams fail and repair nodes and hang running
 //! jobs as well as submitting, cancelling and advancing, so every path

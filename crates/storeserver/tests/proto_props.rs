@@ -7,8 +7,8 @@
 //! made of (counts and length prefixes, strings behind their true length,
 //! tags, 64-bit words, loose bytes). Decoding must give a typed `Err` or
 //! a value whose encoded frame decodes back to itself. It must never
-//! panic, and never reserve memory the frame does not carry: a forged
-//! count used to abort the server.
+//! panic, and never reserve memory the frame does not carry: sized from
+//! a forged count, that reservation aborts the server.
 
 use bytes::Bytes;
 use proptest::prelude::*;

@@ -31,7 +31,7 @@ pub enum Json {
 
 impl Json {
     /// Parses a complete JSON document (trailing whitespace allowed,
-    /// trailing garbage rejected).
+    /// trailing garbage and nesting deeper than 128 rejected).
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
