@@ -20,7 +20,9 @@
 //!    lowest-ID-first walk of the range would.
 //!
 //! The free-count index (`validate_index`) is additionally checked
-//! against the node table after every operation.
+//! against the node table after every operation. That check, not 3,
+//! covers the index leaves: `LinearRef` reads each node through a
+//! one-leaf descent of the same index.
 
 use std::collections::HashMap;
 
@@ -133,7 +135,10 @@ fn expected_masks(spec: &MachineSpec, outstanding: &[Alloc]) -> Vec<(u64, u8)> {
 /// holds its grants on a graph of its own. Whether node `id` can host one
 /// slice of a shape is asked of a throwaway clone of that graph with a
 /// one-node match confined to `[id, id + 1)`; a chosen node is committed
-/// with the same call on the graph itself.
+/// with the same call on the graph itself. That call descends the free
+/// index over one leaf, so a leaf count that hides or shows a node is
+/// wrong here too: the leaves are checked by `validate_index`, not by
+/// this differential.
 struct LinearRef {
     g: ResourceGraph,
     /// First node not yet known infeasible, per shape (first-match only).
