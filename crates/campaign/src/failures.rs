@@ -2,7 +2,7 @@
 //!
 //! The driver used to decide hardware attrition with one Bernoulli draw per
 //! poll tick, pulled from the shared driver RNG. That coupled the failure
-//! history to the tick rate twice over: changing `poll_interval` changed
+//! history to the tick rate twice over: changing the tick length changed
 //! both *how many* draws were made and *which* downstream draws every other
 //! consumer of the stream saw. An event-driven clock cannot tick per
 //! interval at all, so the process is reformulated the standard way: node

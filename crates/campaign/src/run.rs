@@ -79,8 +79,6 @@ pub struct CampaignConfig {
     pub cg_target_us: f64,
     /// Target AA trajectory length range (ns; the campaign used 50–65).
     pub aa_target_ns: (f64, f64),
-    /// WM poll interval.
-    pub poll_interval: SimDuration,
     /// Submission throttle (jobs/min).
     pub submit_rate_per_min: u64,
     /// Q↔R coupling of the Flux model.
@@ -99,7 +97,12 @@ pub struct CampaignConfig {
     /// Record every scheduler submission/cancel/node-failure into a
     /// replayable job log, surfaced as [`RunReport::job_log`] (CSV).
     pub record_jobs: bool,
-    /// Selector queue cap (scaled from the paper's 35,000).
+    /// Inert: nothing reads it. `app3::build_three_scale_wm` always caps
+    /// the patch selector at the paper's 35,000, whatever this says. The
+    /// farm wire still validates the key, `scale_rung` still computes it
+    /// and the frozen `benchmark/` crate sends 500. Wiring it through
+    /// moves every pinned trace, so it waits for ROADMAP item 17's pin
+    /// regeneration.
     pub queue_cap: usize,
     /// Probability a job fails and is resubmitted.
     pub job_failure_prob: f64,
@@ -150,7 +153,6 @@ impl Default for CampaignConfig {
             frames_per_sim_per_min: 0.02,
             cg_target_us: 5.0,
             aa_target_ns: (50.0, 65.0),
-            poll_interval: SimDuration::from_mins(2),
             submit_rate_per_min: 100,
             coupling: Coupling::Synchronous,
             policy: MatchPolicy::LowIdExhaustive,
@@ -571,6 +573,9 @@ impl Campaign {
     }
 
     /// GPUs the CG partition aims to fill on a machine of `total_gpus`.
+    /// Rounds down, where `WmConfig::gpu_targets` rounds to nearest: at
+    /// full Summit the load threshold and ready buffers use 19,353 while
+    /// the WM fills to 19,354 (ROADMAP item 17).
     fn cg_gpu_target(&self, total_gpus: u64) -> u64 {
         (total_gpus as f64 * self.cfg.cg_fraction) as u64
     }
@@ -591,7 +596,6 @@ impl Campaign {
             cg_gpu_fraction: self.cfg.cg_fraction,
             cg_ready_buffer: ((cg_target / divisor) as usize).clamp(8, cap),
             aa_ready_buffer: ((aa_gpus / divisor) as usize).clamp(4, cap / 2),
-            poll_interval: self.cfg.poll_interval,
             feedback_interval: SimDuration::from_mins(10),
             profile_interval: SimDuration::from_mins(10),
             submit_rate_per_min: self.cfg.submit_rate_per_min,
@@ -1426,10 +1430,7 @@ mod tests {
 
     #[test]
     fn table_schedule_accumulates_node_hours() {
-        let mut c = Campaign::new(CampaignConfig {
-            poll_interval: SimDuration::from_mins(10),
-            ..small_cfg()
-        });
+        let mut c = Campaign::new(small_cfg());
         let rows = c.run_table(&[(5, 6, 2), (10, 6, 1)]);
         assert_eq!(rows[0], (5, 6, 2, 60));
         assert_eq!(rows[1], (10, 6, 1, 60));

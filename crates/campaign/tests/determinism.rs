@@ -233,24 +233,32 @@ fn busy_cfg() -> CampaignConfig {
 }
 
 #[test]
-fn failure_history_invariant_to_poll_interval() {
+fn failure_history_invariant_to_snapshot_interval() {
     // The regression test for the per-tick Bernoulli coupling: failure
-    // draws used to be made once per WM poll, so halving the poll
-    // interval reshuffled every one of them. The (time, node) history
-    // lives on its own seed stream, so the realised failure count is
-    // identical across poll cadences.
-    let run = |poll_mins: u64| {
+    // draws used to be made once per driver pass, so changing how often
+    // the driver woke reshuffled every one of them. The (time, node)
+    // history lives on its own seed stream, so the realised failure
+    // count is identical across snapshot cadences, which do move the
+    // driver's wakeups.
+    let run = |snapshot_secs: u64| {
         let mut c = Campaign::new(CampaignConfig {
             node_failures_per_day: 8.0,
-            poll_interval: SimDuration::from_mins(poll_mins),
+            snapshot_interval: SimDuration::from_secs(snapshot_secs),
             ..busy_cfg()
         });
-        c.execute_run(20, 24).nodes_failed
+        let r = c.execute_run(20, 24);
+        (r.nodes_failed, r.driver_iterations)
     };
-    let reference = run(2);
+    let (reference, passes) = run(90);
     assert!(reference > 0, "attrition at 8/day over 24h must fire");
-    assert_eq!(reference, run(1), "finer polls");
-    assert_eq!(reference, run(10), "coarser polls");
+    for (secs, what) in [(45, "finer snapshots"), (600, "coarser snapshots")] {
+        let (failed, other_passes) = run(secs);
+        assert_ne!(
+            passes, other_passes,
+            "{what} must move the driver's wakeups"
+        );
+        assert_eq!(reference, failed, "{what}");
+    }
 }
 
 #[test]

@@ -2,13 +2,13 @@
 //!
 //! `trace::derive::events_from_jsonl` is how a written trace is read
 //! (the Figure 5/6 series are re-derived through it, and a trace diff
-//! would compare two files through it). Its scanner maps each argument
-//! key back onto a fixed vocabulary, so an emitter that introduces a key
-//! the reader does not know re-parses to a different event. One traced
-//! campaign that crosses every emitter family — a cooperative pause, the
-//! chaos smoke plan (node kill, store-fault window, job hang, WM crash),
-//! the hang watchdog, job failures, node attrition, a bursty background
-//! workload and the loopback store — must re-parse event for event.
+//! would compare two files through it). `trace`'s own `reader_props`
+//! round-trips arbitrary events; this suite checks the real emitters'
+//! lines, typed arguments included. One traced campaign that crosses
+//! every emitter family — a cooperative pause, the chaos smoke plan
+//! (node kill, store-fault window, job hang, WM crash), the hang
+//! watchdog, job failures, node attrition, a bursty background workload
+//! and the loopback store — must re-parse event for event.
 
 use campaign::{Campaign, CampaignConfig, RunControl, StoreBackend};
 use chaos::{FaultEvent, FaultKind, FaultPlan};

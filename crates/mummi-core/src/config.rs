@@ -19,7 +19,10 @@ pub struct WmConfig {
     pub cg_ready_buffer: usize,
     /// Prepared-but-not-running AA systems to keep buffered.
     pub aa_ready_buffer: usize,
-    /// How often the WM scans jobs and replaces finished ones.
+    /// The step external drivers (examples, tests, `benchmark/`'s batch
+    /// layer) advance their clock by between WM passes. The WM itself
+    /// never reads it: it is event-driven, and the campaign driver wakes
+    /// at [`WorkflowManager::next_wakeup`](crate::WorkflowManager::next_wakeup).
     pub poll_interval: SimDuration,
     /// How often a feedback iteration runs (target <10 min per iteration).
     pub feedback_interval: SimDuration,

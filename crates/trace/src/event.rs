@@ -1,12 +1,17 @@
 //! Trace records and their JSONL wire format.
 //!
 //! Every record is stamped with virtual time ([`SimTime`]), never the wall
-//! clock, so a same-seed campaign serializes to a byte-identical file. The
-//! line format is a restricted JSON dialect emitted with a fixed field
-//! order (`ts`, `ph`, `dur`, `cat`, `name`, `args`) and parsed back by a
-//! scanner that accepts exactly what [`TraceEvent::to_jsonl`] produces.
+//! clock, so a same-seed campaign serializes to a byte-identical file. A
+//! line is one JSON object with a fixed field order (`ts`, `ph`, `dur`,
+//! `cat`, `name`, `args`), read back through the crate's JSON lexer
+//! ([`crate::json`]) in that order. The reader owns every string it reads,
+//! so any category or argument key round-trips.
+
+use std::borrow::Cow;
 
 use simcore::{SimDuration, SimTime};
+
+use crate::json::{parse_number, write_str, Lexer};
 
 /// A typed event argument.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,8 +93,8 @@ impl Arg {
         }
     }
 
-    /// Writes the argument as a JSON value (the JSONL and Chrome forms).
-    pub(crate) fn write_json(&self, out: &mut String) {
+    /// Writes the argument as a JSON value.
+    fn write_json(&self, out: &mut String) {
         match self {
             Arg::U64(v) => out.push_str(&v.to_string()),
             Arg::I64(v) => out.push_str(&v.to_string()),
@@ -104,12 +109,25 @@ impl Arg {
                     out.push_str("0.0");
                 }
             }
-            Arg::Str(s) => {
-                out.push('"');
-                escape_json_into(s, out);
-                out.push('"');
-            }
+            Arg::Str(s) => write_str(s, out),
         }
+    }
+
+    /// Reads a string or number value, typed by its lexeme: a fraction or
+    /// exponent makes an `F64`, a leading `-` an `I64`, anything else a
+    /// `U64`.
+    fn lex(lx: &mut Lexer) -> Result<Arg, String> {
+        if lx.peek() == Some(b'"') {
+            return Ok(Arg::Str(lx.string()?));
+        }
+        let tok = lx.number()?;
+        Ok(if tok.contains(['.', 'e', 'E']) {
+            Arg::F64(parse_number(tok)?)
+        } else if tok.starts_with('-') {
+            Arg::I64(parse_number(tok)?)
+        } else {
+            Arg::U64(parse_number(tok)?)
+        })
     }
 }
 
@@ -122,12 +140,14 @@ pub struct TraceEvent {
     /// it an instant.
     pub dur: Option<SimDuration>,
     /// Category (one per subsystem: `sched`, `wm`, `feedback`,
-    /// `datastore`, `campaign`).
-    pub cat: &'static str,
+    /// `datastore`, `campaign`, `chaos`). Borrowed when recorded, owned
+    /// when read back.
+    pub cat: Cow<'static, str>,
     /// Event name, dot-scoped (`job.placed`, `wm.profile`, ...).
     pub name: String,
-    /// Ordered arguments (emission order is preserved).
-    pub args: Vec<(&'static str, Arg)>,
+    /// Ordered arguments (emission order is preserved); keys borrowed
+    /// when recorded, owned when read back.
+    pub args: Vec<(Cow<'static, str>, Arg)>,
 }
 
 impl TraceEvent {
@@ -153,246 +173,77 @@ impl TraceEvent {
             }
             None => s.push_str(",\"ph\":\"i\""),
         }
-        s.push_str(",\"cat\":\"");
-        s.push_str(self.cat);
-        s.push_str("\",\"name\":\"");
-        escape_json_into(&self.name, &mut s);
-        s.push_str("\",\"args\":{");
-        for (i, (k, v)) in self.args.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('"');
-            escape_json_into(k, &mut s);
-            s.push_str("\":");
-            v.write_json(&mut s);
-        }
-        s.push_str("}}");
+        s.push_str(",\"cat\":");
+        write_str(&self.cat, &mut s);
+        s.push_str(",\"name\":");
+        write_str(&self.name, &mut s);
+        s.push_str(",\"args\":");
+        self.write_args(&mut s);
+        s.push('}');
         s
     }
 
-    /// Parses a line produced by [`TraceEvent::to_jsonl`]. Returns `None`
-    /// for lines that are not event records (e.g. metric summary lines).
+    /// Writes the arguments as a JSON object in emission order (the
+    /// JSONL and Chrome forms share it).
+    pub(crate) fn write_args(&self, out: &mut String) {
+        out.push('{');
+        for (i, (k, v)) in self.args.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_str(k, out);
+            out.push(':');
+            v.write_json(out);
+        }
+        out.push('}');
+    }
+
+    /// Parses a line produced by [`TraceEvent::to_jsonl`]: its fields in
+    /// emission order (`dur` only on a span), each argument typed by its
+    /// lexeme. Returns `None` for lines that are not event records (e.g.
+    /// metric summary lines) and for damaged ones.
     pub fn from_jsonl(line: &str) -> Option<TraceEvent> {
-        let mut p = Scanner::new(line);
-        p.expect("{\"ts\":")?;
-        let ts = p.number_u64()?;
-        let dur = if p.try_expect(",\"ph\":\"X\",\"dur\":") {
-            Some(SimDuration::from_micros(p.number_u64()?))
-        } else {
-            p.expect(",\"ph\":\"i\"")?;
-            None
+        const FIELDS: [&str; 6] = ["ts", "ph", "dur", "cat", "name", "args"];
+        let mut fields = FIELDS.iter();
+        let mut span = false;
+        let mut e = TraceEvent {
+            at: SimTime::ZERO,
+            dur: None,
+            cat: Cow::Borrowed(""),
+            name: String::new(),
+            args: Vec::new(),
         };
-        p.expect(",\"cat\":\"")?;
-        let cat = intern_cat(&p.raw_until_quote()?);
-        p.expect(",\"name\":\"")?;
-        let name = p.string_until_quote()?;
-        p.expect(",\"args\":{")?;
-        let mut args = Vec::new();
-        if !p.try_expect("}") {
-            loop {
-                p.expect("\"")?;
-                let key = intern_key(&p.string_until_quote()?);
-                p.expect(":")?;
-                let val = p.value()?;
-                args.push((key, val));
-                if p.try_expect(",") {
-                    continue;
-                }
-                p.expect("}")?;
-                break;
+        let mut lx = Lexer::new(line);
+        lx.object(|lx, key| {
+            let mut want = fields.next();
+            if want == Some(&"dur") && !span {
+                want = fields.next();
             }
-        }
-        p.expect("}")?;
-        Some(TraceEvent {
-            at: SimTime::from_micros(ts),
-            dur,
-            cat,
-            name,
-            args,
-        })
-    }
-}
-
-/// Maps a parsed category back to the static str used at emission time.
-fn intern_cat(s: &str) -> &'static str {
-    match s {
-        "sched" => "sched",
-        "wm" => "wm",
-        "feedback" => "feedback",
-        "datastore" => "datastore",
-        "campaign" => "campaign",
-        "chaos" => "chaos",
-        _ => "other",
-    }
-}
-
-/// Maps a parsed argument key back to a static str. Keys outside the known
-/// vocabulary collapse to `"arg"`; emitters only use keys listed here.
-fn intern_key(s: &str) -> &'static str {
-    const KEYS: &[&str] = &[
-        "job",
-        "class",
-        "payload",
-        "success",
-        "node",
-        "requeued",
-        "gpus_used",
-        "gpus_total",
-        "cpus_used",
-        "cpus_total",
-        "running",
-        "pending",
-        "manager",
-        "processed",
-        "corrupt",
-        "ns",
-        "key",
-        "bytes",
-        "retries",
-        "backend",
-        "op",
-        "run",
-        "seed",
-        "sim",
-        "coupling",
-        "count",
-        "visited",
-        "reason",
-        "attempt",
-        "at",
-        "keys",
-        "nodes",
-        "hours",
-        "placed",
-        "completed",
-        "period",
-        "from",
-        "until",
-        "lost",
-        "requested",
-    ];
-    KEYS.iter().find(|k| **k == s).copied().unwrap_or("arg")
-}
-
-/// Escapes `s` into `out` per JSON string rules.
-pub fn escape_json_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-/// Minimal scanner for the fixed-format lines this module emits.
-struct Scanner<'a> {
-    rest: &'a str,
-}
-
-impl<'a> Scanner<'a> {
-    fn new(s: &'a str) -> Scanner<'a> {
-        Scanner { rest: s }
-    }
-
-    fn expect(&mut self, lit: &str) -> Option<()> {
-        self.rest = self.rest.strip_prefix(lit)?;
-        Some(())
-    }
-
-    fn try_expect(&mut self, lit: &str) -> bool {
-        if let Some(r) = self.rest.strip_prefix(lit) {
-            self.rest = r;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn number_u64(&mut self) -> Option<u64> {
-        let end = self
-            .rest
-            .find(|c: char| !c.is_ascii_digit())
-            .unwrap_or(self.rest.len());
-        if end == 0 {
-            return None;
-        }
-        let v = self.rest[..end].parse().ok()?;
-        self.rest = &self.rest[end..];
-        Some(v)
-    }
-
-    /// Consumes up to the closing quote, no escapes allowed (categories).
-    fn raw_until_quote(&mut self) -> Option<String> {
-        let end = self.rest.find('"')?;
-        let s = self.rest[..end].to_string();
-        self.rest = &self.rest[end + 1..];
-        Some(s)
-    }
-
-    /// Consumes a JSON string body up to its closing quote, unescaping.
-    fn string_until_quote(&mut self) -> Option<String> {
-        let mut out = String::new();
-        let mut chars = self.rest.char_indices();
-        loop {
-            let (i, c) = chars.next()?;
-            match c {
-                '"' => {
-                    self.rest = &self.rest[i + 1..];
-                    return Some(out);
-                }
-                '\\' => {
-                    let (_, esc) = chars.next()?;
-                    match esc {
-                        '"' => out.push('"'),
-                        '\\' => out.push('\\'),
-                        'n' => out.push('\n'),
-                        'r' => out.push('\r'),
-                        't' => out.push('\t'),
-                        'u' => {
-                            let mut code = 0u32;
-                            for _ in 0..4 {
-                                let (_, h) = chars.next()?;
-                                code = code * 16 + h.to_digit(16)?;
-                            }
-                            out.push(char::from_u32(code)?);
-                        }
-                        _ => return None,
+            match (want, key.as_str()) {
+                (Some(&"ts"), "ts") => e.at = SimTime::from_micros(parse_number(lx.number()?)?),
+                (Some(&"ph"), "ph") => {
+                    span = match &*lx.string()? {
+                        "X" => true,
+                        "i" => false,
+                        ph => return Err(format!("unknown phase {ph:?}")),
                     }
                 }
-                c => out.push(c),
+                (Some(&"dur"), "dur") => {
+                    e.dur = Some(SimDuration::from_micros(parse_number(lx.number()?)?))
+                }
+                (Some(&"cat"), "cat") => e.cat = lx.string()?.into(),
+                (Some(&"name"), "name") => e.name = lx.string()?,
+                (Some(&"args"), "args") => lx.object(|lx, key| {
+                    e.args.push((key.into(), Arg::lex(lx)?));
+                    Ok(())
+                })?,
+                _ => return Err(format!("unexpected field {key:?}")),
             }
-        }
-    }
-
-    /// Parses a JSON value: string or number (u64 / i64 / f64).
-    fn value(&mut self) -> Option<Arg> {
-        if self.try_expect("\"") {
-            return Some(Arg::Str(self.string_until_quote()?));
-        }
-        let end = self
-            .rest
-            .find(|c: char| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
-            .unwrap_or(self.rest.len());
-        if end == 0 {
-            return None;
-        }
-        let tok = &self.rest[..end];
-        self.rest = &self.rest[end..];
-        if tok.contains(['.', 'e', 'E']) {
-            Some(Arg::F64(tok.parse().ok()?))
-        } else if tok.starts_with('-') {
-            Some(Arg::I64(tok.parse().ok()?))
-        } else {
-            Some(Arg::U64(tok.parse().ok()?))
-        }
+            Ok(())
+        })
+        .ok()?;
+        lx.finish().ok()?;
+        (fields.len() == 0).then_some(e)
     }
 }
 
@@ -404,12 +255,12 @@ mod tests {
         TraceEvent {
             at: SimTime::from_micros(1234),
             dur: dur.map(SimDuration::from_micros),
-            cat: "sched",
+            cat: "sched".into(),
             name: "job.placed".into(),
             args: vec![
-                ("job", Arg::U64(7)),
-                ("class", Arg::Str("cg_sim".into())),
-                ("coupling", Arg::F64(0.25)),
+                ("job".into(), Arg::U64(7)),
+                ("class".into(), Arg::Str("cg_sim".into())),
+                ("coupling".into(), Arg::F64(0.25)),
             ],
         }
     }
@@ -439,9 +290,9 @@ mod tests {
         let e = TraceEvent {
             at: SimTime::ZERO,
             dur: None,
-            cat: "datastore",
+            cat: "datastore".into(),
             name: "op.write".into(),
-            args: vec![("key", Arg::Str("we\"ird\\key\n\u{1}".into()))],
+            args: vec![("key".into(), Arg::Str("we\"ird\\key\n\u{1}".into()))],
         };
         let line = e.to_jsonl();
         assert_eq!(TraceEvent::from_jsonl(&line), Some(e));
@@ -452,7 +303,7 @@ mod tests {
         let e = TraceEvent {
             at: SimTime::from_secs(1),
             dur: None,
-            cat: "campaign",
+            cat: "campaign".into(),
             name: "run.start".into(),
             args: vec![],
         };
@@ -487,9 +338,9 @@ mod tests {
         let event = |v: f64| TraceEvent {
             at: SimTime::ZERO,
             dur: None,
-            cat: "campaign",
+            cat: "campaign".into(),
             name: "x".into(),
-            args: vec![("coupling", Arg::F64(v))],
+            args: vec![("coupling".into(), Arg::F64(v))],
         };
         for v in [
             98.33333333333333,

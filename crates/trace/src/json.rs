@@ -1,15 +1,22 @@
-//! A minimal JSON value: strict parser plus stable-order serializer.
+//! The crate's one JSON lexer, the [`Json`] tree built on it, and the
+//! JSON string escaper every writer in the crate uses.
 //!
 //! Producers across the workspace hand-write their JSON (stable field
-//! order, no dependency risk), but the farm's JSON-over-TCP wire
-//! protocol (server, client and the bench/benchmark drivers that speak
-//! it) needs to read it back. This is a small strict recursive-descent
-//! parser over the JSON grammar: objects, arrays, strings (with escape
-//! sequences), f64 numbers, booleans, and null. It lives here — the
-//! lowest shared layer — so no consumer grows a serde dependency or a
-//! copy of its own.
+//! order, no dependency risk), but two readers need it back: the farm's
+//! JSON-over-TCP wire protocol (server, client and the bench/benchmark
+//! drivers that speak it) parses whole documents with [`Json::parse`],
+//! and [`TraceEvent::from_jsonl`](crate::TraceEvent::from_jsonl) reads
+//! trace lines. Both stand on the crate-private `Lexer`: whitespace,
+//! the string scan and unescape, the number lexeme, and a walk over an
+//! object's entries in document order. `Json::parse` folds that walk
+//! into a `BTreeMap` tree of `f64` numbers; the trace reader keeps the
+//! emission order and types each number by its lexeme. The module lives
+//! in the lowest shared layer so no consumer grows a serde dependency or
+//! a copy of its own.
 
 use std::collections::BTreeMap;
+use std::fmt::Display;
+use std::str::FromStr;
 
 /// A parsed JSON value. Numbers are kept as `f64` — the wire forms only
 /// carry counters and timings, all exactly representable.
@@ -33,17 +40,10 @@ impl Json {
     /// Parses a complete JSON document (trailing whitespace allowed,
     /// trailing garbage and nesting deeper than 128 rejected).
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-            depth: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing garbage at byte {}", p.pos));
-        }
+        let mut lx = Lexer::new(text);
+        lx.skip_ws();
+        let v = lx.value()?;
+        lx.finish()?;
         Ok(v)
     }
 
@@ -107,21 +107,7 @@ impl Json {
                     out.push_str(&format!("{n}"));
                 }
             }
-            Json::Str(s) => {
-                out.push('"');
-                for ch in s.chars() {
-                    match ch {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\t' => out.push_str("\\t"),
-                        '\r' => out.push_str("\\r"),
-                        c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
+            Json::Str(s) => write_str(s, out),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -138,7 +124,7 @@ impl Json {
                     if i > 0 {
                         out.push_str(", ");
                     }
-                    Json::Str(k.clone()).write(out);
+                    write_str(k, out);
                     out.push_str(": ");
                     v.write(out);
                 }
@@ -148,32 +134,70 @@ impl Json {
     }
 }
 
+/// Writes `s` as a quoted JSON string.
+pub(crate) fn write_str(s: &str, out: &mut String) {
+    out.push('"');
+    escape_json_into(s, out);
+    out.push('"');
+}
+
+/// Escapes `s` into `out` per JSON string rules (the body of a string,
+/// without its quotes).
+pub(crate) fn escape_json_into(s: &str, out: &mut String) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                out.push_str(&format!("\\u{:04x}", c as u32));
+            }
+            c => out.push(c),
+        }
+    }
+}
+
+/// Parses a number lexeme (from [`Lexer::number`]) as `T`.
+pub(crate) fn parse_number<T: FromStr>(tok: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    tok.parse().map_err(|e| format!("bad number {tok:?}: {e}"))
+}
+
 /// The deepest array/object nesting [`Json::parse`] accepts. The parser
 /// recurses once per level and the farm parses request lines of up to
 /// 1 MiB on connection threads, so without a bound one line of `[`s
 /// overflows the stack and aborts the process.
 const MAX_DEPTH: usize = 128;
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// A cursor over JSON text. `string`, `number` and `object` start on
+/// their token (call `skip_ws` first) and leave the cursor just past it.
+pub(crate) struct Lexer<'a> {
+    text: &'a str,
     pos: usize,
-    /// Arrays and objects open around `pos`.
+    /// Arrays and objects [`Lexer::value`] has open around `pos`.
     depth: usize,
 }
 
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
+impl<'a> Lexer<'a> {
+    pub(crate) fn new(text: &'a str) -> Lexer<'a> {
+        Lexer {
+            text,
+            pos: 0,
+            depth: 0,
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    pub(crate) fn skip_ws(&mut self) {
+        let rest = &self.text[self.pos..];
+        self.pos += rest.len() - rest.trim_start_matches([' ', '\t', '\n', '\r']).len();
+    }
+
+    pub(crate) fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn eat(&mut self, b: u8) -> Result<(), String> {
@@ -190,8 +214,104 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Accepts the end of the text, after optional whitespace.
+    pub(crate) fn finish(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos == self.text.len() {
+            Ok(())
+        } else {
+            Err(format!("trailing garbage at byte {}", self.pos))
+        }
+    }
+
+    /// A quoted string, unescaped.
+    pub(crate) fn string(&mut self) -> Result<String, String> {
+        self.eat(b'"')?;
+        let mut out = String::new();
+        loop {
+            // Copy the run up to the next quote or backslash in one go;
+            // both are ASCII, so every stop is a char boundary.
+            let rest = &self.text[self.pos..];
+            let run = rest.find(['"', '\\']).ok_or("unterminated string")?;
+            out.push_str(&rest[..run]);
+            self.pos += run + 1;
+            if rest.as_bytes()[run] == b'"' {
+                return Ok(out);
+            }
+            let esc = self.peek().ok_or("unterminated escape")?;
+            self.pos += 1;
+            out.push(match esc {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'/' => '/',
+                b'n' => '\n',
+                b't' => '\t',
+                b'r' => '\r',
+                b'b' => '\u{8}',
+                b'f' => '\u{c}',
+                b'u' => {
+                    let hex = self
+                        .text
+                        .get(self.pos..self.pos + 4)
+                        .ok_or("truncated \\u escape")?;
+                    self.pos += 4;
+                    hex.chars()
+                        .try_fold(0, |code, h| Some(code * 16 + h.to_digit(16)?))
+                        .and_then(char::from_u32)
+                        .ok_or("invalid \\u escape")?
+                }
+                other => return Err(format!("bad escape '\\{}'", other as char)),
+            });
+        }
+    }
+
+    /// The lexeme of a number: a `-` or digit, then any run of digits,
+    /// signs, `.`, `e` and `E`. [`parse_number`] judges its form.
+    pub(crate) fn number(&mut self) -> Result<&'a str, String> {
+        let rest = &self.text[self.pos..];
+        if !rest.starts_with(|c: char| c == '-' || c.is_ascii_digit()) {
+            return Err(format!("expected a number at byte {}", self.pos));
+        }
+        let len = rest
+            .find(|c: char| !matches!(c, '-' | '+' | '.' | 'e' | 'E' | '0'..='9'))
+            .unwrap_or(rest.len());
+        self.pos += len;
+        Ok(&rest[..len])
+    }
+
+    /// Walks an object, handing each key to `entry` in document order
+    /// with the cursor on its value; `entry` must consume the value.
+    pub(crate) fn object(
+        &mut self,
+        mut entry: impl FnMut(&mut Self, String) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.eat(b'{')?;
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.eat(b':')?;
+            self.skip_ws();
+            entry(self, key)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                other => return Err(format!("expected ',' or '}}', found {other:?}")),
+            }
+        }
+    }
+
     fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -210,7 +330,12 @@ impl<'a> Parser<'a> {
                 }
                 self.depth += 1;
                 let v = if open == b'{' {
-                    self.object()
+                    let mut map = BTreeMap::new();
+                    self.object(|lx, key| {
+                        map.insert(key, lx.value()?);
+                        Ok(())
+                    })
+                    .map(|()| Json::Obj(map))
                 } else {
                     self.array()
                 };
@@ -221,36 +346,8 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'-' | b'0'..=b'9') => Ok(Json::Num(parse_number(self.number()?)?)),
             other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            map.insert(key, val);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(map));
-                }
-                other => return Err(format!("expected ',' or '}}', found {other:?}")),
-            }
         }
     }
 
@@ -275,72 +372,6 @@ impl<'a> Parser<'a> {
                 other => return Err(format!("expected ',' or ']', found {other:?}")),
             }
         }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).ok_or("invalid \\u code point")?);
-                        }
-                        other => return Err(format!("bad escape '\\{}'", other as char)),
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // byte boundaries are safe to re-derive).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let ch = s.chars().next().ok_or("empty string tail")?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while self
-            .peek()
-            .is_some_and(|b| matches!(b, b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9'))
-        {
-            self.pos += 1;
-        }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-        s.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|e| format!("bad number {s:?}: {e}"))
     }
 }
 
@@ -384,6 +415,20 @@ mod tests {
         // overflow.
         let err = Json::parse(&"[".repeat(1 << 20)).unwrap_err();
         assert!(err.contains("nesting deeper than"), "{err}");
+    }
+
+    #[test]
+    fn a_4_mib_string_parses_in_one_pass() {
+        // 64 KiB plain runs between escapes and non-ASCII chars, 4 MiB in
+        // all: a string scan that is not linear in the string's length
+        // takes minutes here.
+        let run = "x".repeat(64 << 10);
+        let unit = format!(r#"{run}é😀\n\u0041\""#);
+        let text = format!("\"{}\"", unit.repeat(64));
+        assert!(text.len() > 4 << 20);
+        let want = format!("{run}é😀\nA\"").repeat(64);
+        assert_eq!(Json::parse(&text).unwrap().as_str(), Some(&*want));
+        assert!(Json::parse(&text[..text.len() - 1]).is_err());
     }
 
     #[test]

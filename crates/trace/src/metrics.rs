@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::event::escape_json_into;
+use crate::json::escape_json_into;
 
 /// Default bucket upper bounds (inclusive), used by
 /// [`MetricsRegistry::observe`] for unregistered histograms. The decade

@@ -12,6 +12,7 @@
 //! `about:tracing`/Perfetto. Both are functions of the recorded state
 //! only, so same-seed runs serialize byte-identically.
 
+use std::borrow::Cow;
 use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
@@ -21,6 +22,7 @@ use parking_lot::Mutex; // lint: allow(L6: tracer sink lock import; the sink fie
 use simcore::{SimDuration, SimTime};
 
 use crate::event::{Arg, TraceEvent};
+use crate::json::write_str;
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 
 /// Recorded state behind an enabled tracer.
@@ -81,17 +83,7 @@ impl Tracer {
 
     /// Records an instant event at the tracer clock.
     pub fn instant(&self, cat: &'static str, name: &str, args: &[(&'static str, Arg)]) {
-        if let Some(sink) = &self.sink {
-            let mut s = sink.lock();
-            let at = s.now;
-            s.events.push(TraceEvent {
-                at,
-                dur: None,
-                cat,
-                name: name.to_string(),
-                args: args.to_vec(),
-            });
-        }
+        self.record(None, None, cat, name, args);
     }
 
     /// Records an instant event at an explicit virtual time.
@@ -102,15 +94,7 @@ impl Tracer {
         name: &str,
         args: &[(&'static str, Arg)],
     ) {
-        if let Some(sink) = &self.sink {
-            sink.lock().events.push(TraceEvent {
-                at,
-                dur: None,
-                cat,
-                name: name.to_string(),
-                args: args.to_vec(),
-            });
-        }
+        self.record(Some(at), None, cat, name, args);
     }
 
     /// Records a complete span `[start, start+dur)`.
@@ -122,13 +106,31 @@ impl Tracer {
         name: &str,
         args: &[(&'static str, Arg)],
     ) {
+        self.record(Some(start), Some(dur), cat, name, args);
+    }
+
+    /// Appends one event (`at: None` stamps it with the tracer clock).
+    /// The category and keys are borrowed, not copied.
+    fn record(
+        &self,
+        at: Option<SimTime>,
+        dur: Option<SimDuration>,
+        cat: &'static str,
+        name: &str,
+        args: &[(&'static str, Arg)],
+    ) {
         if let Some(sink) = &self.sink {
-            sink.lock().events.push(TraceEvent {
-                at: start,
-                dur: Some(dur),
-                cat,
+            let mut s = sink.lock();
+            let at = at.unwrap_or(s.now);
+            s.events.push(TraceEvent {
+                at,
+                dur,
+                cat: Cow::Borrowed(cat),
                 name: name.to_string(),
-                args: args.to_vec(),
+                args: args
+                    .iter()
+                    .map(|(k, v)| (Cow::Borrowed(*k), v.clone()))
+                    .collect(),
             });
         }
     }
@@ -213,7 +215,7 @@ impl Tracer {
     fn to_chrome(&self) -> String {
         let events = self.events();
         // Deterministic lane assignment: categories in sorted order.
-        let mut cats: Vec<&'static str> = events.iter().map(|e| e.cat).collect();
+        let mut cats: Vec<&str> = events.iter().map(|e| &*e.cat).collect();
         cats.sort_unstable();
         cats.dedup();
         let lane = |cat: &str| -> usize { cats.iter().position(|c| *c == cat).unwrap_or(0) + 1 };
@@ -226,10 +228,11 @@ impl Tracer {
             first = false;
             out.push_str(&format!(
                 "{{\"ph\":\"M\",\"pid\":1,\"tid\":{},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"{}\"}}}}",
+                 \"args\":{{\"name\":",
                 i + 1,
-                cat
             ));
+            write_str(cat, &mut out);
+            out.push_str("}}");
         }
         for e in &events {
             if !first {
@@ -248,22 +251,14 @@ impl Tracer {
                     e.at.as_micros()
                 )),
             }
-            line.push_str(&format!(",\"pid\":1,\"tid\":{}", lane(e.cat)));
-            line.push_str(",\"cat\":\"");
-            line.push_str(e.cat);
-            line.push_str("\",\"name\":\"");
-            crate::event::escape_json_into(&e.name, &mut line);
-            line.push_str("\",\"args\":{");
-            for (i, (k, v)) in e.args.iter().enumerate() {
-                if i > 0 {
-                    line.push(',');
-                }
-                line.push('"');
-                crate::event::escape_json_into(k, &mut line);
-                line.push_str("\":");
-                v.write_json(&mut line);
-            }
-            line.push_str("}}");
+            line.push_str(&format!(",\"pid\":1,\"tid\":{}", lane(&e.cat)));
+            line.push_str(",\"cat\":");
+            write_str(&e.cat, &mut line);
+            line.push_str(",\"name\":");
+            write_str(&e.name, &mut line);
+            line.push_str(",\"args\":");
+            e.write_args(&mut line);
+            line.push('}');
             out.push_str(&line);
         }
         out.push_str("\n]}\n");
