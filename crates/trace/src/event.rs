@@ -115,19 +115,25 @@ impl Arg {
 
     /// Reads a string or number value, typed by its lexeme: a fraction or
     /// exponent makes an `F64`, a leading `-` an `I64`, anything else a
-    /// `U64`.
+    /// `U64`. A float that overflows to infinity and a `-0` are refused:
+    /// no writer emits either, and neither would read back as itself.
     fn lex(lx: &mut Lexer) -> Result<Arg, String> {
         if lx.peek() == Some(b'"') {
             return Ok(Arg::Str(lx.string()?));
         }
         let tok = lx.number()?;
-        Ok(if tok.contains(['.', 'e', 'E']) {
+        let arg = if tok.contains(['.', 'e', 'E']) {
             Arg::F64(parse_number(tok)?)
         } else if tok.starts_with('-') {
             Arg::I64(parse_number(tok)?)
         } else {
             Arg::U64(parse_number(tok)?)
-        })
+        };
+        match arg {
+            Arg::F64(v) if !v.is_finite() => Err(format!("float {tok:?} is out of range")),
+            Arg::I64(v) if v >= 0 => Err(format!("integer {tok:?} is not negative")),
+            _ => Ok(arg),
+        }
     }
 }
 

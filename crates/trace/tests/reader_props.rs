@@ -68,6 +68,12 @@ proptest! {
         let damaged = format!("{body}{sep}\"job\":{value}}}}}");
         prop_assert!(TraceEvent::from_jsonl(&damaged).is_none(), "{}", damaged);
     }
+}
+
+proptest! {
+    // One case in a few hundred flips an exponent or sign digit into a
+    // value the writer cannot give back; 4096 cases find one.
+    #![proptest_config(ProptestConfig::with_cases(4096))]
 
     fn a_flipped_byte_is_refused_or_reads_as_a_round_tripping_event(
         e in event(),
@@ -102,4 +108,19 @@ fn a_category_and_key_no_emitter_used_before_round_trip() {
          \"args\":{\"v\":0.5,\"tenant\":\"t1\"}}"
     );
     assert_eq!(TraceEvent::from_jsonl(&line), Some(e));
+}
+
+#[test]
+fn a_value_that_would_not_read_back_as_itself_is_refused() {
+    // `1e999` overflows to infinity, which writes as `0.0`; `-0` lexes as
+    // an `I64` but writes as `0`, which reads back as a `U64`.
+    let line = |v: &str| {
+        format!("{{\"ts\":1,\"ph\":\"i\",\"cat\":\"farm\",\"name\":\"n\",\"args\":{{\"v\":{v}}}}}")
+    };
+    for v in ["-1", "1e300", "-0.0"] {
+        assert!(TraceEvent::from_jsonl(&line(v)).is_some(), "{}", line(v));
+    }
+    for v in ["1e999", "-1e999", "5.3e999", "-0"] {
+        assert_eq!(TraceEvent::from_jsonl(&line(v)), None, "{}", line(v));
+    }
 }
