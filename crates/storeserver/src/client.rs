@@ -331,120 +331,3 @@ impl StoreClient {
         }
     }
 }
-
-/// A reconnecting TCP client for fault-injected environments.
-///
-/// On a connection drop the client reconnects and retries. Every store
-/// op except `rename` is idempotent, so blind retry is safe; a retried
-/// `rename` that answers `NoSuchKey` is disambiguated by checking the
-/// destination — if `to` exists, the first attempt landed before the
-/// drop and the rename already happened.
-pub struct RetryClient {
-    addr: SocketAddr,
-    inner: Option<StoreClient>,
-    max_attempts: usize,
-    /// Connection drops observed (and survived) so far.
-    pub drops_seen: u64,
-}
-
-impl RetryClient {
-    /// Connects, allowing up to `max_attempts` tries per operation.
-    pub fn connect(addr: SocketAddr, max_attempts: usize) -> io::Result<RetryClient> {
-        Ok(RetryClient {
-            addr,
-            inner: Some(StoreClient::connect(addr)?),
-            max_attempts: max_attempts.max(1),
-            drops_seen: 0,
-        })
-    }
-
-    fn client(&mut self) -> io::Result<&mut StoreClient> {
-        if self.inner.is_none() {
-            self.inner = Some(StoreClient::connect(self.addr)?);
-        }
-        Ok(self.inner.as_mut().expect("just ensured"))
-    }
-
-    fn retry<T>(
-        &mut self,
-        mut op: impl FnMut(&mut StoreClient) -> Result<T, StoreError>,
-    ) -> Result<T, StoreError> {
-        let mut last: Option<StoreError> = None;
-        for _ in 0..self.max_attempts {
-            match self.client() {
-                Err(e) => last = Some(StoreError::Io(e)),
-                Ok(client) => match op(client) {
-                    Ok(v) => return Ok(v),
-                    Err(StoreError::Io(e)) => {
-                        // Connection is suspect: drop it and redial.
-                        self.inner = None;
-                        self.drops_seen += 1;
-                        last = Some(StoreError::Io(e));
-                    }
-                    Err(other) => return Err(other),
-                },
-            }
-        }
-        Err(last.unwrap_or_else(|| StoreError::Protocol("retry budget exhausted".into())))
-    }
-
-    /// Idempotent put with retry.
-    pub fn put(&mut self, key: &str, value: Bytes) -> Result<(), StoreError> {
-        self.retry(|c| c.put(key, value.clone()).map(|_| ()))
-    }
-
-    /// Get with retry.
-    pub fn get(&mut self, key: &str) -> Result<Option<Bytes>, StoreError> {
-        self.retry(|c| c.get(key))
-    }
-
-    /// Idempotent delete with retry (existence answer may be consumed
-    /// by the drop; the post-state is what matters).
-    pub fn del(&mut self, key: &str) -> Result<(), StoreError> {
-        self.retry(|c| c.del(key).map(|_| ()))
-    }
-
-    /// Batched put with retry.
-    pub fn put_many(&mut self, pairs: &[(String, Bytes)]) -> Result<(), StoreError> {
-        self.retry(|c| c.put_many(pairs.to_vec()).map(|_| ()))
-    }
-
-    /// Keys with retry.
-    pub fn keys(&mut self, pattern: &str) -> Result<Vec<String>, StoreError> {
-        self.retry(|c| c.keys(pattern))
-    }
-
-    /// Rename with drop-ambiguity resolution (see the type docs).
-    pub fn rename(&mut self, from: &str, to: &str) -> Result<(), StoreError> {
-        let mut retried = false;
-        let mut last: Option<StoreError> = None;
-        for _ in 0..self.max_attempts {
-            let client = match self.client() {
-                Ok(c) => c,
-                Err(e) => {
-                    last = Some(StoreError::Io(e));
-                    continue;
-                }
-            };
-            match client.rename(from, to) {
-                Ok(()) => return Ok(()),
-                Err(StoreError::Io(e)) => {
-                    self.inner = None;
-                    self.drops_seen += 1;
-                    retried = true;
-                    last = Some(StoreError::Io(e));
-                }
-                Err(StoreError::NoSuchKey(k)) if retried => {
-                    // The pre-drop attempt may have landed: the rename
-                    // happened iff the destination now exists.
-                    if self.retry(|c| c.exists(to))? {
-                        return Ok(());
-                    }
-                    return Err(StoreError::NoSuchKey(k));
-                }
-                Err(other) => return Err(other),
-            }
-        }
-        Err(last.unwrap_or_else(|| StoreError::Protocol("retry budget exhausted".into())))
-    }
-}

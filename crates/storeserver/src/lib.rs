@@ -14,9 +14,11 @@
 //!   group-commit fsync batching, and torn-tail-tolerant crash
 //!   recovery (taridx's rescan discipline, applied to a log).
 //! * [`engine`] — the transport-agnostic core: `kvstore::Cluster`
-//!   hash-tag placement, log-then-apply mutation ordering.
+//!   hash-tag placement, and one write path (`commit`) that logs then
+//!   applies each op, the same `apply` replay uses.
 //! * [`server`] — thread-per-connection TCP front end that only acks
-//!   after the batch's durability barrier, plus chaos drop schedules.
+//!   after the batch's durability barrier. It carries no fault hooks:
+//!   the chaos tests inject lost acks from a proxy of their own.
 //! * [`client`] — a typed client with batched ops (`put_many` /
 //!   `get_many` / `scan`), explicit pipelining, and two transports: TCP
 //!   and a deterministic in-process **loopback** (no sockets, no
@@ -41,10 +43,10 @@ pub mod proto;
 pub mod server;
 pub mod wal;
 
-pub use client::{LoopbackTransport, RetryClient, StoreClient, TcpTransport, Transport};
+pub use client::{LoopbackTransport, StoreClient, TcpTransport, Transport};
 pub use engine::{EngineError, RecoveryReport, StoreEngine};
 pub use proto::{Request, Response, StoreStats, WireError};
-pub use server::{DropSchedule, StoreServer};
+pub use server::StoreServer;
 pub use wal::{SyncMode, WalOp};
 
 use std::fmt;

@@ -11,45 +11,19 @@
 //! client side sends a depth-64 batch in one flush
 //! (`tests/wire.rs::pipelining_and_batching_cost_one_round_trip`).
 //!
-//! Chaos hooks: a [`DropSchedule`] built from seeded global op indices
-//! severs the connection *after* the victim op is applied and synced but
-//! *before* its response is sent — the nastiest real-network window,
-//! where the client cannot know whether the op landed and must resolve
-//! the ambiguity on reconnect (see `RetryClient`).
+//! The server holds no test hooks. The only state its threads share
+//! besides the engine is the accept loop's shutdown flag; a test that
+//! needs a lost ack cuts the connection in its own proxy
+//! (`tests/chaos_net.rs`).
 
-use std::collections::BTreeSet;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering}; // lint: allow(L6: listener shutdown flag + chaos op counter; both are edge-side and off the replay path)
+use std::sync::atomic::{AtomicBool, Ordering}; // lint: allow(L6: listener shutdown flag, the only state the server's threads share besides the engine; off the replay path)
 use std::sync::Arc;
 use std::thread;
 
 use crate::engine::StoreEngine;
 use crate::proto::{read_frame, Request, Response, WireError};
-
-/// Seeded connection-drop points on the server's global op counter.
-#[derive(Debug, Default)]
-pub struct DropSchedule {
-    points: BTreeSet<u64>,
-    counter: AtomicU64, // lint: allow(L6: chaos-only op counter; ordering across connections is the fault being injected, not simulated state)
-}
-
-impl DropSchedule {
-    /// A schedule that severs the connection handling the `i`-th op for
-    /// each `i` in `points`.
-    pub fn new(points: impl IntoIterator<Item = u64>) -> DropSchedule {
-        DropSchedule {
-            points: points.into_iter().collect(),
-            counter: AtomicU64::new(0), // lint: allow(L6: chaos-only op counter init; see the field's allow)
-        }
-    }
-
-    /// Counts one op; true when this op's connection must drop.
-    fn fires(&self) -> bool {
-        let n = self.counter.fetch_add(1, Ordering::SeqCst);
-        self.points.contains(&n)
-    }
-}
 
 /// A listening store server.
 pub struct StoreServer {
@@ -62,19 +36,9 @@ pub struct StoreServer {
 impl StoreServer {
     /// Binds `addr` (port 0 for ephemeral) and serves `engine`.
     pub fn start(engine: Arc<StoreEngine>, addr: &str) -> std::io::Result<StoreServer> {
-        StoreServer::start_with_drops(engine, addr, None)
-    }
-
-    /// Same, with a chaos drop schedule.
-    pub fn start_with_drops(
-        engine: Arc<StoreEngine>,
-        addr: &str,
-        drops: Option<DropSchedule>,
-    ) -> std::io::Result<StoreServer> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false)); // lint: allow(L6: accept-loop stop flag init; see the field's allow)
-        let drops = drops.map(Arc::new);
         let accept_engine = Arc::clone(&engine);
         let accept_shutdown = Arc::clone(&shutdown);
         let accept_thread = thread::spawn(move || {
@@ -84,9 +48,8 @@ impl StoreServer {
                 }
                 let Ok(stream) = conn else { continue };
                 let conn_engine = Arc::clone(&accept_engine);
-                let conn_drops = drops.clone();
                 thread::spawn(move || {
-                    let _ = handle_connection(conn_engine, stream, conn_drops);
+                    let _ = handle_connection(conn_engine, stream);
                 });
             }
         });
@@ -127,11 +90,7 @@ impl StoreServer {
     }
 }
 
-fn handle_connection(
-    engine: Arc<StoreEngine>,
-    stream: TcpStream,
-    drops: Option<Arc<DropSchedule>>,
-) -> std::io::Result<()> {
+fn handle_connection(engine: Arc<StoreEngine>, stream: TcpStream) -> std::io::Result<()> {
     stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
@@ -156,18 +115,10 @@ fn handle_connection(
             }
         };
         let (seq, op, body) = frame;
-        let chaos_drop = drops.as_ref().is_some_and(|d| d.fires());
         let resp = match Request::decode(op, &body) {
             Ok(req) => engine.handle(req),
             Err(e) => Response::Err(WireError::BadRequest(e)),
         };
-        if chaos_drop {
-            // Apply-then-drop: the op (and everything queued before it)
-            // becomes durable, but no ack escapes — the client must
-            // resolve the ambiguity after reconnecting.
-            engine.sync_dirty()?;
-            return Ok(());
-        }
         out.extend_from_slice(&resp.encode_frame(seq));
         // Group commit: when the read buffer is drained the client is
         // waiting on us — sync once for the whole batch, then release

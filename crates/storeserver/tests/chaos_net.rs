@@ -1,20 +1,103 @@
 //! Seeded chaos against the real transport: connections severed in the
 //! ack window, WAL tails torn — the store-tier faults that used to be
 //! simulated by injected errors, now pointed at the genuine articles.
+//! The server has no fault hooks; the lost acks come from a proxy that
+//! lives in this file, between the client and an unmodified server.
 
 use bytes::Bytes;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::thread;
 
 use chaos::StoreChaosPlan;
 use storeserver::wal::replay;
-use storeserver::{DropSchedule, RetryClient, StoreClient, StoreEngine, StoreServer, SyncMode};
+use storeserver::{StoreClient, StoreEngine, StoreError, StoreServer, SyncMode};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("store-chaos-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// One frame (`[u32 LE len][len bytes]`), or `None` once the peer closes.
+fn read_frame_bytes(stream: &mut TcpStream) -> Option<Vec<u8>> {
+    let mut frame = vec![0u8; 4];
+    stream.read_exact(&mut frame).ok()?;
+    let len = u32::from_le_bytes([frame[0], frame[1], frame[2], frame[3]]);
+    frame.resize(4 + len as usize, 0);
+    stream.read_exact(&mut frame[4..]).ok()?;
+    Some(frame)
+}
+
+/// Relays one client connection to a fresh connection to `upstream`
+/// until the client closes, or until the server's response number
+/// `answered` (counted across connections from 0) is one of `drops`:
+/// that response is swallowed and both connections are cut. The server
+/// answers only after the op is applied and synced, so the op landed
+/// but the client cannot know it — the nastiest real-network window.
+/// The client sends a request only after reading the previous answer,
+/// so each request is followed by exactly one response.
+fn relay(mut client: TcpStream, upstream: SocketAddr, drops: &[u64], answered: &mut u64) {
+    let mut server = TcpStream::connect(upstream).unwrap();
+    while let Some(request) = read_frame_bytes(&mut client) {
+        server.write_all(&request).unwrap();
+        let response = read_frame_bytes(&mut server).expect("the server answers");
+        let cut = drops.contains(answered);
+        *answered += 1;
+        if cut || client.write_all(&response).is_err() {
+            return;
+        }
+    }
+}
+
+/// A client that reconnects and retries when its connection is cut.
+/// Every op the script uses except `rename` is idempotent, so a blind
+/// retry is safe; a retried rename that answers `NoSuchKey` is resolved
+/// by the destination: if `to` exists, the first attempt landed before
+/// the cut.
+struct Reconnecting {
+    addr: SocketAddr,
+    client: Option<StoreClient>,
+    /// Connection cuts observed (and survived) so far.
+    drops_seen: u64,
+}
+
+impl Reconnecting {
+    /// Runs `op`, redialling and retrying after each cut, up to 8 tries.
+    fn call<T>(
+        &mut self,
+        mut op: impl FnMut(&mut StoreClient) -> Result<T, StoreError>,
+    ) -> Result<T, StoreError> {
+        for _ in 0..8 {
+            let client = match &mut self.client {
+                Some(client) => client,
+                None => self.client.insert(StoreClient::connect(self.addr)?),
+            };
+            match op(client) {
+                Err(StoreError::Io(_)) => {
+                    self.client = None;
+                    self.drops_seen += 1;
+                }
+                done => return done,
+            }
+        }
+        Err(StoreError::Protocol("retry budget exhausted".into()))
+    }
+
+    fn rename(&mut self, from: &str, to: &str) -> Result<(), StoreError> {
+        let cuts_before = self.drops_seen;
+        match self.call(|c| c.rename(from, to)) {
+            Err(StoreError::NoSuchKey(_))
+                if self.drops_seen > cuts_before && self.call(|c| c.exists(to))? =>
+            {
+                Ok(())
+            }
+            done => done,
+        }
+    }
 }
 
 /// A reconnecting client survives seeded connection drops and the final
@@ -30,23 +113,34 @@ fn seeded_connection_drops_conserve_the_ledger() {
     assert!(!plan.conn_drops.is_empty());
 
     let engine = Arc::new(StoreEngine::in_memory(8));
-    let server = StoreServer::start_with_drops(
-        Arc::clone(&engine),
-        "127.0.0.1:0",
-        Some(DropSchedule::new(plan.conn_drops.iter().copied())),
-    )
-    .unwrap();
+    let server = StoreServer::start(Arc::clone(&engine), "127.0.0.1:0").unwrap();
+    // The proxy between the client and the server. Every cut makes the
+    // client dial again, so it serves one connection per planned drop
+    // plus the last one, which ends when the client is dropped.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let proxy = listener.local_addr().unwrap();
+    let (upstream, drops) = (server.addr(), plan.conn_drops.clone());
+    let relays = thread::spawn(move || {
+        let mut answered = 0;
+        for client in listener.incoming().take(drops.len() + 1) {
+            relay(client.unwrap(), upstream, &drops, &mut answered);
+        }
+    });
 
     // Model: the same script applied to a plain in-memory engine with
     // no faults.
     let model = Arc::new(StoreEngine::in_memory(8));
     let mut model_client = StoreClient::loopback(Arc::clone(&model));
 
-    let mut c = RetryClient::connect(server.addr(), 8).unwrap();
+    let mut c = Reconnecting {
+        addr: proxy,
+        client: None,
+        drops_seen: 0,
+    };
     for i in 0..200u64 {
         let key = format!("rdf:new:{{s{i}}}:f0");
         let value = Bytes::from(vec![(i % 251) as u8; 32]);
-        c.put(&key, value.clone()).unwrap();
+        c.call(|s| s.put(&key, value.clone())).unwrap();
         model_client.put(&key, value).unwrap();
         if i % 3 == 0 {
             let done = format!("rdf:done:{{s{i}}}:f0");
@@ -55,7 +149,7 @@ fn seeded_connection_drops_conserve_the_ledger() {
         }
         if i % 7 == 0 {
             let victim = format!("rdf:done:{{s{i}}}:f0");
-            c.del(&victim).unwrap();
+            c.call(|s| s.del(&victim)).unwrap();
             model_client.del(&victim).unwrap();
         }
     }
@@ -69,18 +163,20 @@ fn seeded_connection_drops_conserve_the_ledger() {
 
     // Ledger audit: chaos state == model state, key for key, byte for
     // byte.
-    let mut chaos_keys = c.keys("*").unwrap();
+    let mut chaos_keys = c.call(|s| s.keys("*")).unwrap();
     chaos_keys.sort();
     let mut model_keys = model_client.keys("*").unwrap();
     model_keys.sort();
     assert_eq!(chaos_keys, model_keys, "key sets diverged under drops");
     for key in &model_keys {
         assert_eq!(
-            c.get(key).unwrap(),
+            c.call(|s| s.get(key)).unwrap(),
             model_client.get(key).unwrap(),
             "value diverged at {key}"
         );
     }
+    drop(c);
+    relays.join().unwrap();
     server.stop();
 }
 

@@ -65,7 +65,18 @@ struct Daemon {
 }
 
 fn spawn_daemon(dir: &std::path::Path, shards: usize, sync: &str) -> Daemon {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_storeserverd"))
+    spawn(
+        Command::new(env!("CARGO_BIN_EXE_storeserverd")),
+        dir,
+        shards,
+        sync,
+    )
+}
+
+/// Runs `cmd` (the daemon, or a shell that execs it) with the daemon's
+/// arguments and reads the address it prints.
+fn spawn(mut cmd: Command, dir: &std::path::Path, shards: usize, sync: &str) -> Daemon {
+    let mut child = cmd
         .args([
             "--addr",
             "127.0.0.1:0",
@@ -186,6 +197,44 @@ fn sigkill_mid_write_loses_no_acknowledged_write() {
         "sigkill audit: {} acked writes, 0 lost, {} torn tail bytes discarded",
         acked.len(),
         engine.recovery().torn_bytes
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// No ack leaves before its record is in the log. The daemon runs under a
+/// small file-size limit with `SIGXFSZ` ignored, so once the log reaches
+/// the limit the flush in the group-commit barrier fails (`EFBIG`) with
+/// the op's record half written. That op must not have been acked: every
+/// put the client saw acknowledged is whole in the log left behind.
+#[test]
+fn no_ack_leaves_before_its_record_is_written() {
+    let dir = tmpdir("fsize");
+    let mut sh = Command::new("sh");
+    sh.args([
+        "-c",
+        "trap '' XFSZ; ulimit -f 8 && exec \"$0\" \"$@\"",
+        env!("CARGO_BIN_EXE_storeserverd"),
+    ]);
+    let daemon = spawn(sh, &dir, 1, "virtual");
+    let mut c = StoreClient::connect(daemon.addr).unwrap();
+    let value = Bytes::from(vec![7u8; 100]);
+    let mut acked = 0u64;
+    while acked < 10_000 && c.put(&format!("k{acked}"), value.clone()).is_ok() {
+        acked += 1;
+    }
+    let mut child = daemon.child;
+    child.kill().unwrap();
+    child.wait().unwrap();
+    assert!(acked < 10_000, "the file-size limit never failed a flush");
+
+    // Replay keeps a prefix, and the puts are distinct keys: the log
+    // holds every acked put iff it holds `acked` whole records.
+    let engine = StoreEngine::open(&dir, 1, SyncMode::Virtual).expect("recover");
+    let recovered = engine.recovery();
+    assert!(recovered.torn_bytes > 0, "no flush failed mid-record");
+    assert_eq!(
+        recovered.records, acked,
+        "an acked put is not whole in the log"
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }

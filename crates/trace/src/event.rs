@@ -18,7 +18,10 @@ use crate::json::{parse_number, write_str, Lexer};
 pub enum Arg {
     /// Unsigned integer (ids, counts, resource totals).
     U64(u64),
-    /// Signed integer (deltas).
+    /// Negative integer (deltas below zero). A value ≥ 0 is a `U64`:
+    /// it writes as a bare integer, and the reader types a lexeme
+    /// without a `-` as `U64`, so only negatives read back as `I64`.
+    /// `Arg::from(i64)` picks the variant.
     I64(i64),
     /// Float (percentages, couplings). Serialized via Rust's shortest
     /// round-trip formatting, which is deterministic, always with a `.`
@@ -48,7 +51,10 @@ impl From<usize> for Arg {
 
 impl From<i64> for Arg {
     fn from(v: i64) -> Arg {
-        Arg::I64(v)
+        match u64::try_from(v) {
+            Ok(v) => Arg::U64(v),
+            Err(_) => Arg::I64(v),
+        }
     }
 }
 

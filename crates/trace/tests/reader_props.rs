@@ -18,10 +18,10 @@ fn arg() -> impl Strategy<Value = Arg> {
     prop_oneof![
         any::<u64>().prop_map(Arg::U64),
         Just(Arg::U64(u64::MAX)),
-        // A non-negative `I64` is written as a bare integer and reads
-        // back as `U64` (arguments are typed by their lexeme).
-        (i64::MIN..0).prop_map(Arg::I64),
-        Just(Arg::I64(i64::MIN)),
+        // Every `i64` goes through `Arg::from`, which gives `U64` for a
+        // value ≥ 0 (arguments are read back typed by their lexeme).
+        any::<i64>().prop_map(Arg::from),
+        Just(Arg::from(i64::MIN)),
         // Integral floats keep their `.0`; the wide exponents write as
         // `1e-300`-style lexemes.
         (-1e6f64..1e6).prop_map(|v| Arg::F64(v.trunc())),
@@ -122,5 +122,19 @@ fn a_value_that_would_not_read_back_as_itself_is_refused() {
     }
     for v in ["1e999", "-1e999", "5.3e999", "-0"] {
         assert_eq!(TraceEvent::from_jsonl(&line(v)), None, "{}", line(v));
+    }
+}
+
+#[test]
+fn a_signed_integer_from_zero_up_reads_back_as_itself() {
+    for v in [0i64, 5, i64::MAX, -1, i64::MIN] {
+        let e = TraceEvent {
+            at: SimTime::from_secs(1),
+            dur: None,
+            cat: "sched".into(),
+            name: "delta".into(),
+            args: vec![("d".into(), Arg::from(v))],
+        };
+        assert_eq!(TraceEvent::from_jsonl(&e.to_jsonl()), Some(e), "{v}");
     }
 }
