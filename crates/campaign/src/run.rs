@@ -8,7 +8,6 @@ use parking_lot::Mutex; // lint: allow(L6: campaign shared-state import; each fi
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use cg::CgFrame;
 use chaos::{FaultKind, FaultPlan, MonotonicWatch, RunLedger};
 use datastore::{DataStore, FaultWindow, KvDataStore, ScheduledFaultStore};
 use mummi_core::app3;
@@ -399,6 +398,13 @@ fn fault_windows(plan: &FaultPlan) -> Vec<FaultWindow> {
         .collect()
 }
 
+/// Puts interrupted sims, collected in ascending id order, at the head
+/// of a ready buffer in descending id order, ahead of what was queued:
+/// the order one insert at the front per sim gave, in one splice.
+fn requeue_ahead(ready: &mut Vec<String>, ascending: Vec<String>) {
+    ready.splice(0..0, ascending.into_iter().rev());
+}
+
 /// Submits the continuum job — one multi-node CPU job covering
 /// `at..until` — and returns its id. The job belongs to the driver, not
 /// to a tracker, so the caller books its failures.
@@ -768,10 +774,12 @@ struct RunSim<'c> {
     jobs_hung: u64,
     driver_iterations: u64,
     forced_advances: u64,
-    /// Per-pass scratch buffers: candidate staging and the WM event list
-    /// are drained every pass, so one allocation serves the whole run.
+    /// Per-pass scratch buffers: candidate staging, the WM event list
+    /// and the encoded frame are drained or rewritten every pass, so one
+    /// allocation serves the whole run.
     point_buf: Vec<dynim::HdPoint>,
     wm_events: Vec<WmEvent>,
+    frame_buf: Vec<u8>,
 }
 
 impl<'c> RunSim<'c> {
@@ -873,6 +881,7 @@ impl<'c> RunSim<'c> {
             forced_advances: 0,
             point_buf: Vec::new(),
             wm_events: Vec::new(),
+            frame_buf: Vec::new(),
         }
     }
 
@@ -967,15 +976,15 @@ impl<'c> RunSim<'c> {
             // CG→continuum feedback round (paper Task 4). A store-fault
             // window may reject the write: the frame is simply lost to
             // feedback, never to job accounting.
-            let frame = CgFrame {
-                id: id.clone(),
-                time: t.as_secs_f64(),
-                encoding: [coords[0], coords[1], coords[2]],
-                rdfs: vec![vec![1.0 + coords[0] - coords[1]; 8]],
-            };
+            cg::analysis::encode_frame(
+                &mut self.frame_buf,
+                t.as_secs_f64(),
+                [coords[0], coords[1], coords[2]],
+                &[[1.0 + coords[0] - coords[1]; 8]],
+            );
             let _ = self
                 .store
-                .write(mummi_core::ns::RDF_NEW, &id, &frame.encode());
+                .write(mummi_core::ns::RDF_NEW, &id, &self.frame_buf);
             self.point_buf.push(dynim::HdPoint::new(id, coords));
         }
         self.wm.add_frame_candidates_from(&mut self.point_buf);
@@ -1111,6 +1120,7 @@ impl<'c> RunSim<'c> {
     /// incarnation leaves running and requeues the unfinished ones at
     /// the head of `ckpt`'s ready buffers (restart from checkpoints).
     fn credit_interrupted(&self, at: SimTime, ckpt: &mut WmCheckpoint) {
+        let (mut cg, mut aa) = (Vec::new(), Vec::new());
         let mut sims = self.camp.sims.lock();
         for (id, rec) in sims.iter_mut() {
             if let Some(started) = rec.started_at.take() {
@@ -1118,13 +1128,15 @@ impl<'c> RunSim<'c> {
                 rec.achieved = (rec.achieved + rec.rate_per_day * days).min(rec.target);
                 if rec.achieved < rec.target {
                     if id.starts_with("cg-") {
-                        ckpt.cg_ready.insert(0, id.clone());
+                        cg.push(id.clone());
                     } else {
-                        ckpt.aa_ready.insert(0, id.clone());
+                        aa.push(id.clone());
                     }
                 }
             }
         }
+        requeue_ahead(&mut ckpt.cg_ready, cg);
+        requeue_ahead(&mut ckpt.aa_ready, aa);
     }
 
     /// Closes the books on the current WM incarnation — at a crash point
@@ -1538,6 +1550,31 @@ mod failure_tests {
             "occupancy survives attrition: {:.1}%",
             r.gpu_mean_occupancy
         );
+    }
+
+    /// Interrupted sims go back in descending id order, ahead of the
+    /// previous ready queue, as inserting each at the front did.
+    #[test]
+    fn interrupted_sims_requeue_descending_ahead_of_the_queue() {
+        let ids = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let mut ready = ids(&["cg-0000000009", "cg-0000000001"]);
+        requeue_ahead(
+            &mut ready,
+            ids(&["cg-0000000002", "cg-0000000005", "cg-0000000007"]),
+        );
+        assert_eq!(
+            ready,
+            ids(&[
+                "cg-0000000007",
+                "cg-0000000005",
+                "cg-0000000002",
+                "cg-0000000009",
+                "cg-0000000001",
+            ])
+        );
+        let mut ready = ids(&["x"]);
+        requeue_ahead(&mut ready, Vec::new());
+        assert_eq!(ready, ids(&["x"]));
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! - the **3-D conformational state** of the RAS-RAF complex — the frame
 //!   encoding the binned sampler selects on.
 
-use datastore::codec::{Array, Records};
+use datastore::codec::{ArrayView, RecordsView, RecordsWriter};
+use datastore::{DataError, Result};
 
 use crate::system::CgSystem;
 
@@ -33,46 +34,123 @@ pub struct CgFrame {
 impl CgFrame {
     /// Serializes the frame for a data store.
     pub fn encode(&self) -> Vec<u8> {
-        let mut rec = Records::new();
-        rec.insert(
-            "meta",
-            Array::from_vec(vec![
-                self.time,
-                self.encoding[0],
-                self.encoding[1],
-                self.encoding[2],
-                self.rdfs.len() as f64,
-            ]),
-        );
-        for (s, r) in self.rdfs.iter().enumerate() {
-            rec.insert(&format!("rdf{s}"), Array::from_vec(r.clone()));
-        }
-        rec.encode()
+        let mut out = Vec::new();
+        encode_frame(&mut out, self.time, self.encoding, &self.rdfs);
+        out
     }
 
-    /// Decodes a serialized frame (the id comes from the namespace key).
-    pub fn decode(id: &str, bytes: &[u8]) -> datastore::Result<CgFrame> {
-        let rec = Records::decode(bytes)?;
-        let meta = rec
-            .get("meta")
-            .ok_or_else(|| datastore::DataError::Codec("missing meta".into()))?;
-        let n = meta.data()[4] as usize;
-        let mut rdfs = Vec::with_capacity(n);
-        for s in 0..n {
-            rdfs.push(
-                rec.get(&format!("rdf{s}"))
-                    .ok_or_else(|| datastore::DataError::Codec(format!("missing rdf{s}")))?
-                    .data()
-                    .to_vec(),
-            );
-        }
+    /// Decodes a serialized frame (the id comes from the namespace key):
+    /// [`CgFrameView::parse`] plus a copy.
+    pub fn decode(id: &str, bytes: &[u8]) -> Result<CgFrame> {
+        let view = CgFrameView::parse(bytes)?;
         Ok(CgFrame {
             id: id.to_string(),
-            time: meta.data()[0],
-            encoding: [meta.data()[1], meta.data()[2], meta.data()[3]],
-            rdfs,
+            time: view.time(),
+            encoding: view.encoding(),
+            rdfs: view.rdfs().map(|r| r.values().collect()).collect(),
         })
     }
+}
+
+/// Encodes one frame into `out` (cleared first): a `meta` entry (time,
+/// the three encoding values, the species count) and one `rdf{s}` entry
+/// per species, written straight from the caller's values.
+pub fn encode_frame<R: AsRef<[f64]>>(out: &mut Vec<u8>, time: f64, encoding: [f64; 3], rdfs: &[R]) {
+    let meta = [
+        time,
+        encoding[0],
+        encoding[1],
+        encoding[2],
+        rdfs.len() as f64,
+    ];
+    let digits = |s: usize| s.checked_ilog10().map_or(1, |d| d as usize + 1);
+    let size = RecordsWriter::entry_len(4, 1, meta.len())
+        + rdfs
+            .iter()
+            .enumerate()
+            .map(|(s, r)| RecordsWriter::entry_len(3 + digits(s), 1, r.as_ref().len()))
+            .sum::<usize>();
+    let mut w = RecordsWriter::new(out, 1 + rdfs.len(), size);
+    w.entry("meta", &[meta.len()], &meta);
+    for (s, r) in rdfs.iter().enumerate() {
+        let r = r.as_ref();
+        w.entry(format_args!("rdf{s}"), &[r.len()], r);
+    }
+    w.finish();
+}
+
+/// A validated, borrowed view of one encoded frame: what a reader that
+/// only folds the values needs, with no copy of them.
+#[derive(Debug, Clone, Copy)]
+pub struct CgFrameView<'a> {
+    records: RecordsView<'a>,
+    meta: ArrayView<'a>,
+    species: usize,
+}
+
+impl<'a> CgFrameView<'a> {
+    /// Validates an encoded frame: a valid bundle with a `meta` entry of
+    /// at least five values and an `rdf{s}` entry for every species it
+    /// counts.
+    pub fn parse(bytes: &'a [u8]) -> Result<CgFrameView<'a>> {
+        let records = RecordsView::parse(bytes)?;
+        let meta = records
+            .get("meta")
+            .ok_or_else(|| DataError::Codec("missing meta".into()))?;
+        let species = meta
+            .get(4)
+            .ok_or_else(|| DataError::Codec("short meta".into()))? as usize;
+        for s in 0..species {
+            if rdf_entry(&records, s).is_none() {
+                return Err(DataError::Codec(format!("missing rdf{s}")));
+            }
+        }
+        Ok(CgFrameView {
+            records,
+            meta,
+            species,
+        })
+    }
+
+    /// Simulation time of the frame.
+    pub fn time(&self) -> f64 {
+        self.meta.get(0).unwrap_or_default()
+    }
+
+    /// 3-D conformational encoding.
+    pub fn encoding(&self) -> [f64; 3] {
+        [1, 2, 3].map(|i| self.meta.get(i).unwrap_or_default())
+    }
+
+    /// The RDF of each species, in species order.
+    pub fn rdfs(&self) -> impl Iterator<Item = ArrayView<'a>> + 'a {
+        let records = self.records;
+        // `parse` found every one of them.
+        (0..self.species).map_while(move |s| rdf_entry(&records, s))
+    }
+}
+
+/// The `rdf{s}` entry, found without formatting its name.
+fn rdf_entry<'a>(records: &RecordsView<'a>, s: usize) -> Option<ArrayView<'a>> {
+    records.find(|name| names_species(name, s))
+}
+
+/// Whether `name` is exactly `format!("rdf{s}")`.
+fn names_species(name: &[u8], s: usize) -> bool {
+    let Some(digits) = name.strip_prefix(b"rdf") else {
+        return false;
+    };
+    let (mut rest, mut n) = (digits, s);
+    while let Some((&last, head)) = rest.split_last() {
+        if last != b'0' + (n % 10) as u8 {
+            return false;
+        }
+        (rest, n) = (head, n / 10);
+        if n == 0 {
+            return rest.is_empty();
+        }
+    }
+    false
 }
 
 /// Radial distribution function between the protein beads and the head
@@ -263,6 +341,52 @@ mod tests {
         let bytes = frame.encode();
         let back = CgFrame::decode(&frame.id, &bytes).unwrap();
         assert_eq!(back, frame);
+    }
+
+    #[test]
+    fn species_names_match_their_decimal_form_only() {
+        for (name, s, yes) in [
+            ("rdf0", 0, true),
+            ("rdf7", 7, true),
+            ("rdf10", 10, true),
+            ("rdf1234", 1234, true),
+            ("rdf", 0, false),
+            ("rdf00", 0, false),
+            ("rdf01", 1, false),
+            ("rdf+1", 1, false),
+            ("rdf10", 1, false),
+            ("rdf1", 10, false),
+            ("meta", 0, false),
+            ("xrdf0", 0, false),
+        ] {
+            assert_eq!(names_species(name.as_bytes(), s), yes, "{name} vs {s}");
+        }
+    }
+
+    #[test]
+    fn a_frame_missing_a_species_or_meta_is_an_error() {
+        let frame = CgFrame {
+            id: "s:f0".into(),
+            time: 1.0,
+            encoding: [0.0; 3],
+            rdfs: vec![vec![1.0], vec![2.0]],
+        };
+        let bytes = frame.encode();
+        let view = CgFrameView::parse(&bytes).unwrap();
+        assert_eq!(view.rdfs().count(), 2);
+        // Claim three species, hold two.
+        let mut w = datastore::codec::Records::decode(&bytes).unwrap();
+        w.insert(
+            "meta",
+            datastore::codec::Array::from_vec(vec![1.0, 0.0, 0.0, 0.0, 3.0]),
+        );
+        assert!(CgFrameView::parse(&w.encode()).is_err());
+        // A meta too short to count species.
+        w.insert("meta", datastore::codec::Array::from_vec(vec![1.0, 0.0]));
+        assert!(CgFrameView::parse(&w.encode()).is_err());
+        let mut no_meta = datastore::codec::Records::new();
+        no_meta.insert("rdf0", datastore::codec::Array::from_vec(vec![1.0]));
+        assert!(CgFrameView::parse(&no_meta.encode()).is_err());
     }
 
     #[test]

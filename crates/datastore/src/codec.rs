@@ -6,13 +6,54 @@
 //! or a database" (§4.2). [`Array`] is our n-dimensional f64 array with a
 //! compact binary encoding; [`Records`] is the npz-like named bundle used
 //! for patches, RDFs, and analysis outputs.
+//!
+//! Both directions have one borrowed form that the owned types are built
+//! on. [`RecordsWriter`] writes a bundle entry by entry into one buffer
+//! sized up front, from the caller's own slices. [`RecordsView::parse`]
+//! is the one parser: it validates a whole bundle and then hands out
+//! [`ArrayView`]s into the caller's bytes, so a reader that only folds
+//! the values copies nothing. [`Records::decode`] and [`Array::decode`]
+//! are that parse plus a copy.
+//!
+//! The parser accepts exactly what the writer produces: a bundle that
+//! parses re-encodes to the same bytes. Trailing bytes, a repeated entry
+//! name and an entry count the body cannot hold are errors.
 
-use bytes::{Buf, BufMut};
+use std::fmt;
+use std::io::Write as _;
 
 use crate::{DataError, Result};
 
 const ARRAY_MAGIC: &[u8; 4] = b"MMA1";
 const RECORDS_MAGIC: &[u8; 4] = b"MMR1";
+/// The smallest encoded entry: a name length, an empty name, a payload
+/// size and a 0-D array header.
+const MIN_ENTRY_LEN: usize = 2 + 8 + 8;
+
+fn codec_err(msg: impl Into<String>) -> DataError {
+    DataError::Codec(msg.into())
+}
+
+#[cold]
+fn truncated(what: &str) -> DataError {
+    codec_err(format!("truncated {what}"))
+}
+
+/// Splits `n` bytes off the front of `bytes`, or fails with `what`.
+fn take<'a>(bytes: &mut &'a [u8], n: usize, what: &str) -> Result<&'a [u8]> {
+    if bytes.len() < n {
+        return Err(truncated(what));
+    }
+    let (head, tail) = bytes.split_at(n);
+    *bytes = tail;
+    Ok(head)
+}
+
+fn u64_at(bytes: &[u8], i: usize) -> u64 {
+    let mut b = [0u8; 8];
+    b.copy_from_slice(&bytes[i * 8..i * 8 + 8]);
+    u64::from_le_bytes(b)
+}
 
 /// An n-dimensional array of `f64` in row-major order.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,60 +126,103 @@ impl Array {
 
     /// Encodes to the compact binary format.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.encoded_len());
-        self.write_to(&mut out);
+        let mut out = Vec::with_capacity(array_len(self.shape.len(), self.data.len()));
+        write_array(&mut out, &self.shape, &self.data);
         out
     }
 
-    /// Length of [`Array::encode`]'s output.
-    fn encoded_len(&self) -> usize {
-        8 + self.shape.len() * 8 + self.data.len() * 8
+    /// Decodes from the compact binary format: [`ArrayView::parse`] plus
+    /// a copy.
+    pub fn decode(bytes: &[u8]) -> Result<Array> {
+        Ok(ArrayView::parse(bytes)?.to_array())
     }
+}
 
-    /// Appends the encoding to `out`, which [`Records::encode`] sizes for
-    /// the whole bundle so each array lands in place.
-    fn write_to(&self, out: &mut Vec<u8>) {
-        out.put_slice(ARRAY_MAGIC);
-        out.put_u32_le(self.shape.len() as u32);
-        for &d in &self.shape {
-            out.put_u64_le(d as u64);
-        }
-        for &v in &self.data {
-            out.put_f64_le(v);
-        }
+/// Encoded length of an array of `ndim` dimensions and `n` elements.
+fn array_len(ndim: usize, n: usize) -> usize {
+    8 + ndim * 8 + n * 8
+}
+
+fn write_array(out: &mut Vec<u8>, shape: &[usize], data: &[f64]) {
+    out.extend_from_slice(ARRAY_MAGIC);
+    out.extend_from_slice(&(shape.len() as u32).to_le_bytes());
+    for &d in shape {
+        out.extend_from_slice(&(d as u64).to_le_bytes());
     }
+    for &v in data {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+}
 
-    /// Decodes from the compact binary format.
-    pub fn decode(mut bytes: &[u8]) -> Result<Array> {
+/// A validated, borrowed view of one encoded [`Array`].
+#[derive(Debug, Clone, Copy)]
+pub struct ArrayView<'a> {
+    /// `ndim` little-endian `u64` dimensions.
+    shape: &'a [u8],
+    /// The elements as little-endian `f64`s.
+    data: &'a [u8],
+}
+
+impl<'a> ArrayView<'a> {
+    /// Validates an encoded array: magic, a shape whose element count
+    /// does not overflow, and a payload of exactly that many elements.
+    pub fn parse(bytes: &'a [u8]) -> Result<ArrayView<'a>> {
         if bytes.len() < 8 || &bytes[..4] != ARRAY_MAGIC {
-            return Err(DataError::Codec("bad array magic".into()));
+            return Err(codec_err("bad array magic"));
         }
-        bytes.advance(4);
-        let ndim = bytes.get_u32_le() as usize;
-        if bytes.remaining() < ndim * 8 {
-            return Err(DataError::Codec("truncated array shape".into()));
+        let ndim = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]) as usize;
+        if bytes.len() - 8 < ndim * 8 {
+            return Err(truncated("array shape"));
         }
-        let mut shape = Vec::with_capacity(ndim);
-        for _ in 0..ndim {
-            shape.push(bytes.get_u64_le() as usize);
-        }
+        let view = ArrayView::parsed(bytes);
         // The shape is foreign input: its product can overflow.
-        let (n, payload) = shape
-            .iter()
-            .try_fold(1usize, |n, &d| n.checked_mul(d))
-            .and_then(|n| Some((n, n.checked_mul(8)?)))
-            .ok_or_else(|| DataError::Codec(format!("array shape {shape:?} overflows")))?;
-        if bytes.remaining() != payload {
-            return Err(DataError::Codec(format!(
+        let payload = view
+            .shape()
+            .try_fold(1usize, |n, d| n.checked_mul(d))
+            .and_then(|n| n.checked_mul(8));
+        match payload {
+            Some(payload) if payload == view.data.len() => Ok(view),
+            Some(payload) => Err(codec_err(format!(
                 "array payload is {} bytes, expected {payload}",
-                bytes.remaining(),
-            )));
+                view.data.len(),
+            ))),
+            None => Err(codec_err(format!(
+                "array shape {:?} overflows",
+                view.shape().collect::<Vec<_>>()
+            ))),
         }
-        let mut data = Vec::with_capacity(n);
-        for _ in 0..n {
-            data.push(bytes.get_f64_le());
+    }
+
+    /// The view of a payload [`ArrayView::parse`] already accepted.
+    fn parsed(payload: &'a [u8]) -> ArrayView<'a> {
+        let ndim = u32::from_le_bytes([payload[4], payload[5], payload[6], payload[7]]) as usize;
+        let (shape, data) = payload[8..].split_at(ndim * 8);
+        ArrayView { shape, data }
+    }
+
+    /// The dimensions, outermost first.
+    pub fn shape(&self) -> impl ExactSizeIterator<Item = usize> + 'a {
+        let shape = self.shape;
+        (0..shape.len() / 8).map(move |i| u64_at(shape, i) as usize)
+    }
+
+    /// Element `i` of the flat row-major data, if there is one.
+    pub fn get(&self, i: usize) -> Option<f64> {
+        (i < self.data.len() / 8).then(|| f64::from_bits(u64_at(self.data, i)))
+    }
+
+    /// The elements in row-major order.
+    pub fn values(&self) -> impl ExactSizeIterator<Item = f64> + 'a {
+        let data = self.data;
+        (0..data.len() / 8).map(move |i| f64::from_bits(u64_at(data, i)))
+    }
+
+    /// An owned copy.
+    pub fn to_array(&self) -> Array {
+        Array {
+            shape: self.shape().collect(),
+            data: self.values().collect(),
         }
-        Ok(Array { shape, data })
     }
 }
 
@@ -185,57 +269,182 @@ impl Records {
 
     /// Encodes the bundle to bytes, in one buffer sized up front.
     pub fn encode(&self) -> Vec<u8> {
-        let size = 8 + self
+        let size = self
             .entries
             .iter()
-            .map(|(name, array)| 2 + name.len() + 8 + array.encoded_len())
-            .sum::<usize>();
-        let mut out = Vec::with_capacity(size);
-        out.put_slice(RECORDS_MAGIC);
-        out.put_u32_le(self.entries.len() as u32);
+            .map(|(name, a)| RecordsWriter::entry_len(name.len(), a.shape.len(), a.len()))
+            .sum();
+        let mut out = Vec::new();
+        let mut w = RecordsWriter::new(&mut out, self.entries.len(), size);
         for (name, array) in &self.entries {
-            out.put_u16_le(name.len() as u16);
-            out.put_slice(name.as_bytes());
-            out.put_u64_le(array.encoded_len() as u64);
-            array.write_to(&mut out);
+            w.entry(name, &array.shape, &array.data);
         }
-        debug_assert_eq!(out.len(), size);
+        w.finish();
         out
     }
 
-    /// Decodes a bundle from bytes.
-    pub fn decode(mut bytes: &[u8]) -> Result<Records> {
-        if bytes.len() < 8 || &bytes[..4] != RECORDS_MAGIC {
-            return Err(DataError::Codec("bad records magic".into()));
-        }
-        bytes.advance(4);
-        let count = bytes.get_u32_le() as usize;
-        let mut out = Records::new();
-        for _ in 0..count {
-            if bytes.remaining() < 2 {
-                return Err(DataError::Codec("truncated record name length".into()));
-            }
-            let name_len = bytes.get_u16_le() as usize;
-            if bytes.remaining() < name_len {
-                return Err(DataError::Codec("truncated record name".into()));
-            }
-            let name = std::str::from_utf8(&bytes[..name_len])
-                .map_err(|_| DataError::Codec("non-utf8 record name".into()))?
-                .to_string();
-            bytes.advance(name_len);
-            if bytes.remaining() < 8 {
-                return Err(DataError::Codec("truncated record size".into()));
-            }
-            let sz = bytes.get_u64_le() as usize;
-            if bytes.remaining() < sz {
-                return Err(DataError::Codec("truncated record payload".into()));
-            }
-            let array = Array::decode(&bytes[..sz])?;
-            bytes.advance(sz);
-            out.insert(&name, array);
-        }
-        Ok(out)
+    /// Decodes a bundle from bytes: [`RecordsView::parse`] plus a copy.
+    pub fn decode(bytes: &[u8]) -> Result<Records> {
+        Ok(RecordsView::parse(bytes)?.to_records())
     }
+}
+
+/// Writes one bundle, entry by entry, into a caller's buffer sized up
+/// front: the encoder behind [`Records::encode`] for callers that hold
+/// their values in slices of their own.
+#[derive(Debug)]
+pub struct RecordsWriter<'a> {
+    out: &'a mut Vec<u8>,
+    /// The encoded length the caller announced.
+    size: usize,
+}
+
+impl<'a> RecordsWriter<'a> {
+    /// Encoded length of one entry whose name is `name_len` bytes long,
+    /// holding an array of `ndim` dimensions and `n` elements.
+    pub fn entry_len(name_len: usize, ndim: usize, n: usize) -> usize {
+        2 + name_len + 8 + array_len(ndim, n)
+    }
+
+    /// Starts a bundle of `count` entries in `out`, which is cleared and
+    /// sized for the header plus `entries_len` bytes of entries (the sum
+    /// of their [`RecordsWriter::entry_len`]s).
+    pub fn new(out: &'a mut Vec<u8>, count: usize, entries_len: usize) -> RecordsWriter<'a> {
+        let size = 8 + entries_len;
+        out.clear();
+        out.reserve(size);
+        out.extend_from_slice(RECORDS_MAGIC);
+        out.extend_from_slice(&(count as u32).to_le_bytes());
+        RecordsWriter { out, size }
+    }
+
+    /// Appends one entry. The name is written in place, so a formatted
+    /// name (`format_args!("rdf{s}")`) allocates nothing.
+    ///
+    /// # Panics
+    /// Panics when the element count disagrees with the shape product.
+    pub fn entry(&mut self, name: impl fmt::Display, shape: &[usize], data: &[f64]) {
+        assert_eq!(
+            shape.iter().product::<usize>(),
+            data.len(),
+            "shape/product mismatch"
+        );
+        let at = self.out.len();
+        self.out.extend_from_slice(&[0, 0]);
+        // Writing into a `Vec<u8>` cannot fail.
+        let _ = write!(self.out, "{name}");
+        let name_len = self.out.len() - at - 2;
+        self.out[at..at + 2].copy_from_slice(&(name_len as u16).to_le_bytes());
+        let payload = array_len(shape.len(), data.len());
+        self.out.extend_from_slice(&(payload as u64).to_le_bytes());
+        write_array(self.out, shape, data);
+    }
+
+    /// Ends the bundle.
+    pub fn finish(self) {
+        debug_assert_eq!(self.out.len(), self.size, "announced length");
+    }
+}
+
+/// A validated, borrowed view of one encoded [`Records`] bundle.
+#[derive(Debug, Clone, Copy)]
+pub struct RecordsView<'a> {
+    /// The entries, after the header.
+    body: &'a [u8],
+    count: usize,
+}
+
+impl<'a> RecordsView<'a> {
+    /// Validates a whole bundle: the header, every entry (its name is
+    /// UTF-8 and new to the bundle, its payload one valid array), and no
+    /// bytes after the last entry. An entry count the body cannot hold
+    /// fails before any entry is read.
+    pub fn parse(bytes: &'a [u8]) -> Result<RecordsView<'a>> {
+        if bytes.len() < 8 || &bytes[..4] != RECORDS_MAGIC {
+            return Err(codec_err("bad records magic"));
+        }
+        let count = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]) as usize;
+        let body = &bytes[8..];
+        if count > body.len() / MIN_ENTRY_LEN {
+            return Err(codec_err(format!(
+                "{count} records cannot fit in {} bytes",
+                body.len()
+            )));
+        }
+        let mut rest = body;
+        for i in 0..count {
+            let (name, payload) = split_entry(&mut rest)?;
+            let name = std::str::from_utf8(name).map_err(|_| codec_err("non-utf8 record name"))?;
+            ArrayView::parse(payload)?;
+            let earlier = RecordsView { body, count: i };
+            if earlier.find(|n| n == name.as_bytes()).is_some() {
+                return Err(codec_err(format!("record name {name:?} repeats")));
+            }
+        }
+        if !rest.is_empty() {
+            return Err(codec_err(format!(
+                "{} bytes after the last record",
+                rest.len()
+            )));
+        }
+        Ok(RecordsView { body, count })
+    }
+
+    /// The entries' name and payload bytes, in encoded order.
+    fn raw(&self) -> impl Iterator<Item = (&'a [u8], &'a [u8])> + 'a {
+        let mut rest = self.body;
+        (0..self.count).map(move |_| {
+            // `parse` checked every length on this walk.
+            let name_len = u16::from_le_bytes([rest[0], rest[1]]) as usize;
+            let (name, tail) = rest[2..].split_at(name_len);
+            let (payload, tail) = tail[8..].split_at(u64_at(tail, 0) as usize);
+            rest = tail;
+            (name, payload)
+        })
+    }
+
+    /// The entries in encoded order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'a str, ArrayView<'a>)> + 'a {
+        self.raw().map(|(name, payload)| {
+            (
+                std::str::from_utf8(name).unwrap_or_default(),
+                ArrayView::parsed(payload),
+            )
+        })
+    }
+
+    /// Looks up a named array.
+    pub fn get(&self, name: &str) -> Option<ArrayView<'a>> {
+        self.find(|n| n == name.as_bytes())
+    }
+
+    /// The first array whose name's bytes satisfy `pred`: a lookup that
+    /// needs no name string of its own.
+    pub fn find(&self, mut pred: impl FnMut(&[u8]) -> bool) -> Option<ArrayView<'a>> {
+        self.raw()
+            .find(|(name, _)| pred(name))
+            .map(|(_, payload)| ArrayView::parsed(payload))
+    }
+
+    /// An owned copy.
+    fn to_records(self) -> Records {
+        let mut entries = Vec::with_capacity(self.count);
+        entries.extend(self.iter().map(|(n, a)| (n.to_string(), a.to_array())));
+        Records { entries }
+    }
+}
+
+/// Splits one entry's name and payload off the front of `bytes`.
+fn split_entry<'a>(bytes: &mut &'a [u8]) -> Result<(&'a [u8], &'a [u8])> {
+    let len = take(bytes, 2, "record name length")?;
+    let name = take(
+        bytes,
+        u16::from_le_bytes([len[0], len[1]]) as usize,
+        "record name",
+    )?;
+    let size = take(bytes, 8, "record size")?;
+    let size = usize::try_from(u64_at(size, 0)).unwrap_or(usize::MAX);
+    Ok((name, take(bytes, size, "record payload")?))
 }
 
 #[cfg(test)]

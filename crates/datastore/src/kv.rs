@@ -47,6 +47,11 @@ enum Engine {
 pub struct KvDataStore {
     engine: Engine,
     tracer: Tracer,
+    /// `ns:{key}` of the current op (and the source of a move): built in
+    /// place, so an op formats no string of its own.
+    key: String,
+    /// The destination of a move.
+    to_key: String,
 }
 
 /// Former name of the wire-engine adapter, now [`KvDataStore::loopback`]
@@ -72,6 +77,8 @@ impl KvDataStore {
         KvDataStore {
             engine,
             tracer: Tracer::disabled(),
+            key: String::new(),
+            to_key: String::new(),
         }
     }
 
@@ -133,19 +140,22 @@ impl KvDataStore {
 
     /// Records one store operation: the op counter plus the virtual
     /// nanoseconds it cost (delta of the client's accumulator).
-    fn trace_op(&self, op: &'static str, ns_before: u64) {
+    fn trace_op(&self, counter: &'static str, ns_before: u64) {
         if !self.tracer.is_enabled() {
             return;
         }
-        self.tracer.counter_add(&format!("datastore.kv.{op}s"), 1);
+        self.tracer.counter_add(counter, 1);
         let delta = self.virtual_ns().saturating_sub(ns_before);
         if delta > 0 {
             self.tracer.observe("datastore.kv.op_ns", delta);
         }
     }
 
-    fn full_key(ns: &str, key: &str) -> String {
-        format!("{ns}:{{{key}}}")
+    /// Writes `ns:{key}` into `buf`, reusing its allocation.
+    fn full_key_into<'b>(buf: &'b mut String, ns: &str, key: &str) -> &'b str {
+        buf.clear();
+        buf.extend([ns, ":{", key, "}"]);
+        buf
     }
 }
 
@@ -171,62 +181,73 @@ fn not_found(ns: &str, key: &str) -> DataError {
 impl DataStore for KvDataStore {
     fn write(&mut self, ns: &str, key: &str, data: &[u8]) -> Result<()> {
         let before = self.virtual_ns();
-        let (full, value) = (Self::full_key(ns, key), Bytes::copy_from_slice(data));
+        let full = Self::full_key_into(&mut self.key, ns, key);
+        let value = Bytes::copy_from_slice(data);
         match &mut self.engine {
-            Engine::Local(c) => c.set(&full, value),
+            Engine::Local(c) => c.set(full, value),
             Engine::Wire(c) => {
-                c.put(&full, value).map_err(lift)?;
+                c.put(full, value).map_err(lift)?;
             }
         }
-        self.trace_op("write", before);
+        self.trace_op("datastore.kv.writes", before);
         Ok(())
     }
 
     fn read(&mut self, ns: &str, key: &str) -> Result<Vec<u8>> {
         let before = self.virtual_ns();
-        let full = Self::full_key(ns, key);
+        let full = Self::full_key_into(&mut self.key, ns, key);
         let got = match &mut self.engine {
-            Engine::Local(c) => c.get(&full),
-            Engine::Wire(c) => c.get(&full).map_err(lift)?,
+            Engine::Local(c) => c.get(full),
+            Engine::Wire(c) => c.get(full).map_err(lift)?,
         };
-        self.trace_op("read", before);
+        self.trace_op("datastore.kv.reads", before);
         got.map(|b| b.to_vec()).ok_or_else(|| not_found(ns, key))
     }
 
     fn exists(&mut self, ns: &str, key: &str) -> bool {
-        let full = Self::full_key(ns, key);
+        let full = Self::full_key_into(&mut self.key, ns, key);
         match &mut self.engine {
-            Engine::Local(c) => c.exists(&full),
-            Engine::Wire(c) => c.exists(&full).unwrap_or(false),
+            Engine::Local(c) => c.exists(full),
+            Engine::Wire(c) => c.exists(full).unwrap_or(false),
         }
     }
 
     fn list(&mut self, ns: &str) -> Result<Vec<String>> {
-        let prefix = format!("{ns}:{{");
-        let pattern = format!("{prefix}*");
+        let pattern = format!("{ns}:{{*");
+        let prefix = &pattern[..pattern.len() - 1];
         let full = match &mut self.engine {
             Engine::Local(c) => c.keys(&pattern),
             Engine::Wire(c) => c.keys(&pattern).map_err(lift)?,
         };
+        // Each `ns:{key}` string becomes `key` in its own allocation.
         let mut keys: Vec<String> = full
-            .iter()
-            .filter_map(|k| k.strip_prefix(&prefix)?.strip_suffix('}'))
-            .map(str::to_string)
+            .into_iter()
+            .filter_map(|mut k| {
+                if !(k.starts_with(prefix) && k.ends_with('}')) {
+                    return None;
+                }
+                k.pop();
+                k.drain(..prefix.len());
+                Some(k)
+            })
             .collect();
-        // Scans return keys grouped by shard; the trait promises
-        // lexicographic order.
-        keys.sort_unstable();
+        // Scans return one sorted run per shard; the trait promises
+        // lexicographic order. Dropping the closing brace can reorder a
+        // key against one it prefixes, so a run is only nearly sorted;
+        // the stable sort merges the runs it finds.
+        keys.sort();
         Ok(keys)
     }
 
     fn move_ns(&mut self, key: &str, from: &str, to: &str) -> Result<()> {
         let before = self.virtual_ns();
-        let (src, dst) = (Self::full_key(from, key), Self::full_key(to, key));
+        let src = Self::full_key_into(&mut self.key, from, key);
+        let dst = Self::full_key_into(&mut self.to_key, to, key);
         let renamed = match &mut self.engine {
-            Engine::Local(c) => c.rename(&src, &dst).map_err(DataError::Kv),
-            Engine::Wire(c) => c.rename(&src, &dst).map_err(lift),
+            Engine::Local(c) => c.rename(src, dst).map_err(DataError::Kv),
+            Engine::Wire(c) => c.rename(src, dst).map_err(lift),
         };
-        self.trace_op("move", before);
+        self.trace_op("datastore.kv.moves", before);
         renamed.map_err(|e| match e {
             DataError::Kv(KvError::NoSuchKey(_)) => not_found(from, key),
             other => other,
@@ -234,10 +255,10 @@ impl DataStore for KvDataStore {
     }
 
     fn delete(&mut self, ns: &str, key: &str) -> Result<bool> {
-        let full = Self::full_key(ns, key);
+        let full = Self::full_key_into(&mut self.key, ns, key);
         match &mut self.engine {
-            Engine::Local(c) => Ok(c.del(&full)),
-            Engine::Wire(c) => c.del(&full).map_err(lift),
+            Engine::Local(c) => Ok(c.del(full)),
+            Engine::Wire(c) => c.del(full).map_err(lift),
         }
     }
 
@@ -250,13 +271,13 @@ impl DataStore for KvDataStore {
     }
 
     fn read_many(&mut self, ns: &str, keys: &[String]) -> Result<Vec<Vec<u8>>> {
-        let full: Vec<String> = keys.iter().map(|k| Self::full_key(ns, k)).collect();
+        let full: Vec<String> = keys.iter().map(|k| format!("{ns}:{{{k}}}")).collect();
         let before = self.virtual_ns();
         let vals = match &mut self.engine {
             Engine::Local(c) => c.mget(&full),
             Engine::Wire(c) => c.get_many(full).map_err(lift)?,
         };
-        self.trace_op("read_many", before);
+        self.trace_op("datastore.kv.read_manys", before);
         keys.iter()
             .zip(vals)
             .map(|(k, v)| v.map(|b| b.to_vec()).ok_or_else(|| not_found(ns, k)))

@@ -9,7 +9,7 @@
 //! ever generated".
 
 use aa::{consensus, AaFrame, SsClass};
-use cg::analysis::CgFrame;
+use cg::analysis::CgFrameView;
 use continuum::CouplingParams;
 use datastore::DataStore;
 
@@ -64,18 +64,16 @@ impl CgToContinuumFeedback {
         }
     }
 
-    fn fold(&mut self, frame: &CgFrame) {
+    /// Folds one frame's RDFs into the running means, straight from the
+    /// encoded bytes.
+    fn fold(&mut self, frame: &CgFrameView<'_>) {
         self.count += 1;
         let k = self.count as f64;
-        for (s, rdf) in frame.rdfs.iter().enumerate() {
-            if s >= self.mean_rdfs.len() {
-                break;
-            }
-            let mean = &mut self.mean_rdfs[s];
+        for (mean, rdf) in self.mean_rdfs.iter_mut().zip(frame.rdfs()) {
             if mean.is_empty() {
-                *mean = rdf.clone();
+                mean.extend(rdf.values());
             } else {
-                for (m, &v) in mean.iter_mut().zip(rdf) {
+                for (m, v) in mean.iter_mut().zip(rdf.values()) {
                     *m += (v - *m) / k;
                 }
             }
@@ -115,7 +113,7 @@ impl FeedbackManager for CgToContinuumFeedback {
         let mut corrupt = 0;
         for key in keys {
             let bytes = store.read(crate::ns::RDF_NEW, &key)?;
-            match CgFrame::decode(&key, &bytes) {
+            match CgFrameView::parse(&bytes) {
                 Ok(frame) => {
                     self.fold(&frame);
                     processed += 1;
@@ -217,6 +215,7 @@ impl FeedbackManager for AaToCgFeedback {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cg::analysis::CgFrame;
     use datastore::KvDataStore;
 
     fn cg_frame(id: &str, enrich: f64) -> CgFrame {
