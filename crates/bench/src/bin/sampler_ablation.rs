@@ -53,7 +53,10 @@ fn main() {
         }
 
         let picks = sampler.select(200);
-        let rare_picked = picks.iter().filter(|p| rare_ids.contains(&p.id)).count();
+        let rare_picked = picks
+            .iter()
+            .filter(|p| rare_ids.contains(p.id.as_str()))
+            .count();
         println!(
             "{importance:.1}\t{rare_picked}\t{:.2}\t{:.2}",
             rare_picked as f64 / 200.0,

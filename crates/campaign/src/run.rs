@@ -10,6 +10,7 @@ use rand::{Rng, SeedableRng};
 
 use chaos::{FaultKind, FaultPlan, MonotonicWatch, RunLedger};
 use datastore::{DataStore, FaultWindow, KvDataStore, ScheduledFaultStore};
+use dynim::{HdPoint, PayloadId};
 use mummi_core::app3;
 use mummi_core::{RuntimeModel, WmCheckpoint, WmConfig, WmEvent, WorkflowManager};
 use resources::{JobShape, MachineSpec, MatchPolicy, ResourceGraph};
@@ -342,7 +343,7 @@ pub struct Campaign {
     /// Ordered by sim id: end-of-run iteration re-queues interrupted
     /// sims into the checkpoint, and that order must not depend on a
     /// hash function (determinism contract).
-    sims: Arc<Mutex<BTreeMap<String, SimRecord>>>, // lint: allow(L6: BTreeMap iteration order, not lock order, decides scheduling; shared with WM model closures)
+    sims: Arc<Mutex<BTreeMap<PayloadId, SimRecord>>>, // lint: allow(L6: BTreeMap iteration order, not lock order, decides scheduling; shared with WM model closures)
     ckpt: Option<WmCheckpoint>,
     /// Aggregated occupancy over all runs (Figure 5).
     profiler: OccupancyProfiler,
@@ -629,34 +630,32 @@ impl Campaign {
         Box::new(move |mut model_rng: StdRng| -> RuntimeModel {
             let sims = Arc::clone(&sims);
             let samples_in = Arc::clone(&samples);
-            Box::new(move |class, payload: &str| {
+            Box::new(move |class, payload: &PayloadId| {
                 let mut sims = sims.lock();
-                let rec = sims
-                    .entry(payload.to_string())
-                    .or_insert_with(|| match class {
-                        JobClass::CgSim => {
-                            let size = cg_perf.sample_size(&mut model_rng);
-                            let rate = cg_perf.sample(size, progress, &mut model_rng);
-                            samples_in.lock().0.push((size, rate));
-                            SimRecord {
-                                target: cg_target_us,
-                                achieved: 0.0,
-                                rate_per_day: rate,
-                                started_at: None,
-                            }
+                let rec = sims.entry(payload.clone()).or_insert_with(|| match class {
+                    JobClass::CgSim => {
+                        let size = cg_perf.sample_size(&mut model_rng);
+                        let rate = cg_perf.sample(size, progress, &mut model_rng);
+                        samples_in.lock().0.push((size, rate));
+                        SimRecord {
+                            target: cg_target_us,
+                            achieved: 0.0,
+                            rate_per_day: rate,
+                            started_at: None,
                         }
-                        _ => {
-                            let size = aa_perf.sample_size(&mut model_rng);
-                            let rate = aa_perf.sample(size, &mut model_rng);
-                            samples_in.lock().1.push((size, rate));
-                            SimRecord {
-                                target: model_rng.gen_range(aa_lo..aa_hi),
-                                achieved: 0.0,
-                                rate_per_day: rate,
-                                started_at: None,
-                            }
+                    }
+                    _ => {
+                        let size = aa_perf.sample_size(&mut model_rng);
+                        let rate = aa_perf.sample(size, &mut model_rng);
+                        samples_in.lock().1.push((size, rate));
+                        SimRecord {
+                            target: model_rng.gen_range(aa_lo..aa_hi),
+                            achieved: 0.0,
+                            rate_per_day: rate,
+                            started_at: None,
                         }
-                    });
+                    }
+                });
                 let remaining = (rec.target - rec.achieved).max(0.0);
                 let days = remaining / rec.rate_per_day.max(1e-9);
                 Some(SimDuration::from_secs_f64(days * 86_400.0).max(SimDuration::from_mins(5)))
@@ -777,7 +776,7 @@ struct RunSim<'c> {
     /// Per-pass scratch buffers: candidate staging, the WM event list
     /// and the encoded frame are drained or rewritten every pass, so one
     /// allocation serves the whole run.
-    point_buf: Vec<dynim::HdPoint>,
+    point_buf: Vec<HdPoint>,
     wm_events: Vec<WmEvent>,
     frame_buf: Vec<u8>,
 }
@@ -935,7 +934,7 @@ impl<'c> RunSim<'c> {
             for _ in 0..cfg.patches_per_snapshot {
                 self.camp.next_id += 1;
                 self.camp.patches += 1;
-                let id = format!("cg-{:010}", self.camp.next_id);
+                let id = PayloadId::from_fmt(format_args!("cg-{:010}", self.camp.next_id));
                 let state = self.rng.gen_range(0..app3::PATCH_QUEUES);
                 let encoded: Vec<f64> = (0..app3::PATCH_LATENT_DIM)
                     .map(|_| self.rng.gen_range(-1.0..1.0))
@@ -966,7 +965,7 @@ impl<'c> RunSim<'c> {
         for _ in 0..n_frames {
             self.camp.next_id += 1;
             self.camp.frames += 1;
-            let id = format!("aa-{:010}", self.camp.next_id);
+            let id = PayloadId::from_fmt(format_args!("aa-{:010}", self.camp.next_id));
             let coords = vec![
                 self.rng.gen_range(0.0..1.0),
                 self.rng.gen_range(0.0..1.0),
@@ -985,7 +984,7 @@ impl<'c> RunSim<'c> {
             let _ = self
                 .store
                 .write(mummi_core::ns::RDF_NEW, &id, &self.frame_buf);
-            self.point_buf.push(dynim::HdPoint::new(id, coords));
+            self.point_buf.push(HdPoint::new(id, coords));
         }
         self.wm.add_frame_candidates_from(&mut self.point_buf);
     }
@@ -1128,9 +1127,9 @@ impl<'c> RunSim<'c> {
                 rec.achieved = (rec.achieved + rec.rate_per_day * days).min(rec.target);
                 if rec.achieved < rec.target {
                     if id.starts_with("cg-") {
-                        cg.push(id.clone());
+                        cg.push(id.to_string());
                     } else {
-                        aa.push(id.clone());
+                        aa.push(id.to_string());
                     }
                 }
             }
@@ -1191,13 +1190,13 @@ impl<'c> RunSim<'c> {
             match ev {
                 WmEvent::SimStarted { sim_id, .. } => {
                     self.placed += 1;
-                    if let Some(rec) = self.camp.sims.lock().get_mut(&*sim_id) {
+                    if let Some(rec) = self.camp.sims.lock().get_mut(&sim_id) {
                         rec.started_at = Some(t);
                     }
                 }
                 WmEvent::SimFinished { sim_id, .. } => {
                     self.completed += 1;
-                    if let Some(rec) = self.camp.sims.lock().get_mut(&*sim_id) {
+                    if let Some(rec) = self.camp.sims.lock().get_mut(&sim_id) {
                         rec.achieved = rec.target;
                         rec.started_at = None;
                     }

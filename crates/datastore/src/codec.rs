@@ -29,6 +29,10 @@ const RECORDS_MAGIC: &[u8; 4] = b"MMR1";
 /// The smallest encoded entry: a name length, an empty name, a payload
 /// size and a 0-D array header.
 const MIN_ENTRY_LEN: usize = 2 + 8 + 8;
+/// Bundles of up to this many entries check their names for repeats
+/// pairwise, which allocates nothing (a CG frame has a handful); larger
+/// ones sort the names once.
+const PAIRWISE_NAMES: usize = 16;
 
 fn codec_err(msg: impl Into<String>) -> DataError {
     DataError::Codec(msg.into())
@@ -371,14 +375,20 @@ impl<'a> RecordsView<'a> {
                 body.len()
             )));
         }
+        let repeats = |name: &[u8]| {
+            codec_err(format!(
+                "record name {:?} repeats",
+                String::from_utf8_lossy(name)
+            ))
+        };
         let mut rest = body;
         for i in 0..count {
             let (name, payload) = split_entry(&mut rest)?;
-            let name = std::str::from_utf8(name).map_err(|_| codec_err("non-utf8 record name"))?;
+            std::str::from_utf8(name).map_err(|_| codec_err("non-utf8 record name"))?;
             ArrayView::parse(payload)?;
             let earlier = RecordsView { body, count: i };
-            if earlier.find(|n| n == name.as_bytes()).is_some() {
-                return Err(codec_err(format!("record name {name:?} repeats")));
+            if count <= PAIRWISE_NAMES && earlier.find(|n| n == name).is_some() {
+                return Err(repeats(name));
             }
         }
         if !rest.is_empty() {
@@ -387,7 +397,15 @@ impl<'a> RecordsView<'a> {
                 rest.len()
             )));
         }
-        Ok(RecordsView { body, count })
+        let view = RecordsView { body, count };
+        if count > PAIRWISE_NAMES {
+            let mut names: Vec<&[u8]> = view.raw().map(|(name, _)| name).collect();
+            names.sort_unstable();
+            if let Some(pair) = names.windows(2).find(|pair| pair[0] == pair[1]) {
+                return Err(repeats(pair[0]));
+            }
+        }
+        Ok(view)
     }
 
     /// The entries' name and payload bytes, in encoded order.

@@ -8,7 +8,7 @@
 //! output and nothing else. It must never panic, and an entry count the
 //! body cannot hold is refused before anything is sized by it.
 
-use datastore::codec::{Array, ArrayView, Records, RecordsView};
+use datastore::codec::{Array, ArrayView, Records, RecordsView, RecordsWriter};
 use proptest::prelude::*;
 
 fn arb_array() -> impl Strategy<Value = Array> {
@@ -217,4 +217,33 @@ fn a_repeated_name_is_refused() {
         .expect("the second name");
     bytes[second + 3] = b'0';
     assert!(Records::decode(&bytes).is_err());
+}
+
+/// A bundle of 50,000 short distinct names parses in one sorted pass,
+/// not one comparison per pair of names (which took seconds), and one
+/// repeat among them is still refused.
+#[test]
+fn a_bundle_of_many_short_names_parses_and_a_repeat_among_them_is_refused() {
+    const N: usize = 50_000;
+    let encode = |name: &dyn Fn(usize) -> String| {
+        let names: Vec<String> = (0..N).map(name).collect();
+        let len = names
+            .iter()
+            .map(|n| RecordsWriter::entry_len(n.len(), 1, 0))
+            .sum();
+        let mut bytes = Vec::new();
+        let mut w = RecordsWriter::new(&mut bytes, N, len);
+        for n in &names {
+            w.entry(n, &[0], &[]);
+        }
+        w.finish();
+        bytes
+    };
+    let distinct = encode(&|i| format!("n{i}"));
+    let view = RecordsView::parse(&distinct).expect("distinct names parse");
+    assert_eq!(view.iter().count(), N);
+    assert!(view.get("n49999").is_some());
+    let repeated = encode(&|i| format!("n{}", if i == N - 1 { 17 } else { i }));
+    assert!(RecordsView::parse(&repeated).is_err());
+    assert!(Records::decode(&repeated).is_err());
 }

@@ -3,6 +3,7 @@
 use std::collections::HashMap;
 
 use crate::ann::ExactNn;
+use crate::id::PayloadId;
 use crate::point::HdPoint;
 use crate::Sampler;
 
@@ -35,10 +36,10 @@ type Rank = Option<f64>;
 pub struct FarthestPointSampler {
     cfg: FpsConfig,
     queue: Vec<(HdPoint, Rank)>,
-    pos: HashMap<String, usize>,
+    pos: HashMap<PayloadId, usize>,
     selected: ExactNn,
     evicted: u64,
-    selected_ids: Vec<String>,
+    selected_ids: Vec<PayloadId>,
     /// Entries whose rank is `None`. Lets a warm [`Self::update_ranks`]
     /// return in O(1) instead of scanning the whole queue for stale
     /// entries on every pick of a multi-point selection.
@@ -71,7 +72,7 @@ impl FarthestPointSampler {
     }
 
     /// IDs selected so far, in selection order.
-    pub fn selected_ids(&self) -> &[String] {
+    pub fn selected_ids(&self) -> &[PayloadId] {
         &self.selected_ids
     }
 
@@ -131,9 +132,10 @@ impl FarthestPointSampler {
             self.stale -= 1;
         }
         self.pos.remove(&entry.0.id);
-        if idx < self.queue.len() {
-            let moved_id = self.queue[idx].0.id.clone();
-            self.pos.insert(moved_id, idx);
+        if let Some((moved, _)) = self.queue.get(idx) {
+            if let Some(at) = self.pos.get_mut(&moved.id) {
+                *at = idx;
+            }
         }
         entry
     }

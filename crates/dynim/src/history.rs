@@ -5,6 +5,7 @@
 //! records every sampler mutation as a line-oriented log; replaying the log
 //! into a fresh sampler reproduces its selected set and queue contents.
 
+use crate::id::PayloadId;
 use crate::point::HdPoint;
 use crate::Sampler;
 
@@ -14,9 +15,9 @@ pub enum HistoryEvent {
     /// A candidate was added.
     Added(HdPoint),
     /// A candidate was selected (promoted to the finer scale).
-    Selected(String),
+    Selected(PayloadId),
     /// A candidate was discarded without selection.
-    Discarded(String),
+    Discarded(PayloadId),
 }
 
 /// An append-only mutation log with text serialization.
@@ -38,7 +39,7 @@ impl History {
 
     /// Records a selection.
     pub fn record_select(&mut self, id: &str) {
-        self.events.push(HistoryEvent::Selected(id.to_string()));
+        self.events.push(HistoryEvent::Selected(PayloadId::new(id)));
     }
 
     /// All events in order.
@@ -93,8 +94,8 @@ impl History {
                     h.events
                         .push(HistoryEvent::Added(HdPoint::new(id, coords?)));
                 }
-                "S" => h.events.push(HistoryEvent::Selected(id.to_string())),
-                "D" => h.events.push(HistoryEvent::Discarded(id.to_string())),
+                "S" => h.events.push(HistoryEvent::Selected(PayloadId::new(id))),
+                "D" => h.events.push(HistoryEvent::Discarded(PayloadId::new(id))),
                 _ => return None,
             }
         }
@@ -110,8 +111,8 @@ impl History {
     pub fn compact(&self) -> History {
         use std::collections::HashMap;
         // id -> (coords, insertion sequence) for still-queued candidates.
-        let mut live: HashMap<String, (Vec<f64>, usize)> = HashMap::new();
-        let mut selected: Vec<(String, Vec<f64>)> = Vec::new();
+        let mut live: HashMap<PayloadId, (Vec<f64>, usize)> = HashMap::new();
+        let mut selected: Vec<(PayloadId, Vec<f64>)> = Vec::new();
         let mut seq = 0usize;
         for ev in &self.events {
             match ev {
@@ -132,10 +133,10 @@ impl History {
         let mut out = History::new();
         for (id, coords) in selected {
             out.events
-                .push(HistoryEvent::Added(HdPoint::new(&*id, coords)));
+                .push(HistoryEvent::Added(HdPoint::new(id.clone(), coords)));
             out.events.push(HistoryEvent::Selected(id));
         }
-        let mut live: Vec<(String, (Vec<f64>, usize))> = live.into_iter().collect();
+        let mut live: Vec<(PayloadId, (Vec<f64>, usize))> = live.into_iter().collect();
         live.sort_by_key(|(_, (_, s))| *s);
         for (id, (coords, _)) in live {
             out.events
@@ -146,7 +147,7 @@ impl History {
 
     /// Replays every event into `sampler` through its force-select hook.
     /// Returns the ids selected during replay, in order.
-    pub fn replay(&self, sampler: &mut dyn Sampler) -> Vec<String> {
+    pub fn replay(&self, sampler: &mut dyn Sampler) -> Vec<PayloadId> {
         let mut selected = Vec::new();
         for ev in &self.events {
             match ev {
@@ -173,7 +174,7 @@ mod tests {
 
     /// Records a discard (no selector caller discards through the log).
     fn record_discard(h: &mut History, id: &str) {
-        h.events.push(HistoryEvent::Discarded(id.to_string()));
+        h.events.push(HistoryEvent::Discarded(PayloadId::new(id)));
     }
 
     fn p(id: &str, x: f64) -> HdPoint {

@@ -7,6 +7,9 @@
 //! provides that machinery:
 //!
 //! - [`HdPoint`] — an id plus a coordinate vector;
+//! - [`PayloadId`] — the id: a name held inline up to 30 bytes, so the
+//!   campaign's frame and patch names travel from mint to promotion
+//!   without a heap string;
 //! - [`Sampler`] — the abstract add/select/discard interface;
 //! - [`FarthestPointSampler`] — novelty = distance to the nearest already-
 //!   selected point, with lazy rank updates ("a caching scheme to postpone
@@ -39,6 +42,7 @@ mod ann;
 mod binned;
 mod fps;
 mod history;
+mod id;
 mod multiqueue;
 mod point;
 
@@ -46,6 +50,7 @@ pub use ann::{ExactNn, KdTreeNn};
 pub use binned::{BinnedConfig, BinnedSampler};
 pub use fps::{FarthestPointSampler, FpsConfig};
 pub use history::{History, HistoryEvent};
+pub use id::PayloadId;
 pub use multiqueue::MultiQueueSampler;
 pub use point::HdPoint;
 

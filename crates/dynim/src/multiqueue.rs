@@ -56,8 +56,16 @@ impl MultiQueueSampler {
 }
 
 impl Sampler for MultiQueueSampler {
+    /// Routes `point` to its queue. An id queued elsewhere leaves that
+    /// queue first, so a re-add replaces the candidate across queues as
+    /// it does within one.
     fn add(&mut self, point: HdPoint) {
         let q = (self.router)(&point) % self.queues.len();
+        for (i, other) in self.queues.iter_mut().enumerate() {
+            if i != q && other.discard(&point.id) {
+                break;
+            }
+        }
         self.queues[q].add(point);
     }
 
@@ -151,6 +159,19 @@ mod tests {
         let sel = s.select(10);
         assert_eq!(sel.len(), 1);
         assert!(s.select(1).is_empty());
+    }
+
+    #[test]
+    fn readding_under_another_route_replaces_the_candidate() {
+        let mut s = selector();
+        s.add(p("a", 1, 0.0));
+        s.add(p("a", 3, 7.0));
+        assert_eq!(s.candidates(), 1);
+        assert_eq!(s.queues[1].candidates(), 0);
+        let sel = s.select(5);
+        assert_eq!(sel.len(), 1);
+        assert_eq!(sel[0].coords, vec![3.0, 7.0]);
+        assert!(!s.discard("a"));
     }
 
     #[test]

@@ -1,17 +1,22 @@
 //! High-dimensional points.
 
+use crate::id::PayloadId;
+
 /// An identified point in the encoding space.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HdPoint {
-    /// Application-level identifier (patch id, frame id, …).
-    pub id: String,
+    /// Application-level identifier (patch id, frame id, …). A
+    /// [`PayloadId`]: the campaign's names are held inline, so a point
+    /// carries its id from the driver's mint to promotion without a heap
+    /// string.
+    pub id: PayloadId,
     /// Coordinates in the encoding space (9-D for patches, 3-D for frames).
     pub coords: Vec<f64>,
 }
 
 impl HdPoint {
     /// Builds a point.
-    pub fn new(id: impl Into<String>, coords: Vec<f64>) -> HdPoint {
+    pub fn new(id: impl Into<PayloadId>, coords: Vec<f64>) -> HdPoint {
         HdPoint {
             id: id.into(),
             coords,

@@ -188,7 +188,7 @@ proptest! {
         }
 
         // Selection histories match in full.
-        let sel_fast: Vec<&str> = fast.selected_ids().iter().map(String::as_str).collect();
+        let sel_fast: Vec<&str> = fast.selected_ids().iter().map(|id| id.as_str()).collect();
         let sel_naive: Vec<&str> = naive.selected.iter().map(|p| p.id.as_str()).collect();
         prop_assert_eq!(sel_fast, sel_naive);
 

@@ -2,6 +2,8 @@
 
 use bytes::Bytes;
 use parking_lot::RwLock; // lint: allow(L6: shard storage lock import; the field carries the reason)
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
@@ -21,7 +23,79 @@ use crate::{KvError, Result};
 /// stable order.
 #[derive(Debug, Default)]
 pub struct Shard {
-    map: RwLock<BTreeMap<String, Bytes>>, // lint: allow(L6: datastore leaf lock; no coordination decision happens under it)
+    map: RwLock<BTreeMap<Key, Bytes>>, // lint: allow(L6: datastore leaf lock; no coordination decision happens under it)
+}
+
+/// Longest key held inline, in bytes.
+const INLINE: usize = 30;
+
+/// A stored key: up to 30 bytes inline (every key the campaign's frame
+/// path writes, such as `rdf-new:{aa-0000000042}`), longer ones in one
+/// heap string. Keys compare as bytes, which is `str`'s order, so a
+/// write or a move of a short key allocates nothing, and a tree search
+/// compares inline bytes with no pointer to follow and no UTF-8 check.
+#[derive(Debug)]
+enum Key {
+    Inline { len: u8, bytes: [u8; INLINE] },
+    Heap(Box<str>),
+}
+
+impl Key {
+    fn new(key: &str) -> Key {
+        if key.len() <= INLINE {
+            let mut bytes = [0; INLINE];
+            bytes[..key.len()].copy_from_slice(key.as_bytes());
+            Key::Inline {
+                len: key.len() as u8,
+                bytes,
+            }
+        } else {
+            Key::Heap(key.into())
+        }
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        match self {
+            Key::Inline { len, bytes } => &bytes[..*len as usize],
+            Key::Heap(s) => s.as_bytes(),
+        }
+    }
+
+    /// The key as text, for glob matching and listing.
+    fn as_str(&self) -> &str {
+        match self {
+            Key::Inline { len, bytes } => {
+                std::str::from_utf8(&bytes[..*len as usize]).expect("keys are stored from strs")
+            }
+            Key::Heap(s) => s,
+        }
+    }
+}
+
+impl Borrow<[u8]> for Key {
+    fn borrow(&self) -> &[u8] {
+        self.as_bytes()
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Key) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for Key {}
+
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Key) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Key {
+    fn cmp(&self, other: &Key) -> Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
 }
 
 impl Shard {
@@ -34,32 +108,32 @@ impl Shard {
     pub fn set(&self, key: &str, value: impl Into<Bytes>) -> bool {
         self.map
             .write()
-            .insert(key.to_string(), value.into())
+            .insert(Key::new(key), value.into())
             .is_none()
     }
 
     /// Fetches the value for `key`, if present.
     pub fn get(&self, key: &str) -> Option<Bytes> {
-        self.map.read().get(key).cloned()
+        self.map.read().get(key.as_bytes()).cloned()
     }
 
     /// Deletes `key`, returning true when it existed.
     pub fn del(&self, key: &str) -> bool {
-        self.map.write().remove(key).is_some()
+        self.map.write().remove(key.as_bytes()).is_some()
     }
 
     /// Whether `key` exists.
     pub fn exists(&self, key: &str) -> bool {
-        self.map.read().contains_key(key)
+        self.map.read().contains_key(key.as_bytes())
     }
 
     /// Renames `from` to `to` atomically (within this shard), overwriting
     /// any existing value at `to`. This is the feedback "tagging" primitive.
     pub fn rename(&self, from: &str, to: &str) -> Result<()> {
         let mut map = self.map.write();
-        match map.remove(from) {
+        match map.remove(from.as_bytes()) {
             Some(v) => {
-                map.insert(to.to_string(), v);
+                map.insert(Key::new(to), v);
                 Ok(())
             }
             None => Err(KvError::NoSuchKey(from.to_string())),
@@ -75,14 +149,15 @@ impl Shard {
     /// not the `rdf-done` history beside them. This relies on `*` and `?`
     /// being the only metacharacters [`glob_match`] knows.
     pub fn keys(&self, pattern: &str) -> Vec<String> {
-        let prefix = literal_prefix(pattern);
+        let prefix = literal_prefix(pattern).as_bytes();
         self.map
             .read()
-            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+            .range::<[u8], _>((Bound::Included(prefix), Bound::Unbounded))
             .map(|(k, _)| k)
-            .take_while(|k| k.starts_with(prefix))
+            .take_while(|k| k.as_bytes().starts_with(prefix))
+            .map(Key::as_str)
             .filter(|k| glob_match(pattern, k))
-            .cloned()
+            .map(str::to_owned)
             .collect()
     }
 
@@ -127,8 +202,8 @@ impl Shard {
                 break;
             }
             seen += 1;
-            if glob_match(pattern, k) {
-                out.push(k.clone());
+            if glob_match(pattern, k.as_str()) {
+                out.push(k.as_str().to_owned());
             }
         }
         (out, next)
@@ -176,6 +251,45 @@ mod tests {
         assert!(new_keys.iter().all(|k| k.starts_with("rdf:new:")));
         assert_eq!(s.keys("*").len(), 20);
         assert!(s.keys("nothing*").is_empty());
+    }
+
+    #[test]
+    fn keys_on_both_sides_of_the_inline_bound_list_in_str_order() {
+        let s = Shard::new();
+        let long = "k".repeat(INLINE);
+        let names = [
+            long.clone(),
+            format!("{long}a"),
+            format!("{}é", &long[..INLINE - 1]),
+            format!("{}a", &long[..INLINE - 1]),
+            "k".to_string(),
+        ];
+        for k in &names {
+            s.set(k, &b"v"[..]);
+        }
+        let mut want = names.to_vec();
+        want.sort();
+        assert_eq!(s.keys("*"), want);
+        s.rename(&names[1], "short").unwrap();
+        assert_eq!(s.get("short").unwrap().as_ref(), b"v");
+        assert!(s.exists(&names[2]) && !s.exists(&names[1]));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        fn keys_compare_and_order_as_their_strings(
+            a in "[x]{0,30}[aé€𝄞]{0,3}",
+            b in "[x]{0,30}[aé€𝄞]{0,3}",
+        ) {
+            let (ka, kb) = (Key::new(&a), Key::new(&b));
+            proptest::prop_assert_eq!(ka.as_str(), a.as_str());
+            proptest::prop_assert_eq!(ka == kb, a == b);
+            proptest::prop_assert_eq!(ka.cmp(&kb), a.cmp(&b));
+            proptest::prop_assert_eq!(ka.partial_cmp(&kb), a.partial_cmp(&b));
+            let inline = matches!(ka, Key::Inline { .. });
+            proptest::prop_assert_eq!(inline, a.len() <= INLINE);
+        }
     }
 
     #[test]

@@ -11,14 +11,23 @@ use proptest::prelude::*;
 use kvstore::{glob_match, Shard};
 
 /// Keys from a small alphabet with the hash-tag braces, the namespace
-/// separator and one multibyte character.
+/// separator and one multibyte character; half of them behind a pad of
+/// 24 to 28 bytes, so keys fall on both sides of the shard's 30-byte
+/// inline bound and a two-byte character can straddle it.
 fn key() -> impl Strategy<Value = String> {
-    "[ab:{}é]{0,6}"
+    padded("[ab:{}é]{0,6}")
 }
 
 /// The same alphabet plus both glob metacharacters.
 fn pattern() -> impl Strategy<Value = String> {
-    "[ab:{}é*?]{0,6}"
+    padded("[ab:{}é*?]{0,6}")
+}
+
+fn padded(body: &'static str) -> impl Strategy<Value = String> {
+    prop_oneof![
+        body,
+        ("[a]{24,28}", body).prop_map(|(pad, tail)| pad + &tail),
+    ]
 }
 
 /// The reference: walk every key and filter.

@@ -8,7 +8,6 @@
 //! (patch ids, simulation ids), and resubmits failures up to a budget.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -16,11 +15,10 @@ use resources::JobShape;
 use sched::{JobClass, JobEvent, JobId, JobSpec, SchedEngine};
 use simcore::{SimDuration, SimTime};
 
-/// An interned application payload (patch/frame/simulation id). One heap
-/// string is allocated when a payload first enters the WM coordination
-/// path; every tracker record, ready-queue entry, resubmission, and
-/// [`crate::WmEvent`] after that clones the pointer, not the bytes.
-pub type PayloadId = Arc<str>;
+// The application payload (patch/frame/simulation id). The campaign's
+// names are held inline, so every tracker record, ready-queue entry,
+// resubmission and `WmEvent` copies the name without touching the heap.
+pub use dynim::PayloadId;
 
 /// Per-class tracker configuration.
 #[derive(Debug, Clone)]

@@ -226,7 +226,7 @@ pub struct WorkflowManager {
 }
 
 /// Computes a job's virtual runtime from its class and payload.
-pub type RuntimeModel = Box<dyn FnMut(JobClass, &str) -> Option<simcore::SimDuration> + Send>;
+pub type RuntimeModel = Box<dyn FnMut(JobClass, &PayloadId) -> Option<simcore::SimDuration> + Send>;
 
 impl WorkflowManager {
     /// Assembles a WM over a scheduler and one selector per promoted scale:
@@ -702,7 +702,7 @@ impl WorkflowManager {
                 self.tracer.counter_add("wm.selected", 1);
                 let at = self.throttle.reserve(now);
                 st.setup
-                    .submit(&mut self.engine, pick.id.into(), at, None, &mut self.rng);
+                    .submit(&mut self.engine, pick.id, at, None, &mut self.rng);
             }
         }
     }
@@ -830,7 +830,7 @@ impl WorkflowManager {
         ];
         for (i, (st, (ready, history))) in self.stages.iter_mut().zip(saved).enumerate() {
             st.counts = self.stats.stage_mut(i).map(|n| *n);
-            st.ready = ready.iter().map(|s| PayloadId::from(s.as_str())).collect();
+            st.ready = ready.iter().map(|s| PayloadId::new(s)).collect();
             if let Some(h) = History::from_text(history) {
                 h.replay(st.selector.as_mut());
                 st.history = h;

@@ -32,25 +32,42 @@ fn arb_mutation() -> impl Strategy<Value = Mutation> {
 
 /// A selector log folded the way `WorkflowManager::checkpoint` stores it.
 /// A selector places every point in one space, so all points of one
-/// history have the same number of coordinates.
+/// history have the same number of coordinates. Half the histories pad
+/// their ids to 29 bytes (ASCII, so `Damage::Flip` keeps the text
+/// UTF-8), so an id of one or two digits ends at or past the 30-byte
+/// inline bound of `PayloadId`.
 fn arb_history(prefix: &'static str) -> impl Strategy<Value = String> {
-    (1usize..=4, proptest::collection::vec(arb_mutation(), 0..16)).prop_map(move |(dim, ops)| {
-        let mut h = History::new();
-        for op in ops {
-            match op {
-                Mutation::Add(id, mut coords) => {
-                    coords.truncate(dim);
-                    h.record_add(&HdPoint::new(format!("{prefix}{id}"), coords))
+    (
+        1usize..=4,
+        proptest::collection::vec(arb_mutation(), 0..16),
+        any::<bool>(),
+    )
+        .prop_map(move |(dim, ops, long)| {
+            let prefix = if long {
+                format!("{prefix}{}", "x".repeat(28))
+            } else {
+                prefix.to_string()
+            };
+            let mut h = History::new();
+            for op in ops {
+                match op {
+                    Mutation::Add(id, mut coords) => {
+                        coords.truncate(dim);
+                        h.record_add(&HdPoint::new(format!("{prefix}{id}"), coords))
+                    }
+                    Mutation::Select(id) => h.record_select(&format!("{prefix}{id}")),
                 }
-                Mutation::Select(id) => h.record_select(&format!("{prefix}{id}")),
             }
-        }
-        h.compact().to_text()
-    })
+            h.compact().to_text()
+        })
 }
 
+/// Ready ids on both sides of the 30-byte inline bound.
 fn arb_ids() -> impl Strategy<Value = Vec<String>> {
-    proptest::collection::vec("[a-z0-9:._-]{1,12}", 0..6)
+    proptest::collection::vec(
+        prop_oneof!["[a-z0-9:._-]{1,12}", "[a-z0-9:._-]{26,36}"],
+        0..6,
+    )
 }
 
 fn arb_checkpoint() -> impl Strategy<Value = WmCheckpoint> {

@@ -184,8 +184,8 @@ proptest! {
         let n = coords.len();
         let picked = s.select(n + 5);
         prop_assert_eq!(picked.len(), n);
-        let ids: std::collections::HashSet<String> =
-            picked.iter().map(|p| p.id.clone()).collect();
+        let ids: std::collections::HashSet<&str> =
+            picked.iter().map(|p| p.id.as_str()).collect();
         prop_assert_eq!(ids.len(), n, "no duplicate selections");
         prop_assert_eq!(s.candidates(), 0);
     }
