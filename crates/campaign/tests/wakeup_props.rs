@@ -41,7 +41,6 @@ proptest! {
     /// The attrition process: after draining everything due at `t`, the
     /// next arrival is strictly in the future, and the whole arrival
     /// history is nondecreasing in time.
-    #[test]
     fn failure_process_next_at_is_strictly_future_and_monotone(
         seed in any::<u64>(),
         per_day in 0.5f64..50.0,
@@ -70,7 +69,6 @@ proptest! {
     /// The scheduler: after `advance(now)` has drained all work, the
     /// engine either is idle or reports a wakeup strictly after `now` —
     /// the view the WM folds into its own.
-    #[test]
     fn sched_engine_next_wakeup_is_strictly_future(
         runtimes in prop::collection::vec(1u64..300, 1..24),
         steps in prop::collection::vec(1u64..240, 1..24),
@@ -103,7 +101,6 @@ proptest! {
     /// a deadline exactly at `now` is legitimately not yet overdue), and
     /// the reported deadline never moves backwards while time advances
     /// over a fixed placement set.
-    #[test]
     fn job_tracker_earliest_timeout_never_reports_expirable_deadlines(
         runtimes in prop::collection::vec(5u64..120, 1..16),
         grace in 1.1f64..3.0,
@@ -147,7 +144,6 @@ proptest! {
     /// The workflow manager: after a full tick at `t`, the folded wakeup
     /// (scheduler, cadences, watchdog deadlines) is strictly after `t`,
     /// and for a fixed post-tick state it is monotone in `now`.
-    #[test]
     fn wm_next_wakeup_is_strictly_future_and_monotone_in_now(
         seed in any::<u64>(),
         steps in prop::collection::vec(1u64..90, 1..24),

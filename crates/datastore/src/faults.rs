@@ -390,7 +390,6 @@ mod prop_tests {
     proptest! {
         /// Over arbitrary op sequences, injected-failure totals are
         /// exactly `count(target) / period`, independent of interleaving.
-        #[test]
         fn injections_are_exact(
             ops in proptest::collection::vec(0usize..5, 0..120),
             target in 0usize..5,

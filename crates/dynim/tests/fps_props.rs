@@ -146,7 +146,6 @@ proptest! {
     /// Same op stream in, same observable behaviour out — selections (ids,
     /// order, coords), queue sizes, eviction counts, and, once the lazy
     /// entries are flushed, the cached ranks themselves.
-    #[test]
     fn incremental_cache_equals_naive_recomputation(
         ops in prop::collection::vec(arb_op(), 1..100),
         cap in prop_oneof![Just(0usize), Just(8usize)],

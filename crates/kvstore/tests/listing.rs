@@ -42,7 +42,6 @@ fn full_walk(model: &BTreeSet<String>, pattern: &str) -> Vec<String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    #[test]
     fn keys_equals_the_full_filtered_walk(
         inserted in prop::collection::vec(key(), 0..24),
         deleted in prop::collection::vec(key(), 0..8),

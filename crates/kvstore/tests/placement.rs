@@ -29,7 +29,6 @@ proptest! {
     /// surrounds the tag and however many shards the cluster has. This
     /// is what makes `move_ns` (rename across namespaces) single-shard
     /// and atomic for every frame of a simulation.
-    #[test]
     fn same_tag_keys_co_shard(
         shards in 1usize..64,
         tag in tag(),
@@ -51,7 +50,6 @@ proptest! {
     /// returns the typed `CrossShardRename` error carrying both key
     /// names, and mutates nothing: the source stays, the destination
     /// never appears. Same-shard renames succeed and move the value.
-    #[test]
     fn cross_shard_rename_is_typed_and_mutation_free(
         shards in 2usize..32,
         from_tag in tag(),

@@ -156,20 +156,17 @@ fn fresh_wm() -> WorkflowManager {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    #[test]
     fn generated_checkpoints_round_trip(ckpt in arb_checkpoint()) {
         let text = ckpt.to_text();
         prop_assert_eq!(WmCheckpoint::from_text(&text), Ok(ckpt));
     }
 
-    #[test]
     fn restore_then_checkpoint_is_the_identity(ckpt in arb_checkpoint()) {
         let mut wm = fresh_wm();
         wm.restore(&ckpt);
         prop_assert_eq!(wm.checkpoint(), ckpt);
     }
 
-    #[test]
     fn damaged_text_is_refused_or_round_trips(
         ckpt in arb_checkpoint(),
         harm in proptest::collection::vec(arb_damage(), 1..4),

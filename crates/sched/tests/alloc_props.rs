@@ -230,7 +230,6 @@ proptest! {
 
     /// No core or GPU is ever granted twice, and the graph's free set is
     /// exactly the machine minus the union of outstanding grants.
-    #[test]
     fn no_double_booking(ops in proptest::collection::vec(arb_op(), 1..80)) {
         let mut g = ResourceGraph::new(machine());
         let mut outstanding: Vec<Alloc> = Vec::new();
@@ -262,7 +261,6 @@ proptest! {
 
     /// Claim + release restores the exact prior free set, from any
     /// reachable intermediate state.
-    #[test]
     fn claim_release_round_trips(
         ops in proptest::collection::vec(arb_op(), 0..40),
         probe in prop_oneof![
@@ -307,7 +305,6 @@ proptest! {
 
     /// The indexed matcher is observationally identical to the linear
     /// reference: same grants, same visit counts, same end state.
-    #[test]
     fn indexed_matches_linear_oracle(ops in proptest::collection::vec(arb_op(), 1..80)) {
         let mut indexed = ResourceGraph::new(machine());
         let mut linear = LinearRef::new();
@@ -358,7 +355,6 @@ proptest! {
     /// and its visit charge is the range walk's — through the last node
     /// picked under first-match, the whole range on a miss or under
     /// exhaustive low-ID.
-    #[test]
     fn range_match_equals_first_match_with_the_outside_drained(
         ops in proptest::collection::vec(arb_op(), 0..60),
         probes in proptest::collection::vec(

@@ -34,7 +34,6 @@ proptest! {
     /// - terminal states are consistent with the events;
     /// - resource usage returns to zero once everything is terminal;
     /// - the stats counters balance.
-    #[test]
     fn engine_is_consistent_under_chaos(
         ops in prop::collection::vec(arb_op(), 1..80),
         coupling in prop_oneof![Just(Coupling::Synchronous), Just(Coupling::Asynchronous)],
@@ -129,7 +128,6 @@ proptest! {
     }
 
     /// Jobs complete no earlier than submission + runtime.
-    #[test]
     fn completion_respects_runtime(
         runtimes in prop::collection::vec(1u64..200, 1..12),
     ) {

@@ -428,7 +428,6 @@ proptest! {
     /// No double-booking, job conservation, and no starvation — under
     /// every policy in the zoo, over one shared op stream, shallow or
     /// opening deeper than the backfill reservation window.
-    #[test]
     fn every_policy_conserves_jobs_and_resources(
         ops in prop_oneof![prop::collection::vec(arb_op(), 1..60), arb_deep_ops()],
     ) {
@@ -442,7 +441,6 @@ proptest! {
     /// jumped the queue returned its resources by the time the head it
     /// jumped actually started. Every pair is checked, including those
     /// across a cancel of a running job.
-    #[test]
     fn easy_backfill_never_delays_the_head(
         ops in prop::collection::vec(arb_basic_op(), 1..60),
     ) {
@@ -456,7 +454,6 @@ proptest! {
     /// Ties break by submission order: a burst of identical jobs deeper
     /// than the reservation window places in id order under every
     /// policy, through cancels, node failures, repairs and hangs.
-    #[test]
     fn identical_jobs_place_in_submission_order(
         spec in arb_spec(),
         n in 65usize..100,
@@ -495,7 +492,6 @@ proptest! {
     /// outside capacity changes must not swallow the check: one case
     /// draws 48 shallow and 16 deep streams, and at least
     /// `MIN_CHECKED_SHARE` of their pairs must carry the bound.
-    #[test]
     fn easy_backfill_holds_the_head_across_failures_repairs_and_hangs(
         shallow in prop::collection::vec(prop::collection::vec(arb_op(), 1..60), 48..49),
         deep in prop::collection::vec(arb_deep_ops(), 16..17),

@@ -30,7 +30,6 @@ proptest! {
 
     /// For arbitrary rates, windows, prior consumption, and query times,
     /// the planning count equals the consuming count.
-    #[test]
     fn slots_within_agrees_with_reserve(
         per_min in 1u64..6000,
         prior in 0u64..50,
@@ -64,7 +63,6 @@ proptest! {
     /// An empty window never has slots, and a window of exactly one
     /// interval has exactly one (the slot at its left edge) when the
     /// throttle is idle.
-    #[test]
     fn interval_edge_cases(per_min in 1u64..6000, now_secs in 0u64..600) {
         let t = Throttle::per_minute(per_min);
         let now = SimTime::from_secs(now_secs);

@@ -9,13 +9,16 @@
 //!
 //! * [`proto`] — a length-prefixed binary-opcode wire protocol with
 //!   **request pipelining**: many in-flight ops per connection, matched
-//!   by sequence id.
+//!   by sequence id. One encoder writes frames into a caller's reused
+//!   buffer and one parser reads them in place, on every path.
 //! * [`wal`] — per-shard write-ahead logs with CRC-framed records,
 //!   group-commit fsync batching, and torn-tail-tolerant crash
 //!   recovery (taridx's rescan discipline, applied to a log).
-//! * [`engine`] — the transport-agnostic core: `kvstore::Cluster`
-//!   hash-tag placement, and one write path (`commit`) that logs then
-//!   applies each op, the same `apply` replay uses.
+//! * [`engine`] — the transport-agnostic core: one handler
+//!   ([`StoreEngine::serve`]) for TCP and loopback frames,
+//!   `kvstore::Cluster` hash-tag placement, and one write path
+//!   (`commit`) that logs then applies each op, the same `apply` replay
+//!   uses.
 //! * [`server`] — thread-per-connection TCP front end that only acks
 //!   after the batch's durability barrier. It carries no fault hooks:
 //!   the chaos tests inject lost acks from a proxy of their own.

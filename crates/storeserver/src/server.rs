@@ -1,7 +1,8 @@
 //! The TCP front end: thread-per-connection, group-commit acks.
 //!
-//! Each connection drains request frames, executes them against the
-//! shared [`StoreEngine`], and buffers the encoded responses. The
+//! Each connection reads request frames into its own reused buffer,
+//! hands each to [`StoreEngine::serve`] where it lies, and collects the
+//! reply frames in a second reused buffer. The
 //! buffered responses are only released once [`StoreEngine::sync_dirty`]
 //! has made the batch durable — so under pipelining one fsync covers a
 //! whole burst of writes (group commit), and a response on the wire
@@ -16,14 +17,14 @@
 //! needs a lost ack cuts the connection in its own proxy
 //! (`tests/chaos_net.rs`).
 
-use std::io::{BufReader, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering}; // lint: allow(L6: listener shutdown flag, the only state the server's threads share besides the engine; off the replay path)
 use std::sync::Arc;
 use std::thread;
 
 use crate::engine::StoreEngine;
-use crate::proto::{read_frame, Request, Response, WireError};
+use crate::proto::FrameReader;
 
 /// A listening store server.
 pub struct StoreServer {
@@ -93,15 +94,16 @@ impl StoreServer {
 fn handle_connection(engine: Arc<StoreEngine>, stream: TcpStream) -> std::io::Result<()> {
     stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
+    let mut reader = stream;
+    let mut frames = FrameReader::default();
     // Responses accumulate here and are only written after the batch's
     // durability barrier; a BufWriter would leak unsynced acks when its
     // internal buffer overflows mid-batch.
     let mut out: Vec<u8> = Vec::new();
     const FLUSH_HIGH_WATER: usize = 4 * 1024 * 1024;
     loop {
-        let frame = match read_frame(&mut reader) {
-            Ok(Some(f)) => f,
+        match frames.next(&mut reader) {
+            Ok(Some(frame)) => engine.serve(frame, &mut out),
             Ok(None) => {
                 // Clean EOF: make straggling work durable, send what we
                 // owe (best effort — the peer may be gone).
@@ -113,18 +115,12 @@ fn handle_connection(engine: Arc<StoreEngine>, stream: TcpStream) -> std::io::Re
                 engine.sync_dirty()?;
                 return Err(e);
             }
-        };
-        let (seq, op, body) = frame;
-        let resp = match Request::decode(op, &body) {
-            Ok(req) => engine.handle(req),
-            Err(e) => Response::Err(WireError::BadRequest(e)),
-        };
-        out.extend_from_slice(&resp.encode_frame(seq));
-        // Group commit: when the read buffer is drained the client is
-        // waiting on us — sync once for the whole batch, then release
+        }
+        // Group commit: when every byte read has been served the client
+        // is waiting on us — sync once for the whole batch, then release
         // every buffered ack. A mid-batch high-water flush keeps memory
         // bounded and still syncs before sending.
-        if reader.buffer().is_empty() || out.len() >= FLUSH_HIGH_WATER {
+        if frames.is_drained() || out.len() >= FLUSH_HIGH_WATER {
             engine.sync_dirty()?;
             writer.write_all(&out)?;
             writer.flush()?;

@@ -42,12 +42,21 @@ pub enum SyncMode {
     Virtual,
 }
 
-/// One logged mutation.
+/// One logged mutation, owned: what [`replay`] returns.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalOp {
     Put { key: String, value: Bytes },
     Del { key: String },
     Rename { from: String, to: String },
+}
+
+/// One logged mutation with its keys and value borrowed: what the engine
+/// logs and applies straight from a request it reads in place.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WalOpRef<'a> {
+    Put { key: &'a str, value: &'a [u8] },
+    Del { key: &'a str },
+    Rename { from: &'a str, to: &'a str },
 }
 
 const OP_PUT: u8 = 1;
@@ -75,41 +84,90 @@ const CRC_TABLE: [u32; 256] = {
     table
 };
 
-/// CRC-32 over `data` (IEEE polynomial, standard init/final xor).
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xffff_ffffu32;
+/// Folds `data` into a running CRC-32 register (before the final xor).
+fn crc_update(mut c: u32, data: &[u8]) -> u32 {
     for &b in data {
         c = CRC_TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
     }
-    c ^ 0xffff_ffff
+    c
+}
+
+/// CRC-32 over `data` (IEEE polynomial, standard init/final xor).
+pub fn crc32(data: &[u8]) -> u32 {
+    !crc_update(!0, data)
+}
+
+impl<'a> From<&'a WalOp> for WalOpRef<'a> {
+    fn from(op: &'a WalOp) -> WalOpRef<'a> {
+        match op {
+            WalOp::Put { key, value } => WalOpRef::Put { key, value },
+            WalOp::Del { key } => WalOpRef::Del { key },
+            WalOp::Rename { from, to } => WalOpRef::Rename { from, to },
+        }
+    }
 }
 
 impl WalOp {
-    fn fields(&self) -> (u8, &[u8], &[u8]) {
-        match self {
-            WalOp::Put { key, value } => (OP_PUT, key.as_bytes(), value),
-            WalOp::Del { key } => (OP_DEL, key.as_bytes(), &[]),
-            WalOp::Rename { from, to } => (OP_RENAME, from.as_bytes(), to.as_bytes()),
+    /// Appends this record's encoding to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        WalOpRef::from(self)
+            .write_to(out)
+            .expect("writing to a Vec cannot fail");
+    }
+}
+
+impl<'a> WalOpRef<'a> {
+    fn fields(&self) -> (u8, &'a [u8], &'a [u8]) {
+        match *self {
+            WalOpRef::Put { key, value } => (OP_PUT, key.as_bytes(), value),
+            WalOpRef::Del { key } => (OP_DEL, key.as_bytes(), &[]),
+            WalOpRef::Rename { from, to } => (OP_RENAME, from.as_bytes(), to.as_bytes()),
         }
     }
 
-    /// Appends this record's encoding to `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let start = out.len();
-        let (op, a, b) = self.fields();
-        out.push(op);
-        out.extend_from_slice(&(a.len() as u32).to_le_bytes());
-        out.extend_from_slice(a);
-        out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-        out.extend_from_slice(b);
-        let crc = crc32(&out[start..]);
-        out.extend_from_slice(&crc.to_le_bytes());
+    /// The key that places this op on a shard (a rename's source; the
+    /// engine refuses renames whose target lives elsewhere).
+    pub(crate) fn routing_key(&self) -> &'a str {
+        match *self {
+            WalOpRef::Put { key, .. } | WalOpRef::Del { key } => key,
+            WalOpRef::Rename { from, .. } => from,
+        }
     }
 
-    /// Tries to decode one record at the front of `buf`, returning the
-    /// op and the bytes consumed. `None` means the tail is torn (too
-    /// short, bad tag, or CRC mismatch) — replay stops there.
-    fn decode_front(buf: &[u8]) -> Option<(WalOp, usize)> {
+    /// Writes this record to `w` field by field, then the CRC of them all.
+    fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
+        let (op, a, b) = self.fields();
+        let (a_len, b_len) = (
+            (a.len() as u32).to_le_bytes(),
+            (b.len() as u32).to_le_bytes(),
+        );
+        let mut crc = !0;
+        for field in [&[op][..], &a_len, a, &b_len, b] {
+            crc = crc_update(crc, field);
+            w.write_all(field)?;
+        }
+        w.write_all(&(!crc).to_le_bytes())
+    }
+
+    /// The op, owned.
+    fn to_op(self) -> WalOp {
+        match self {
+            WalOpRef::Put { key, value } => WalOp::Put {
+                key: key.into(),
+                value: Bytes::copy_from_slice(value),
+            },
+            WalOpRef::Del { key } => WalOp::Del { key: key.into() },
+            WalOpRef::Rename { from, to } => WalOp::Rename {
+                from: from.into(),
+                to: to.into(),
+            },
+        }
+    }
+
+    /// Tries to read one record at the front of `buf`, returning the op
+    /// and the bytes consumed. `None` means the tail is torn (too short,
+    /// bad tag, or CRC mismatch) — replay stops there.
+    fn decode_front(buf: &'a [u8]) -> Option<(WalOpRef<'a>, usize)> {
         let a_len = u32::from_le_bytes(buf.get(1..5)?.try_into().unwrap()) as usize;
         let b_off = 5 + a_len;
         let b_len = u32::from_le_bytes(buf.get(b_off..b_off + 4)?.try_into().unwrap()) as usize;
@@ -118,17 +176,14 @@ impl WalOp {
         if crc32(&buf[..crc_off]) != stored {
             return None;
         }
-        let a = std::str::from_utf8(&buf[5..5 + a_len]).ok()?.to_string();
+        let a = std::str::from_utf8(&buf[5..5 + a_len]).ok()?;
         let b = &buf[b_off + 4..b_off + 4 + b_len];
         let op = match buf[0] {
-            OP_PUT => WalOp::Put {
-                key: a,
-                value: Bytes::copy_from_slice(b),
-            },
-            OP_DEL if b.is_empty() => WalOp::Del { key: a },
-            OP_RENAME => WalOp::Rename {
+            OP_PUT => WalOpRef::Put { key: a, value: b },
+            OP_DEL if b.is_empty() => WalOpRef::Del { key: a },
+            OP_RENAME => WalOpRef::Rename {
                 from: a,
-                to: std::str::from_utf8(b).ok()?.to_string(),
+                to: std::str::from_utf8(b).ok()?,
             },
             _ => return None,
         };
@@ -147,30 +202,39 @@ pub struct WalReplay {
     pub clean_bytes: u64,
 }
 
-/// Replays a shard log. A missing file is an empty log, not an error.
+/// Replays a shard log into owned ops. A missing file is an empty log,
+/// not an error.
 pub fn replay(path: &Path) -> io::Result<WalReplay> {
+    let mut ops = Vec::new();
+    let (clean_bytes, torn_bytes) = replay_each(path, |op| ops.push(op.to_op()))?;
+    Ok(WalReplay {
+        ops,
+        torn_bytes,
+        clean_bytes,
+    })
+}
+
+/// Hands each intact record of a shard log to `apply`, in append order,
+/// as it lies in the read buffer. Returns `(clean_bytes, torn_bytes)`,
+/// as in [`WalReplay`].
+pub(crate) fn replay_each(
+    path: &Path,
+    mut apply: impl FnMut(WalOpRef<'_>),
+) -> io::Result<(u64, u64)> {
     let mut buf = Vec::new();
     match File::open(path) {
         Ok(mut f) => {
             f.read_to_end(&mut buf)?;
         }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(WalReplay::default()),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((0, 0)),
         Err(e) => return Err(e),
     }
-    let mut out = WalReplay::default();
     let mut pos = 0usize;
-    while pos < buf.len() {
-        match WalOp::decode_front(&buf[pos..]) {
-            Some((op, used)) => {
-                out.ops.push(op);
-                pos += used;
-            }
-            None => break,
-        }
+    while let Some((op, used)) = WalOpRef::decode_front(&buf[pos..]) {
+        apply(op);
+        pos += used;
     }
-    out.clean_bytes = pos as u64;
-    out.torn_bytes = (buf.len() - pos) as u64;
-    Ok(out)
+    Ok((pos as u64, (buf.len() - pos) as u64))
 }
 
 /// An append handle to one shard's log.
@@ -224,10 +288,8 @@ impl WalShard {
     }
 
     /// Appends one record (buffered; not yet durable).
-    pub fn append(&mut self, op: &WalOp) -> io::Result<()> {
-        let mut rec = Vec::with_capacity(64);
-        op.encode_into(&mut rec);
-        self.writer.write_all(&rec)?;
+    pub fn append<'a>(&mut self, op: impl Into<WalOpRef<'a>>) -> io::Result<()> {
+        op.into().write_to(&mut self.writer)?;
         self.dirty = true;
         self.records += 1;
         Ok(())

@@ -15,7 +15,6 @@ proptest! {
     /// A cross-shard rename comes back as the typed `CrossShardRename`
     /// error with both key names intact after the wire round trip, and
     /// the store is unchanged; a same-shard rename moves the value.
-    #[test]
     fn rename_shard_semantics_survive_the_wire(
         shards in 2usize..32,
         from_tag in "[a-z0-9]{1,16}",
@@ -52,7 +51,6 @@ proptest! {
     /// Same-tag keys written through the wire land on one shard: the
     /// stats shard count never moves, and a follow-up same-tag rename
     /// always succeeds regardless of the surrounding namespace text.
-    #[test]
     fn same_tag_wire_writes_allow_namespace_renames(
         shards in 1usize..32,
         tag in "[a-z0-9]{1,16}",

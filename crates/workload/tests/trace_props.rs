@@ -89,7 +89,6 @@ fn garbage() -> impl Strategy<Value = String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    #[test]
     fn csv_round_trips_every_record_kind(trace in arb_trace(0)) {
         let csv = trace.to_csv();
         let back = TraceFile::parse(&csv).expect("written trace parses");
@@ -97,7 +96,6 @@ proptest! {
         prop_assert_eq!(back.to_csv(), csv);
     }
 
-    #[test]
     fn one_garbage_field_names_its_line(
         trace in arb_trace(1),
         pick in any::<usize>(),

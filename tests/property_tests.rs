@@ -16,7 +16,6 @@ proptest! {
     /// Any sequence of (key, payload) appends round-trips, with
     /// last-write-wins on duplicate keys — both through the live index and
     /// after a full index recovery from the tar stream.
-    #[test]
     fn taridx_appends_roundtrip(
         entries in prop::collection::vec(
             ("[a-z]{1,12}", prop::collection::vec(any::<u8>(), 0..2000)),
@@ -70,7 +69,6 @@ fn glob_ref(p: &[u8], k: &[u8]) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    #[test]
     fn glob_matches_reference(pattern in "[ab*?]{0,8}", key in "[ab]{0,10}") {
         prop_assert_eq!(
             glob_match(&pattern, &key),
@@ -79,12 +77,10 @@ proptest! {
         );
     }
 
-    #[test]
     fn glob_star_matches_everything(key in "[a-z:0-9]{0,20}") {
         prop_assert!(glob_match("*", &key));
     }
 
-    #[test]
     fn glob_literal_matches_itself(key in "[a-z]{0,16}") {
         prop_assert!(glob_match(&key, &key));
     }
@@ -95,13 +91,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    #[test]
     fn array_codec_roundtrips(data in prop::collection::vec(-1e12f64..1e12, 0..200)) {
         let a = Array::from_vec(data);
         prop_assert_eq!(Array::decode(&a.encode()).unwrap(), a);
     }
 
-    #[test]
     fn records_codec_roundtrips(
         entries in prop::collection::vec(
             ("[a-z]{1,10}", prop::collection::vec(-1e6f64..1e6, 0..50)),
@@ -116,7 +110,6 @@ proptest! {
     }
 
     /// Truncated encodings never panic — they error.
-    #[test]
     fn array_decode_never_panics(
         data in prop::collection::vec(-1e6f64..1e6, 1..50),
         cut_frac in 0.0f64..1.0
@@ -132,7 +125,6 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    #[test]
     fn histogram_conserves_observations(values in prop::collection::vec(-50.0f64..150.0, 0..300)) {
         let mut h = Histogram::new(0.0, 100.0, 17);
         h.add_all(&values);
@@ -140,7 +132,6 @@ proptest! {
         prop_assert_eq!(h.counts().iter().sum::<u64>(), values.len() as u64);
     }
 
-    #[test]
     fn quantiles_are_monotone_and_bounded(
         mut values in prop::collection::vec(-1e3f64..1e3, 1..100),
         q1 in 0.0f64..1.0,
@@ -155,7 +146,6 @@ proptest! {
         prop_assert!(v_hi <= values[values.len() - 1] + 1e-9);
     }
 
-    #[test]
     fn sim_time_arithmetic_is_consistent(a in 0u64..1u64 << 40, d in 0u64..1u64 << 40) {
         let t = SimTime::from_micros(a);
         let dur = SimDuration::from_micros(d);
@@ -172,7 +162,6 @@ proptest! {
 
     /// The farthest-point sampler never duplicates selections and always
     /// drains exactly the candidates it was given.
-    #[test]
     fn fps_selects_each_candidate_once(
         coords in prop::collection::vec((-10.0f64..10.0, -10.0f64..10.0), 1..40)
     ) {
@@ -191,7 +180,6 @@ proptest! {
     }
 
     /// The binned sampler conserves candidates across add/select/discard.
-    #[test]
     fn binned_sampler_conserves_candidates(
         adds in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0), 1..60),
         k in 1usize..20
