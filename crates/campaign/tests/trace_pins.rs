@@ -8,6 +8,13 @@
 //! body was restructured, so a pass means the loop still emits the bytes
 //! it emitted then; any change that moves one trace byte shows up here.
 //!
+//! A second pin covers the inputs of Figures 3 and 4: after a two-leg
+//! chain with a WM crash point in each leg and a paused first leg, the
+//! bit patterns of the CG/AA/continuum perf samples and the achieved
+//! CG/AA trajectory lengths, in `tests/goldens/fig34_pins.txt`. The trace
+//! digest does not cover these series: the runtime model draws them and
+//! the sims map holds them, and neither is traced.
+//!
 //! To regenerate after an *intentional* behavior change:
 //!
 //! ```text
@@ -18,9 +25,9 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use campaign::{Campaign, CampaignConfig, RunReport};
+use campaign::{Campaign, CampaignConfig, RunControl, RunReport};
 use chaos::{FaultEvent, FaultKind, FaultPlan};
-use resources::MatchPolicy;
+use resources::{MachineSpec, MatchPolicy};
 use sched::{Coupling, JobClass};
 use simcore::{SimDuration, SimTime};
 use trace::Tracer;
@@ -161,16 +168,70 @@ fn render_pins() -> String {
     out
 }
 
-#[test]
-fn campaign_traces_match_the_committed_pins() {
+/// One line per series: its length and the FNV-1a-64 of its values'
+/// little-endian bit patterns, in order.
+fn series_line(out: &mut String, name: &str, values: &[f64]) {
+    let bytes: Vec<u8> = values
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .collect();
+    let _ = writeln!(
+        out,
+        "{name}: n={} fnv1a64={:016x}",
+        values.len(),
+        fnv1a64(&bytes)
+    );
+}
+
+/// The Figure 3 (trajectory lengths) and Figure 4 (perf samples) series
+/// after a 20-node leg paused at hour 8 and a 10-node leg, with a WM
+/// crash point at hour 3 of each.
+fn render_fig34_pins() -> String {
+    let mut c = Campaign::new(CampaignConfig {
+        fault_plan: Some(FaultPlan {
+            seed: 0,
+            events: vec![FaultEvent {
+                at: SimTime::from_hours(3),
+                kind: FaultKind::WmCrash,
+            }],
+        }),
+        ..busy_cfg()
+    });
+    let control = RunControl::new();
+    // Scheduled mid-hour: the pause-point rule rounds it up to hour 8.
+    control.schedule_pause_at(SimTime::from_mins(7 * 60 + 30));
+    let first = c.execute_run_controlled_on(MachineSpec::summit_allocation(20), 12, &control);
+    assert_eq!(
+        first.paused_at,
+        Some(SimTime::from_hours(8)),
+        "the pause must fire"
+    );
+    assert_eq!(first.wm_crashes, 1, "the crash point must fire in leg 1");
+    control.clear_pause();
+    let second = c.execute_run_controlled_on(MachineSpec::summit_allocation(10), 8, &control);
+    assert_eq!(second.wm_crashes, 1, "the crash point must fire in leg 2");
+
+    let pairs = |s: &[(f64, f64)]| s.iter().flat_map(|&(a, b)| [a, b]).collect::<Vec<_>>();
+    let mut out =
+        String::from("# Figure 3/4 input pins (see crates/campaign/tests/trace_pins.rs)\n");
+    series_line(&mut out, "cg_samples", &pairs(c.cg_samples()));
+    series_line(&mut out, "aa_samples", &pairs(c.aa_samples()));
+    series_line(&mut out, "continuum_samples", c.continuum_samples());
+    series_line(&mut out, "cg_lengths", &c.cg_lengths());
+    series_line(&mut out, "aa_lengths", &c.aa_lengths());
+    out
+}
+
+/// Compares `got` against the committed golden `name`, or rewrites it
+/// under `UPDATE_GOLDENS=1`.
+fn check_golden(name: &str, got: &str) {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("goldens")
-        .join("trace_pins.txt");
-    let got = render_pins();
+        .join(name);
     if std::env::var_os("UPDATE_GOLDENS").is_some() {
         std::fs::create_dir_all(path.parent().expect("goldens dir")).expect("create goldens dir");
-        std::fs::write(&path, &got).expect("write trace pins");
+        std::fs::write(&path, got).expect("write pins");
         return;
     }
     let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
@@ -181,6 +242,16 @@ fn campaign_traces_match_the_committed_pins() {
     });
     assert_eq!(
         got, want,
-        "campaign trace pins moved; if intentional, regenerate with UPDATE_GOLDENS=1"
+        "{name} moved; if intentional, regenerate with UPDATE_GOLDENS=1"
     );
+}
+
+#[test]
+fn campaign_traces_match_the_committed_pins() {
+    check_golden("trace_pins.txt", &render_pins());
+}
+
+#[test]
+fn figure_3_and_4_inputs_match_the_committed_pins() {
+    check_golden("fig34_pins.txt", &render_fig34_pins());
 }
