@@ -1,9 +1,7 @@
 //! The multi-run campaign driver.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
-
-use parking_lot::Mutex; // lint: allow(L6: campaign shared-state import; each field carries its own reason)
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -257,6 +255,8 @@ impl CampaignConfig {
 /// What one simulation accumulated over the campaign.
 #[derive(Debug, Clone, Copy)]
 struct SimRecord {
+    /// `CgSim` or `AaSim`.
+    class: JobClass,
     /// Target trajectory length (µs for CG, ns for AA).
     target: f64,
     /// Achieved length so far.
@@ -343,7 +343,7 @@ pub struct Campaign {
     /// Ordered by sim id: end-of-run iteration re-queues interrupted
     /// sims into the checkpoint, and that order must not depend on a
     /// hash function (determinism contract).
-    sims: Arc<Mutex<BTreeMap<PayloadId, SimRecord>>>, // lint: allow(L6: BTreeMap iteration order, not lock order, decides scheduling; shared with WM model closures)
+    sims: BTreeMap<PayloadId, SimRecord>,
     ckpt: Option<WmCheckpoint>,
     /// Aggregated occupancy over all runs (Figure 5).
     profiler: OccupancyProfiler,
@@ -366,14 +366,55 @@ pub struct Campaign {
     tracer: Tracer,
 }
 
-/// One run's `(size, rate)` perf samples — CG first, AA second — filled
-/// by the runtime-model closures and drained once at close.
-type PerfSamples = Arc<Mutex<(Vec<(f64, f64)>, Vec<(f64, f64)>)>>; // lint: allow(L6: perf-sample scratch shared with model closures; drained once after the run)
+/// The per-sim runtime model the driver lends the WM for one tick:
+/// remaining length over throughput. First sight of a sim draws its
+/// size, rate and target, records the perf sample and enters the sim in
+/// the campaign's sims map.
+struct SimModel<'a> {
+    camp: &'a mut Campaign,
+    rng: &'a mut StdRng,
+    /// Campaign progress at the start of the run (the CG MPI-bug episode).
+    progress: f64,
+}
 
-/// Builds the per-sim [`RuntimeModel`] over a fresh RNG stream: every WM
-/// incarnation of a run (the first, and each crash-point restore) needs
-/// its own copy.
-type ModelFactory = Box<dyn Fn(StdRng) -> RuntimeModel>;
+impl RuntimeModel for SimModel<'_> {
+    fn runtime(&mut self, class: JobClass, payload: &PayloadId) -> Option<SimDuration> {
+        let (camp, rng) = (&mut *self.camp, &mut *self.rng);
+        let rec = match camp.sims.entry(payload.clone()) {
+            Entry::Occupied(seen) => seen.into_mut(),
+            Entry::Vacant(new) => {
+                let (target, rate_per_day) = match class {
+                    JobClass::CgSim => {
+                        let perf = CgPerf::default();
+                        let size = perf.sample_size(rng);
+                        let rate = perf.sample(size, self.progress, rng);
+                        camp.cg_samples.push((size, rate));
+                        (camp.cfg.cg_target_us, rate)
+                    }
+                    JobClass::AaSim => {
+                        let perf = AaPerf::default();
+                        let size = perf.sample_size(rng);
+                        let rate = perf.sample(size, rng);
+                        camp.aa_samples.push((size, rate));
+                        let (lo, hi) = camp.cfg.aa_target_ns;
+                        (rng.gen_range(lo..hi), rate)
+                    }
+                    _ => return None,
+                };
+                new.insert(SimRecord {
+                    class,
+                    target,
+                    achieved: 0.0,
+                    rate_per_day,
+                    started_at: None,
+                })
+            }
+        };
+        let remaining = (rec.target - rec.achieved).max(0.0);
+        let days = remaining / rec.rate_per_day.max(1e-9);
+        Some(SimDuration::from_secs_f64(days * 86_400.0).max(SimDuration::from_mins(5)))
+    }
+}
 
 /// Compiles the plan's store-fault events into the windows the store
 /// wrapper applies; every other event kind is drained by the run loop
@@ -443,7 +484,7 @@ impl Campaign {
         Campaign {
             cfg,
             seeds,
-            sims: Arc::new(Mutex::new(BTreeMap::new())), // lint: allow(L6: see the sims field's reason)
+            sims: BTreeMap::new(),
             ckpt: None,
             profiler: OccupancyProfiler::new(),
             reports: Vec::new(),
@@ -506,21 +547,19 @@ impl Campaign {
 
     /// Achieved CG trajectory lengths (µs), one per spawned CG sim.
     pub fn cg_lengths(&self) -> Vec<f64> {
-        self.sims
-            .lock()
-            .iter()
-            .filter(|(id, _)| id.starts_with("cg-"))
-            .map(|(_, r)| r.achieved)
-            .collect()
+        self.lengths(JobClass::CgSim)
     }
 
     /// Achieved AA trajectory lengths (ns), one per spawned AA sim.
     pub fn aa_lengths(&self) -> Vec<f64> {
+        self.lengths(JobClass::AaSim)
+    }
+
+    fn lengths(&self, class: JobClass) -> Vec<f64> {
         self.sims
-            .lock()
-            .iter()
-            .filter(|(id, _)| id.starts_with("aa-"))
-            .map(|(_, r)| r.achieved)
+            .values()
+            .filter(|r| r.class == class)
+            .map(|r| r.achieved)
             .collect()
     }
 
@@ -616,53 +655,6 @@ impl Campaign {
         }
     }
 
-    /// The per-sim runtime model (remaining length / throughput) as a
-    /// factory over the model's RNG stream. First sight of a sim draws
-    /// its size, rate and target and records the perf sample.
-    fn model_factory(&self, samples: &PerfSamples) -> ModelFactory {
-        let cg_perf = CgPerf::default();
-        let aa_perf = AaPerf::default();
-        let progress = (self.hours_done / self.cfg.planned_hours).min(1.0);
-        let (aa_lo, aa_hi) = self.cfg.aa_target_ns;
-        let cg_target_us = self.cfg.cg_target_us;
-        let sims = Arc::clone(&self.sims);
-        let samples = Arc::clone(samples);
-        Box::new(move |mut model_rng: StdRng| -> RuntimeModel {
-            let sims = Arc::clone(&sims);
-            let samples_in = Arc::clone(&samples);
-            Box::new(move |class, payload: &PayloadId| {
-                let mut sims = sims.lock();
-                let rec = sims.entry(payload.clone()).or_insert_with(|| match class {
-                    JobClass::CgSim => {
-                        let size = cg_perf.sample_size(&mut model_rng);
-                        let rate = cg_perf.sample(size, progress, &mut model_rng);
-                        samples_in.lock().0.push((size, rate));
-                        SimRecord {
-                            target: cg_target_us,
-                            achieved: 0.0,
-                            rate_per_day: rate,
-                            started_at: None,
-                        }
-                    }
-                    _ => {
-                        let size = aa_perf.sample_size(&mut model_rng);
-                        let rate = aa_perf.sample(size, &mut model_rng);
-                        samples_in.lock().1.push((size, rate));
-                        SimRecord {
-                            target: model_rng.gen_range(aa_lo..aa_hi),
-                            achieved: 0.0,
-                            rate_per_day: rate,
-                            started_at: None,
-                        }
-                    }
-                });
-                let remaining = (rec.target - rec.achieved).max(0.0);
-                let days = remaining / rec.rate_per_day.max(1e-9);
-                Some(SimDuration::from_secs_f64(days * 86_400.0).max(SimDuration::from_mins(5)))
-            })
-        })
-    }
-
     /// Builds one WM incarnation — a fresh resource graph, scheduler
     /// engine and workflow manager over `machine`, traced, restored from
     /// `ckpt` — for the start of a run and for every crash-point restore
@@ -671,7 +663,6 @@ impl Campaign {
         &self,
         machine: &MachineSpec,
         wm_cfg: WmConfig,
-        model: RuntimeModel,
         ckpt: Option<&WmCheckpoint>,
     ) -> WorkflowManager {
         let mut engine = SchedEngine::new(
@@ -690,7 +681,6 @@ impl Campaign {
         if let Some(ckpt) = ckpt {
             wm.restore(ckpt);
         }
-        wm.set_runtime_model(model);
         wm
     }
 
@@ -724,8 +714,10 @@ struct RunSim<'c> {
     /// The driver stream: snapshot and frame generation.
     rng: StdRng,
     wm_cfg: WmConfig,
-    make_model: ModelFactory,
-    samples: PerfSamples,
+    /// The runtime model's stream, reseeded by each crash-point restore.
+    model_rng: StdRng,
+    /// Campaign progress at the start of the run, for the model.
+    progress: f64,
     wm: WorkflowManager,
     store: ScheduledFaultStore<KvDataStore>,
     cont_nodes: u32,
@@ -797,10 +789,7 @@ impl<'c> RunSim<'c> {
         let nodes = machine.nodes;
         let total_gpus = machine.total_gpus();
         let wm_cfg = camp.wm_config(total_gpus, run_seeds.seed_for("wm"));
-        let samples: PerfSamples = Arc::new(Mutex::new((Vec::new(), Vec::new()))); // lint: allow(L6: see the PerfSamples alias's reason)
-        let make_model = camp.model_factory(&samples);
-        let model = make_model(StdRng::seed_from_u64(run_seeds.seed_for("perf")));
-        let mut wm = camp.build_incarnation(&machine, wm_cfg.clone(), model, camp.ckpt.as_ref());
+        let mut wm = camp.build_incarnation(&machine, wm_cfg.clone(), camp.ckpt.as_ref());
         camp.tracer.set_now(SimTime::ZERO);
         camp.tracer.instant_at(
             SimTime::ZERO,
@@ -839,14 +828,14 @@ impl<'c> RunSim<'c> {
                 nodes,
             ),
             cg_target: camp.cg_gpu_target(total_gpus),
+            model_rng: StdRng::seed_from_u64(run_seeds.seed_for("perf")),
+            progress: (camp.hours_done / camp.cfg.planned_hours).min(1.0),
             camp,
             control,
             machine,
             hours,
             run_seeds,
             wm_cfg,
-            make_model,
-            samples,
             wm,
             store,
             cont_nodes,
@@ -894,8 +883,13 @@ impl<'c> RunSim<'c> {
             self.ingest_frames();
             self.submit_background();
             self.apply_faults();
+            let mut model = SimModel {
+                camp: &mut *self.camp,
+                rng: &mut self.model_rng,
+                progress: self.progress,
+            };
             self.wm
-                .tick_into(self.t, &mut self.store, &mut self.wm_events);
+                .tick_into(self.t, &mut self.store, &mut model, &mut self.wm_events);
             self.account();
             if !self.advance() {
                 break;
@@ -1100,12 +1094,10 @@ impl<'c> RunSim<'c> {
             seed: self.run_seeds.seed_for(&format!("wm-crash-{n}")),
             ..self.wm_cfg.clone()
         };
-        let model = (self.make_model)(StdRng::seed_from_u64(
-            self.run_seeds.seed_for(&format!("perf-crash-{n}")),
-        ));
+        self.model_rng = StdRng::seed_from_u64(self.run_seeds.seed_for(&format!("perf-crash-{n}")));
         self.wm = self
             .camp
-            .build_incarnation(&self.machine, wm_cfg, model, Some(&ckpt));
+            .build_incarnation(&self.machine, wm_cfg, Some(&ckpt));
         self.wm.set_cadence(next_fb, next_prof);
         // The continuum job died with the allocation's job table;
         // resubmit it for the remainder of the run.
@@ -1118,15 +1110,14 @@ impl<'c> RunSim<'c> {
     /// Credits partial trajectories up to `at` to the sims the current
     /// incarnation leaves running and requeues the unfinished ones at
     /// the head of `ckpt`'s ready buffers (restart from checkpoints).
-    fn credit_interrupted(&self, at: SimTime, ckpt: &mut WmCheckpoint) {
+    fn credit_interrupted(&mut self, at: SimTime, ckpt: &mut WmCheckpoint) {
         let (mut cg, mut aa) = (Vec::new(), Vec::new());
-        let mut sims = self.camp.sims.lock();
-        for (id, rec) in sims.iter_mut() {
+        for (id, rec) in self.camp.sims.iter_mut() {
             if let Some(started) = rec.started_at.take() {
                 let days = at.since(started).as_hours_f64() / 24.0;
                 rec.achieved = (rec.achieved + rec.rate_per_day * days).min(rec.target);
                 if rec.achieved < rec.target {
-                    if id.starts_with("cg-") {
+                    if rec.class == JobClass::CgSim {
                         cg.push(id.to_string());
                     } else {
                         aa.push(id.to_string());
@@ -1190,13 +1181,13 @@ impl<'c> RunSim<'c> {
             match ev {
                 WmEvent::SimStarted { sim_id, .. } => {
                     self.placed += 1;
-                    if let Some(rec) = self.camp.sims.lock().get_mut(&sim_id) {
+                    if let Some(rec) = self.camp.sims.get_mut(&sim_id) {
                         rec.started_at = Some(t);
                     }
                 }
                 WmEvent::SimFinished { sim_id, .. } => {
                     self.completed += 1;
-                    if let Some(rec) = self.camp.sims.lock().get_mut(&sim_id) {
+                    if let Some(rec) = self.camp.sims.get_mut(&sim_id) {
                         rec.achieved = rec.target;
                         rec.started_at = None;
                     }
@@ -1283,12 +1274,7 @@ impl<'c> RunSim<'c> {
             self.ledger.check()
         );
 
-        // Fold the run's perf samples and profile into campaign state.
-        {
-            let mut s = self.samples.lock();
-            self.camp.cg_samples.append(&mut s.0);
-            self.camp.aa_samples.append(&mut s.1);
-        }
+        // Fold the run's profile into campaign state.
         self.camp.profiler.merge(&self.run_profiler);
         self.camp.hours_done += executed_hours as f64;
 

@@ -176,7 +176,7 @@ proptest! {
                 })
                 .collect();
             wm.add_patch_candidates_from(&mut points);
-            wm.tick_into(t, &mut store, &mut events);
+            wm.tick_into(t, &mut store, &mut (), &mut events);
             let wakeup = wm.next_wakeup(t);
             prop_assert!(wakeup > t, "stale WM wakeup {wakeup} at {t}");
             // Fixed state, advancing probe clock: never moves backwards.

@@ -175,6 +175,75 @@
 //! assert!(wm.stats().cg_sims_started > 0);
 //! ```
 //!
+//! ## 6. Lend the WM a runtime model
+//!
+//! A simulation runs the runtime configured for its class unless the
+//! application knows better. [`crate::WorkflowManager::tick_into`]
+//! borrows a [`crate::RuntimeModel`] for one tick, the way it borrows the
+//! store: the WM asks it once per simulation it submits, and `None` keeps
+//! the configured runtime. Between ticks the model is the application's
+//! own value, free to hold tables, RNG streams or statistics.
+//! [`crate::WorkflowManager::tick`] lends `&mut ()`, which always
+//! answers `None`. The three-scale campaign's model answers with a
+//! simulation's remaining target length at its sampled throughput.
+//!
+//! ```
+//! use std::collections::BTreeMap;
+//!
+//! use datastore::KvDataStore;
+//! use dynim::{ExactNn, FarthestPointSampler, FpsConfig, HdPoint, PayloadId};
+//! use mummi_core::{RuntimeModel, WmConfig, WmEvent, WorkflowManager};
+//! use resources::{MachineSpec, MatchPolicy, NodeSpec, ResourceGraph};
+//! use sched::{Costs, Coupling, JobClass, SchedEngine};
+//! use simcore::{SimDuration, SimTime};
+//!
+//! /// Runtimes the application measured; an unlisted candidate keeps the
+//! /// configured 24 hours.
+//! #[derive(Default)]
+//! struct Measured {
+//!     runtimes: BTreeMap<PayloadId, SimDuration>,
+//!     asked: u32,
+//! }
+//!
+//! impl RuntimeModel for Measured {
+//!     fn runtime(&mut self, _class: JobClass, payload: &PayloadId) -> Option<SimDuration> {
+//!         self.asked += 1;
+//!         self.runtimes.get(payload).copied()
+//!     }
+//! }
+//!
+//! let launcher = SchedEngine::new(
+//!     ResourceGraph::new(MachineSpec::custom("mine", 2, NodeSpec::lassen())),
+//!     MatchPolicy::FirstMatch,
+//!     Coupling::Asynchronous,
+//!     Costs::free(),
+//! );
+//! let cfg = WmConfig { cg_gpu_fraction: 1.0, job_failure_prob: 0.0, ..WmConfig::default() };
+//! let mut wm = WorkflowManager::new(
+//!     cfg.clone(),
+//!     launcher,
+//!     vec![Box::new(FarthestPointSampler::new(FpsConfig::default(), ExactNn::new()))],
+//!     1,
+//! );
+//! wm.add_patch_candidates_from(&mut vec![HdPoint::new("short", vec![0.0, 1.0])]);
+//! let mut model = Measured::default();
+//! model.runtimes.insert(PayloadId::from("short"), SimDuration::from_mins(20));
+//! let (mut store, mut events) = (KvDataStore::new(2), Vec::new());
+//! let (mut t, mut finished) = (SimTime::ZERO, None);
+//! while finished.is_none() && t < SimTime::from_hours(4) {
+//!     wm.tick_into(t, &mut store, &mut model, &mut events);
+//!     for ev in &events {
+//!         if let WmEvent::SimFinished { sim_id, .. } = ev {
+//!             finished = Some(sim_id.clone());
+//!         }
+//!     }
+//!     t += cfg.poll_interval;
+//! }
+//! // Done inside four hours, not the configured 24, after one question.
+//! assert_eq!(finished.as_deref(), Some("short"));
+//! assert_eq!(model.asked, 1);
+//! ```
+//!
 //! ## What you do *not* write
 //!
 //! Scheduling (throttling, unbundled GPU placement, failure resubmission),

@@ -37,7 +37,7 @@ use datastore::DataStore;
 use dynim::{HdPoint, History, HistoryEvent, Sampler};
 use resources::JobShape;
 use sched::{JobClass, JobEvent, JobId, SchedEngine, Throttle};
-use simcore::{OccupancyProfiler, OccupancySample, SimTime, Timeline};
+use simcore::{OccupancyProfiler, OccupancySample, SimDuration, SimTime, Timeline};
 use trace::Tracer;
 
 use crate::config::WmConfig;
@@ -216,17 +216,27 @@ pub struct WorkflowManager {
     /// WM-wide counters; the per-scale ones live on the stages.
     stats: WmStats,
     rng: StdRng,
-    /// Optional per-job runtime override: `(class, payload) -> runtime`.
-    /// The campaign driver installs one so a simulation's virtual runtime
-    /// reflects its remaining target length at its sampled throughput.
-    runtime_model: Option<RuntimeModel>,
     /// Trace sink for WM loop, feedback, selection, and profile records
     /// (disabled by default).
     tracer: Tracer,
 }
 
-/// Computes a job's virtual runtime from its class and payload.
-pub type RuntimeModel = Box<dyn FnMut(JobClass, &PayloadId) -> Option<simcore::SimDuration> + Send>;
+/// Computes a simulation's virtual runtime from its class and payload.
+/// The application lends one to [`WorkflowManager::tick_into`] for one
+/// tick, as it lends the store: the campaign driver's model returns a
+/// simulation's remaining target length at its sampled throughput.
+pub trait RuntimeModel {
+    /// The runtime to submit `payload` with, or `None` for the class's
+    /// configured runtime.
+    fn runtime(&mut self, class: JobClass, payload: &PayloadId) -> Option<SimDuration>;
+}
+
+/// No model: every simulation runs its configured runtime.
+impl RuntimeModel for () {
+    fn runtime(&mut self, _: JobClass, _: &PayloadId) -> Option<SimDuration> {
+        None
+    }
+}
 
 impl WorkflowManager {
     /// Assembles a WM over a scheduler and one selector per promoted scale:
@@ -303,7 +313,6 @@ impl WorkflowManager {
             rng: StdRng::seed_from_u64(cfg.seed),
             engine,
             cfg,
-            runtime_model: None,
             tracer: Tracer::disabled(),
         }
     }
@@ -314,12 +323,6 @@ impl WorkflowManager {
     /// job-lifecycle records in the same trace.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
-    }
-
-    /// Installs a per-job runtime model (returns `None` to fall back to the
-    /// tracker's configured runtime).
-    pub fn set_runtime_model(&mut self, model: RuntimeModel) {
-        self.runtime_model = Some(model);
     }
 
     /// The scheduler (e.g. for occupancy queries by the driver).
@@ -433,7 +436,7 @@ impl WorkflowManager {
     /// undue tick is a cheap no-op) but never late: no tracked state
     /// changes strictly before the returned time.
     pub fn next_wakeup(&self, now: SimTime) -> SimTime {
-        let eps = simcore::SimDuration::from_micros(1);
+        let eps = SimDuration::from_micros(1);
         let mut next = self.next_feedback.min(self.next_profile);
         if let Some(t) = self.engine.next_wakeup() {
             next = next.min(t);
@@ -447,24 +450,26 @@ impl WorkflowManager {
     }
 
     /// One WM cycle at time `now`: poll jobs, replace finished ones, keep
-    /// buffers stocked, run feedback and profiling when due.
+    /// buffers stocked, run feedback and profiling when due, at the
+    /// configured runtimes.
     pub fn tick(&mut self, now: SimTime, store: &mut dyn DataStore) -> Vec<WmEvent> {
         let mut events = Vec::new();
-        self.tick_into(now, store, &mut events);
+        self.tick_into(now, store, &mut (), &mut events);
         events
     }
 
-    /// [`WorkflowManager::tick`] writing into a caller-owned buffer
-    /// (cleared first), so a driver loop can reuse one allocation across
-    /// ticks instead of constructing a fresh `Vec` per cycle.
+    /// [`WorkflowManager::tick`] with runtimes from `model` (`&mut ()` for
+    /// the configured ones), into a caller-owned buffer (cleared first)
+    /// that a driver loop reuses across ticks.
     pub fn tick_into(
         &mut self,
         now: SimTime,
         store: &mut dyn DataStore,
+        model: &mut dyn RuntimeModel,
         events: &mut Vec<WmEvent>,
     ) {
         self.tick_poll_phase(now, events);
-        self.tick_maintain_phase(now, store, events);
+        self.maintain(now, store, model, events);
     }
 
     /// The first half of a WM cycle: poll the scheduler and expire hung
@@ -472,10 +477,10 @@ impl WorkflowManager {
     /// so a profiler can time the two halves separately (the benchmark's
     /// `mummi-core.poll_phase_s` / `maintain_phase_s`); finish the cycle
     /// with [`WorkflowManager::tick_maintain_phase`]. Running both phases
-    /// back-to-back is exactly [`WorkflowManager::tick_into`]: the split
-    /// point is between statements of the cycle, and each phase
-    /// consumes the WM's RNG and emits trace events in the same order as
-    /// the unsplit tick.
+    /// back-to-back is exactly [`WorkflowManager::tick_into`] lent
+    /// `&mut ()`: the split point is between statements of the cycle, and
+    /// each phase consumes the WM's RNG and emits trace events in the
+    /// same order as the unsplit tick.
     pub fn tick_poll_phase(&mut self, now: SimTime, events: &mut Vec<WmEvent>) {
         // Keep the tracer clock current so emitters without a time
         // parameter (datastore ops, cancellations) stamp correctly.
@@ -497,7 +502,18 @@ impl WorkflowManager {
         store: &mut dyn DataStore,
         events: &mut Vec<WmEvent>,
     ) {
-        self.maintain_sims(now);
+        self.maintain(now, store, &mut (), events);
+    }
+
+    /// The maintain half of every tick, with `model` lent for it.
+    fn maintain(
+        &mut self,
+        now: SimTime,
+        store: &mut dyn DataStore,
+        model: &mut dyn RuntimeModel,
+        events: &mut Vec<WmEvent>,
+    ) {
+        self.maintain_sims(now, model);
         self.maintain_setups(now);
         self.run_feedback(now, store, events);
         self.sample_profile(now);
@@ -624,7 +640,7 @@ impl WorkflowManager {
     /// Keep the GPU partition full: spawn simulations from the ready
     /// buffers up to each stage's GPU target. Started events arrive via
     /// poll on placement.
-    fn maintain_sims(&mut self, now: SimTime) {
+    fn maintain_sims(&mut self, now: SimTime, model: &mut dyn RuntimeModel) {
         let (_, total_gpus) = self.engine.graph().gpu_usage();
         let (cg_target, aa_target) = self.cfg.gpu_targets(total_gpus);
         for (st, target) in self.stages.iter_mut().zip([cg_target, aa_target]) {
@@ -637,10 +653,7 @@ impl WorkflowManager {
                     break;
                 };
                 let at = self.throttle.reserve(now);
-                let runtime = self
-                    .runtime_model
-                    .as_mut()
-                    .and_then(|m| m(st.sim.class(), &sim_id));
+                let runtime = model.runtime(st.sim.class(), &sim_id);
                 st.sim
                     .submit(&mut self.engine, sim_id, at, runtime, &mut self.rng);
             }
@@ -1038,7 +1051,6 @@ mod tests {
     use dynim::{BinnedConfig, BinnedSampler, ExactNn, FarthestPointSampler, FpsConfig};
     use resources::{MachineSpec, MatchPolicy, NodeSpec, ResourceGraph};
     use sched::{Costs, Coupling, SchedEngine};
-    use simcore::SimDuration;
 
     fn engine(nodes: u32) -> SchedEngine {
         SchedEngine::new(

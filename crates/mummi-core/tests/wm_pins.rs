@@ -99,7 +99,7 @@ fn render_pins() -> (String, Vec<String>) {
                 .collect();
             wm.add_patch_candidates_from(&mut batch);
         }
-        wm.tick_into(t, &mut store, &mut events);
+        wm.tick_into(t, &mut store, &mut (), &mut events);
         for ev in events.drain(..) {
             let (kind, stage, sim) = render(&ev);
             let k = sim.len();
