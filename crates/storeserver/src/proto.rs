@@ -30,7 +30,7 @@
 //! one is a parse plus a copy.
 
 use bytes::Bytes;
-use std::io::{self, BufRead, Read, Write};
+use std::io::{self, BufRead, Read};
 
 /// Hard upper bound on a frame body; anything larger is a protocol error
 /// (protects the server from a garbage length prefix).
@@ -304,15 +304,6 @@ impl FrameReader {
     pub fn is_drained(&self) -> bool {
         self.start == self.end
     }
-}
-
-/// Writes one frame of raw `tag` and `body`. Does not flush.
-pub fn write_frame(w: &mut impl Write, seq: u64, tag: u8, body: &[u8]) -> io::Result<()> {
-    let mut frame = Vec::with_capacity(13 + body.len());
-    let start = begin_frame(&mut frame, seq, tag);
-    frame.extend_from_slice(body);
-    end_frame(&mut frame, start)?;
-    w.write_all(&frame)
 }
 
 /// Reads exactly one frame from `r`, returning `(seq, tag, body)` with

@@ -107,9 +107,13 @@ fn malformed_frames_bounce_without_killing_the_connection() {
     let stream = std::net::TcpStream::connect(server.addr()).unwrap();
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
-    // Unknown opcode 200 with an empty body.
+    // Unknown opcode 200 with an empty body: the 13-byte header alone,
+    // a little-endian length (9: the sequence id and the tag), sequence
+    // id 1 and the tag.
     let mut frame = Vec::new();
-    storeserver::proto::write_frame(&mut frame, 1, 200, &[]).unwrap();
+    frame.extend_from_slice(&9u32.to_le_bytes());
+    frame.extend_from_slice(&1u64.to_le_bytes());
+    frame.push(200);
     writer.write_all(&frame).unwrap();
     writer.flush().unwrap();
     let (seq, st, body) = storeserver::proto::read_frame(&mut reader)
