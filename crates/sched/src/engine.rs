@@ -331,9 +331,6 @@ pub struct SchedEngine {
     /// Per-class queue-wait aggregates (count, sum, max) for every
     /// placement.
     wait_by_class: BTreeMap<JobClass, ClassWait>,
-    /// (backfilled job, head it was backfilled around), opt-in — the
-    /// instrumentation behind the "EASY never delays the head" proptest.
-    bf_pairs: Option<Vec<(JobId, JobId)>>,
     /// Opt-in submission log (§4.4 history files): every submit with its
     /// time and spec, in order.
     recorder: Option<Vec<(SimTime, JobSpec)>>,
@@ -384,7 +381,6 @@ impl SchedEngine {
             failed_nodes: BTreeSet::new(),
             stats: SchedStats::default(),
             wait_by_class: BTreeMap::new(),
-            bf_pairs: None,
             recorder: None,
             pending_events: Vec::new(),
             tracer: Tracer::disabled(),
@@ -422,24 +418,6 @@ impl SchedEngine {
     /// log if it was on.
     pub fn take_log(&mut self) -> Option<Vec<(SimTime, JobSpec)>> {
         self.recorder.as_mut().map(std::mem::take)
-    }
-
-    /// Starts collecting (backfilled job, blocked head) pairs — proptest
-    /// instrumentation for the no-head-delay invariant. Off by default.
-    pub fn collect_backfill_pairs(&mut self, on: bool) {
-        if on {
-            if self.bf_pairs.is_none() {
-                self.bf_pairs = Some(Vec::new());
-            }
-        } else {
-            self.bf_pairs = None;
-        }
-    }
-
-    /// Recorded (backfilled job, head) pairs; empty when collection is
-    /// off.
-    pub fn backfill_pairs(&self) -> &[(JobId, JobId)] {
-        self.bf_pairs.as_deref().unwrap_or(&[])
     }
 
     /// Per-class queue-wait aggregates, in class order.
@@ -1090,11 +1068,6 @@ impl SchedEngine {
                         if pos > 0 && self.sched_policy.is_backfill() {
                             self.stats.backfills += 1;
                             self.tracer.counter_add("sched.backfills", 1);
-                            if let Some(pairs) = &mut self.bf_pairs {
-                                if let Some(&(_, head)) = self.ready.front() {
-                                    pairs.push((id, head));
-                                }
-                            }
                             // Queue positions shifted and the free pool
                             // shrank: rebuild the reservation state,
                             // resuming the scan where the removal left it.
