@@ -211,11 +211,13 @@ impl Client {
     /// Scans every shard for keys matching `pattern` (Redis `KEYS`). One
     /// round trip per shard, pipelined.
     pub fn keys(&self, pattern: &str) -> Vec<String> {
-        let mut out = Vec::new();
+        let (mut out, mut key_bytes) = (Vec::new(), 0);
         for shard in &self.cluster.shards {
-            out.extend(shard.keys(pattern));
+            shard.visit_keys(pattern, |k| {
+                key_bytes += k.len() as u64;
+                out.push(k.to_owned());
+            });
         }
-        let key_bytes: u64 = out.iter().map(|k| k.len() as u64).sum();
         self.charge(
             self.cluster.shards.len() as u64,
             out.len() as u64,

@@ -140,7 +140,16 @@ impl Shard {
         }
     }
 
-    /// Returns all keys matching a Redis-style glob pattern, in key order.
+    /// Returns all keys matching a Redis-style glob pattern, in key order
+    /// ([`Shard::visit_keys`], collected).
+    pub fn keys(&self, pattern: &str) -> Vec<String> {
+        let mut keys = Vec::new();
+        self.visit_keys(pattern, |k| keys.push(k.to_owned()));
+        keys
+    }
+
+    /// Hands each key matching a Redis-style glob pattern to `visit`, in
+    /// key order, under the shard's read lock.
     ///
     /// Only keys that start with the pattern's literal prefix (the bytes
     /// before its first `*` or `?`) can match, and in the key order they
@@ -148,7 +157,7 @@ impl Shard {
     /// at the first key without it: listing `rdf-new` costs the live keys,
     /// not the `rdf-done` history beside them. This relies on `*` and `?`
     /// being the only metacharacters [`glob_match`] knows.
-    pub fn keys(&self, pattern: &str) -> Vec<String> {
+    pub fn visit_keys(&self, pattern: &str, visit: impl FnMut(&str)) {
         let prefix = literal_prefix(pattern).as_bytes();
         self.map
             .read()
@@ -157,8 +166,7 @@ impl Shard {
             .take_while(|k| k.as_bytes().starts_with(prefix))
             .map(Key::as_str)
             .filter(|k| glob_match(pattern, k))
-            .map(str::to_owned)
-            .collect()
+            .for_each(visit);
     }
 
     /// Number of keys in the shard.

@@ -22,12 +22,15 @@
 //!
 //! One codec serves every path. [`RequestView::encode`] and
 //! [`ResponseView::encode`] append a frame to a caller-owned buffer,
-//! from borrowed keys and values; [`RequestView::parse`] and
-//! [`ResponseView::parse`] read a body where it lies, as `&str` keys,
-//! `&[u8]` values and [`List`]s walked in place. [`FrameReader`] is the
-//! reused receive buffer those bodies lie in. The owned [`Request`] and
-//! [`Response`] are wrappers: encoding one encodes its view, and decoding
-//! one is a parse plus a copy.
+//! from borrowed keys and values; [`ResponseView::encode_key_list`] and
+//! [`ResponseView::encode_values`] append a list reply whose elements
+//! the caller writes as it finds them. Every list goes through one
+//! writer, which puts the count in place after the last element.
+//! [`RequestView::parse`] and [`ResponseView::parse`] read a body where
+//! it lies, as `&str` keys, `&[u8]` values and [`List`]s walked in place.
+//! [`FrameReader`] is the reused receive buffer those bodies lie in. The
+//! owned [`Request`] and [`Response`] are wrappers: encoding one encodes
+//! its view, and decoding one is a parse plus a copy.
 
 use bytes::Bytes;
 use std::io::{self, BufRead, Read};
@@ -599,16 +602,26 @@ impl<'a, T: Item> List<'a, T> {
     }
 
     fn put(&self, out: &mut Vec<u8>) {
-        put_u32(out, self.len() as u32);
-        match self {
-            List::Items(items) => items.iter().for_each(|item| T::put(item.view(), out)),
-            List::Wire { bytes, .. } => out.extend_from_slice(bytes),
-        }
+        put_list::<T>(out, |put| self.iter().for_each(put));
     }
 
     fn to_vec(self) -> Vec<T> {
         self.iter().map(T::own).collect()
     }
+}
+
+/// Appends a list field: a `u32` count, then each element `walk` hands
+/// to the writer it is lent. The count is written after the last
+/// element, so a list can be written as its elements are found.
+fn put_list<T: Item>(out: &mut Vec<u8>, walk: impl FnOnce(&mut dyn FnMut(T::View<'_>))) {
+    let at = out.len();
+    put_u32(out, 0);
+    let mut len = 0u32;
+    walk(&mut |item| {
+        T::put(item, out);
+        len += 1;
+    });
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// The elements of a [`List`], borrowed.
@@ -940,6 +953,34 @@ impl<'a> ResponseView<'a> {
                 WireError::BadRequest(m) | WireError::Server(m) => put_str(out, m),
             },
         }
+        end_frame(out, start)
+    }
+
+    /// Appends a [`ResponseView::KeyList`] frame like
+    /// [`ResponseView::encode`], its keys written one by one as `keys`
+    /// hands them to the writer it is lent.
+    pub fn encode_key_list(
+        seq: u64,
+        out: &mut Vec<u8>,
+        keys: impl FnOnce(&mut dyn FnMut(&str)),
+    ) -> io::Result<()> {
+        let start = begin_frame(out, seq, status::OK);
+        out.push(kind::KEY_LIST);
+        put_list::<String>(out, keys);
+        end_frame(out, start)
+    }
+
+    /// Appends a [`ResponseView::Values`] frame like
+    /// [`ResponseView::encode`], its values written one by one as
+    /// `values` hands them to the writer it is lent.
+    pub fn encode_values(
+        seq: u64,
+        out: &mut Vec<u8>,
+        values: impl FnOnce(&mut dyn FnMut(Option<&[u8]>)),
+    ) -> io::Result<()> {
+        let start = begin_frame(out, seq, status::OK);
+        out.push(kind::VALUES);
+        put_list::<Option<Bytes>>(out, values);
         end_frame(out, start)
     }
 
@@ -1315,6 +1356,31 @@ mod tests {
             Ok(Response::Bool(true))
         );
         assert!(rest.is_empty());
+    }
+
+    #[test]
+    fn a_streamed_list_counts_its_elements_and_refuses_past_max_frame() {
+        let mut out = b"kept".to_vec();
+        ResponseView::encode_key_list(1, &mut out, |put| ["a", "b"].into_iter().for_each(put))
+            .unwrap();
+        let (frame, _) = Frame::split(&out[4..]).unwrap().unwrap();
+        assert_eq!(
+            Response::decode(frame.tag, frame.body),
+            Ok(Response::KeyList(vec!["a".into(), "b".into()]))
+        );
+        out.truncate(4);
+        // 65 elements of 1 MiB: one more than a frame holds.
+        let big = vec![b'k'; 1 << 20];
+        let key = std::str::from_utf8(&big).unwrap();
+        let err = ResponseView::encode_key_list(2, &mut out, |put| (0..65).for_each(|_| put(key)))
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(out, b"kept");
+        let err =
+            ResponseView::encode_values(3, &mut out, |put| (0..65).for_each(|_| put(Some(&big))))
+                .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(out, b"kept");
     }
 
     #[test]
